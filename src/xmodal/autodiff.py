@@ -3,9 +3,13 @@
 Everything is a (rows, cols) matrix; scalars are 1x1. Ops that touch a
 grad-requiring input are recorded on a thread-local tape in application
 order. `backward` replays the tape in exact reverse order and accumulates
-gradients into Parameters, then clears the tape. `grad` returns cotangents
-as graph nodes when `create_graph=True`, which is what lets the critic's
-gradient penalty differentiate through an inner gradient.
+gradients into Parameters, then clears the tape.
+
+The engine is first-order: every VJP is a plain numpy function from an
+output cotangent array to an input cotangent array, so the reverse pass
+builds no graph. The critic's gradient penalty, the one value defined
+through a gradient, has a closed form (see `generation`) and enters the
+tape as a single node with array-valued VJPs.
 
 Defaults to float64; `set_default_dtype(np.float32)` trades gradient-check
 headroom for speed.
@@ -84,24 +88,6 @@ class no_grad:
     def __enter__(self):
         self._prev = _STATE.grad_enabled
         _STATE.grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _STATE.grad_enabled = self._prev
-        return False
-
-
-class enable_grad:
-    """Re-enable graph building inside a no_grad region.
-
-    Needed by values that are themselves defined through a gradient (the
-    critic's gradient penalty): the inner graph must exist even when the
-    caller only wants a number.
-    """
-
-    def __enter__(self):
-        self._prev = _STATE.grad_enabled
-        _STATE.grad_enabled = True
         return self
 
     def __exit__(self, *exc):
@@ -206,22 +192,29 @@ def _node(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
     return Tensor(data)
 
 
-def _unbroadcast(g: Tensor, shape) -> Tensor:
+def custom(value, parents, vjps) -> Tensor:
+    """A node with hand-written VJPs, one per parent.
+
+    Each VJP maps the output's cotangent array to that parent's cotangent
+    array. Recorded like any op: only when grad is enabled and some parent
+    requires grad.
+    """
+    return _node(as_matrix(value), tuple(parents), tuple(vjps))
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a cotangent back down to the shape of a broadcast operand."""
-    if g.data.shape == shape:
+    if g.shape == shape:
         return g
-    out = g
-    if shape[0] == 1 and out.data.shape[0] != 1:
-        out = sum_axis(out, axis=0)
-    if shape[1] == 1 and out.data.shape[1] != 1:
-        out = sum_axis(out, axis=1)
-    return out
+    if shape[0] == 1 and g.shape[0] != 1:
+        g = g.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] != 1:
+        g = g.sum(axis=1, keepdims=True)
+    return g
 
 
-def _broadcast_to(g: Tensor, shape) -> Tensor:
-    if g.data.shape == shape:
-        return g
-    return mul(g, Tensor(np.ones(shape, dtype=g.data.dtype)))
+def _broadcast_to(g: np.ndarray, shape) -> np.ndarray:
+    return g if g.shape == shape else np.broadcast_to(g, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +242,14 @@ def sub(a, b):
         (a, b),
         (
             lambda g: _unbroadcast(g, a.data.shape),
-            lambda g: _unbroadcast(neg(g), b.data.shape),
+            lambda g: _unbroadcast(-g, b.data.shape),
         ),
     )
 
 
 def neg(a):
     a = _coerce(a)
-    return _node(-a.data, (a,), (lambda g: neg(g),))
+    return _node(-a.data, (a,), (lambda g: -g,))
 
 
 def mul(a, b):
@@ -266,23 +259,23 @@ def mul(a, b):
         out,
         (a, b),
         (
-            lambda g: _unbroadcast(mul(g, b), a.data.shape),
-            lambda g: _unbroadcast(mul(g, a), b.data.shape),
+            lambda g: _unbroadcast(g * b.data, a.data.shape),
+            lambda g: _unbroadcast(g * a.data, b.data.shape),
         ),
     )
 
 
 def div(a, b):
     a, b = _coerce(a), _coerce(b)
-    out = _node(
-        a.data / b.data,
+    out = a.data / b.data
+    return _node(
+        out,
         (a, b),
         (
-            lambda g: _unbroadcast(div(g, b), a.data.shape),
-            lambda g: _unbroadcast(neg(div(mul(g, out), b)), b.data.shape),
+            lambda g: _unbroadcast(g / b.data, a.data.shape),
+            lambda g: _unbroadcast(-(g * out / b.data), b.data.shape),
         ),
     )
-    return out
 
 
 def matmul(a, b):
@@ -294,15 +287,15 @@ def matmul(a, b):
         out,
         (a, b),
         (
-            lambda g: matmul(g, transpose(b)),
-            lambda g: matmul(transpose(a), g),
+            lambda g: g @ b.data.T,
+            lambda g: a.data.T @ g,
         ),
     )
 
 
 def transpose(a):
     a = _coerce(a)
-    return _node(a.data.T.copy(), (a,), (lambda g: transpose(g),))
+    return _node(a.data.T.copy(), (a,), (lambda g: g.T,))
 
 
 def sum_all(a):
@@ -326,29 +319,29 @@ def pow_const(a, p):
     a = _coerce(a)
     p = float(p)
     out = a.data**p
-    return _node(out, (a,), (lambda g: mul(g, mul(pow_const(a, p - 1.0), p)),))
+    return _node(out, (a,), (lambda g: g * (a.data ** (p - 1.0) * p),))
 
 
 def square(a):
     a = _coerce(a)
-    return _node(a.data * a.data, (a,), (lambda g: mul(g, mul(a, 2.0)),))
+    return _node(a.data * a.data, (a,), (lambda g: g * (a.data * 2.0),))
 
 
 def sqrt(a):
     a = _coerce(a)
-    out = _node(np.sqrt(a.data), (a,), (lambda g: div(g, mul(out, 2.0)),))
-    return out
+    out = np.sqrt(a.data)
+    return _node(out, (a,), (lambda g: g / (out * 2.0),))
 
 
 def exp(a):
     a = _coerce(a)
-    out = _node(np.exp(a.data), (a,), (lambda g: mul(g, out),))
-    return out
+    out = np.exp(a.data)
+    return _node(out, (a,), (lambda g: g * out,))
 
 
 def log(a):
     a = _coerce(a)
-    return _node(np.log(a.data), (a,), (lambda g: div(g, a),))
+    return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +351,7 @@ def log(a):
 def relu(a):
     a = _coerce(a)
     mask = (a.data > 0).astype(a.data.dtype)
-    return _node(a.data * mask, (a,), (lambda g: mul(g, Tensor(mask)),))
+    return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
 def leaky_relu(a, slope: float = 0.2):
@@ -366,37 +359,36 @@ def leaky_relu(a, slope: float = 0.2):
         raise ConfigError(f"leaky_relu slope must be in (0, 1), got {slope}")
     a = _coerce(a)
     mask = np.where(a.data > 0, 1.0, slope).astype(a.data.dtype)
-    return _node(a.data * mask, (a,), (lambda g: mul(g, Tensor(mask)),))
+    return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
 def sigmoid(a):
     a = _coerce(a)
     d = a.data
-    out_data = np.empty_like(d)
+    out = np.empty_like(d)
     pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ez = np.exp(d[~pos])
-    out_data[~pos] = ez / (1.0 + ez)
-    out = _node(out_data, (a,), (lambda g: mul(mul(g, out), sub(1.0, out)),))
-    return out
+    out[~pos] = ez / (1.0 + ez)
+    return _node(out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
 def softmax_rows(a):
     a = _coerce(a)
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = _node(
-        e / e.sum(axis=1, keepdims=True),
+    out = e / e.sum(axis=1, keepdims=True)
+    return _node(
+        out,
         (a,),
-        (lambda g: mul(out, sub(g, sum_axis(mul(g, out), axis=1))),),
+        (lambda g: out * (g - (g * out).sum(axis=1, keepdims=True)),),
     )
-    return out
 
 
 def clip(a, lo: float, hi: float):
     a = _coerce(a)
     mask = ((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype)
-    return _node(np.clip(a.data, lo, hi), (a,), (lambda g: mul(g, Tensor(mask)),))
+    return _node(np.clip(a.data, lo, hi), (a,), (lambda g: g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +400,8 @@ def concat_cols(a, b):
     if a.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"concat_cols row mismatch: {a.data.shape} vs {b.data.shape}")
     w = a.data.shape[1]
-    wb = b.data.shape[1]
     out = np.concatenate([a.data, b.data], axis=1)
-    return _node(
-        out,
-        (a, b),
-        (
-            lambda g: slice_cols(g, 0, w),
-            lambda g: slice_cols(g, w, w + wb),
-        ),
-    )
+    return _node(out, (a, b), (lambda g: g[:, :w], lambda g: g[:, w:]))
 
 
 def slice_cols(a, j0: int, j1: int):
@@ -427,12 +411,11 @@ def slice_cols(a, j0: int, j1: int):
     return _node(out, (a,), (lambda g: _embed_cols(g, j0, total),))
 
 
-def _embed_cols(g, j0: int, total: int):
-    g = _coerce(g)
-    w = g.data.shape[1]
-    out = np.zeros((g.data.shape[0], total), dtype=g.data.dtype)
-    out[:, j0 : j0 + w] = g.data
-    return _node(out, (g,), (lambda h: slice_cols(h, j0, j0 + w),))
+def _embed_cols(g: np.ndarray, j0: int, total: int) -> np.ndarray:
+    """VJP of slice_cols: place g at columns j0.. of a zero matrix `total` wide."""
+    out = np.zeros((g.shape[0], total), dtype=g.dtype)
+    out[:, j0 : j0 + g.shape[1]] = g
+    return out
 
 
 def concat_rows(a, b):
@@ -440,16 +423,8 @@ def concat_rows(a, b):
     if a.data.shape[1] != b.data.shape[1]:
         raise ShapeError(f"concat_rows col mismatch: {a.data.shape} vs {b.data.shape}")
     h = a.data.shape[0]
-    hb = b.data.shape[0]
     out = np.concatenate([a.data, b.data], axis=0)
-    return _node(
-        out,
-        (a, b),
-        (
-            lambda g: slice_rows(g, 0, h),
-            lambda g: slice_rows(g, h, h + hb),
-        ),
-    )
+    return _node(out, (a, b), (lambda g: g[:h], lambda g: g[h:]))
 
 
 def slice_rows(a, i0: int, i1: int):
@@ -459,12 +434,11 @@ def slice_rows(a, i0: int, i1: int):
     return _node(out, (a,), (lambda g: _embed_rows(g, i0, total),))
 
 
-def _embed_rows(g, i0: int, total: int):
-    g = _coerce(g)
-    h = g.data.shape[0]
-    out = np.zeros((total, g.data.shape[1]), dtype=g.data.dtype)
-    out[i0 : i0 + h, :] = g.data
-    return _node(out, (g,), (lambda x: slice_rows(x, i0, i0 + h),))
+def _embed_rows(g: np.ndarray, i0: int, total: int) -> np.ndarray:
+    """VJP of slice_rows: place g at rows i0.. of a zero matrix `total` tall."""
+    out = np.zeros((total, g.shape[1]), dtype=g.dtype)
+    out[i0 : i0 + g.shape[0], :] = g
+    return out
 
 
 def pick_cols(a, idx):
@@ -480,17 +454,12 @@ def pick_cols(a, idx):
     return _node(out, (a,), (lambda g: _scatter_cols(g, idx, c),))
 
 
-def _scatter_cols(g, idx, total: int):
-    g = _coerce(g)
-    n = g.data.shape[0]
-    out = np.zeros((n, total), dtype=g.data.dtype)
-    out[np.arange(n), idx] = g.data[:, 0]
-    return _node(out, (g,), (lambda h: pick_cols(h, idx),))
-
-
-def stop_gradient(a):
-    a = _coerce(a)
-    return Tensor(a.data.copy())
+def _scatter_cols(g: np.ndarray, idx, total: int) -> np.ndarray:
+    """VJP of pick_cols: g[i, 0] placed at column idx[i] of row i."""
+    n = g.shape[0]
+    out = np.zeros((n, total), dtype=g.dtype)
+    out[np.arange(n), idx] = g[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,17 +505,16 @@ class Linear:
 
 
 def _replay(output: Tensor, capture: frozenset):
-    """Walk the tape in reverse from `output`, accumulating cotangents.
+    """Walk the tape in reverse from `output`, accumulating cotangent arrays.
 
     Returns (leaves, captured): `leaves` pairs every leaf tensor reached with
     its cotangent; `captured` maps id(t) -> cotangent for requested interior
     or leaf tensors.
     """
     tape = _STATE.tape
-    one = Tensor(np.ones((1, 1), dtype=output.data.dtype))
-    cot: dict[int, Tensor] = {id(output): one}
+    cot: dict[int, np.ndarray] = {id(output): np.ones((1, 1), dtype=output.data.dtype)}
     holders: dict[int, Tensor] = {id(output): output}
-    captured: dict[int, Tensor] = {}
+    captured: dict[int, np.ndarray] = {}
     ref = output._tape_ref
     if ref is not None:
         gen, idx = ref
@@ -569,7 +537,8 @@ def _replay(output: Tensor, capture: frozenset):
                 contrib = vjp(g)
                 pid = id(p)
                 if pid in cot:
-                    cot[pid] = add(cot[pid], contrib)
+                    # never in place: a VJP may hand back its input or a view of it
+                    cot[pid] = cot[pid] + contrib
                 else:
                     cot[pid] = contrib
                     holders[pid] = p
@@ -585,34 +554,21 @@ def backward(loss) -> None:
     loss = _coerce(loss)
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    with no_grad():
-        leaves, _ = _replay(loss, frozenset())
+    leaves, _ = _replay(loss, frozenset())
     for t, g in leaves:
         if isinstance(t, Parameter):
-            t.grad += g.data
+            t.grad += g
     _STATE.tape.clear()
 
 
-def grad(output, wrt, create_graph: bool = False) -> list[Tensor]:
-    """Cotangents of a scalar `output` for each tensor in `wrt`.
+def grad(output, wrt) -> list[Tensor]:
+    """Cotangents of a scalar `output` for each tensor in `wrt`, as constants.
 
-    Leaves the tape intact and touches no Parameter.grad. With
-    `create_graph=True` the returned tensors are themselves differentiable.
+    Leaves the tape intact and touches no Parameter.grad.
     """
     output = _coerce(output)
     if output.data.size != 1:
         raise ContractError(f"grad expects a scalar output, got shape {output.data.shape}")
     wrt = list(wrt)
-    capture = frozenset(id(w) for w in wrt)
-    if create_graph:
-        _, captured = _replay(output, capture)
-    else:
-        with no_grad():
-            _, captured = _replay(output, capture)
-    out = []
-    for w in wrt:
-        g = captured.get(id(w))
-        if g is None:
-            g = Tensor(np.zeros_like(w.data))
-        out.append(g)
-    return out
+    _, captured = _replay(output, frozenset(id(w) for w in wrt))
+    return [Tensor(captured.get(id(w), np.zeros_like(w.data))) for w in wrt]

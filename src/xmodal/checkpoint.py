@@ -57,6 +57,17 @@ def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
     os.replace(tmp, path)
 
 
+def _require(mapping, keys, path, where: str) -> None:
+    """Raise CheckpointError naming every key of `keys` that `mapping` lacks."""
+    if not isinstance(mapping, dict):
+        raise CheckpointError(f"{path}: checkpoint {where} is not a mapping")
+    missing = [k for k in keys if k not in mapping]
+    if missing:
+        raise CheckpointError(
+            f"{path}: checkpoint {where} lacks {', '.join(repr(k) for k in missing)}"
+        )
+
+
 def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != MAGIC:
@@ -71,13 +82,17 @@ def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[st
         header = json.loads(raw[16 : 16 + header_len].decode("utf8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint header") from e
-    if expect_kind is not None and header.get("kind") != expect_kind:
+    _require(header, ("kind", "meta", "arrays"), path, "header")
+    if expect_kind is not None and header["kind"] != expect_kind:
         raise CheckpointError(
-            f"{path}: checkpoint holds a {header.get('kind')!r} model, expected {expect_kind!r}"
+            f"{path}: checkpoint holds a {header['kind']!r} model, expected {expect_kind!r}"
         )
     base = 16 + header_len
     arrays = {}
     for entry in header["arrays"]:
+        _require(entry, ("name", "dtype", "shape", "offset", "nbytes"), path, "array entry")
+        if entry["dtype"] not in _DTYPES:
+            raise CheckpointError(f"{path}: unsupported array dtype {entry['dtype']!r}")
         start = base + entry["offset"]
         end = start + entry["nbytes"]
         if end > len(raw):
@@ -98,7 +113,15 @@ def _pack_params(model) -> tuple[dict, dict]:
     return arrays, steps
 
 
-def _unpack_params(model, arrays: dict, steps: dict) -> None:
+def _unpack_params(model, arrays: dict, steps: dict, path) -> None:
+    names = [name for name, _ in model.named_params()]
+    _require(steps, names, path, "step counts")
+    _require(
+        arrays,
+        [f"{kind}/{name}" for name in names for kind in ("param", "adam_m", "adam_v")],
+        path,
+        "payload",
+    )
     for name, p in model.named_params():
         p.data[...] = arrays[f"param/{name}"]
         p.adam_m[...] = arrays[f"adam_m/{name}"]
@@ -124,9 +147,10 @@ def save_vaegan(model: VaeGanModel, path) -> None:
 
 def load_vaegan(path) -> VaeGanModel:
     meta, arrays = load_checkpoint(path, expect_kind="vaegan")
+    _require(meta, ("d_feat", "d_attr", "hp", "steps", "rng_state"), path, "meta")
     hp = GenHyperParams(**meta["hp"])
     model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, stream(0, "load"))
-    _unpack_params(model, arrays, meta["steps"])
+    _unpack_params(model, arrays, meta["steps"], path)
     if "scaler/lo" in arrays:
         model.scaler = FeatureScaler(lo=arrays["scaler/lo"], span=arrays["scaler/span"])
     model.rng_state = meta["rng_state"]
@@ -147,6 +171,7 @@ def save_projection(model: ProjectionModel, path) -> None:
 
 def load_projection(path) -> ProjectionModel:
     meta, arrays = load_checkpoint(path, expect_kind="projection")
+    _require(meta, ("d", "classes", "use_gate", "hp", "steps"), path, "meta")
     hp = ProjHyperParams(**meta["hp"])
     model = ProjectionModel(
         d=meta["d"],
@@ -155,5 +180,5 @@ def load_projection(path) -> ProjectionModel:
         rng=stream(0, "load"),
         use_gate=meta["use_gate"],
     )
-    _unpack_params(model, arrays, meta["steps"])
+    _unpack_params(model, arrays, meta["steps"], path)
     return model

@@ -3,7 +3,8 @@
 Subcommands: make-data (write a synthetic corpus), run (full x-shot grid),
 synth (stage 1 plus pseudo-feature synthesis only), train-proj (stage 2
 only), eval (score a saved projection checkpoint). Exit code 0 only when
-every grid cell succeeded.
+every grid cell succeeded; a bad config, corpus or checkpoint exits 2 with
+a one-line error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .data import load_corpus_dir, split_xshot, write_corpus
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError, IngestError
 from .generation import synthesize_target_set, train_generation
 from .pipeline import (
     ExperimentConfig,
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, IngestError, CheckpointError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,18 @@ The generator ends in a sigmoid, so real features are min-max scaled to
 [0, 1] per dimension before stage-1 training; the fitted transform travels
 with the model and synthesized features are mapped back to the original
 feature space.
+
+The gradient penalty is computed in closed form, not by differentiating
+through an inner gradient. It relies on the critic's architecture: one
+affine layer, a LeakyReLU, and one affine layer to a scalar score. Write
+W1 = [W1_v; W1_a] for the feature and attribute row blocks of the first
+weight and w2 for the score weight. At feature rows v with LeakyReLU slope
+mask M (1 or the leaky slope per hidden unit), the input gradient is
+gin = (M ⊙ w2ᵀ) @ W1_vᵀ. M is piecewise constant, so with G = ∂GP/∂gin the
+penalty's only parameter gradients are ∂GP/∂W1_v = Gᵀ (M ⊙ w2ᵀ) and
+∂GP/∂w2 = Σ_rows (G W1_v) ⊙ M. The critic step uses the same closed form
+for the whole objective and records no tape; a different critic
+architecture needs a new `penalty_terms`.
 """
 
 from __future__ import annotations
@@ -114,10 +126,15 @@ class Generator:
 
 
 class Critic:
-    """Two affine layers with an intermediate LeakyReLU; raw scalar score per row."""
+    """Two affine layers with an intermediate LeakyReLU; raw scalar score per row.
+
+    Calling it scores [v, a] rows on the tape. The array methods below serve
+    the closed-form critic step and penalty and record nothing.
+    """
 
     def __init__(self, d_feat: int, d_attr: int, rng, leaky_slope: float = 0.2):
         hidden = d_feat + d_attr
+        self.d_feat = d_feat
         self.l1 = Linear(d_feat + d_attr, hidden, rng)
         self.l2 = Linear(hidden, 1, rng)
         self.leaky_slope = leaky_slope
@@ -125,6 +142,26 @@ class Critic:
     def __call__(self, v, a):
         h = ad.leaky_relu(self.l1(ad.concat_cols(v, a)), slope=self.leaky_slope)
         return self.l2(h)
+
+    def attr_branch(self, a: np.ndarray) -> np.ndarray:
+        """a @ W1_a + b1: the part of the hidden pre-activation the features do not touch."""
+        return a @ self.l1.W.data[self.d_feat :] + self.l1.b.data
+
+    def hidden(self, v: np.ndarray, a_pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden pre-activation at feature rows v and its LeakyReLU slope mask M."""
+        pre = v @ self.l1.W.data[: self.d_feat] + a_pre
+        return pre, np.where(pre > 0, 1.0, self.leaky_slope).astype(pre.dtype, copy=False)
+
+    def input_gradient(self, v: np.ndarray, a_pre: np.ndarray):
+        """Closed form of d(sum of scores)/dv at feature rows v.
+
+        a_pre is `attr_branch` of the rows' attributes. Returns (M, K, gin):
+        the slope mask, K = M ⊙ w2ᵀ (the score's gradient w.r.t. the hidden
+        pre-activation) and gin = K @ W1_vᵀ.
+        """
+        _, M = self.hidden(v, a_pre)
+        K = M * self.l2.W.data.T
+        return M, K, K @ self.l1.W.data[: self.d_feat].T
 
     @property
     def params(self):
@@ -224,41 +261,52 @@ def recon_loss(v, v_bar) -> Tensor:
     return ad.mean_all(ad.square(ad.as_tensor(v) - v_bar))
 
 
-def critic_input_gradient(critic, v_hat: Tensor, a) -> Tensor:
-    """Gradient of the summed critic score w.r.t. its feature input, as a graph node.
+def penalty_terms(critic: Critic, v_hat: np.ndarray, a_pre: np.ndarray, n: int, grads: bool = True):
+    """Closed-form gradient penalty at interpolates v_hat, with its critic gradients.
 
-    Forces graph building: this value is defined through a gradient, so it
-    must be computed even inside a no_grad region.
+    The value is Σ_rows (‖gin_i‖ − 1)² / n: the mean over one path of n
+    rows, or the sum of the per-path means when v_hat stacks several paths
+    of n rows each. Only W1_v and w2 move it (see the module docstring).
+    Returns (value, dW1_v, dw2), the gradients None when `grads` is off.
+    A row whose input gradient is exactly zero has no norm derivative and
+    contributes a zero gradient.
     """
-    with ad.enable_grad():
-        score = critic(v_hat, a)
-        (gin,) = ad.grad(ad.sum_all(score), [v_hat], create_graph=True)
-    return gin
+    M, K, gin = critic.input_gradient(v_hat, a_pre)
+    norms = np.sqrt((gin * gin).sum(axis=1, keepdims=True))
+    value = float(np.square(norms - 1.0).sum() / n)
+    if not grads:
+        return value, None, None
+    coef = np.zeros_like(norms)
+    np.divide(2.0 * (norms - 1.0), n * norms, out=coef, where=norms > 0)
+    G = coef * gin
+    dW1_v = G.T @ K
+    dw2 = ((G @ critic.l1.W.data[: critic.d_feat]) * M).sum(axis=0, keepdims=True).T
+    return value, dW1_v, dw2
 
 
-def gradient_penalty(real, fake, a, critic, rng) -> Tensor:
+def _data(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else ad.as_matrix(x)
+
+
+def gradient_penalty(real, fake, a, critic: Critic, rng) -> Tensor:
     """Mean squared deviation of the critic's input-gradient norm from 1.
 
     Interpolates eps*real + (1-eps)*fake per row with eps ~ U(0, 1); real and
-    fake enter as data (the penalty regularizes the critic only).
+    fake enter as data (the penalty regularizes the critic only). While grad
+    is enabled the result is one tape node whose parents are the critic's two
+    weights, with the closed-form gradients as its VJPs.
     """
-    real_d = real.data if isinstance(real, Tensor) else ad.as_matrix(real)
-    fake_d = fake.data if isinstance(fake, Tensor) else ad.as_matrix(fake)
+    real_d, fake_d = _data(real), _data(fake)
     eps = rng.uniform(size=(real_d.shape[0], 1))
-    a_const = Tensor(a.data) if isinstance(a, Tensor) else Tensor(ad.as_matrix(a))
-
-    caller_wants_graph = ad.grad_enabled()
-    mark = len(ad.active_tape().nodes)
-    with ad.enable_grad():
-        v_hat = Tensor(eps * real_d + (1.0 - eps) * fake_d, requires_grad=True)
-        gin = critic_input_gradient(critic, v_hat, a_const)
-        norms = ad.sqrt(ad.sum_axis(ad.square(gin), axis=1))
-        penalty = ad.mean_all(ad.square(norms - 1.0))
-    if caller_wants_graph:
-        return penalty
-    # pure evaluation: drop the throwaway inner graph, hand back a constant
-    del ad.active_tape().nodes[mark:]
-    return Tensor(penalty.data.copy())
+    v_hat = eps * real_d + (1.0 - eps) * fake_d
+    value, dW1_v, dw2 = penalty_terms(
+        critic, v_hat, critic.attr_branch(_data(a)), v_hat.shape[0], grads=ad.grad_enabled()
+    )
+    if dW1_v is None:
+        return Tensor(value)
+    dW1 = np.zeros_like(critic.l1.W.data)
+    dW1[: critic.d_feat] = dW1_v
+    return ad.custom(value, (critic.l1.W, critic.l2.W), (lambda g: g * dW1, lambda g: g * dw2))
 
 
 def critic_loss(real, other, a, critic, lambda_gp: float, rng) -> Tensor:
@@ -307,25 +355,54 @@ def generation_losses(batch, model: VaeGanModel, hp: GenHyperParams, rng, use_va
     return {"vae": vae, "gan1": gan1, "gan2": gan2, "total": total}
 
 
-def _critic_objective(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> Tensor:
-    """Loss the critic minimizes: negated score gaps plus the penalties."""
+def critic_step(v: Tensor, a: Tensor, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> float:
+    """Add the gradients of the loss the critic minimizes to the critic's .grad.
+
+    The loss is Σ_paths [E D(other) − E D(real) + λ·GP(real, other)] over the
+    fake path and, with use_vae, the reconstruction path: −gan1 − gan2 of
+    `generation_losses`, computed in closed form with no tape. Draws from
+    rng in this order: noise, reparameterisation, then one eps per path.
+    Returns the loss value.
+    """
     n = v.data.shape[0]
     with no_grad():
         noise = Tensor(rng.standard_normal((n, model.d_z)))
-        v_tilde = model.generator(noise, a).detach()
+        others = [model.generator(noise, a).data]
         if use_vae:
             _, _, z = model.encode(v, a, rng)
-            v_bar = model.generator(z, a).detach()
+            others.append(model.generator(z, a).data)
+    k = len(others)
+    eps = [rng.uniform(size=(n, 1)) for _ in others]
+    real, attrs = v.data, a.data
+    critic = model.critic
+    d = critic.d_feat
+    # the attribute branch is shared by all 2k + 1 critic evaluations
+    a_pre = critic.attr_branch(attrs)
 
-    def one_path(other):
-        gap = ad.mean_all(model.critic(v, a)) - ad.mean_all(model.critic(other, a))
-        penalty = gradient_penalty(v, other, a, model.critic, rng)
-        return -gap + hp.lambda_gp * penalty
+    # score gaps: D(real) once, weighted -k/n per row; each other path +1/n
+    rows = np.vstack([real] + others)
+    pre, M = critic.hidden(rows, np.tile(a_pre, (k + 1, 1)))
+    w = np.full((rows.shape[0], 1), 1.0 / n)
+    w[:n] = -k / n
+    dW2 = (pre * M).T @ w
+    dpre = w * (M * critic.l2.W.data.T)
+    dW1 = np.empty_like(critic.l1.W.data)
+    dW1[:d] = rows.T @ dpre
+    dW1[d:] = attrs.T @ dpre.reshape(k + 1, n, -1).sum(axis=0)
+    db1 = dpre.sum(axis=0, keepdims=True)
+    # Σ w·D = (hᵀ w)·w2 + b2·Σ w, and the weights sum to zero
+    loss = float((dW2 * critic.l2.W.data).sum())
 
-    loss = one_path(v_tilde)
-    if use_vae:
-        loss = loss + one_path(v_bar)
-    return loss
+    v_hat = np.vstack([e * real + (1.0 - e) * o for e, o in zip(eps, others)])
+    gp, dW1_v, dw2 = penalty_terms(critic, v_hat, np.tile(a_pre, (k, 1)), n)
+    dW1[:d] += hp.lambda_gp * dW1_v
+    dW2 += hp.lambda_gp * dw2
+
+    # b2's gradient is Σ w = 0
+    critic.l1.W.grad += dW1
+    critic.l1.b.grad += db1
+    critic.l2.W.grad += dW2
+    return loss + hp.lambda_gp * gp
 
 
 def train_generation(
@@ -375,21 +452,16 @@ def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
             out["kl"] = out["recon"] = out["vae"] = 0.0
         noise = Tensor(rng.standard_normal((X.shape[0], model.d_z)))
         v_tilde = model.generator(noise, a)
-        gap = (
-            ad.mean_all(model.critic(v, a)).item()
-            - ad.mean_all(model.critic(v_tilde, a)).item()
-        )
+        d_real = ad.mean_all(model.critic(v, a)).item()
+        gap = d_real - ad.mean_all(model.critic(v_tilde, a)).item()
         out["critic_gap"] = gap
         out["gan1"] = gap - hp.lambda_gp * gradient_penalty(
-            X, v_tilde.data, attrs, model.critic, rng
+            X, v_tilde, attrs, model.critic, rng
         ).item()
         if use_vae:
-            gap2 = (
-                ad.mean_all(model.critic(v, a)).item()
-                - ad.mean_all(model.critic(v_bar, a)).item()
-            )
+            gap2 = d_real - ad.mean_all(model.critic(v_bar, a)).item()
             out["gan2"] = gap2 - hp.lambda_gp * gradient_penalty(
-                X, v_bar.data, attrs, model.critic, rng
+                X, v_bar, attrs, model.critic, rng
             ).item()
         else:
             out["gan2"] = 0.0
@@ -409,6 +481,10 @@ def _train_single_modality(feats, attrs, hp, d_attr, modality, use_vae):
 
     eg_params = model.encoder.params + model.generator.params
     critic_params = model.critic.params
+    # real and fake enter the penalty as constants, so it cannot move the
+    # encoder or generator: their step evaluates its loss without it
+    eg_hp = replace(hp, lambda_gp=0.0)
+    eg_paths = 2 if use_vae else 1
 
     # curve index 0 is the untrained model; one entry per epoch after that
     curve: dict[str, list[float]] = {}
@@ -429,12 +505,14 @@ def _train_single_modality(feats, attrs, hp, d_attr, modality, use_vae):
 
             for _ in range(hp.critic_steps):
                 zero_grads(model.params)
-                d_loss = _critic_objective(v, a, model, hp, rng_noise, use_vae)
-                ad.backward(d_loss)
+                critic_step(v, a, model, hp, rng_noise, use_vae)
                 adam_step(critic_params, hp.lr)
 
             zero_grads(model.params)
-            losses = generation_losses((v, a), model, hp, rng_noise, use_vae)
+            losses = generation_losses((v, a), model, eg_hp, rng_noise, use_vae)
+            # draw the skipped penalties' eps all the same, so the noise stream,
+            # and with it every trained model, stays what it was with them
+            rng_noise.uniform(size=(len(idx), eg_paths))
             ad.backward(losses["total"])
             adam_step(eg_params, hp.lr)
         log_point()
@@ -475,7 +553,3 @@ def synthesize_target_set(
     return make_corpus(
         np.vstack(images), np.vstack(texts), labels, attrs, name="pseudo"
     )
-
-
-def gen_hp_for_seed(hp: GenHyperParams, seed: int) -> GenHyperParams:
-    return replace(hp, seed=seed)

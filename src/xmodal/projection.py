@@ -10,7 +10,7 @@ space; the three terms are weighted by alpha/beta/gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,7 +316,3 @@ def train_projection(
             adam_step(model.params, hp.lr)
         log_point()
     return model, curve
-
-
-def proj_hp_for_seed(hp: ProjHyperParams, seed: int) -> ProjHyperParams:
-    return replace(hp, seed=seed)

@@ -113,13 +113,19 @@ def test_criterion_2_closed_form_oracles():
     assert kl_prior == 0.0
     assert kl_unit == 0.5
 
-    W = ad.Tensor(np.array([[3.0], [0.0]]))
+    # a critic linear in its features, score v @ w with |w| = 3: identity
+    # feature block, zero attribute block, and a bias that keeps every
+    # hidden pre-activation positive
+    critic = gen.Critic(2, 2, stream(2, "critic"))
+    critic.l1.W.data[...] = np.vstack([np.eye(2, 4), np.zeros((2, 4))])
+    critic.l1.b.data[...] = 10.0
+    critic.l2.W.data[...] = np.array([[3.0], [0.0], [0.0], [0.0]])
     rng = np.random.default_rng(2)
     penalty = gen.gradient_penalty(
         rng.normal(size=(5, 2)),
         rng.normal(size=(5, 2)),
         rng.normal(size=(5, 2)),
-        lambda v, a: ad.matmul(v, W),
+        critic,
         stream(2, "gp"),
     ).item()
     assert abs(penalty - 4.0) < 1e-10

@@ -131,18 +131,6 @@ def test_no_grad_suppresses_recording():
     assert len(ad.active_tape()) == 0
 
 
-def test_grad_of_grad_through_inner_gradient():
-    # f(x) = sum(x^2); inner gradient 2x; h = sum((2x)^2) = 4 sum(x^2); dh/dx = 8x
-    x = ad.Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
-    f = ad.sum_all(ad.square(x))
-    (gx,) = ad.grad(f, [x], create_graph=True)
-    assert np.allclose(gx.data, 2.0 * x.data)
-    h = ad.sum_all(ad.square(gx))
-    (hx,) = ad.grad(h, [x])
-    assert np.allclose(hx.data, 8.0 * x.data)
-    ad.active_tape().clear()
-
-
 def test_grad_unreached_input_gets_zeros():
     x = ad.Tensor(np.ones((1, 2)), requires_grad=True)
     y = ad.Tensor(np.ones((1, 2)), requires_grad=True)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,63 @@ def test_truncated_payload_rejected(small_setup, tmp_path):
     path.write_bytes(path.read_bytes()[:-64])
     with pytest.raises(CheckpointError, match="truncated"):
         ckpt.load_vaegan(path)
+
+
+def _rewrite(path, kind, meta, arrays, drop_header_key=None):
+    """Re-save a checkpoint's contents, optionally without one header key."""
+    ckpt.save_checkpoint(path, kind, meta, arrays)
+    if drop_header_key is None:
+        return
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[12:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    del header[drop_header_key]
+    blob = json.dumps(header).encode("utf8")
+    path.write_bytes(raw[:12] + len(blob).to_bytes(4, "little") + blob + raw[16 + header_len :])
+
+
+@pytest.mark.parametrize("key", ["arrays", "meta"])
+def test_header_missing_key_names_it(small_setup, tmp_path, key):
+    _, _, img, _, _ = small_setup
+    path = tmp_path / "gen.ckpt"
+    ckpt.save_vaegan(img, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    _rewrite(path, "vaegan", meta, arrays, drop_header_key=key)
+    with pytest.raises(CheckpointError, match=f"header lacks '{key}'"):
+        ckpt.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["hp", "steps", "rng_state"])
+def test_vaegan_meta_missing_key_names_it(small_setup, tmp_path, key):
+    _, _, img, _, _ = small_setup
+    path = tmp_path / "gen.ckpt"
+    ckpt.save_vaegan(img, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    del meta[key]
+    _rewrite(path, "vaegan", meta, arrays)
+    with pytest.raises(CheckpointError, match=f"meta lacks '{key}'"):
+        ckpt.load_vaegan(path)
+
+
+@pytest.mark.parametrize("key", ["hp", "steps", "classes"])
+def test_projection_meta_missing_key_names_it(small_setup, tmp_path, key):
+    _, _, _, _, model = small_setup
+    path = tmp_path / "proj.ckpt"
+    ckpt.save_projection(model, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    del meta[key]
+    _rewrite(path, "projection", meta, arrays)
+    with pytest.raises(CheckpointError, match=f"meta lacks '{key}'"):
+        ckpt.load_projection(path)
+
+
+def test_missing_parameter_array_names_it(small_setup, tmp_path):
+    _, _, _, _, model = small_setup
+    path = tmp_path / "proj.ckpt"
+    ckpt.save_projection(model, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    name = next(k for k in sorted(arrays) if k.startswith("param/"))
+    del arrays[name]
+    _rewrite(path, "projection", meta, arrays)
+    with pytest.raises(CheckpointError, match=f"payload lacks '{name}'"):
+        ckpt.load_projection(path)

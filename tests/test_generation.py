@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,13 @@ from fdcheck import assert_grad_matches
 def zero_layer(layer):
     layer.W.data[...] = 0.0
     layer.b.data[...] = 0.0
+
+
+def fixture_batch(d=8, n=4, seed=21):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.05, 0.95, size=(n, d))
+    a = rng.normal(size=(n, d))
+    return ad.Tensor(v), ad.Tensor(a)
 
 
 def small_model(d=8, seed=0, hp=None):
@@ -117,11 +126,19 @@ def test_recon_loss_values_and_gradient():
 
 
 def linear_critic(w):
-    W = ad.Tensor(np.asarray(w, dtype=float).reshape(-1, 1))
+    """A Critic that scores v @ w + const on inputs within (-10, 10).
 
-    def critic(v, a):
-        return ad.matmul(v, W)
-
+    Identity feature block, zero attribute block, and a bias of 10 that
+    keeps every hidden pre-activation positive, so the LeakyReLU is the
+    identity and the input gradient is w on every row.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1, 1)
+    d = w.shape[0]
+    critic = gen.Critic(d, d, stream(0, "linear"))
+    critic.l1.W.data[...] = np.vstack([np.eye(d, 2 * d), np.zeros((d, 2 * d))])
+    critic.l1.b.data[...] = 10.0
+    critic.l2.W.data[...] = np.vstack([w, np.zeros((d, 1))])
+    critic.l2.b.data[...] = 0.0
     return critic
 
 
@@ -159,9 +176,9 @@ def test_penalty_nonnegative():
 def test_critic_input_gradient_matches_finite_differences():
     model, _ = small_model(d=6, seed=7)
     rng = np.random.default_rng(8)
-    v_hat = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+    v_hat = ad.Tensor(rng.normal(size=(3, 6)))
     a = ad.Tensor(rng.normal(size=(3, 6)))
-    gin = gen.critic_input_gradient(model.critic, v_hat, a)
+    _, _, gin = model.critic.input_gradient(v_hat.data, model.critic.attr_branch(a.data))
 
     eps = 1e-5
     fd = np.zeros_like(v_hat.data)
@@ -175,9 +192,32 @@ def test_critic_input_gradient_matches_finite_differences():
                 down = ad.sum_all(model.critic(v_hat, a)).item()
                 v_hat.data[i, j] = orig
             fd[i, j] = (up - down) / (2 * eps)
-    rel = np.abs(gin.data - fd) / np.maximum(np.abs(fd), 1e-8)
+    rel = np.abs(gin - fd) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-4
-    ad.active_tape().clear()
+
+
+def test_zeroed_critic_penalty_gradients_are_finite():
+    # a zeroed critic has a zero input gradient on every row, where the norm
+    # has no derivative: the penalty's gradient there is zero, not 0/0
+    model, hp = small_model(d=4, seed=9)
+    zero_layer(model.critic.l1)
+    zero_layer(model.critic.l2)
+    v, a = fixture_batch(d=4, n=4, seed=10)
+    fake = ad.Tensor(np.random.default_rng(11).uniform(size=(4, 4)))
+
+    zero_grads(model.params)
+    loss = gen.critic_loss(v, fake, a, model.critic, lambda_gp=10.0, rng=stream(0, "gp"))
+    assert loss.item() == pytest.approx(-10.0, abs=1e-12)
+    ad.backward(-loss)
+    for p in model.critic.params:
+        assert np.all(np.isfinite(p.grad))
+
+    for use_vae in (True, False):
+        zero_grads(model.params)
+        value = gen.critic_step(v, a, model, hp, stream(1, "gp"), use_vae)
+        assert value == pytest.approx(10.0 * (2 if use_vae else 1), abs=1e-12)
+        for p in model.critic.params:
+            assert np.all(np.isfinite(p.grad))
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +272,40 @@ def test_one_critic_step_increases_objective():
     assert objective() > before
 
 
+@pytest.mark.parametrize("use_vae", [True, False])
+def test_critic_step_gradients_match_finite_differences(use_vae):
+    model, hp = small_model(d=6, seed=51)
+    v, a = fixture_batch(d=6, n=5, seed=52)
+
+    def loss_value():
+        # the critic step's loss rebuilt from the tape-level losses, drawing
+        # in the step's order: noise, reparameterisation, one eps per path
+        rng = stream(9, "critic")
+        with ad.no_grad():
+            others = [model.generator(ad.Tensor(rng.standard_normal((5, model.d_z))), a)]
+            if use_vae:
+                _, _, z = model.encode(v, a, rng)
+                others.append(model.generator(z, a))
+            return -sum(
+                gen.critic_loss(v, o, a, model.critic, hp.lambda_gp, rng).item() for o in others
+            )
+
+    zero_grads(model.params)
+    value = gen.critic_step(v, a, model, hp, stream(9, "critic"), use_vae)
+    assert value == pytest.approx(loss_value(), rel=1e-12)
+    # eps=1e-6 keeps the stencil clear of LeakyReLU mask flips
+    assert_grad_matches(
+        loss_value,
+        model.critic.params,
+        lambda: gen.critic_step(v, a, model, hp, stream(9, "critic"), use_vae),
+        eps=1e-6,
+    )
+    for p in model.encoder.params + model.generator.params:
+        assert not p.grad.any()
+
+
 # ---------------------------------------------------------------------------
 # combined losses
-
-
-def fixture_batch(d=8, n=4, seed=21):
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(0.05, 0.95, size=(n, d))
-    a = rng.normal(size=(n, d))
-    return ad.Tensor(v), ad.Tensor(a)
 
 
 def test_generation_losses_additive_and_finite():
@@ -278,6 +343,21 @@ def test_generation_total_gradients_match_finite_differences():
             return losses().item()
 
     assert_grad_matches(loss_value, model.params, lambda: ad.backward(losses()), tol=1e-4)
+
+
+def test_penalty_leaves_encoder_and_generator_gradients_unchanged():
+    # why the encoder/generator step may evaluate its loss without the penalty
+    model, hp = small_model(d=6, seed=61)
+    batch = fixture_batch(d=6, n=4, seed=62)
+    eg = model.encoder.params + model.generator.params
+    grads = []
+    for lambda_gp in (hp.lambda_gp, 0.0):
+        zero_grads(model.params)
+        losses = gen.generation_losses(batch, model, replace(hp, lambda_gp=lambda_gp), stream(5, "eg"))
+        ad.backward(losses["total"])
+        grads.append([p.grad.copy() for p in eg])
+    for with_gp, without in zip(*grads):
+        assert np.array_equal(with_gp, without)
 
 
 def test_no_vae_losses_drop_reconstruction_path():

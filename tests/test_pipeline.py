@@ -260,3 +260,40 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     rc = cli_main(["run", "--config", str(config_path)])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_corrupt_corpus_exits_with_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert cli_main(["make-data", "--out", str(out), "--classes", "4", "--per-class", "8",
+                     "--dim", "8", "--seed", "5"]) == 0
+    images = out / data.CORPUS_FILES["images"]
+    images.write_bytes(b"NOTEMBED" + images.read_bytes()[8:])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "name": "corrupt",
+        "files": {k: str(out / v) for k, v in data.CORPUS_FILES.items()
+                  if k in ("images", "texts", "labels", "attrs", "attr_ids")},
+        "x_shots": [0],
+        "seeds": [0],
+    }))
+    capsys.readouterr()
+    rc = cli_main(["run", "--config", str(config_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad magic" in err
+
+
+def test_cli_corrupt_checkpoint_exits_with_error(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "name": "bad-ckpt",
+        "synthetic": {"n_classes": 4, "per_class": 8, "dim": 8, "seed": 3},
+        "x_shots": [0],
+        "seeds": [0],
+    }))
+    bad = tmp_path / "projection.ckpt"
+    bad.write_bytes(b"not a checkpoint at all")
+    rc = cli_main(["eval", "--config", str(config_path), "--checkpoint", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad magic" in err
