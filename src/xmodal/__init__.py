@@ -8,7 +8,7 @@ scored by mAP.
 
 __version__ = "0.1.0"
 
-from .data import Corpus, Instance, XShotSplit, load_corpus, split_xshot, synth_corpus
+from .data import Corpus, XShotSplit, load_corpus, split_xshot, synth_corpus
 from .generation import (
     GenHyperParams,
     VaeGanModel,
@@ -21,7 +21,6 @@ from .retrieval import RetrievalReport, average_precision, evaluate, mean_ap
 
 __all__ = [
     "Corpus",
-    "Instance",
     "XShotSplit",
     "load_corpus",
     "split_xshot",

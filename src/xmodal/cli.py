@@ -2,9 +2,14 @@
 
 Subcommands: make-data (write a synthetic corpus), run (full x-shot grid),
 synth (stage 1 plus pseudo-feature synthesis only), train-proj (stage 2
-only), eval (score a saved projection checkpoint). Exit code 0 only when
-every grid cell succeeded; a bad config, corpus or checkpoint exits 2 with
-a one-line error.
+only, on the pseudo corpora `synth` wrote), eval (score a saved projection
+checkpoint). run, synth and train-proj run the stage functions of
+`pipeline` over the same grid loop and write the same cell layout,
+`cell_x{x}_s{seed}/` under --out. They exit 0 only when every grid cell
+succeeded and 1 when any failed (the failure is recorded and the grid
+continues); a bad config, corpus or checkpoint exits 2 with a one-line
+error. eval takes only the flags it reads, so argparse rejects the grid
+flags there (exit 2).
 """
 
 from __future__ import annotations
@@ -13,30 +18,30 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from . import checkpoint as ckpt
-from .data import load_corpus_dir, split_xshot, write_corpus
 from .errors import CheckpointError, ConfigError, IngestError
-from .generation import synthesize_target_set, train_generation
 from .pipeline import (
     ExperimentConfig,
     SyntheticSpec,
     config_from_dict,
     eval_checkpoint,
-    load_config_corpus,
     make_data,
     preset_config,
     run_experiment,
+    run_grid,
+    synth_cell,
+    train_proj_cell,
 )
-from .projection import train_projection
-from .retrieval import evaluate
 from .util import read_json, write_json
+
+ABLATIONS = ("no_vae", "no_generation", "no_gate", "no_l1", "no_l2", "no_l3")
 
 
 def _load_config(args) -> ExperimentConfig:
     overrides = {}
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
     if getattr(args, "x_shot", None):
         overrides["x_shots"] = args.x_shot
@@ -53,20 +58,24 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("provide --config or --preset")
 
     ablations = config.ablations
-    for flag in ("no_vae", "no_generation", "no_gate", "no_l1", "no_l2", "no_l3"):
+    for flag in ABLATIONS:
         if getattr(args, flag, False):
             ablations = replace(ablations, **{flag: True})
     return replace(config, ablations=ablations)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--preset", help="named preset (synthetic, wikipedia, ...)")
+
+
+def _add_grid(parser: argparse.ArgumentParser) -> None:
+    _add_config(parser)
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--x-shot", type=int, action="append", help="x-shot value (repeatable)")
     parser.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
-    for flag in ("no-vae", "no-generation", "no-gate", "no-l1", "no-l2", "no-l3"):
-        parser.add_argument(f"--{flag}", action="store_true")
+    for flag in ABLATIONS:
+        parser.add_argument(f"--{flag.replace('_', '-')}", action="store_true")
 
 
 def cmd_make_data(args) -> int:
@@ -84,85 +93,49 @@ def cmd_make_data(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    config = _load_config(args)
-    record = run_experiment(config)
+def _print_grid(record: dict, describe) -> int:
+    """One line per cell; exit code 1 when any cell failed."""
     for cell in record["cells"]:
         tag = f"x={cell['x_shot']} seed={cell['seed']}"
         if "error" in cell:
             print(f"[FAIL] {tag}: {cell['error']}")
         else:
-            target = cell["reports"]["target"]
-            print(
-                f"[ ok ] {tag}: target Img2Txt {target['img2txt']['map']:.4f} "
-                f"Txt2Img {target['txt2img']['map']:.4f} Avg {target['avg']:.4f}"
-            )
+            print(f"[ ok ] {tag}: {describe(cell)}")
     return 1 if record["failures"] else 0
+
+
+def _target_map(cell: dict) -> str:
+    target = cell["reports"]["target"]
+    return (
+        f"target Img2Txt {target['img2txt']['map']:.4f} "
+        f"Txt2Img {target['txt2img']['map']:.4f} Avg {target['avg']:.4f}"
+    )
+
+
+def cmd_run(args) -> int:
+    return _print_grid(run_experiment(_load_config(args)), _target_map)
 
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
     if config.out_dir is None:
         raise ConfigError("synth needs --out for the checkpoints and pseudo corpus")
-    corpus = load_config_corpus(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for x_shot in config.x_shots:
-        for seed in config.seeds:
-            split = split_xshot(
-                corpus, x_shot, seed,
-                query_fraction=config.query_fraction,
-                source_eval_fraction=config.source_eval_fraction,
-            )
-            gen_hp = replace(config.gen, seed=seed)
-            img_model, txt_model, _ = train_generation(
-                split, corpus, gen_hp, use_vae=not config.ablations.no_vae
-            )
-            pseudo = synthesize_target_set(
-                (img_model, txt_model),
-                split.target_classes,
-                corpus.class_attrs,
-                config.gen_num,
-                seed=seed,
-            )
-            cell_dir = out / f"cell_x{x_shot}_s{seed}"
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            ckpt.save_vaegan(img_model, cell_dir / "gen_img.ckpt")
-            ckpt.save_vaegan(txt_model, cell_dir / "gen_txt.ckpt")
-            pseudo_paths = write_corpus(pseudo, cell_dir / "pseudo")
-            print(f"x={x_shot} seed={seed}: {len(pseudo)} pseudo pairs -> {cell_dir}")
-            write_json(cell_dir / "synth.json", {"pseudo": pseudo_paths})
-    return 0
+    if config.ablations.no_generation:
+        raise ConfigError("synth trains the generators; no_generation leaves it nothing to do")
+    record = run_grid(config, synth_cell)
+    return _print_grid(
+        record, lambda cell: f"pseudo corpus -> {Path(cell['pseudo']['images']).parent}"
+    )
 
 
 def cmd_train_proj(args) -> int:
     config = _load_config(args)
     if config.out_dir is None:
         raise ConfigError("train-proj needs --out for the checkpoint")
-    corpus = load_config_corpus(config)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    pseudo = None
-    if args.pseudo is not None:
-        pseudo = load_corpus_dir(args.pseudo)
-    for x_shot in config.x_shots:
-        for seed in config.seeds:
-            split = split_xshot(
-                corpus, x_shot, seed,
-                query_fraction=config.query_fraction,
-                source_eval_fraction=config.source_eval_fraction,
-            )
-            proj_hp = replace(config.proj, seed=seed)
-            model, _ = train_projection(
-                split, corpus, pseudo, proj_hp, use_gate=not config.ablations.no_gate
-            )
-            path = out / f"projection_x{x_shot}_s{seed}.ckpt"
-            ckpt.save_projection(model, path)
-            result = evaluate(model, split, corpus, domain="target")
-            print(
-                f"x={x_shot} seed={seed}: avg mAP {result['avg']:.4f} -> {path}"
-            )
-    return 0
+    if args.pseudo is not None and config.ablations.no_generation:
+        raise ConfigError("--pseudo trains on generated pairs, which no_generation rules out")
+    record = run_grid(config, partial(train_proj_cell, pseudo_root=args.pseudo))
+    return _print_grid(record, _target_map)
 
 
 def cmd_eval(args) -> int:
@@ -196,20 +169,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_data)
 
     p = sub.add_parser("run", help="full two-stage grid over x-shots and seeds")
-    _add_common(p)
+    _add_grid(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="stage 1 only: train generators and write pseudo corpora")
-    _add_common(p)
+    _add_grid(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-proj", help="stage 2 only: train the projection model")
-    _add_common(p)
-    p.add_argument("--pseudo", help="directory holding a pseudo corpus from `synth`")
+    _add_grid(p)
+    p.add_argument(
+        "--pseudo", help="output root of `synth`; each cell reads its own cell_x{x}_s{seed}/pseudo"
+    )
     p.set_defaults(func=cmd_train_proj)
 
     p = sub.add_parser("eval", help="evaluate a saved projection checkpoint")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--eval-x-shot", type=int, default=0)
     p.add_argument("--eval-seed", type=int, default=0)

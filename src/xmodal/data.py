@@ -84,52 +84,55 @@ def _write_int_lines(path, values) -> None:
             f.write(f"{int(v)}\n")
 
 
-def _own_row(x) -> np.ndarray:
-    if (
-        isinstance(x, np.ndarray)
-        and x.dtype == np.float64
-        and x.ndim == 2
-        and x.shape[0] == 1
-        and not x.flags.writeable
-    ):
-        return x
-    row = np.array(x, dtype=np.float64).reshape(1, -1)
-    row.flags.writeable = False
-    return row
+def _frozen(x, dtype) -> np.ndarray:
+    # an array already of this dtype is taken over without a copy
+    out = np.asarray(x, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One paired sample: image feature, text feature, class attribute, label."""
-
-    image_feat: np.ndarray
-    text_feat: np.ndarray
-    attr_feat: np.ndarray
-    label: int
+def _rows(X: np.ndarray, idx) -> np.ndarray:
+    return X if idx is None else X[np.asarray(idx, dtype=np.int64)]
 
 
 class Corpus:
-    """Labeled instance collection plus the per-class attribute map."""
+    """Paired features as columns: an image matrix, a text matrix and a label
+    vector, one row per pair, plus the per-class attribute map.
 
-    def __init__(self, instances, class_attrs, name: str = "corpus"):
-        self.instances: list[Instance] = list(instances)
-        if not self.instances:
-            raise IngestError("corpus has no instances")
+    Every array is float64/int64 and read-only; arrays passed in with those
+    dtypes are kept, not copied, and become read-only. Gathers by row index
+    go through image_matrix/text_matrix/attr_matrix/labels.
+    """
+
+    def __init__(self, images, texts, labels, class_attrs, name: str = "corpus"):
+        images = _frozen(images, np.float64)
+        texts = _frozen(texts, np.float64)
+        labels = _frozen(np.reshape(labels, -1), np.int64)
+        if images.ndim != 2 or texts.ndim != 2:
+            raise DimensionMismatchError(
+                f"features must be matrices, got images {images.shape}, texts {texts.shape}"
+            )
+        if not len(images) == len(texts) == len(labels):
+            raise DimensionMismatchError(
+                f"row counts differ: images {images.shape[0]}, texts {texts.shape[0]}, "
+                f"labels {len(labels)}"
+            )
         self.class_attrs: dict[int, np.ndarray] = {
-            int(k): _own_row(v) for k, v in class_attrs.items()
+            int(k): _frozen(np.reshape(v, (1, -1)), np.float64) for k, v in class_attrs.items()
         }
-        self.name = name
+        classes = np.array(self.classes(), dtype=np.int64)
+        known = np.isin(labels, classes)
+        if not known.all():
+            raise MissingAttributeError(f"missing attribute for class {labels[~known][0]}")
+        if not len(labels):
+            raise IngestError("corpus has no instances")
 
-        first = self.instances[0]
-        d_v = first.image_feat.shape[1]
-        d_t = first.text_feat.shape[1]
-        d_a = first.attr_feat.shape[1]
+        d_v, d_t = images.shape[1], texts.shape[1]
+        d_a = self.class_attrs[int(labels[0])].shape[1]
         if not d_v == d_t == d_a:
             raise DimensionMismatchError(
                 f"feature dims differ: image {d_v}, text {d_t}, attribute {d_a}"
             )
-        self.dims = (d_v, d_t, d_a)
-
         for attr in self.class_attrs.values():
             if attr.shape[1] != d_a:
                 raise DimensionMismatchError(
@@ -137,27 +140,20 @@ class Corpus:
                 )
             if not np.isfinite(attr).all():
                 raise NonFiniteError("class attribute contains NaN or Inf")
+        if not (np.isfinite(images).all() and np.isfinite(texts).all()):
+            raise NonFiniteError("instance feature contains NaN or Inf")
 
-        for inst in self.instances:
-            if inst.image_feat.shape != (1, d_v) or inst.text_feat.shape != (1, d_t):
-                raise DimensionMismatchError(
-                    f"instance features {inst.image_feat.shape}/{inst.text_feat.shape} "
-                    f"do not match corpus dim {d_v}"
-                )
-            if not (
-                np.isfinite(inst.image_feat).all() and np.isfinite(inst.text_feat).all()
-            ):
-                raise NonFiniteError("instance feature contains NaN or Inf")
-            if inst.label not in self.class_attrs:
-                raise MissingAttributeError(f"missing attribute for class {inst.label}")
-            if not np.array_equal(inst.attr_feat, self.class_attrs[inst.label]):
-                raise IngestError(
-                    f"instance of class {inst.label} carries a different attribute "
-                    "vector than the class map"
-                )
+        self.dims = (d_v, d_t, d_a)
+        self.name = name
+        self._images = images
+        self._texts = texts
+        self._labels = labels
+        # one attribute row per class, and each pair's row in that table
+        self._attrs = np.vstack([self.class_attrs[c] for c in classes])
+        self._attr_rows = np.searchsorted(classes, labels)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self._labels)
 
     @property
     def dim(self) -> int:
@@ -166,56 +162,24 @@ class Corpus:
     def classes(self) -> list[int]:
         return sorted(self.class_attrs.keys())
 
-    def indices_by_class(self) -> dict[int, list[int]]:
-        table: dict[int, list[int]] = {c: [] for c in self.classes()}
-        for i, inst in enumerate(self.instances):
-            table[inst.label].append(i)
-        return table
-
-    def _matrix(self, field: str, idx) -> np.ndarray:
-        if idx is None:
-            idx = range(len(self.instances))
-        return np.vstack([getattr(self.instances[i], field) for i in idx])
+    def indices_by_class(self) -> dict[int, np.ndarray]:
+        return {c: np.flatnonzero(self._labels == c) for c in self.classes()}
 
     def image_matrix(self, idx=None) -> np.ndarray:
-        return self._matrix("image_feat", idx)
+        return _rows(self._images, idx)
 
     def text_matrix(self, idx=None) -> np.ndarray:
-        return self._matrix("text_feat", idx)
+        return _rows(self._texts, idx)
 
     def attr_matrix(self, idx=None) -> np.ndarray:
-        return self._matrix("attr_feat", idx)
+        return self._attrs[_rows(self._attr_rows, idx)]
 
     def labels(self, idx=None) -> np.ndarray:
-        if idx is None:
-            idx = range(len(self.instances))
-        return np.array([self.instances[i].label for i in idx], dtype=np.int64)
+        return _rows(self._labels, idx)
 
 
-def make_corpus(images, texts, labels, class_attrs, name: str = "corpus") -> Corpus:
-    """Assemble a Corpus from matrices; attribute rows come from class_attrs."""
-    images = np.asarray(images, dtype=np.float64)
-    texts = np.asarray(texts, dtype=np.float64)
-    labels = [int(x) for x in labels]
-    if not images.shape[0] == texts.shape[0] == len(labels):
-        raise DimensionMismatchError(
-            f"row counts differ: images {images.shape[0]}, texts {texts.shape[0]}, "
-            f"labels {len(labels)}"
-        )
-    attrs = {int(k): _own_row(v) for k, v in class_attrs.items()}
-    instances = []
-    for i, y in enumerate(labels):
-        if y not in attrs:
-            raise MissingAttributeError(f"missing attribute for class {y}")
-        instances.append(
-            Instance(
-                image_feat=_own_row(images[i]),
-                text_feat=_own_row(texts[i]),
-                attr_feat=attrs[y],
-                label=y,
-            )
-        )
-    return Corpus(instances, attrs, name=name)
+# the matrix constructor under the name library code and tests know it by
+make_corpus = Corpus
 
 
 def load_corpus(
@@ -239,13 +203,8 @@ def load_corpus(
         )
     if len(set(attr_ids)) != len(attr_ids):
         raise FileFormatError(f"{attr_ids_path}: duplicate class ids")
-    if not images.shape[0] == texts.shape[0] == len(labels):
-        raise DimensionMismatchError(
-            f"row counts differ: images {images.shape[0]}, texts {texts.shape[0]}, "
-            f"labels {len(labels)}"
-        )
     class_attrs = {cid: attr_rows[i] for i, cid in enumerate(attr_ids)}
-    return make_corpus(
+    return Corpus(
         images, texts, labels, class_attrs, name=name or Path(image_path).stem
     )
 
@@ -367,7 +326,7 @@ def split_xshot(
     target_query: list[int] = []
     target_gallery: list[int] = []
     for c in target_classes:
-        idxs = np.array(by_class[c], dtype=np.int64)
+        idxs = by_class[c]
         shuffled = idxs[rng.permutation(len(idxs))]
         shots = np.sort(shuffled[:x])
         pool = np.sort(shuffled[x:])
@@ -382,7 +341,7 @@ def split_xshot(
     source_query: list[int] = []
     source_gallery: list[int] = []
     for c in source_classes:
-        idxs = np.array(by_class[c], dtype=np.int64)
+        idxs = by_class[c]
         shuffled = idxs[rng.permutation(len(idxs))]
         n_eval = int(source_eval_fraction * len(idxs))
         pool = np.sort(shuffled[:n_eval])
@@ -474,4 +433,4 @@ def synth_corpus(
     texts = _quantize_f32(texts)
     attrs = {c: _quantize_f32(protos[c : c + 1])[0] for c in range(n_classes)}
     labels = np.repeat(np.arange(n_classes), per_class)
-    return make_corpus(images, texts, labels, attrs, name=name)
+    return Corpus(images, texts, labels, attrs, name=name)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Linear, Tensor, no_grad
-from .data import Corpus, XShotSplit, make_corpus
+from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
 from .util import stream
@@ -550,6 +550,4 @@ def synthesize_target_set(
         texts.append(txt_model.synthesize(attr_rows, rng_txt))
         labels.extend([c] * gen_num)
     attrs = {c: np.asarray(class_attrs[c]).reshape(-1) for c in classes}
-    return make_corpus(
-        np.vstack(images), np.vstack(texts), labels, attrs, name="pseudo"
-    )
+    return Corpus(np.vstack(images), np.vstack(texts), labels, attrs, name="pseudo")

@@ -1,11 +1,14 @@
-"""Experiment orchestration: config, two-stage training, the x-shot grid.
+"""Experiment orchestration: config, the stages of a cell, the x-shot grid.
 
-A run fans out over (x_shot, seed) cells. Each cell splits the corpus, trains
-the stage-1 generators (unless ablated), synthesizes target-class pseudo
-pairs, trains the stage-2 projection, and evaluates target and source mAP
-plus a raw-feature baseline through the same harness. Cells fail
-independently; the RunRecord keeps every report, curve, checkpoint path, and
-the fully resolved config.
+Each stage of an (x_shot, seed) cell has one implementation that every entry
+point calls: `cell_split`, `stage1` (generators plus pseudo pairs) and
+`stage2` (projection, target/source/baseline mAP, projection checkpoint and
+reports). `run_cell` chains them; `synth_cell` stops after stage 1 and writes
+the pseudo corpus; `train_proj_cell` runs stage 2 on the one `synth` wrote
+for the same cell. Cells live in `cell_x{x}_s{seed}/` under the output root.
+`run_grid` runs a cell function over the grid; cells fail independently, and
+the RunRecord keeps every report, curve, checkpoint path and error, and the
+fully resolved config.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from . import retrieval
-from .data import Corpus, load_corpus, split_xshot, synth_corpus, write_corpus
+from .data import (
+    Corpus,
+    XShotSplit,
+    load_corpus,
+    load_corpus_dir,
+    split_xshot,
+    synth_corpus,
+    write_corpus,
+)
 from .errors import ConfigError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
@@ -180,18 +191,7 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
 
 def load_config_corpus(config: ExperimentConfig) -> Corpus:
     if config.synthetic is not None:
-        s = config.synthetic
-        return synth_corpus(
-            n_classes=s.n_classes,
-            per_class=s.per_class,
-            dim=s.dim,
-            modality_gap=s.modality_gap,
-            noise_sigma=s.noise_sigma,
-            seed=s.seed,
-            unit_norm=s.unit_norm,
-            proto_rank=s.proto_rank,
-            name=config.name,
-        )
+        return synth_corpus(**asdict(config.synthetic), name=config.name)
     f = config.files
     return load_corpus(f.images, f.texts, f.labels, f.attrs, f.attr_ids, name=config.name)
 
@@ -210,71 +210,90 @@ def _report_json(result: dict, split, config: ExperimentConfig) -> dict:
     }
 
 
-def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
-    """One (x_shot, seed) grid cell: split, two training stages, evaluation."""
-    abl = config.ablations
-    timings: dict[str, float] = {}
-    cell: dict = {"x_shot": x_shot, "seed": seed, "timings": timings, "checkpoints": {}}
+# ---------------------------------------------------------------------------
+# the stages of one (x_shot, seed) cell, shared by every entry point
 
-    split = split_xshot(
-        corpus,
-        x_shot,
-        seed,
+
+def cell_dir(root, x_shot: int, seed: int) -> Path:
+    """Where a cell's checkpoints, pseudo corpus and reports live under a root."""
+    return Path(root) / f"cell_x{x_shot}_s{seed}"
+
+
+def _cell_out(config: ExperimentConfig, split: XShotSplit) -> Path | None:
+    if config.out_dir is None:
+        return None
+    out = cell_dir(config.out_dir, split.x_shot, split.seed)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cell_split(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> XShotSplit:
+    """The split every stage of the (x_shot, seed) cell trains and scores on."""
+    return split_xshot(
+        corpus, x_shot, seed,
         query_fraction=config.query_fraction,
         source_eval_fraction=config.source_eval_fraction,
     )
 
-    out_dir = None
-    if config.out_dir is not None:
-        out_dir = Path(config.out_dir) / f"cell_x{x_shot}_s{seed}"
-        out_dir.mkdir(parents=True, exist_ok=True)
 
-    pseudo = None
-    gen_curves = None
-    if not abl.no_generation:
-        t0 = time.perf_counter()
-        gen_hp = replace(config.gen, seed=seed)
-        img_model, txt_model, gen_curves = train_generation(
-            split, corpus, gen_hp, use_vae=not abl.no_vae
-        )
-        timings["stage1"] = time.perf_counter() - t0
-        pseudo = synthesize_target_set(
-            (img_model, txt_model),
-            split.target_classes,
-            corpus.class_attrs,
-            config.gen_num,
-            seed=seed,
-        )
-        if out_dir is not None:
-            ckpt.save_vaegan(img_model, out_dir / "gen_img.ckpt")
-            ckpt.save_vaegan(txt_model, out_dir / "gen_txt.ckpt")
-            cell["checkpoints"]["gen_img"] = str(out_dir / "gen_img.ckpt")
-            cell["checkpoints"]["gen_txt"] = str(out_dir / "gen_txt.ckpt")
+def stage1(corpus: Corpus, split: XShotSplit, config: ExperimentConfig, cell: dict):
+    """Train and save both modality generators, then synthesize the pseudo corpus.
 
-    stage1_sums = {
-        name: _file_sha256(path) for name, path in cell["checkpoints"].items()
-    }
+    Returns (pseudo corpus, generation curves) and fills in the cell's
+    timings and checkpoint paths.
+    """
+    t0 = time.perf_counter()
+    gen_hp = replace(config.gen, seed=split.seed)
+    img_model, txt_model, curves = train_generation(
+        split, corpus, gen_hp, use_vae=not config.ablations.no_vae
+    )
+    cell["timings"]["stage1"] = time.perf_counter() - t0
+    pseudo = synthesize_target_set(
+        (img_model, txt_model),
+        split.target_classes,
+        corpus.class_attrs,
+        config.gen_num,
+        seed=split.seed,
+    )
+    out_dir = _cell_out(config, split)
+    if out_dir is not None:
+        for name, model in (("gen_img", img_model), ("gen_txt", txt_model)):
+            ckpt.save_vaegan(model, out_dir / f"{name}.ckpt")
+            cell["checkpoints"][name] = str(out_dir / f"{name}.ckpt")
+    return pseudo, curves
+
+
+def stage2(
+    corpus: Corpus, split: XShotSplit, pseudo: Corpus | None, config: ExperimentConfig, cell: dict
+) -> dict:
+    """Train the projection on real and pseudo pairs, score it, save it and the reports.
+
+    no_l1/no_l2/no_l3 zero alpha/beta/gamma and no_gate drops the gate. The
+    cell's stage-1 checkpoints must come out unchanged. Returns the
+    projection curves and fills in the cell's timings, checkpoints, reports.
+    """
+    abl = config.ablations
+    stage1_sums = {name: _file_sha256(path) for name, path in cell["checkpoints"].items()}
 
     t0 = time.perf_counter()
     proj_hp = replace(
         config.proj,
-        seed=seed,
+        seed=split.seed,
         alpha=0.0 if abl.no_l1 else config.proj.alpha,
         beta=0.0 if abl.no_l2 else config.proj.beta,
         gamma=0.0 if abl.no_l3 else config.proj.gamma,
     )
-    model, proj_curve = train_projection(
-        split, corpus, pseudo, proj_hp, use_gate=not abl.no_gate
-    )
-    timings["stage2"] = time.perf_counter() - t0
+    model, proj_curve = train_projection(split, corpus, pseudo, proj_hp, use_gate=not abl.no_gate)
+    cell["timings"]["stage2"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     fp = config.fingerprint()
     target = retrieval.evaluate(model, split, corpus, domain="target", fingerprint=fp)
     source = retrieval.evaluate(model, split, corpus, domain="source", fingerprint=fp)
     baseline = retrieval.evaluate(RawFeatures(), split, corpus, domain="target", fingerprint=fp)
-    timings["evaluate"] = time.perf_counter() - t0
+    cell["timings"]["evaluate"] = time.perf_counter() - t0
 
+    out_dir = _cell_out(config, split)
     if out_dir is not None:
         ckpt.save_projection(model, out_dir / "projection.ckpt")
         cell["checkpoints"]["projection"] = str(out_dir / "projection.ckpt")
@@ -290,20 +309,59 @@ def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -
         "source": _report_json(source, split, config),
         "baseline_target": _report_json(baseline, split, config),
     }
-    cell["curves"] = {"generation": gen_curves, "projection": proj_curve}
     if out_dir is not None:
-        write_json(
-            out_dir / "reports.json",
-            {"config": config.resolved(), **cell["reports"]},
-        )
+        write_json(out_dir / "reports.json", {"config": config.resolved(), **cell["reports"]})
+    return proj_curve
+
+
+def _new_cell(x_shot: int, seed: int) -> dict:
+    return {"x_shot": x_shot, "seed": seed, "timings": {}, "checkpoints": {}}
+
+
+def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
+    """One (x_shot, seed) grid cell: split, two training stages, evaluation."""
+    cell = _new_cell(x_shot, seed)
+    split = cell_split(corpus, x_shot, seed, config)
+    pseudo = gen_curves = None
+    if not config.ablations.no_generation:
+        pseudo, gen_curves = stage1(corpus, split, config, cell)
+    proj_curve = stage2(corpus, split, pseudo, config, cell)
+    cell["curves"] = {"generation": gen_curves, "projection": proj_curve}
     return cell
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Full (x_shot, seed) grid; cells fail independently.
+def synth_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
+    """Stage 1 only: the cell's generators plus its pseudo corpus in `pseudo/`."""
+    cell = _new_cell(x_shot, seed)
+    split = cell_split(corpus, x_shot, seed, config)
+    pseudo, gen_curves = stage1(corpus, split, config, cell)
+    out_dir = _cell_out(config, split)
+    cell["pseudo"] = write_corpus(pseudo, out_dir / "pseudo")
+    write_json(out_dir / "synth.json", {"pseudo": cell["pseudo"]})
+    cell["curves"] = {"generation": gen_curves}
+    return cell
+
+
+def train_proj_cell(
+    corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig, pseudo_root
+) -> dict:
+    """Stage 2 only, on the pseudo corpus `synth` wrote for this same cell
+    under pseudo_root (None trains on real pairs alone)."""
+    cell = _new_cell(x_shot, seed)
+    split = cell_split(corpus, x_shot, seed, config)
+    pseudo = None
+    if pseudo_root is not None:
+        pseudo = load_corpus_dir(cell_dir(pseudo_root, x_shot, seed) / "pseudo")
+    cell["curves"] = {"generation": None, "projection": stage2(corpus, split, pseudo, config, cell)}
+    return cell
+
+
+def run_grid(config: ExperimentConfig, cell_fn) -> dict:
+    """Every (x_shot, seed) cell of the config through cell_fn(corpus, x_shot,
+    seed, config); cells fail independently.
 
     Returns the RunRecord dict; with an out_dir it is also written to
-    run_record.json alongside per-cell checkpoints and reports.
+    run_record.json beside the cell directories.
     """
     corpus = load_config_corpus(config)
     record = {
@@ -317,7 +375,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for x_shot in config.x_shots:
         for seed in config.seeds:
             try:
-                cell = run_cell(corpus, x_shot, seed, config)
+                cell = cell_fn(corpus, x_shot, seed, config)
             except Exception as e:  # cell errors are recorded, the grid continues
                 cell = {"x_shot": x_shot, "seed": seed, "error": f"{type(e).__name__}: {e}"}
                 record["failures"] += 1
@@ -329,19 +387,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return record
 
 
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Full two-stage (x_shot, seed) grid; see run_grid."""
+    return run_grid(config, run_cell)
+
+
 def make_data(spec: SyntheticSpec, out_dir, name: str = "synthetic") -> dict[str, str]:
-    corpus = synth_corpus(
-        n_classes=spec.n_classes,
-        per_class=spec.per_class,
-        dim=spec.dim,
-        modality_gap=spec.modality_gap,
-        noise_sigma=spec.noise_sigma,
-        seed=spec.seed,
-        unit_norm=spec.unit_norm,
-        proto_rank=spec.proto_rank,
-        name=name,
-    )
-    return write_corpus(corpus, out_dir)
+    return write_corpus(synth_corpus(**asdict(spec), name=name), out_dir)
 
 
 def eval_checkpoint(
@@ -354,12 +406,6 @@ def eval_checkpoint(
     """Load a projection checkpoint and score it on a freshly built split."""
     model = ckpt.load_projection(checkpoint_path)
     corpus = load_config_corpus(config)
-    split = split_xshot(
-        corpus,
-        x_shot,
-        seed,
-        query_fraction=config.query_fraction,
-        source_eval_fraction=config.source_eval_fraction,
-    )
+    split = cell_split(corpus, x_shot, seed, config)
     result = retrieval.evaluate(model, split, corpus, domain=domain, fingerprint=config.fingerprint())
     return _report_json(result, split, config)

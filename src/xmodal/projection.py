@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Linear, Tensor, no_grad
 from .data import Corpus, XShotSplit
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DimensionMismatchError
 from .optim import adam_step, zero_grads
 from .util import stream
 
@@ -129,7 +129,7 @@ def loss_consistency(u_v, u_t) -> Tensor:
 
 
 def loss_contrastive(u_v, u_t, tau: float, include_self: bool = False) -> Tensor:
-    """Instance-discrimination loss over both modalities of a batch.
+    """Contrastive instance-discrimination loss over both modalities of a batch.
 
     All 2n embeddings act as anchors; each anchor's positive is its paired
     embedding from the other modality, the denominator runs over every other
@@ -266,6 +266,9 @@ def train_projection(
 ):
     """Stage-2 training on real source/shot instances plus any pseudo corpus.
 
+    A pseudo corpus must match the corpus width and hold only the split's
+    target classes, so one built for another split is rejected.
+
     The class set spans all corpus classes, so target columns exist even when
     no pseudo or shot data reaches them. Returns (model, loss curves) with
     curve index 0 logged before any update.
@@ -274,7 +277,17 @@ def train_projection(
     V = [corpus.image_matrix(real_idx)] if real_idx else []
     T = [corpus.text_matrix(real_idx)] if real_idx else []
     labels = [corpus.labels(real_idx)] if real_idx else []
-    if pseudo is not None and len(pseudo):
+    if pseudo is not None:
+        if pseudo.dim != corpus.dim:
+            raise DimensionMismatchError(
+                f"pseudo corpus dim {pseudo.dim} does not match corpus dim {corpus.dim}"
+            )
+        stray = np.setdiff1d(pseudo.labels(), split.target_classes)
+        if stray.size:
+            raise ConfigError(
+                f"pseudo corpus holds classes {stray.tolist()} that are not target "
+                f"classes {list(split.target_classes)} of this split"
+            )
         V.append(pseudo.image_matrix())
         T.append(pseudo.text_matrix())
         labels.append(pseudo.labels())

@@ -215,8 +215,8 @@ def test_criterion_5_split_protocol():
         assert len(split.target_classes) == 5
         assert set(split.source_classes).isdisjoint(split.target_classes)
         tally = {c: 0 for c in split.target_classes}
-        for i in split.target_train:
-            tally[corpus.instances[i].label] += 1
+        for label in corpus.labels(split.target_train):
+            tally[int(label)] += 1
         assert all(v == 3 for v in tally.values())
         zero = data.split_xshot(corpus, x=0, seed=seed)
         assert zero.target_train == ()

@@ -133,8 +133,8 @@ def test_xshot_counts_exact_per_class():
     assert len(split.target_classes) == 4
     assert len(split.target_train) == 12
     tally = {c: 0 for c in split.target_classes}
-    for i in split.target_train:
-        tally[corpus.instances[i].label] += 1
+    for label in corpus.labels(split.target_train):
+        tally[int(label)] += 1
     assert all(v == 3 for v in tally.values())
 
 
@@ -151,10 +151,10 @@ def test_partitions_are_disjoint_and_domain_pure():
     ]
     flat = [i for p in parts for i in p]
     assert len(flat) == len(set(flat))
-    for i in split.source_train + split.source_query + split.source_gallery:
-        assert corpus.instances[i].label in split.source_classes
-    for i in split.target_train + split.target_query + split.target_gallery:
-        assert corpus.instances[i].label in split.target_classes
+    for label in corpus.labels(split.source_train + split.source_query + split.source_gallery):
+        assert label in split.source_classes
+    for label in corpus.labels(split.target_train + split.target_query + split.target_gallery):
+        assert label in split.target_classes
 
 
 def test_split_is_pure_function_of_inputs():
@@ -194,10 +194,10 @@ def test_degenerate_noise_recovers_prototypes():
     corpus = data.synth_corpus(
         n_classes=3, per_class=5, dim=16, modality_gap=0.0, noise_sigma=1e-12, seed=8
     )
-    for inst in corpus.instances:
-        proto = corpus.class_attrs[inst.label]
-        cos_img = (inst.image_feat @ proto.T).item()
-        cos_txt = (inst.text_feat @ proto.T).item()
+    for i, label in enumerate(corpus.labels()):
+        proto = corpus.class_attrs[label]
+        cos_img = (corpus.image_matrix([i]) @ proto.T).item()
+        cos_txt = (corpus.text_matrix([i]) @ proto.T).item()
         assert cos_img == pytest.approx(1.0, abs=1e-6)
         assert cos_txt == pytest.approx(1.0, abs=1e-6)
 
@@ -221,8 +221,8 @@ def test_same_seed_identical_corpora():
 
 def test_attrs_are_prototypes_and_features_unit_norm():
     corpus = data.synth_corpus(n_classes=5, per_class=4, dim=32, seed=6)
-    for inst in corpus.instances:
-        assert inst.attr_feat is corpus.class_attrs[inst.label]
+    class_rows = np.vstack([corpus.class_attrs[label] for label in corpus.labels()])
+    assert np.array_equal(corpus.attr_matrix(), class_rows)
     norms = np.linalg.norm(corpus.image_matrix(), axis=1)
     assert np.allclose(norms, 1.0, atol=1e-6)
     norms_t = np.linalg.norm(corpus.text_matrix(), axis=1)

@@ -455,7 +455,7 @@ def test_single_pair_synthesis(trained_setup):
         (img, txt), [c], corpus.class_attrs, gen_num=1, seed=2
     )
     assert len(pseudo) == 1
-    assert pseudo.instances[0].label == c
+    assert pseudo.labels()[0] == c
 
 
 def test_gen_num_must_be_positive(trained_setup):
@@ -474,7 +474,7 @@ def test_pseudo_features_align_with_their_class(trained_setup):
     protos = {c: corpus.class_attrs[c][0] for c in split.target_classes}
     for matrix in (pseudo.image_matrix(), pseudo.text_matrix()):
         for c in split.target_classes:
-            rows = matrix[[i for i, inst in enumerate(pseudo.instances) if inst.label == c]]
+            rows = matrix[pseudo.labels() == c]
             rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
             sims = {
                 other: (rows @ (protos[other] / np.linalg.norm(protos[other]))).mean()

@@ -7,8 +7,9 @@ import pytest
 
 from xmodal import checkpoint as ckpt
 from xmodal import data, pipeline
+from xmodal import projection as proj
 from xmodal.cli import main as cli_main
-from xmodal.errors import ConfigError
+from xmodal.errors import ConfigError, DimensionMismatchError
 
 warnings.filterwarnings("ignore", message="odd class count")
 
@@ -297,3 +298,100 @@ def test_cli_corrupt_checkpoint_exits_with_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad magic" in err
+
+
+# ---------------------------------------------------------------------------
+# stage commands: synth, then train-proj on its output
+
+
+def _config_file(tmp_path, cfg):
+    payload = cfg.resolved()
+    payload.pop("artifact_version")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_pseudo_corpus_of_another_split_is_rejected():
+    cfg = pipeline.preset_config("synthetic", gen={"epochs": 1}, proj={"epochs": 1}, gen_num=2)
+    corpus = pipeline.load_config_corpus(cfg)
+    split0 = pipeline.cell_split(corpus, 0, 0, cfg)
+    split1 = pipeline.cell_split(corpus, 0, 1, cfg)
+    assert split0.target_classes == (0, 1, 2, 6)
+    assert split1.target_classes == (1, 2, 3, 4)
+    cell = {"timings": {}, "checkpoints": {}}
+    pseudo0, _ = pipeline.stage1(corpus, split0, cfg, cell)
+    with pytest.raises(ConfigError, match=r"classes \[0, 6\] that are not target classes"):
+        pipeline.stage2(corpus, split1, pseudo0, cfg, cell)
+    narrow = data.make_corpus(
+        pseudo0.image_matrix()[:, :8], pseudo0.text_matrix()[:, :8], pseudo0.labels(),
+        {c: corpus.class_attrs[c][:, :8] for c in pseudo0.classes()},
+    )
+    with pytest.raises(DimensionMismatchError, match="pseudo corpus dim 8"):
+        pipeline.stage2(corpus, split0, narrow, cfg, cell)
+
+
+def test_synth_then_train_proj_fills_the_run_layout(tmp_path, capsys):
+    cfg = tiny_config(seeds=[0, 1])
+    config_path = _config_file(tmp_path, cfg)
+    out = tmp_path / "cells"
+    assert cli_main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+    assert cli_main([
+        "train-proj", "--config", str(config_path), "--out", str(out), "--pseudo", str(out),
+    ]) == 0
+    assert "target Img2Txt" in capsys.readouterr().out
+
+    corpus = pipeline.load_config_corpus(cfg)
+    targets = set()
+    for seed in (0, 1):
+        cell_dir = out / f"cell_x0_s{seed}"
+        for name in ("gen_img.ckpt", "gen_txt.ckpt", "projection.ckpt", "reports.json"):
+            assert (cell_dir / name).is_file()
+        pseudo = data.load_corpus_dir(cell_dir / "pseudo")
+        split = pipeline.cell_split(corpus, 0, seed, cfg)
+        assert set(pseudo.classes()) == set(split.target_classes)
+        targets.add(split.target_classes)
+        # stage 2 trained on this cell's own pseudo corpus
+        want, _ = proj.train_projection(split, corpus, pseudo, replace(cfg.proj, seed=seed))
+        got = ckpt.load_projection(cell_dir / "projection.ckpt")
+        for (n1, p1), (n2, p2) in zip(want.named_params(), got.named_params()):
+            assert n1 == n2 and np.array_equal(p1.data, p2.data)
+    assert len(targets) == 2  # the seeds' target classes differ
+
+
+def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys):
+    config_path = _config_file(tmp_path, tiny_config(x_shots=[99, 0]))
+    out = tmp_path / "synth"
+    assert cli_main(["synth", "--config", str(config_path), "--out", str(out)]) == 1
+    assert "[FAIL] x=99 seed=0" in capsys.readouterr().out
+    assert not (out / "cell_x99_s0").exists()
+    assert (out / "cell_x0_s0" / "pseudo" / data.CORPUS_FILES["images"]).is_file()
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["failures"] == 1 and "smallest target class" in record["cells"][0]["error"]
+
+
+def test_train_proj_applies_loss_ablations(tmp_path):
+    config_path = _config_file(tmp_path, tiny_config())
+    out = tmp_path / "proj"
+    assert cli_main(["train-proj", "--config", str(config_path), "--out", str(out), "--no-l1"]) == 0
+    meta, _ = ckpt.load_checkpoint(out / "cell_x0_s0" / "projection.ckpt")
+    assert meta["hp"]["alpha"] == 0.0
+    assert meta["hp"]["beta"] == 1.0
+
+
+@pytest.mark.parametrize("command", [["synth"], ["train-proj", "--pseudo", "p"]])
+def test_stage_commands_reject_no_generation(tmp_path, capsys, command):
+    config_path = _config_file(tmp_path, tiny_config())
+    rc = cli_main([*command, "--config", str(config_path), "--out", str(tmp_path / "s"),
+                   "--no-generation"])
+    assert rc == 2
+    assert "no_generation" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("flag", [["--x-shot", "5"], ["--seed", "1"], ["--out", "x"], ["--no-gate"]])
+def test_eval_rejects_flags_it_does_not_read(tmp_path, flag):
+    config_path = _config_file(tmp_path, tiny_config())
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["eval", "--config", str(config_path), "--checkpoint", "p.ckpt", *flag])
+    assert exit_info.value.code == 2
