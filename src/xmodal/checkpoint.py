@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,17 @@ def _require(mapping, keys, path, where: str) -> None:
         raise CheckpointError(
             f"{path}: checkpoint {where} lacks {', '.join(repr(k) for k in missing)}"
         )
+
+
+def _hyperparams(cls, hp, path):
+    """cls(**hp), with a CheckpointError naming any key cls does not know."""
+    _require(hp, (), path, "meta.hp")
+    unknown = sorted(set(hp) - {f.name for f in fields(cls)})
+    if unknown:
+        raise CheckpointError(
+            f"{path}: checkpoint meta.hp holds unknown keys {', '.join(repr(k) for k in unknown)}"
+        )
+    return cls(**hp)
 
 
 def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
@@ -148,7 +160,7 @@ def save_vaegan(model: VaeGanModel, path) -> None:
 def load_vaegan(path) -> VaeGanModel:
     meta, arrays = load_checkpoint(path, expect_kind="vaegan")
     _require(meta, ("d_feat", "d_attr", "hp", "steps", "rng_state"), path, "meta")
-    hp = GenHyperParams(**meta["hp"])
+    hp = _hyperparams(GenHyperParams, meta["hp"], path)
     model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, stream(0, "load"))
     _unpack_params(model, arrays, meta["steps"], path)
     if "scaler/lo" in arrays:
@@ -172,7 +184,7 @@ def save_projection(model: ProjectionModel, path) -> None:
 def load_projection(path) -> ProjectionModel:
     meta, arrays = load_checkpoint(path, expect_kind="projection")
     _require(meta, ("d", "classes", "use_gate", "hp", "steps"), path, "meta")
-    hp = ProjHyperParams(**meta["hp"])
+    hp = _hyperparams(ProjHyperParams, meta["hp"], path)
     model = ProjectionModel(
         d=meta["d"],
         classes=meta["classes"],

@@ -5,7 +5,9 @@ synth (stage 1 plus pseudo-feature synthesis only), train-proj (stage 2
 only, on the pseudo corpora `synth` wrote), eval (score a saved projection
 checkpoint). run, synth and train-proj run the stage functions of
 `pipeline` over the same grid loop and write the same cell layout,
-`cell_x{x}_s{seed}/` under --out. They exit 0 only when every grid cell
+`cell_x{x}_s{seed}/` under --out, with the grid's record at the root
+(`synth_record.json` for synth, so a later train-proj into the same root
+keeps it; `run_record.json` otherwise). They exit 0 only when every grid cell
 succeeded and 1 when any failed (the failure is recorded and the grid
 continues); a bad config, corpus or checkpoint exits 2 with a one-line
 error. eval takes only the flags it reads, so argparse rejects the grid
@@ -122,7 +124,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("synth needs --out for the checkpoints and pseudo corpus")
     if config.ablations.no_generation:
         raise ConfigError("synth trains the generators; no_generation leaves it nothing to do")
-    record = run_grid(config, synth_cell)
+    record = run_grid(config, synth_cell, record_name="synth_record.json")
     return _print_grid(
         record, lambda cell: f"pseudo corpus -> {Path(cell['pseudo']['images']).parent}"
     )

@@ -45,6 +45,9 @@ LATENT_1024 = 512
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
+# the critic's LeakyReLU slope, shared by its tape forward and the closed-form
+# slope mask of `Critic.hidden`, which must agree
+LEAKY_SLOPE = 0.2
 
 
 def _scaled(ref: int, d: int) -> int:
@@ -132,15 +135,14 @@ class Critic:
     the closed-form critic step and penalty and record nothing.
     """
 
-    def __init__(self, d_feat: int, d_attr: int, rng, leaky_slope: float = 0.2):
+    def __init__(self, d_feat: int, d_attr: int, rng):
         hidden = d_feat + d_attr
         self.d_feat = d_feat
         self.l1 = Linear(d_feat + d_attr, hidden, rng)
         self.l2 = Linear(hidden, 1, rng)
-        self.leaky_slope = leaky_slope
 
     def __call__(self, v, a):
-        h = ad.leaky_relu(self.l1(ad.concat_cols(v, a)), slope=self.leaky_slope)
+        h = ad.leaky_relu(self.l1(ad.concat_cols(v, a)), slope=LEAKY_SLOPE)
         return self.l2(h)
 
     def attr_branch(self, a: np.ndarray) -> np.ndarray:
@@ -150,7 +152,7 @@ class Critic:
     def hidden(self, v: np.ndarray, a_pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden pre-activation at feature rows v and its LeakyReLU slope mask M."""
         pre = v @ self.l1.W.data[: self.d_feat] + a_pre
-        return pre, np.where(pre > 0, 1.0, self.leaky_slope).astype(pre.dtype, copy=False)
+        return pre, np.where(pre > 0, 1.0, LEAKY_SLOPE).astype(pre.dtype, copy=False)
 
     def input_gradient(self, v: np.ndarray, a_pre: np.ndarray):
         """Closed form of d(sum of scores)/dv at feature rows v.
@@ -309,24 +311,32 @@ def gradient_penalty(real, fake, a, critic: Critic, rng) -> Tensor:
     return ad.custom(value, (critic.l1.W, critic.l2.W), (lambda g: g * dW1, lambda g: g * dw2))
 
 
+def _wgan_term(d_real, real, other, a, critic, lambda_gp: float, rng) -> tuple[Tensor, Tensor]:
+    """(d_real - E[D(other)] - lambda * GP(real, other), the score gap d_real - E[D(other)])."""
+    gap = d_real - ad.mean_all(critic(other, a))
+    if lambda_gp == 0:
+        return gap, gap
+    return gap - lambda_gp * gradient_penalty(real, other, a, critic, rng), gap
+
+
 def critic_loss(real, other, a, critic, lambda_gp: float, rng) -> Tensor:
     """E[D(real)] - E[D(other)] - lambda * gradient penalty.
 
     The critic maximizes this value; the encoder/generator minimize the same
     expression through `other`.
     """
-    gap = ad.mean_all(critic(real, a)) - ad.mean_all(critic(other, a))
-    if lambda_gp == 0:
-        return gap
-    return gap - lambda_gp * gradient_penalty(real, other, a, critic, rng)
+    return _wgan_term(ad.mean_all(critic(real, a)), real, other, a, critic, lambda_gp, rng)[0]
 
 
 def generation_losses(batch, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool = True):
     """All stage-1 loss components on one batch of model-space features.
 
-    Returns {"vae", "gan1", "gan2", "total"} as graph tensors; total is the
-    exact sum of the three parts. With use_vae off, the reconstruction path
-    is skipped and only the pure conditional WGAN-GP term remains.
+    Returns {"kl", "recon", "vae", "critic_gap", "gan1", "gan2", "total"} as
+    graph tensors: vae = kl + recon, critic_gap is the fake path's score gap
+    and total is the exact sum of vae, gan1 and gan2. With use_vae off, the
+    reconstruction path is skipped and only the pure conditional WGAN-GP
+    term remains. Draws from rng in this order: reparameterisation, noise,
+    then one eps per path (none when lambda_gp is 0).
     """
     v, a = batch
     v = ad.as_tensor(v)
@@ -338,21 +348,26 @@ def generation_losses(batch, model: VaeGanModel, hp: GenHyperParams, rng, use_va
     if use_vae:
         mu, logvar, z = model.encode(v, a, rng)
         v_bar = model.generator(z, a)
-        vae = kl_loss(mu, logvar) + recon_loss(v, v_bar)
+        kl, recon = kl_loss(mu, logvar), recon_loss(v, v_bar)
+        vae = kl + recon
     else:
-        vae = Tensor(0.0)
-        v_bar = None
+        kl = recon = vae = Tensor(0.0)
 
     noise = Tensor(rng.standard_normal((n, model.d_z)))
     v_tilde = model.generator(noise, a)
-    gan1 = critic_loss(v, v_tilde, a, model.critic, hp.lambda_gp, rng)
+    # D(real) is scored once and shared by both paths
+    d_real = ad.mean_all(model.critic(v, a))
+    gan1, gap = _wgan_term(d_real, v, v_tilde, a, model.critic, hp.lambda_gp, rng)
     if use_vae:
-        gan2 = critic_loss(v, v_bar, a, model.critic, hp.lambda_gp, rng)
+        gan2, _ = _wgan_term(d_real, v, v_bar, a, model.critic, hp.lambda_gp, rng)
     else:
         gan2 = Tensor(0.0)
 
     total = vae + gan1 + gan2
-    return {"vae": vae, "gan1": gan1, "gan2": gan2, "total": total}
+    return {
+        "kl": kl, "recon": recon, "vae": vae, "critic_gap": gap,
+        "gan1": gan1, "gan2": gan2, "total": total,
+    }
 
 
 def critic_step(v: Tensor, a: Tensor, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> float:
@@ -439,34 +454,8 @@ def train_generation(
 def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
     """Loss components over a whole feature matrix, for curve logging."""
     with no_grad():
-        v = Tensor(X)
-        a = Tensor(attrs)
-        out = {}
-        if use_vae:
-            mu, logvar, z = model.encode(v, a, rng)
-            v_bar = model.generator(z, a)
-            out["kl"] = kl_loss(mu, logvar).item()
-            out["recon"] = recon_loss(v, v_bar).item()
-            out["vae"] = out["kl"] + out["recon"]
-        else:
-            out["kl"] = out["recon"] = out["vae"] = 0.0
-        noise = Tensor(rng.standard_normal((X.shape[0], model.d_z)))
-        v_tilde = model.generator(noise, a)
-        d_real = ad.mean_all(model.critic(v, a)).item()
-        gap = d_real - ad.mean_all(model.critic(v_tilde, a)).item()
-        out["critic_gap"] = gap
-        out["gan1"] = gap - hp.lambda_gp * gradient_penalty(
-            X, v_tilde, attrs, model.critic, rng
-        ).item()
-        if use_vae:
-            gap2 = d_real - ad.mean_all(model.critic(v_bar, a)).item()
-            out["gan2"] = gap2 - hp.lambda_gp * gradient_penalty(
-                X, v_bar, attrs, model.critic, rng
-            ).item()
-        else:
-            out["gan2"] = 0.0
-        out["total"] = out["vae"] + out["gan1"] + out["gan2"]
-    return out
+        losses = generation_losses((X, attrs), model, hp, rng, use_vae)
+    return {k: t.item() for k, t in losses.items()}
 
 
 def _train_single_modality(feats, attrs, hp, d_attr, modality, use_vae):

@@ -7,16 +7,11 @@ import numpy as np
 from .autodiff import Parameter
 from .errors import ConfigError
 
-DEFAULT_BETAS = (0.9, 0.999)
-DEFAULT_EPS = 1e-8
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
 
 
-def adam_step(
-    params: list[Parameter],
-    lr: float,
-    betas: tuple[float, float] = DEFAULT_BETAS,
-    eps: float = DEFAULT_EPS,
-) -> None:
+def adam_step(params: list[Parameter], lr: float) -> None:
     """One Adam update per parameter from its accumulated gradient.
 
     Gradients are zeroed afterwards; each parameter keeps its own step count
@@ -24,20 +19,17 @@ def adam_step(
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    b1, b2 = betas
-    if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-        raise ConfigError(f"betas must lie in [0, 1), got {betas}")
     for p in params:
         p.step_count += 1
         t = p.step_count
         g = p.grad
-        p.adam_m *= b1
-        p.adam_m += (1.0 - b1) * g
-        p.adam_v *= b2
-        p.adam_v += (1.0 - b2) * (g * g)
-        m_hat = p.adam_m / (1.0 - b1**t)
-        v_hat = p.adam_v / (1.0 - b2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.adam_m *= BETA1
+        p.adam_m += (1.0 - BETA1) * g
+        p.adam_v *= BETA2
+        p.adam_v += (1.0 - BETA2) * (g * g)
+        m_hat = p.adam_m / (1.0 - BETA1**t)
+        v_hat = p.adam_v / (1.0 - BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.grad[...] = 0.0
 
 

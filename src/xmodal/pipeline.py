@@ -29,7 +29,7 @@ from .data import (
     synth_corpus,
     write_corpus,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
 from .util import fingerprint, write_json
@@ -356,12 +356,12 @@ def train_proj_cell(
     return cell
 
 
-def run_grid(config: ExperimentConfig, cell_fn) -> dict:
+def run_grid(config: ExperimentConfig, cell_fn, record_name: str = "run_record.json") -> dict:
     """Every (x_shot, seed) cell of the config through cell_fn(corpus, x_shot,
     seed, config); cells fail independently.
 
     Returns the RunRecord dict; with an out_dir it is also written to
-    run_record.json beside the cell directories.
+    `record_name` beside the cell directories.
     """
     corpus = load_config_corpus(config)
     record = {
@@ -383,7 +383,7 @@ def run_grid(config: ExperimentConfig, cell_fn) -> dict:
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "run_record.json", record)
+        write_json(out / record_name, record)
     return record
 
 
@@ -406,6 +406,10 @@ def eval_checkpoint(
     """Load a projection checkpoint and score it on a freshly built split."""
     model = ckpt.load_projection(checkpoint_path)
     corpus = load_config_corpus(config)
+    if model.d != corpus.dim:
+        raise DimensionMismatchError(
+            f"{checkpoint_path}: projection width {model.d} does not match corpus dim {corpus.dim}"
+        )
     split = cell_split(corpus, x_shot, seed, config)
     result = retrieval.evaluate(model, split, corpus, domain=domain, fingerprint=config.fingerprint())
     return _report_json(result, split, config)

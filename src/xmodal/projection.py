@@ -48,10 +48,9 @@ class ProjHyperParams:
 class Projector:
     """Two affine layers with a ReLU between; keeps the feature width."""
 
-    def __init__(self, d: int, rng, hidden: int | None = None):
-        h = hidden or d
-        self.l1 = Linear(d, h, rng)
-        self.l2 = Linear(h, d, rng)
+    def __init__(self, d: int, rng):
+        self.l1 = Linear(d, d, rng)
+        self.l2 = Linear(d, d, rng)
 
     def __call__(self, x):
         return self.l2(ad.relu(self.l1(x)))
@@ -64,10 +63,9 @@ class Projector:
 class GateNet:
     """Maps (original ++ projected) to per-dimension mixing coefficients in (0, 1)."""
 
-    def __init__(self, d: int, rng, hidden: int | None = None):
-        h = hidden or d
-        self.l1 = Linear(2 * d, h, rng)
-        self.l2 = Linear(h, d, rng)
+    def __init__(self, d: int, rng):
+        self.l1 = Linear(2 * d, d, rng)
+        self.l2 = Linear(d, d, rng)
 
     def __call__(self, joint):
         return ad.sigmoid(self.l2(ad.relu(self.l1(joint))))

@@ -2,39 +2,24 @@
 
 Relevance is class-label match; the whole gallery is ranked per query with
 ties broken by ascending gallery index, and AP sums precision at every
-relevant rank divided by the total relevant count.
+relevant rank divided by the total relevant count. Queries are ranked BLOCK
+rows at a time, which bounds the memory the ranking takes.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Corpus, XShotSplit
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError
 
 logger = logging.getLogger(__name__)
 
-
-def cosine_sim(q: np.ndarray, g: np.ndarray) -> float:
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    nq = np.linalg.norm(q)
-    ng = np.linalg.norm(g)
-    if nq == 0.0 or ng == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero vector")
-    return float(q @ g / (nq * ng))
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Gallery ordering for one query, highest similarity first."""
-
-    query_index: int
-    order: tuple[int, ...]
-    relevance: tuple[int, ...]  # aligned with `order`
+# query rows ranked at once
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -46,7 +31,6 @@ class RetrievalReport:
     n_gallery: int
     skipped_queries: int = 0
     fingerprint: str = ""
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -57,101 +41,77 @@ class RetrievalReport:
             "n_gallery": self.n_gallery,
             "skipped_queries": self.skipped_queries,
             "fingerprint": self.fingerprint,
-            **self.extra,
         }
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("cosine similarity is undefined for a zero vector")
     return X / norms
 
 
-def rank_gallery(similarities: np.ndarray, relevance_bits: np.ndarray, query_index: int) -> RankedList:
-    """Order gallery indices by descending similarity, ties by ascending index."""
-    m = similarities.shape[0]
-    order = np.lexsort((np.arange(m), -similarities))
-    return RankedList(
-        query_index=query_index,
-        order=tuple(int(i) for i in order),
-        relevance=tuple(int(b) for b in relevance_bits[order]),
-    )
+def average_precision(sims: np.ndarray, relevance: np.ndarray) -> np.ndarray:
+    """AP of each row of a (queries, gallery) similarity block.
 
-
-def average_precision(ranked: RankedList) -> float:
-    """Precision accumulated at relevant ranks over the full gallery, divided by the relevant count."""
-    rel = np.asarray(ranked.relevance, dtype=np.float64)
-    total_relevant = rel.sum()
-    if total_relevant == 0:
-        raise ValueError(f"query {ranked.query_index} has no relevant gallery item")
-    precision_at = np.cumsum(rel) / np.arange(1, rel.size + 1)
-    return float((precision_at * rel).sum() / total_relevant)
+    `relevance` is the boolean block of the same shape. Each row's gallery is
+    ranked by descending similarity, ties by ascending gallery index; a row
+    with no relevant item gets NaN.
+    """
+    order = np.argsort(-np.asarray(sims), axis=1, kind="stable")
+    hits = np.take_along_axis(np.asarray(relevance, dtype=bool), order, axis=1).astype(np.float64)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    with np.errstate(invalid="ignore"):
+        return (precision * hits).sum(axis=1) / hits.sum(axis=1)
 
 
 def mean_ap(
-    queries: np.ndarray,
-    gallery: np.ndarray,
-    relevance,
-    direction: str = "",
-    fingerprint: str = "",
+    queries: np.ndarray, gallery: np.ndarray, relevance: np.ndarray,
+    direction: str = "", fingerprint: str = "",
 ) -> RetrievalReport:
     """Rank the full gallery per query by cosine similarity and average the APs.
 
-    `relevance` is either a boolean (n_queries, n_gallery) matrix or a
-    callable (query_index, gallery_index) -> bool. Queries with no relevant
-    gallery item are excluded from the mean with a logged warning.
+    `relevance` is a boolean (n_queries, n_gallery) matrix. Queries with no
+    relevant gallery item are excluded from the mean with a logged warning;
+    a non-finite query or gallery value raises NonFiniteError.
     """
     queries = np.asarray(queries, dtype=np.float64)
     gallery = np.asarray(gallery, dtype=np.float64)
     if queries.size == 0 or gallery.size == 0:
         raise ConfigError("mean_ap needs non-empty queries and gallery")
-
-    if callable(relevance):
-        rel_matrix = np.array(
-            [
-                [bool(relevance(i, j)) for j in range(gallery.shape[0])]
-                for i in range(queries.shape[0])
-            ]
+    relevance = np.asarray(relevance, dtype=bool)
+    if relevance.shape != (queries.shape[0], gallery.shape[0]):
+        raise ConfigError(
+            f"relevance matrix shape {relevance.shape} does not match "
+            f"({queries.shape[0]}, {gallery.shape[0]})"
         )
-    else:
-        rel_matrix = np.asarray(relevance, dtype=bool)
-        if rel_matrix.shape != (queries.shape[0], gallery.shape[0]):
-            raise ConfigError(
-                f"relevance matrix shape {rel_matrix.shape} does not match "
-                f"({queries.shape[0]}, {gallery.shape[0]})"
-            )
-
+    for name, X in (("queries", queries), ("gallery", gallery)):
+        if not np.isfinite(X).all():
+            raise NonFiniteError(f"{direction or 'mean_ap'}: non-finite value in the {name}")
     sims = _unit_rows(queries) @ _unit_rows(gallery).T
-    aps = []
-    skipped = 0
-    for i in range(queries.shape[0]):
-        bits = rel_matrix[i].astype(np.int64)
-        if bits.sum() == 0:
-            skipped += 1
-            logger.warning("query %d has no relevant gallery item; excluded from mAP", i)
-            continue
-        aps.append(average_precision(rank_gallery(sims[i], bits, i)))
-    if not aps:
+
+    skipped = np.flatnonzero(~relevance.any(axis=1))
+    if skipped.size == queries.shape[0]:
         raise ConfigError("every query was skipped; mAP undefined")
+    if skipped.size:
+        logger.warning("queries %s have no relevant gallery item; excluded from mAP", skipped.tolist())
+    aps = np.delete(np.concatenate([
+        average_precision(sims[i : i + BLOCK], relevance[i : i + BLOCK])
+        for i in range(0, queries.shape[0], BLOCK)
+    ]), skipped)
     return RetrievalReport(
         direction=direction,
         map_score=float(np.mean(aps)),
-        per_query_ap=tuple(aps),
+        per_query_ap=tuple(aps.tolist()),
         n_queries=queries.shape[0],
         n_gallery=gallery.shape[0],
-        skipped_queries=skipped,
+        skipped_queries=int(skipped.size),
         fingerprint=fingerprint,
     )
 
 
 def evaluate(
-    model,
-    split: XShotSplit,
-    corpus: Corpus,
-    domain: str = "target",
-    fingerprint: str = "",
+    model, split: XShotSplit, corpus: Corpus, domain: str = "target", fingerprint: str = ""
 ) -> dict:
     """Img2Txt and Txt2Img mAP over a domain's query/gallery partition.
 

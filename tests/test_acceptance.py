@@ -159,7 +159,7 @@ def brute_force_ap(bits):
 def test_criterion_3_map_oracle():
     def ap_of(bits):
         sims = np.linspace(1.0, 0.0, num=len(bits))
-        return ret.average_precision(ret.rank_gallery(sims, np.array(bits), 0))
+        return ret.average_precision(sims[None, :], np.array(bits, dtype=bool)[None, :])[0]
 
     rng = np.random.default_rng(3)
     worst = 0.0

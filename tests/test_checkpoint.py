@@ -158,3 +158,19 @@ def test_missing_parameter_array_names_it(small_setup, tmp_path):
     _rewrite(path, "projection", meta, arrays)
     with pytest.raises(CheckpointError, match=f"payload lacks '{name}'"):
         ckpt.load_projection(path)
+
+
+@pytest.mark.parametrize("kind", ["vaegan", "projection"])
+def test_unknown_hyperparameter_key_names_it(small_setup, tmp_path, kind):
+    _, _, img, _, model = small_setup
+    path = tmp_path / f"{kind}.ckpt"
+    save, load = {
+        "vaegan": (lambda: ckpt.save_vaegan(img, path), ckpt.load_vaegan),
+        "projection": (lambda: ckpt.save_projection(model, path), ckpt.load_projection),
+    }[kind]
+    save()
+    meta, arrays = ckpt.load_checkpoint(path)
+    meta["hp"]["dtype"] = "float32"
+    _rewrite(path, kind, meta, arrays)
+    with pytest.raises(CheckpointError, match="meta.hp holds unknown keys 'dtype'"):
+        load(path)

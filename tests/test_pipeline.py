@@ -300,6 +300,52 @@ def test_cli_corrupt_checkpoint_exits_with_error(tmp_path, capsys):
     assert err.startswith("error: ") and "bad magic" in err
 
 
+def _eval_exit(tmp_path, capsys, projection, **hp_extra):
+    """Exit code and stderr of `eval` on a saved projection over a d=8 corpus;
+    hp_extra is written into the checkpoint's meta.hp."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "name": "eval-ckpt",
+        "synthetic": {"n_classes": 4, "per_class": 8, "dim": 8, "seed": 3},
+        "x_shots": [0],
+        "seeds": [0],
+    }))
+    path = tmp_path / "projection.ckpt"
+    ckpt.save_projection(projection, path)
+    if hp_extra:
+        meta, arrays = ckpt.load_checkpoint(path)
+        meta["hp"].update(hp_extra)
+        ckpt.save_checkpoint(path, "projection", meta, arrays)
+    capsys.readouterr()
+    rc = cli_main(["eval", "--config", str(config_path), "--checkpoint", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def _projection(d):
+    return proj.ProjectionModel(d, range(4), proj.ProjHyperParams(), np.random.default_rng(0))
+
+
+def test_cli_eval_checkpoint_of_another_width_exits_2(tmp_path, capsys):
+    rc, err = _eval_exit(tmp_path, capsys, _projection(16))
+    assert rc == 2
+    assert err.startswith("error: ") and "projection width 16 does not match corpus dim 8" in err
+
+
+def test_cli_eval_checkpoint_with_unknown_hyperparameter_exits_2(tmp_path, capsys):
+    rc, err = _eval_exit(tmp_path, capsys, _projection(8), dtype="float32")
+    assert rc == 2
+    assert err.startswith("error: ") and "meta.hp holds unknown keys 'dtype'" in err
+
+
+def test_cli_eval_non_finite_projection_exits_2(tmp_path, capsys):
+    # a diverged model's NaN embeddings fail scoring instead of giving an mAP
+    model = _projection(8)
+    model.projector_v.l1.W.data[0, 0] = np.nan
+    rc, err = _eval_exit(tmp_path, capsys, model)
+    assert rc == 2
+    assert "Img2Txt: non-finite value in the queries" in err
+
+
 # ---------------------------------------------------------------------------
 # stage commands: synth, then train-proj on its output
 
@@ -359,6 +405,20 @@ def test_synth_then_train_proj_fills_the_run_layout(tmp_path, capsys):
     assert len(targets) == 2  # the seeds' target classes differ
 
 
+def test_train_proj_keeps_the_synth_record(tmp_path):
+    config_path = _config_file(tmp_path, tiny_config())
+    out = tmp_path / "cells"
+    assert cli_main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+    assert cli_main([
+        "train-proj", "--config", str(config_path), "--out", str(out), "--pseudo", str(out),
+    ]) == 0
+    synth = json.loads((out / "synth_record.json").read_text())
+    trained = json.loads((out / "run_record.json").read_text())
+    curves = synth["cells"][0]["curves"]["generation"]
+    assert set(curves) == {"img", "txt"} and len(curves["img"]["total"]) == 4
+    assert "reports" in trained["cells"][0]
+
+
 def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys):
     config_path = _config_file(tmp_path, tiny_config(x_shots=[99, 0]))
     out = tmp_path / "synth"
@@ -366,7 +426,7 @@ def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys):
     assert "[FAIL] x=99 seed=0" in capsys.readouterr().out
     assert not (out / "cell_x99_s0").exists()
     assert (out / "cell_x0_s0" / "pseudo" / data.CORPUS_FILES["images"]).is_file()
-    record = json.loads((out / "run_record.json").read_text())
+    record = json.loads((out / "synth_record.json").read_text())
     assert record["failures"] == 1 and "smallest target class" in record["cells"][0]["error"]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xmodal import data, retrieval as ret
-from xmodal.errors import ConfigError
+from xmodal.errors import ConfigError, NonFiniteError
 from xmodal.projection import RawFeatures
 
 
@@ -17,31 +17,22 @@ def brute_force_ap(bits):
     return score / total_relevant
 
 
-def ranked(bits):
+def ap_of(bits):
+    """AP of one row whose gallery is already in rank order."""
     sims = np.linspace(1.0, 0.0, num=len(bits))
-    return ret.rank_gallery(sims, np.array(bits), query_index=0)
+    return ret.average_precision(sims[None, :], np.array(bits, dtype=bool)[None, :])[0]
 
 
-# ---------------------------------------------------------------------------
-# cosine
-
-
-def test_cosine_identical_vectors():
-    v = np.array([0.3, -0.4, 1.0])
-    assert ret.cosine_sim(v, v) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_cosine_orthogonal_vectors():
-    assert ret.cosine_sim([1.0, 0.0], [0.0, 2.0]) == 0.0
-
-
-def test_cosine_forty_five_degrees():
-    assert ret.cosine_sim([1.0, 0.0], [1.0, 1.0]) == pytest.approx(np.sqrt(2) / 2, abs=1e-15)
-
-
-def test_cosine_zero_vector_is_error():
-    with pytest.raises(ValueError, match="zero vector"):
-        ret.cosine_sim([0.0, 0.0], [1.0, 0.0])
+def oracle_aps(queries, gallery, rel):
+    """Per-query AP from numpy cosines, ranked by (-sim, gallery index)."""
+    qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+    gn = gallery / np.linalg.norm(gallery, axis=1, keepdims=True)
+    sims = qn @ gn.T
+    aps = []
+    for i in range(len(queries)):
+        order = sorted(range(len(gallery)), key=lambda j: (-sims[i, j], j))
+        aps.append(brute_force_ap([int(rel[i, j]) for j in order]))
+    return aps
 
 
 # ---------------------------------------------------------------------------
@@ -49,20 +40,20 @@ def test_cosine_zero_vector_is_error():
 
 
 def test_ap_perfect_ranking():
-    assert ret.average_precision(ranked([1, 1, 0, 0])) == 1.0
+    assert ap_of([1, 1, 0, 0]) == 1.0
 
 
 def test_ap_alternating_case():
-    assert ret.average_precision(ranked([0, 1, 0, 1])) == 0.5
+    assert ap_of([0, 1, 0, 1]) == 0.5
 
 
 def test_ap_single_relevant_at_bottom():
-    assert ret.average_precision(ranked([0, 0, 1])) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert ap_of([0, 0, 1]) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_ap_requires_a_relevant_item():
-    with pytest.raises(ValueError, match="no relevant"):
-        ret.average_precision(ranked([0, 0, 0]))
+    # AP is undefined without a relevant item: the row gets NaN
+    assert np.isnan(ap_of([0, 0, 0]))
 
 
 def test_ap_matches_brute_force_on_random_galleries():
@@ -71,7 +62,7 @@ def test_ap_matches_brute_force_on_random_galleries():
         bits = rng.integers(0, 2, size=8)
         if bits.sum() == 0:
             bits[rng.integers(0, 8)] = 1
-        got = ret.average_precision(ranked(list(bits)))
+        got = ap_of(list(bits))
         assert got == pytest.approx(brute_force_ap(list(bits)), abs=1e-12)
 
 
@@ -81,16 +72,17 @@ def test_ap_bounds_and_perfect_iff_front_loaded():
         bits = list(rng.integers(0, 2, size=6))
         if sum(bits) == 0:
             bits[3] = 1
-        ap = ret.average_precision(ranked(bits))
+        ap = ap_of(bits)
         assert 0.0 <= ap <= 1.0
         front_loaded = sorted(bits, reverse=True) == bits
         assert (ap == 1.0) == front_loaded
 
 
 def test_tie_breaking_is_by_ascending_gallery_index():
-    sims = np.array([0.5, 0.9, 0.5, 0.9])
-    rl = ret.rank_gallery(sims, np.array([0, 1, 0, 1]), query_index=0)
-    assert rl.order == (1, 3, 0, 2)
+    # rank order 1, 3, 0, 2 puts the relevant items 3 and 0 at ranks 2 and 3
+    sims = np.array([[0.5, 0.9, 0.5, 0.9]])
+    rel = np.array([[True, False, False, True]])
+    assert ret.average_precision(sims, rel)[0] == pytest.approx(7.0 / 12.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +109,26 @@ def test_mean_ap_matches_hand_computed_fixture():
     rel = labels_q[:, None] == labels_g[None, :]
     report = ret.mean_ap(queries, gallery, rel)
 
-    aps = []
-    for i in range(3):
-        sims = [ret.cosine_sim(queries[i], gallery[j]) for j in range(5)]
-        order = sorted(range(5), key=lambda j: (-sims[j], j))
-        bits = [1 if rel[i][j] else 0 for j in order]
-        aps.append(brute_force_ap(bits))
+    aps = oracle_aps(queries, gallery, rel)
     assert report.map_score == pytest.approx(float(np.mean(aps)), abs=1e-12)
     assert report.map_score == pytest.approx(float(np.mean(report.per_query_ap)), abs=1e-12)
 
 
-def test_mean_ap_with_relevance_callable():
-    queries = np.array([[1.0, 0.0]])
-    gallery = np.array([[1.0, 0.1], [0.0, 1.0]])
-    report = ret.mean_ap(queries, gallery, lambda qi, gj: gj == 0)
-    assert report.map_score == 1.0
+def test_mean_ap_matches_oracle_on_tie_heavy_blocks():
+    # integer features give many exactly tied similarities; more than BLOCK
+    # queries so the ranking runs over several blocks
+    rng = np.random.default_rng(6)
+    n_q = 2 * ret.BLOCK + 37
+    queries = rng.integers(-1, 2, size=(n_q, 3)).astype(float)
+    gallery = rng.integers(-1, 2, size=(40, 3)).astype(float)
+    queries[~queries.any(axis=1), 0] = 1.0
+    gallery[~gallery.any(axis=1), 0] = 1.0
+    rel = rng.integers(0, 4, size=(n_q, 40)) == 0
+    rel[:, 7] = True
+    report = ret.mean_ap(queries, gallery, rel)
+    assert len(report.per_query_ap) == n_q
+    worst = max(abs(a - b) for a, b in zip(report.per_query_ap, oracle_aps(queries, gallery, rel)))
+    assert worst <= 1e-12
 
 
 def test_mean_ap_all_same_class_is_one():
@@ -142,18 +139,39 @@ def test_mean_ap_all_same_class_is_one():
     assert report.map_score == 1.0
 
 
-def test_mean_ap_skips_queries_without_relevant_items():
-    queries = np.array([[1.0, 0.0], [0.0, 1.0]])
+def test_mean_ap_skips_queries_without_relevant_items(caplog):
+    queries = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     gallery = np.array([[1.0, 0.0], [0.5, 0.5]])
-    rel = np.array([[True, True], [False, False]])
-    report = ret.mean_ap(queries, gallery, rel)
-    assert report.skipped_queries == 1
+    rel = np.array([[True, True], [False, False], [False, False]])
+    with caplog.at_level("WARNING", logger=ret.__name__):
+        report = ret.mean_ap(queries, gallery, rel)
+    assert report.skipped_queries == 2
     assert len(report.per_query_ap) == 1
+    assert len(caplog.records) == 1 and "[1, 2]" in caplog.records[0].getMessage()
+
+
+def test_mean_ap_rejects_when_every_query_is_skipped():
+    with pytest.raises(ConfigError, match="every query was skipped"):
+        ret.mean_ap(np.eye(2), np.eye(2), np.zeros((2, 2), dtype=bool))
 
 
 def test_mean_ap_rejects_empty_inputs():
     with pytest.raises(ConfigError):
         ret.mean_ap(np.zeros((0, 2)), np.ones((2, 2)), np.ones((0, 2), dtype=bool))
+
+
+def test_cosine_zero_vector_is_error():
+    with pytest.raises(ValueError, match="zero vector"):
+        ret.mean_ap(np.array([[0.0, 0.0]]), np.eye(2), np.ones((1, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", ["queries", "gallery"])
+def test_mean_ap_rejects_non_finite_embeddings(bad):
+    # a NaN embedding used to score (0.75 here) instead of failing
+    nan_rows = np.array([[np.nan, 1.0], [1.0, 0.0]])
+    queries, gallery = (nan_rows, np.eye(2)) if bad == "queries" else (np.eye(2), nan_rows)
+    with pytest.raises(NonFiniteError, match=f"Img2Txt: non-finite value in the {bad}"):
+        ret.mean_ap(queries, gallery, np.eye(2, dtype=bool), direction="Img2Txt")
 
 
 def test_mean_ap_scale_invariance():
