@@ -354,22 +354,30 @@ def relu(a):
     return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
+def slope_mask(pre: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU's derivative at `pre`: 1 where pre > 0, else `slope`, in pre's dtype."""
+    return np.take(np.array([slope, 1.0], dtype=pre.dtype), (pre > 0).view(np.uint8))
+
+
 def leaky_relu(a, slope: float = 0.2):
     if not 0.0 < slope < 1.0:
         raise ConfigError(f"leaky_relu slope must be in (0, 1), got {slope}")
     a = _coerce(a)
-    mask = np.where(a.data > 0, 1.0, slope).astype(a.data.dtype)
+    mask = slope_mask(a.data, slope)
     return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
 def sigmoid(a):
+    """Logistic function without overflow: e = exp(-|d|) lies in (0, 1].
+
+    Where d >= 0, e is exp(-d) and 1 / (1 + e) is the usual form; elsewhere e
+    is exp(d) and e / (1 + e) is the same value without exp(-d) overflowing.
+    """
     a = _coerce(a)
     d = a.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(d))
+    den = 1.0 + e
+    out = np.where(d >= 0, 1.0 / den, e / den)
     return _node(out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
@@ -467,7 +475,7 @@ def _scatter_cols(g: np.ndarray, idx, total: int) -> np.ndarray:
 
 
 def linear(x, W, b):
-    """Affine map x @ W + b with the bias row broadcast over rows."""
+    """Affine map x @ W + b with the bias row broadcast over rows; one tape node."""
     x, W, b = _coerce(x), _coerce(W), _coerce(b)
     if x.data.shape[1] != W.data.shape[0]:
         raise ShapeError(
@@ -477,7 +485,15 @@ def linear(x, W, b):
         raise ShapeError(
             f"linear: bias {b.data.shape} does not match weight {W.data.shape}"
         )
-    return add(matmul(x, W), b)
+    return _node(
+        x.data @ W.data + b.data,
+        (x, W, b),
+        (
+            lambda g: g @ W.data.T,
+            lambda g: x.data.T @ g,
+            lambda g: g.sum(axis=0, keepdims=True),
+        ),
+    )
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:

@@ -135,10 +135,26 @@ def _unpack_params(model, arrays: dict, steps: dict, path) -> None:
         "payload",
     )
     for name, p in model.named_params():
-        p.data[...] = arrays[f"param/{name}"]
-        p.adam_m[...] = arrays[f"adam_m/{name}"]
-        p.adam_v[...] = arrays[f"adam_v/{name}"]
+        p.data[...] = _shaped(arrays, f"param/{name}", p.data.shape, path)
+        p.adam_m[...] = _shaped(arrays, f"adam_m/{name}", p.data.shape, path)
+        p.adam_v[...] = _shaped(arrays, f"adam_v/{name}", p.data.shape, path)
         p.step_count = int(steps[name])
+
+
+def _shaped(arrays: dict, key: str, shape, path) -> np.ndarray:
+    """arrays[key], with a CheckpointError when its shape is not the model's.
+
+    Without it a stored (1, k) array would broadcast silently into a (k, k)
+    parameter.
+    """
+    _require(arrays, (key,), path, "payload")
+    arr = arrays[key]
+    if arr.shape != tuple(shape):
+        raise CheckpointError(
+            f"{path}: checkpoint array {key!r} has shape {arr.shape}, "
+            f"the model expects {tuple(shape)}"
+        )
+    return arr
 
 
 def save_vaegan(model: VaeGanModel, path) -> None:
@@ -164,7 +180,9 @@ def load_vaegan(path) -> VaeGanModel:
     model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, stream(0, "load"))
     _unpack_params(model, arrays, meta["steps"], path)
     if "scaler/lo" in arrays:
-        model.scaler = FeatureScaler(lo=arrays["scaler/lo"], span=arrays["scaler/span"])
+        lo = _shaped(arrays, "scaler/lo", (1, model.d_feat), path)
+        span = _shaped(arrays, "scaler/span", (1, model.d_feat), path)
+        model.scaler = FeatureScaler(lo=lo, span=span)
     model.rng_state = meta["rng_state"]
     return model
 

@@ -30,7 +30,7 @@ class MissingAttributeError(IngestError):
 
 
 class NonFiniteError(IngestError):
-    """NaN or Inf encountered at an ingest boundary."""
+    """NaN or Inf where a finite value is required: ingested data, embeddings or a training loss."""
 
 
 class CheckpointError(RuntimeError):

@@ -35,7 +35,7 @@ from .autodiff import Linear, Tensor, no_grad
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import stream
+from .util import require_finite, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -152,7 +152,7 @@ class Critic:
     def hidden(self, v: np.ndarray, a_pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden pre-activation at feature rows v and its LeakyReLU slope mask M."""
         pre = v @ self.l1.W.data[: self.d_feat] + a_pre
-        return pre, np.where(pre > 0, 1.0, LEAKY_SLOPE).astype(pre.dtype, copy=False)
+        return pre, ad.slope_mask(pre, LEAKY_SLOPE)
 
     def input_gradient(self, v: np.ndarray, a_pre: np.ndarray):
         """Closed form of d(sum of scores)/dv at feature rows v.
@@ -218,6 +218,12 @@ class VaeGanModel:
         mu, logvar = self.encoder(v, a)
         z = reparameterize(mu, logvar, rng)
         return mu, logvar, z
+
+    def posterior(self, v, a) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, exp(logvar / 2)) of the encoder at rows (v, a), as constants."""
+        with no_grad():
+            mu, logvar = self.encoder(v, a)
+            return mu.data, ad.exp(logvar * 0.5).data
 
     def synthesize(self, attrs: np.ndarray, rng) -> np.ndarray:
         """Feature-space pseudo samples, one per attribute row."""
@@ -370,12 +376,14 @@ def generation_losses(batch, model: VaeGanModel, hp: GenHyperParams, rng, use_va
     }
 
 
-def critic_step(v: Tensor, a: Tensor, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> float:
+def critic_step(v: Tensor, a: Tensor, model: VaeGanModel, hp: GenHyperParams, rng, posterior) -> float:
     """Add the gradients of the loss the critic minimizes to the critic's .grad.
 
     The loss is Σ_paths [E D(other) − E D(real) + λ·GP(real, other)] over the
-    fake path and, with use_vae, the reconstruction path: −gan1 − gan2 of
-    `generation_losses`, computed in closed form with no tape. Draws from
+    fake path and, unless `posterior` is None, the reconstruction path: −gan1
+    − gan2 of `generation_losses`, computed in closed form with no tape.
+    `posterior` is `model.posterior(v, a)`, which the critic's updates leave
+    unchanged, so one value serves every critic step of a batch. Draws from
     rng in this order: noise, reparameterisation, then one eps per path.
     Returns the loss value.
     """
@@ -383,9 +391,10 @@ def critic_step(v: Tensor, a: Tensor, model: VaeGanModel, hp: GenHyperParams, rn
     with no_grad():
         noise = Tensor(rng.standard_normal((n, model.d_z)))
         others = [model.generator(noise, a).data]
-        if use_vae:
-            _, _, z = model.encode(v, a, rng)
-            others.append(model.generator(z, a).data)
+        if posterior is not None:
+            mu, std = posterior
+            z = mu + std * rng.standard_normal(mu.shape)
+            others.append(model.generator(Tensor(z), a).data)
     k = len(others)
     eps = [rng.uniform(size=(n, 1)) for _ in others]
     real, attrs = v.data, a.data
@@ -418,6 +427,29 @@ def critic_step(v: Tensor, a: Tensor, model: VaeGanModel, hp: GenHyperParams, rn
     critic.l1.b.grad += db1
     critic.l2.W.grad += dW2
     return loss + hp.lambda_gp * gp
+
+
+def eg_step(v: Tensor, a: Tensor, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> float:
+    """Add the encoder/generator gradients of `generation_losses`' total to their .grad.
+
+    Real and fake enter the penalty as constants, so it cannot move the
+    encoder or generator: the loss is evaluated at lambda_gp = 0, but the
+    skipped penalties' eps are drawn all the same, so the noise stream stays
+    what it is with them. The critic's parameters are constants for the
+    step, so their gradients are neither computed nor accumulated. Returns
+    the loss value.
+    """
+    critic_params = model.critic.params
+    for p in critic_params:
+        p.requires_grad = False
+    try:
+        total = generation_losses((v, a), model, replace(hp, lambda_gp=0.0), rng, use_vae)["total"]
+        rng.uniform(size=(v.data.shape[0], 2 if use_vae else 1))
+        ad.backward(total)
+    finally:
+        for p in critic_params:
+            p.requires_grad = True
+    return total.item()
 
 
 def train_generation(
@@ -470,10 +502,6 @@ def _train_single_modality(feats, attrs, hp, d_attr, modality, use_vae):
 
     eg_params = model.encoder.params + model.generator.params
     critic_params = model.critic.params
-    # real and fake enter the penalty as constants, so it cannot move the
-    # encoder or generator: their step evaluates its loss without it
-    eg_hp = replace(hp, lambda_gp=0.0)
-    eg_paths = 2 if use_vae else 1
 
     # curve index 0 is the untrained model; one entry per epoch after that
     curve: dict[str, list[float]] = {}
@@ -485,24 +513,23 @@ def _train_single_modality(feats, attrs, hp, d_attr, modality, use_vae):
             curve.setdefault(k, []).append(val)
 
     log_point()
-    for _ in range(hp.epochs):
+    for epoch in range(1, hp.epochs + 1):
         perm = rng_shuffle.permutation(n)
-        for start in range(0, n, hp.batch):
+        for batch, start in enumerate(range(0, n, hp.batch)):
             idx = perm[start : start + hp.batch]
             v = Tensor(X[idx])
             a = Tensor(attrs[idx])
+            posterior = model.posterior(v, a) if use_vae else None
 
-            for _ in range(hp.critic_steps):
-                zero_grads(model.params)
-                critic_step(v, a, model, hp, rng_noise, use_vae)
+            for k in range(hp.critic_steps):
+                zero_grads(critic_params)
+                loss = critic_step(v, a, model, hp, rng_noise, posterior)
+                require_finite(loss, f"stage 1 {modality} critic", epoch, batch * hp.critic_steps + k + 1)
                 adam_step(critic_params, hp.lr)
 
-            zero_grads(model.params)
-            losses = generation_losses((v, a), model, eg_hp, rng_noise, use_vae)
-            # draw the skipped penalties' eps all the same, so the noise stream,
-            # and with it every trained model, stays what it was with them
-            rng_noise.uniform(size=(len(idx), eg_paths))
-            ad.backward(losses["total"])
+            zero_grads(eg_params)
+            loss = eg_step(v, a, model, hp, rng_noise, use_vae)
+            require_finite(loss, f"stage 1 {modality} encoder/generator", epoch, batch + 1)
             adam_step(eg_params, hp.lr)
         log_point()
 

@@ -19,7 +19,7 @@ from .autodiff import Linear, Tensor, no_grad
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, ContractError, DimensionMismatchError
 from .optim import adam_step, zero_grads
-from .util import stream
+from .util import require_finite, stream
 
 
 @dataclass
@@ -315,14 +315,15 @@ def train_projection(
             curve.setdefault(k, []).append(t.item())
 
     log_point()
-    for _ in range(hp.epochs):
+    for epoch in range(1, hp.epochs + 1):
         perm = rng_shuffle.permutation(n)
-        for start in range(0, n, hp.batch):
+        for step, start in enumerate(range(0, n, hp.batch), 1):
             idx = perm[start : start + hp.batch]
             zero_grads(model.params)
             losses = projection_losses(
                 model, Tensor(V[idx]), Tensor(T[idx]), label_cols[idx], hp
             )
+            require_finite(losses["total"].item(), "stage 2 projection", epoch, step)
             ad.backward(losses["total"])
             adam_step(model.params, hp.lr)
         log_point()

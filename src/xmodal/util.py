@@ -1,12 +1,15 @@
-"""Shared helpers: named deterministic RNG streams and config fingerprints."""
+"""Shared helpers: named deterministic RNG streams, config fingerprints and the training guard."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import zlib
 
 import numpy as np
+
+from .errors import NonFiniteError
 
 
 def stream(seed: int, *tags) -> np.random.Generator:
@@ -19,6 +22,16 @@ def stream(seed: int, *tags) -> np.random.Generator:
     parts = [int(seed) & 0xFFFFFFFF]
     parts += [zlib.crc32(str(t).encode("utf8")) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+def require_finite(loss: float, phase: str, epoch: int, step: int) -> None:
+    """Fail a diverged training step: raise NonFiniteError naming where its loss went NaN or Inf.
+
+    `epoch` and `step` count from 1; `step` counts this phase's steps within
+    the epoch.
+    """
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"{phase}: loss is {loss} at epoch {epoch}, step {step}")
 
 
 def fingerprint(obj) -> str:

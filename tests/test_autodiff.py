@@ -49,6 +49,52 @@ def test_linear_gradients_match_finite_differences():
     assert_grad_matches(loss_value, [W, b], run_backward, tol=1e-6)
 
 
+def test_linear_is_one_node_with_the_composed_gradients():
+    # the fused node's VJPs are the matmul + add composition's, bit for bit
+    rng = np.random.default_rng(17)
+    x = ad.Parameter(rng.normal(size=(5, 7)))
+    W = ad.Parameter(rng.normal(size=(7, 3)))
+    b = ad.Parameter(rng.normal(size=(1, 3)))
+    g = rng.normal(size=(5, 3))
+    grads = []
+    for affine in (ad.linear, lambda x, W, b: ad.add(ad.matmul(x, W), b)):
+        for p in (x, W, b):
+            p.grad[...] = 0.0
+        tape = ad.active_tape()
+        before = len(tape)
+        out = affine(x, W, b)
+        nodes = len(tape) - before
+        ad.backward(ad.sum_all(ad.mul(out, g)))
+        grads.append((out.data, nodes, [p.grad.copy() for p in (x, W, b)]))
+    (fused, fused_nodes, fused_grads), (composed, _, composed_grads) = grads
+    assert fused_nodes == 1
+    assert np.array_equal(fused, composed)
+    for got, want in zip(fused_grads, composed_grads):
+        assert np.array_equal(got, want)
+
+
+def two_branch_sigmoid(d):
+    """The reference logistic: exp(-d) where d >= 0, exp(d) / (1 + exp(d)) elsewhere."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_formula_bitwise():
+    rng = np.random.default_rng(3)
+    special = [1000.0, -1000.0, 0.0, -0.0, 709.0, -745.0, 40.0, -40.0, np.nan]
+    d = np.concatenate([special, rng.normal(scale=8.0, size=400), rng.uniform(-1e-3, 1e-3, 64)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = ad.sigmoid(ad.Tensor(d.reshape(-1, 1))).data[:, 0]
+    want = two_branch_sigmoid(d)
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.isnan(out[len(special) - 1])
+    assert out[0] == 1.0 and out[1] == 0.0 and out[2] == out[3] == 0.5
+
+
 def test_relu_and_sigmoid_point_values():
     assert ad.relu(ad.Tensor([[-3.0]])).item() == 0.0
     assert ad.relu(ad.Tensor([[2.5]])).item() == 2.5

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,46 @@ def test_missing_parameter_array_names_it(small_setup, tmp_path):
     _rewrite(path, "projection", meta, arrays)
     with pytest.raises(CheckpointError, match=f"payload lacks '{name}'"):
         ckpt.load_projection(path)
+
+
+@pytest.mark.parametrize("kind", ["param", "adam_m", "adam_v"])
+def test_array_of_another_shape_names_it(small_setup, tmp_path, kind):
+    # a (1, 8) row would broadcast silently into an 8x8 weight
+    _, _, _, _, model = small_setup
+    path = tmp_path / "proj.ckpt"
+    ckpt.save_projection(model, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    name = next(k for k in sorted(arrays) if k.startswith(f"{kind}/") and arrays[k].shape == (8, 8))
+    arrays[name] = arrays[name][:1]
+    _rewrite(path, "projection", meta, arrays)
+    with pytest.raises(
+        CheckpointError, match=re.escape(f"array '{name}' has shape (1, 8), the model expects (8, 8)")
+    ):
+        ckpt.load_projection(path)
+
+
+def test_scaler_of_another_width_names_it(small_setup, tmp_path):
+    _, _, img, _, _ = small_setup
+    path = tmp_path / "gen.ckpt"
+    ckpt.save_vaegan(img, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    arrays["scaler/span"] = arrays["scaler/span"][:, :4]
+    _rewrite(path, "vaegan", meta, arrays)
+    with pytest.raises(
+        CheckpointError, match=re.escape("array 'scaler/span' has shape (1, 4), the model expects (1, 8)")
+    ):
+        ckpt.load_vaegan(path)
+
+
+def test_scaler_without_its_span_names_it(small_setup, tmp_path):
+    _, _, img, _, _ = small_setup
+    path = tmp_path / "gen.ckpt"
+    ckpt.save_vaegan(img, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    del arrays["scaler/span"]
+    _rewrite(path, "vaegan", meta, arrays)
+    with pytest.raises(CheckpointError, match="payload lacks 'scaler/span'"):
+        ckpt.load_vaegan(path)
 
 
 @pytest.mark.parametrize("kind", ["vaegan", "projection"])

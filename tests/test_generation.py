@@ -5,7 +5,7 @@ import pytest
 
 from xmodal import autodiff as ad
 from xmodal import data, generation as gen
-from xmodal.errors import ConfigError
+from xmodal.errors import ConfigError, NonFiniteError
 from xmodal.optim import adam_step, zero_grads
 from xmodal.util import stream
 
@@ -214,7 +214,8 @@ def test_zeroed_critic_penalty_gradients_are_finite():
 
     for use_vae in (True, False):
         zero_grads(model.params)
-        value = gen.critic_step(v, a, model, hp, stream(1, "gp"), use_vae)
+        posterior = model.posterior(v, a) if use_vae else None
+        value = gen.critic_step(v, a, model, hp, stream(1, "gp"), posterior)
         assert value == pytest.approx(10.0 * (2 if use_vae else 1), abs=1e-12)
         for p in model.critic.params:
             assert np.all(np.isfinite(p.grad))
@@ -291,13 +292,14 @@ def test_critic_step_gradients_match_finite_differences(use_vae):
             )
 
     zero_grads(model.params)
-    value = gen.critic_step(v, a, model, hp, stream(9, "critic"), use_vae)
+    posterior = model.posterior(v, a) if use_vae else None
+    value = gen.critic_step(v, a, model, hp, stream(9, "critic"), posterior)
     assert value == pytest.approx(loss_value(), rel=1e-12)
     # eps=1e-6 keeps the stencil clear of LeakyReLU mask flips
     assert_grad_matches(
         loss_value,
         model.critic.params,
-        lambda: gen.critic_step(v, a, model, hp, stream(9, "critic"), use_vae),
+        lambda: gen.critic_step(v, a, model, hp, stream(9, "critic"), posterior),
         eps=1e-6,
     )
     for p in model.encoder.params + model.generator.params:
@@ -360,6 +362,28 @@ def test_penalty_leaves_encoder_and_generator_gradients_unchanged():
         assert np.array_equal(with_gp, without)
 
 
+@pytest.mark.parametrize("use_vae", [True, False])
+def test_eg_step_holds_the_critic_constant(use_vae):
+    model, hp = small_model(d=6, seed=71)
+    v, a = fixture_batch(d=6, n=4, seed=72)
+    eg = model.encoder.params + model.generator.params
+    # the same loss with the critic left trainable also fills the critic's grads
+    zero_grads(model.params)
+    losses = gen.generation_losses((v, a), model, replace(hp, lambda_gp=0.0), stream(5, "eg"), use_vae)
+    ad.backward(losses["total"])
+    assert all(p.grad.any() for p in (model.critic.l1.W, model.critic.l1.b, model.critic.l2.W))
+    want = [p.grad.copy() for p in eg]
+
+    zero_grads(model.params)
+    value = gen.eg_step(v, a, model, hp, stream(5, "eg"), use_vae)
+    assert value == losses["total"].item()
+    for p in model.critic.params:
+        assert not p.grad.any()
+        assert p.requires_grad
+    for got, expected in zip((p.grad for p in eg), want):
+        assert np.array_equal(got, expected)
+
+
 def test_no_vae_losses_drop_reconstruction_path():
     model, hp = small_model(d=6, seed=41)
     batch = fixture_batch(d=6, n=4, seed=42)
@@ -402,6 +426,20 @@ def test_training_is_deterministic():
         assert np.array_equal(p1.data, p2.data)
     for (_, p1), (_, p2) in zip(txt1.named_params(), txt2.named_params()):
         assert np.array_equal(p1.data, p2.data)
+
+
+def test_nan_weight_fails_at_the_first_critic_step(monkeypatch):
+    class Poisoned(gen.VaeGanModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.generator.l2.W.data[0, 0] = np.nan
+
+    monkeypatch.setattr(gen, "VaeGanModel", Poisoned)
+    corpus = data.synth_corpus(n_classes=4, per_class=6, dim=8, seed=2)
+    split = data.split_xshot(corpus, x=0, seed=2)
+    hp = gen.GenHyperParams(lr=1e-3, batch=8, epochs=2, seed=3)
+    with pytest.raises(NonFiniteError, match=r"^stage 1 img critic: loss is nan at epoch 1, step 1$"):
+        gen.train_generation(split, corpus, hp)
 
 
 def test_modality_streams_are_independent():

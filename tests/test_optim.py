@@ -3,7 +3,7 @@ import pytest
 
 from xmodal import autodiff as ad
 from xmodal.errors import ConfigError
-from xmodal.optim import adam_step, zero_grads
+from xmodal.optim import BETA1, BETA2, EPS, adam_step, zero_grads
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -54,3 +54,29 @@ def test_zero_grads_clears_accumulation():
     ad.backward(ad.sum_all(p))
     zero_grads([p])
     assert np.array_equal(p.grad, np.zeros((1, 2)))
+
+
+def test_matches_the_textbook_update_bitwise():
+    # the in-place update keeps the textbook's float operations and order
+    rng = np.random.default_rng(4)
+    shapes = [(5, 3), (1, 3), (3, 1), (1, 1)]
+    params = [ad.Parameter(rng.normal(size=s)) for s in shapes]
+    want = [(p.data.copy(), np.zeros(s), np.zeros(s)) for p, s in zip(params, shapes)]
+    lr = 0.01
+    for t in range(1, 4):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        adam_step(params, lr)
+        for i, g in enumerate(grads):
+            data, m, v = want[i]
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * (g * g)
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            want[i] = (data - lr * m_hat / (np.sqrt(v_hat) + EPS), m, v)
+    for p, (data, m, v) in zip(params, want):
+        assert np.array_equal(p.data, data)
+        assert np.array_equal(p.adam_m, m)
+        assert np.array_equal(p.adam_v, v)
+        assert not p.grad.any()

@@ -300,9 +300,10 @@ def test_cli_corrupt_checkpoint_exits_with_error(tmp_path, capsys):
     assert err.startswith("error: ") and "bad magic" in err
 
 
-def _eval_exit(tmp_path, capsys, projection, **hp_extra):
+def _eval_exit(tmp_path, capsys, projection, arrays=None, **hp_extra):
     """Exit code and stderr of `eval` on a saved projection over a d=8 corpus;
-    hp_extra is written into the checkpoint's meta.hp."""
+    hp_extra is written into the checkpoint's meta.hp, and `arrays`, when
+    given, replaces its arrays."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "name": "eval-ckpt",
@@ -312,10 +313,10 @@ def _eval_exit(tmp_path, capsys, projection, **hp_extra):
     }))
     path = tmp_path / "projection.ckpt"
     ckpt.save_projection(projection, path)
-    if hp_extra:
-        meta, arrays = ckpt.load_checkpoint(path)
+    if hp_extra or arrays is not None:
+        meta, saved = ckpt.load_checkpoint(path)
         meta["hp"].update(hp_extra)
-        ckpt.save_checkpoint(path, "projection", meta, arrays)
+        ckpt.save_checkpoint(path, "projection", meta, saved if arrays is None else arrays)
     capsys.readouterr()
     rc = cli_main(["eval", "--config", str(config_path), "--checkpoint", str(path)])
     return rc, capsys.readouterr().err
@@ -335,6 +336,16 @@ def test_cli_eval_checkpoint_with_unknown_hyperparameter_exits_2(tmp_path, capsy
     rc, err = _eval_exit(tmp_path, capsys, _projection(8), dtype="float32")
     assert rc == 2
     assert err.startswith("error: ") and "meta.hp holds unknown keys 'dtype'" in err
+
+
+def test_cli_eval_checkpoint_with_arrays_of_another_width_exits_2(tmp_path, capsys):
+    # meta of a d=8 projection over the arrays of a d=16 one
+    wide = tmp_path / "wide.ckpt"
+    ckpt.save_projection(_projection(16), wide)
+    _, arrays = ckpt.load_checkpoint(wide)
+    rc, err = _eval_exit(tmp_path, capsys, _projection(8), arrays=arrays)
+    assert rc == 2
+    assert err.startswith("error: ") and "has shape (16, 16), the model expects (8, 8)" in err
 
 
 def test_cli_eval_non_finite_projection_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from xmodal import autodiff as ad
 from xmodal import data, projection as proj
-from xmodal.errors import ConfigError, ContractError
+from xmodal.errors import ConfigError, ContractError, NonFiniteError
 from xmodal.util import stream
 
 from fdcheck import assert_grad_matches
@@ -304,6 +304,19 @@ def test_training_deterministic(proj_corpus):
     for (n1, p1), (n2, p2) in zip(m1.named_params(), m2.named_params()):
         assert n1 == n2
         assert np.array_equal(p1.data, p2.data)
+
+
+def test_nan_weight_fails_at_the_first_step(proj_corpus, monkeypatch):
+    class Poisoned(proj.ProjectionModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.head.layer.W.data[0, 0] = np.nan
+
+    monkeypatch.setattr(proj, "ProjectionModel", Poisoned)
+    corpus, split = proj_corpus
+    hp = proj.ProjHyperParams(lr=1e-3, batch=16, epochs=2, seed=3)
+    with pytest.raises(NonFiniteError, match=r"^stage 2 projection: loss is nan at epoch 1, step 1$"):
+        proj.train_projection(split, corpus, None, hp)
 
 
 def test_total_loss_decreases(proj_corpus):
