@@ -1,19 +1,22 @@
 """Versioned binary checkpoints with exact array round-trips.
 
 Layout: 8-byte magic, u32 container version, u32 header length, JSON header,
-then the raw little-endian array payload. Arrays are stored byte-exact, so a
-reloaded model reproduces its in-run numbers bitwise. Loading parses the
-whole file before constructing anything, so a failed load leaves no partial
-state.
+then the raw little-endian array payload, arrays in sorted-name order. Arrays
+are stored byte-exact, so a reloaded model reproduces its in-run numbers
+bitwise. A save streams each array from its own buffer. A load validates the
+header against the file and the model, then reads each array once into place:
+every array entry, key and shape is checked before the first payload byte is
+read, so a failed load leaves no partial model.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -29,33 +32,45 @@ _DTYPES = {"float64": "<f8", "float32": "<f4"}
 
 
 def save_checkpoint(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    entries = []
-    payload = bytearray()
+    """Write `arrays` under a header built from their shapes and sizes.
+
+    An array that is already little-endian and C-contiguous is written from
+    its own buffer. A failed write removes `<path>.tmp` and leaves `path` as
+    it was.
+    """
+    entries, blocks = [], []
+    offset = 0
     for name in sorted(arrays):
         arr = np.asarray(arrays[name])
         dtype_name = arr.dtype.name
         if dtype_name not in _DTYPES:
             raise CheckpointError(f"unsupported array dtype {dtype_name} for {name}")
-        blob = arr.astype(_DTYPES[dtype_name]).tobytes(order="C")
         entries.append(
             {
                 "name": name,
                 "dtype": dtype_name,
                 "shape": list(arr.shape),
-                "offset": len(payload),
-                "nbytes": len(blob),
+                "offset": offset,
+                "nbytes": arr.nbytes,
             }
         )
-        payload.extend(blob)
+        blocks.append((arr, _DTYPES[dtype_name]))
+        offset += arr.nbytes
     header = json.dumps({"kind": kind, "meta": meta, "arrays": entries}).encode("utf8")
 
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", VERSION, len(header)))
-        f.write(header)
-        f.write(bytes(payload))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", VERSION, len(header)))
+            f.write(header)
+            for arr, stored in blocks:
+                f.write(np.ascontiguousarray(arr, dtype=stored))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _require(mapping, keys, path, where: str) -> None:
@@ -80,18 +95,60 @@ def _hyperparams(cls, hp, path):
     return cls(**hp)
 
 
-def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != MAGIC:
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_entry(entry, base: int, size: int, path) -> None:
+    """Raise CheckpointError unless `entry` describes an array inside the file."""
+    _require(entry, ("name", "dtype", "shape", "offset", "nbytes"), path, "array entry")
+    name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
+    if entry["dtype"] not in _DTYPES:
+        raise CheckpointError(f"{path}: unsupported array dtype {entry['dtype']!r} for {name!r}")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise CheckpointError(
+            f"{path}: checkpoint array {name!r} has shape {shape!r}; "
+            "dims must be non-negative integers"
+        )
+    if not _is_count(offset):
+        raise CheckpointError(
+            f"{path}: checkpoint array {name!r} has offset {offset!r}; "
+            "it must be a non-negative integer"
+        )
+    need = math.prod(shape) * np.dtype(_DTYPES[entry["dtype"]]).itemsize
+    if not _is_count(nbytes) or nbytes != need:
+        raise CheckpointError(
+            f"{path}: checkpoint array {name!r} holds {nbytes!r} bytes, "
+            f"but {entry['dtype']} of shape {tuple(shape)} needs {need}"
+        )
+    if base + offset + nbytes > size:
+        raise CheckpointError(
+            f"{path}: checkpoint array {name!r} ends at byte {base + offset + nbytes} "
+            f"of a {size}-byte file (truncated checkpoint payload)"
+        )
+
+
+def _read_header(f, path, expect_kind: str | None) -> tuple[dict, dict[str, dict], int]:
+    """Parse and check everything before the payload.
+
+    Returns (meta, array entries by name, payload start); every entry has
+    been checked against the file size.
+    """
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(16)
+    if len(head) < 16 or head[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, header_len = struct.unpack("<II", raw[8:16])
+    version, header_len = struct.unpack("<II", head[8:])
     if version != VERSION:
         raise CheckpointError(
             f"{path}: checkpoint version {version} is not readable by this build "
             f"(expected version {VERSION})"
         )
+    base = 16 + header_len
+    if base > size:
+        raise CheckpointError(f"{path}: corrupt checkpoint header (it runs past the file)")
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf8"))
+        header = json.loads(f.read(header_len).decode("utf8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt checkpoint header") from e
     _require(header, ("kind", "meta", "arrays"), path, "header")
@@ -99,66 +156,74 @@ def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[st
         raise CheckpointError(
             f"{path}: checkpoint holds a {header['kind']!r} model, expected {expect_kind!r}"
         )
-    base = 16 + header_len
-    arrays = {}
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: checkpoint header 'arrays' is not a list")
+    entries = {}
     for entry in header["arrays"]:
-        _require(entry, ("name", "dtype", "shape", "offset", "nbytes"), path, "array entry")
-        if entry["dtype"] not in _DTYPES:
-            raise CheckpointError(f"{path}: unsupported array dtype {entry['dtype']!r}")
-        start = base + entry["offset"]
-        end = start + entry["nbytes"]
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated checkpoint payload")
-        arr = np.frombuffer(raw[start:end], dtype=_DTYPES[entry["dtype"]])
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(entry["dtype"])
-    return header["meta"], arrays
+        _check_entry(entry, base, size, path)
+        entries[entry["name"]] = entry
+    return header["meta"], entries, base
 
 
-def _pack_params(model) -> tuple[dict, dict]:
+def _read_into(f, path, base: int, entries: dict, dests: dict[str, np.ndarray]) -> None:
+    """Check every destination against its entry, then read each array into it.
+
+    An array stored in another dtype than its destination goes through a
+    temporary of that one array and is cast.
+    """
+    _require(entries, list(dests), path, "payload")
+    for key, dest in dests.items():
+        # without this a stored (1, k) array would broadcast into a (k, k) parameter
+        stored = tuple(entries[key]["shape"])
+        if stored != dest.shape:
+            raise CheckpointError(
+                f"{path}: checkpoint array {key!r} has shape {stored}, "
+                f"the model expects {dest.shape}"
+            )
+    for key in sorted(dests, key=lambda k: entries[k]["offset"]):
+        entry, dest = entries[key], dests[key]
+        stored = np.dtype(_DTYPES[entry["dtype"]])
+        buf = dest if dest.dtype == stored and dest.flags.c_contiguous else np.empty(dest.shape, stored)
+        f.seek(base + entry["offset"])
+        if f.readinto(buf.reshape(-1).view(np.uint8)) != entry["nbytes"]:
+            raise CheckpointError(f"{path}: truncated checkpoint payload at array {key!r}")
+        if buf is not dest:
+            dest[...] = buf
+
+
+def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+    with open(path, "rb") as f:
+        meta, entries, base = _read_header(f, path, expect_kind)
+        arrays = {name: np.empty(e["shape"], e["dtype"]) for name, e in entries.items()}
+        _read_into(f, path, base, entries, arrays)
+    return meta, arrays
+
+
+def _param_arrays(model) -> dict[str, np.ndarray]:
+    """The model's parameter and Adam-moment buffers under their checkpoint names."""
     arrays = {}
-    steps = {}
     for name, p in model.named_params():
         arrays[f"param/{name}"] = p.data
         arrays[f"adam_m/{name}"] = p.adam_m
         arrays[f"adam_v/{name}"] = p.adam_v
-        steps[name] = p.step_count
-    return arrays, steps
+    return arrays
 
 
-def _unpack_params(model, arrays: dict, steps: dict, path) -> None:
-    names = [name for name, _ in model.named_params()]
-    _require(steps, names, path, "step counts")
-    _require(
-        arrays,
-        [f"{kind}/{name}" for name in names for kind in ("param", "adam_m", "adam_v")],
-        path,
-        "payload",
-    )
+def _step_counts(model) -> dict[str, int]:
+    return {name: p.step_count for name, p in model.named_params()}
+
+
+def _read_model(f, path, base: int, entries: dict, model, steps, extra: dict) -> None:
+    """Read the model's parameters, Adam moments and `extra` arrays into place
+    and set its step counts."""
+    _require(steps, [name for name, _ in model.named_params()], path, "step counts")
+    _read_into(f, path, base, entries, {**_param_arrays(model), **extra})
     for name, p in model.named_params():
-        p.data[...] = _shaped(arrays, f"param/{name}", p.data.shape, path)
-        p.adam_m[...] = _shaped(arrays, f"adam_m/{name}", p.data.shape, path)
-        p.adam_v[...] = _shaped(arrays, f"adam_v/{name}", p.data.shape, path)
         p.step_count = int(steps[name])
 
 
-def _shaped(arrays: dict, key: str, shape, path) -> np.ndarray:
-    """arrays[key], with a CheckpointError when its shape is not the model's.
-
-    Without it a stored (1, k) array would broadcast silently into a (k, k)
-    parameter.
-    """
-    _require(arrays, (key,), path, "payload")
-    arr = arrays[key]
-    if arr.shape != tuple(shape):
-        raise CheckpointError(
-            f"{path}: checkpoint array {key!r} has shape {arr.shape}, "
-            f"the model expects {tuple(shape)}"
-        )
-    return arr
-
-
 def save_vaegan(model: VaeGanModel, path) -> None:
-    arrays, steps = _pack_params(model)
+    arrays = _param_arrays(model)
     if model.scaler.fitted:
         arrays["scaler/lo"] = model.scaler.lo
         arrays["scaler/span"] = model.scaler.span
@@ -167,48 +232,52 @@ def save_vaegan(model: VaeGanModel, path) -> None:
         "d_attr": model.d_attr,
         "d_z": model.d_z,
         "hp": vars(model.hp).copy(),
-        "steps": steps,
+        "steps": _step_counts(model),
         "rng_state": model.rng_state,
     }
     save_checkpoint(path, "vaegan", meta, arrays)
 
 
 def load_vaegan(path) -> VaeGanModel:
-    meta, arrays = load_checkpoint(path, expect_kind="vaegan")
-    _require(meta, ("d_feat", "d_attr", "hp", "steps", "rng_state"), path, "meta")
-    hp = _hyperparams(GenHyperParams, meta["hp"], path)
-    model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, stream(0, "load"))
-    _unpack_params(model, arrays, meta["steps"], path)
-    if "scaler/lo" in arrays:
-        lo = _shaped(arrays, "scaler/lo", (1, model.d_feat), path)
-        span = _shaped(arrays, "scaler/span", (1, model.d_feat), path)
-        model.scaler = FeatureScaler(lo=lo, span=span)
+    with open(path, "rb") as f:
+        meta, entries, base = _read_header(f, path, "vaegan")
+        _require(meta, ("d_feat", "d_attr", "hp", "steps", "rng_state"), path, "meta")
+        hp = _hyperparams(GenHyperParams, meta["hp"], path)
+        model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, stream(0, "load"))
+        scaler = {}
+        if "scaler/lo" in entries:
+            _require(entries, ("scaler/span",), path, "payload")
+            for key in ("scaler/lo", "scaler/span"):
+                scaler[key] = np.empty((1, model.d_feat), entries[key]["dtype"])
+        _read_model(f, path, base, entries, model, meta["steps"], scaler)
+    if scaler:
+        model.scaler = FeatureScaler(lo=scaler["scaler/lo"], span=scaler["scaler/span"])
     model.rng_state = meta["rng_state"]
     return model
 
 
 def save_projection(model: ProjectionModel, path) -> None:
-    arrays, steps = _pack_params(model)
     meta = {
         "d": model.d,
         "classes": list(model.classes),
         "use_gate": model.use_gate,
         "hp": vars(model.hp).copy(),
-        "steps": steps,
+        "steps": _step_counts(model),
     }
-    save_checkpoint(path, "projection", meta, arrays)
+    save_checkpoint(path, "projection", meta, _param_arrays(model))
 
 
 def load_projection(path) -> ProjectionModel:
-    meta, arrays = load_checkpoint(path, expect_kind="projection")
-    _require(meta, ("d", "classes", "use_gate", "hp", "steps"), path, "meta")
-    hp = _hyperparams(ProjHyperParams, meta["hp"], path)
-    model = ProjectionModel(
-        d=meta["d"],
-        classes=meta["classes"],
-        hp=hp,
-        rng=stream(0, "load"),
-        use_gate=meta["use_gate"],
-    )
-    _unpack_params(model, arrays, meta["steps"], path)
+    with open(path, "rb") as f:
+        meta, entries, base = _read_header(f, path, "projection")
+        _require(meta, ("d", "classes", "use_gate", "hp", "steps"), path, "meta")
+        hp = _hyperparams(ProjHyperParams, meta["hp"], path)
+        model = ProjectionModel(
+            d=meta["d"],
+            classes=meta["classes"],
+            hp=hp,
+            rng=stream(0, "load"),
+            use_gate=meta["use_gate"],
+        )
+        _read_model(f, path, base, entries, model, meta["steps"], {})
     return model

@@ -35,6 +35,7 @@ from .projection import ProjHyperParams, RawFeatures, train_projection
 from .util import fingerprint, write_json
 
 ARTIFACT_VERSION = "0.1.0"
+_HASH_CHUNK = 1 << 20  # bytes per read when hashing a stage-1 checkpoint
 
 
 @dataclass
@@ -197,7 +198,12 @@ def load_config_corpus(config: ExperimentConfig) -> Corpus:
 
 
 def _file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _report_json(result: dict, split, config: ExperimentConfig) -> dict:

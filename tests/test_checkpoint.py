@@ -1,11 +1,15 @@
+import errno
 import json
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from xmodal import checkpoint as ckpt
 from xmodal import data, generation as gen, projection as proj, retrieval as ret
+from xmodal.cli import main as cli_main
 from xmodal.errors import CheckpointError
 from xmodal.util import stream
 
@@ -215,3 +219,164 @@ def test_unknown_hyperparameter_key_names_it(small_setup, tmp_path, kind):
     _rewrite(path, kind, meta, arrays)
     with pytest.raises(CheckpointError, match="meta.hp holds unknown keys 'dtype'"):
         load(path)
+
+
+def _edit_entry(path, name, **changes):
+    """Rewrite one array entry of a checkpoint's header, payload unchanged."""
+    raw = path.read_bytes()
+    header_len = int.from_bytes(raw[12:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    next(e for e in header["arrays"] if e["name"] == name).update(changes)
+    blob = json.dumps(header).encode("utf8")
+    path.write_bytes(raw[:12] + len(blob).to_bytes(4, "little") + blob + raw[16 + header_len :])
+
+
+def _square_param(path):
+    _, arrays = ckpt.load_checkpoint(path)
+    return next(k for k in sorted(arrays) if k.startswith("param/") and arrays[k].shape == (8, 8))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"offset": -8}, "has offset -8"),
+        ({"offset": 8.0}, "has offset 8.0"),
+        ({"shape": [-1, 8]}, "has shape [-1, 8]"),
+        ({"shape": [8.0, 8]}, "has shape [8.0, 8]"),
+        ({"nbytes": 504}, "holds 504 bytes, but float64 of shape (8, 8) needs 512"),
+        ({"offset": 10**9}, "truncated checkpoint payload"),
+    ],
+    ids=["negative-offset", "float-offset", "negative-dim", "float-dim", "short-nbytes", "past-end"],
+)
+def test_malformed_array_entry_names_it(small_setup, tmp_path, changes, message):
+    # a negative offset used to load header bytes as weights; the others
+    # raised numpy's ValueError or TypeError
+    _, _, _, _, model = small_setup
+    path = tmp_path / "proj.ckpt"
+    ckpt.save_projection(model, path)
+    name = _square_param(path)
+    _edit_entry(path, name, **changes)
+    for load in (ckpt.load_projection, ckpt.load_checkpoint):
+        with pytest.raises(CheckpointError, match=re.escape(f"array '{name}'") + ".*" + re.escape(message)):
+            load(path)
+
+
+def test_cli_eval_malformed_array_entry_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "name": "eval-ckpt",
+        "synthetic": {"n_classes": 4, "per_class": 8, "dim": 8, "seed": 3},
+        "x_shots": [0],
+        "seeds": [0],
+    }))
+    path = tmp_path / "projection.ckpt"
+    ckpt.save_projection(proj.ProjectionModel(8, range(4), proj.ProjHyperParams(), np.random.default_rng(0)), path)
+    name = _square_param(path)
+    _edit_entry(path, name, shape=[8.5, 8])
+    capsys.readouterr()
+    assert cli_main(["eval", "--config", str(config_path), "--checkpoint", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"array '{name}' has shape [8.5, 8]" in err
+
+
+def test_file_layout_is_header_then_arrays_in_name_order(tmp_path):
+    arrays = {
+        "b": np.arange(6.0).reshape(2, 3),
+        "a": np.array([0.5, -1.0, 3.25], dtype=np.float32),
+        "c": np.arange(12.0).reshape(3, 4)[:, ::2],  # not contiguous
+    }
+    path = tmp_path / "x.ckpt"
+    ckpt.save_checkpoint(path, "misc", {"k": [1, 2]}, arrays)
+    payload = [
+        ("a", "float32", arrays["a"].astype("<f4").tobytes()),
+        ("b", "float64", arrays["b"].astype("<f8").tobytes()),
+        ("c", "float64", arrays["c"].astype("<f8").tobytes()),
+    ]
+    entries, offset = [], 0
+    for name, dtype, blob in payload:
+        shape = list(arrays[name].shape)
+        entries.append({"name": name, "dtype": dtype, "shape": shape, "offset": offset, "nbytes": len(blob)})
+        offset += len(blob)
+    header = json.dumps({"kind": "misc", "meta": {"k": [1, 2]}, "arrays": entries}).encode("utf8")
+    expected = b"FLEXCKP1" + struct.pack("<II", 1, len(header)) + header + b"".join(b for _, _, b in payload)
+    assert path.read_bytes() == expected
+
+
+def test_float32_array_loads_into_a_float64_model(small_setup, tmp_path):
+    _, _, _, _, model = small_setup
+    path = tmp_path / "proj.ckpt"
+    ckpt.save_projection(model, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    name = _square_param(path)
+    arrays[name] = arrays[name].astype(np.float32)
+    ckpt.save_checkpoint(path, "projection", meta, arrays)
+    back = dict(ckpt.load_projection(path).named_params())[name.removeprefix("param/")]
+    assert back.data.dtype == np.float64
+    assert np.array_equal(back.data, arrays[name].astype(np.float64))
+
+
+class _FullDisk:
+    """A file whose writes fail once `room` bytes have been written."""
+
+    def __init__(self, f, room):
+        self.f, self.room = f, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        n = memoryview(b).nbytes
+        if n > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= n
+        return self.f.write(b)
+
+
+def test_failed_save_removes_the_temporary_and_keeps_the_old_file(small_setup, tmp_path, monkeypatch):
+    _, _, _, _, model = small_setup
+    path = tmp_path / "proj.ckpt"
+    ckpt.save_projection(model, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(ckpt, "open", lambda p, mode: _FullDisk(open(p, mode), 4096), raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        ckpt.save_projection(model, path)
+    assert sorted(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
+def test_unsupported_dtype_is_rejected_before_any_file_is_opened(tmp_path):
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(CheckpointError, match="unsupported array dtype int64 for n"):
+        ckpt.save_checkpoint(path, "misc", {}, {"f": np.zeros(2), "n": np.arange(3)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _model_bytes(model):
+    return sum(p.data.nbytes + p.adam_m.nbytes + p.adam_v.nbytes for _, p in model.named_params())
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_streams_and_load_holds_about_one_model(tmp_path):
+    # a save keeps no copy of the payload; a load holds the new model (its
+    # parameters, gradients and moments) plus at most one array in flight
+    model = proj.ProjectionModel(128, range(5), proj.ProjHyperParams(), np.random.default_rng(0))
+    vaegan = gen.VaeGanModel(128, 64, gen.GenHyperParams(), stream(0, "init"))
+    vaegan.scaler = gen.FeatureScaler(lo=np.zeros((1, 128)), span=np.ones((1, 128)))
+    for m, save, load in (
+        (model, ckpt.save_projection, ckpt.load_projection),
+        (vaegan, ckpt.save_vaegan, ckpt.load_vaegan),
+    ):
+        path = tmp_path / "m.ckpt"
+        assert _peak(save, m, path) < 0.1 * _model_bytes(m)
+        assert _peak(load, path) <= 1.5 * _model_bytes(m)
