@@ -166,9 +166,11 @@ class Parameter(Tensor):
 
     def __init__(self, value):
         super().__init__(value, requires_grad=True)
-        self.grad = np.zeros_like(self.data)
-        self.adam_m = np.zeros_like(self.data)
-        self.adam_v = np.zeros_like(self.data)
+        # np.zeros, not zeros_like: large buffers stay untouched pages until
+        # written, so a model that is only loaded and run costs no RSS for grads
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
+        self.adam_m = np.zeros(self.data.shape, self.data.dtype)
+        self.adam_v = np.zeros(self.data.shape, self.data.dtype)
         self.step_count = 0
 
 
@@ -367,17 +369,20 @@ def leaky_relu(a, slope: float = 0.2):
     return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
-def sigmoid(a):
+def logistic(d: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: e = exp(-|d|) lies in (0, 1].
 
     Where d >= 0, e is exp(-d) and 1 / (1 + e) is the usual form; elsewhere e
     is exp(d) and e / (1 + e) is the same value without exp(-d) overflowing.
     """
-    a = _coerce(a)
-    d = a.data
     e = np.exp(-np.abs(d))
     den = 1.0 + e
-    out = np.where(d >= 0, 1.0 / den, e / den)
+    return np.where(d >= 0, 1.0 / den, e / den)
+
+
+def sigmoid(a):
+    a = _coerce(a)
+    out = logistic(a.data)
     return _node(out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
@@ -502,10 +507,15 @@ def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarra
 
 
 class Linear:
-    """Trainable affine layer; weights drawn from the given rng."""
+    """Trainable affine layer; weights drawn from the given rng.
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        self.W = Parameter(xavier_uniform(rng, d_in, d_out))
+    With rng None the weights are zeros and nothing is drawn: a layer to
+    load a checkpoint into.
+    """
+
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None):
+        W = np.zeros((d_in, d_out), _DTYPE) if rng is None else xavier_uniform(rng, d_in, d_out)
+        self.W = Parameter(W)
         self.b = Parameter(np.zeros((1, d_out)))
 
     def __call__(self, x):

@@ -6,7 +6,8 @@ are stored byte-exact, so a reloaded model reproduces its in-run numbers
 bitwise. A save streams each array from its own buffer. A load validates the
 header against the file and the model, then reads each array once into place:
 every array entry, key and shape is checked before the first payload byte is
-read, so a failed load leaves no partial model.
+read, so a failed load leaves no partial model. The model a load reads into
+is built without random draws: its weights start as zeros.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import CheckpointError
 from .generation import FeatureScaler, GenHyperParams, VaeGanModel
 from .projection import ProjHyperParams, ProjectionModel
-from .util import stream
 
 MAGIC = b"FLEXCKP1"
 VERSION = 1
@@ -243,7 +243,7 @@ def load_vaegan(path) -> VaeGanModel:
         meta, entries, base = _read_header(f, path, "vaegan")
         _require(meta, ("d_feat", "d_attr", "hp", "steps", "rng_state"), path, "meta")
         hp = _hyperparams(GenHyperParams, meta["hp"], path)
-        model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, stream(0, "load"))
+        model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, None)
         scaler = {}
         if "scaler/lo" in entries:
             _require(entries, ("scaler/span",), path, "payload")
@@ -276,7 +276,7 @@ def load_projection(path) -> ProjectionModel:
             d=meta["d"],
             classes=meta["classes"],
             hp=hp,
-            rng=stream(0, "load"),
+            rng=None,
             use_gate=meta["use_gate"],
         )
         _read_model(f, path, base, entries, model, meta["steps"], {})

@@ -1,7 +1,8 @@
 """Experiment orchestration: config, the stages of a cell, the x-shot grid.
 
 Each stage of an (x_shot, seed) cell has one implementation that every entry
-point calls: `cell_split`, `stage1` (generators plus pseudo pairs) and
+point calls: `cell_split`, `stage1` (generators, both modalities at once when
+a second core is free, plus pseudo pairs) and
 `stage2` (projection, target/source/baseline mAP, projection checkpoint and
 reports). `run_cell` chains them; `synth_cell` stops after stage 1 and writes
 the pseudo corpus; `train_proj_cell` runs stage 2 on the one `synth` wrote

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xmodal import autodiff as ad
 from xmodal import checkpoint as ckpt
 from xmodal import data, generation as gen, projection as proj, retrieval as ret
 from xmodal.cli import main as cli_main
@@ -40,6 +41,28 @@ def test_vaegan_round_trip_bitwise(small_setup, tmp_path):
     assert np.array_equal(img.scaler.span, back.scaler.span)
     assert img.rng_state == back.rng_state
     assert back.d_z == img.d_z
+
+
+def test_loads_draw_no_weights(small_setup, tmp_path, monkeypatch):
+    # the model a load reads into starts from zeros: Xavier weights that the
+    # read then overwrote took 0.16 s of a 0.20 s projection load at d=1024
+    _, _, img, _, model = small_setup
+    ckpt.save_vaegan(img, tmp_path / "gen.ckpt")
+    ckpt.save_projection(model, tmp_path / "proj.ckpt")
+
+    def no_draws(*args):
+        raise AssertionError("a load drew random weights")
+
+    monkeypatch.setattr(ad, "xavier_uniform", no_draws)
+    for saved, back in (
+        (img, ckpt.load_vaegan(tmp_path / "gen.ckpt")),
+        (model, ckpt.load_projection(tmp_path / "proj.ckpt")),
+    ):
+        for (n1, p1), (n2, p2) in zip(saved.named_params(), back.named_params()):
+            assert n1 == n2
+            for got, want in ((p2.data, p1.data), (p2.adam_m, p1.adam_m), (p2.adam_v, p1.adam_v)):
+                assert np.array_equal(got, want)
+            assert not p2.grad.any()
 
 
 def test_vaegan_reload_synthesizes_identically(small_setup, tmp_path):

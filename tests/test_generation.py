@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -384,6 +388,80 @@ def test_eg_step_holds_the_critic_constant(use_vae):
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("use_vae", [True, False])
+@pytest.mark.parametrize("d, d_attr, n", [(16, 8, 7), (64, 64, 16)])
+def test_eg_step_equals_the_tape_backward_bitwise(use_vae, d, d_attr, n):
+    # an odd batch makes the 1/n scalings inexact, and BLAS may sum a
+    # product over a column slice in another order than over the whole
+    # matrix (the critic's W1 at d = d_attr = 64 and n = 16 is such a case)
+    hp = gen.GenHyperParams(seed=1)
+    model = gen.VaeGanModel(d, d_attr, hp, stream(d + n, "init"))
+    rng = np.random.default_rng(n)
+    v, a = rng.uniform(0.05, 0.95, size=(n, d)), rng.normal(size=(n, d_attr))
+    eg = model.encoder.params + model.generator.params
+    zero_grads(model.params)
+    losses = gen.generation_losses((v, a), model, replace(hp, lambda_gp=0.0), stream(5, "eg"), use_vae)
+    ad.backward(losses["total"])
+    want = [p.grad.copy() for p in eg]
+
+    zero_grads(model.params)
+    rng_step = stream(5, "eg")
+    assert gen.eg_step(v, a, model, hp, rng_step, use_vae) == losses["total"].item()
+    for got, expected in zip((p.grad for p in eg), want):
+        assert np.array_equal(got, expected)
+    # the two skipped penalty eps are drawn after the step's own draws
+    rng_tape = stream(5, "eg")
+    gen.generation_losses((v, a), model, hp, rng_tape, use_vae)
+    assert rng_step.bit_generator.state == rng_tape.bit_generator.state
+    ad.active_tape().clear()
+
+
+@pytest.mark.parametrize("use_vae", [True, False])
+def test_eg_step_gradients_match_finite_differences(use_vae):
+    model, hp = small_model(d=6, seed=81)
+    v, a = fixture_batch(d=6, n=5, seed=82)
+
+    def loss_value():
+        with ad.no_grad():
+            losses = gen.generation_losses(
+                (v, a), model, replace(hp, lambda_gp=0.0), stream(4, "eg"), use_vae
+            )
+            return losses["total"].item()
+
+    eg = model.encoder.params + model.generator.params if use_vae else model.generator.params
+    # eps=1e-6 keeps the stencil clear of ReLU and LeakyReLU mask flips
+    assert_grad_matches(
+        loss_value, eg, lambda: gen.eg_step(v, a, model, hp, stream(4, "eg"), use_vae), eps=1e-6
+    )
+    if not use_vae:
+        assert not any(p.grad.any() for p in model.encoder.params)
+
+
+def _step_peak(step, *args):
+    tracemalloc.start()
+    try:
+        step(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage1_steps_hold_few_temporaries_at_width_512():
+    # wide_cell's shapes: d = d_attr = 512 and a 256-row batch; the critic's
+    # first weight alone is 8 MiB. A tape E/G step peaked at 57 MB and the
+    # critic step at 60 MB; two steps at a time must fit in one of those.
+    hp = gen.GenHyperParams(seed=2)
+    model = gen.VaeGanModel(512, 512, hp, stream(2, "init"))
+    rng = np.random.default_rng(3)
+    v, a = rng.uniform(size=(256, 512)), rng.normal(size=(256, 512))
+    posterior = model.posterior(v, a)
+    mb = 1 << 20
+    critic = _step_peak(gen.critic_step, v, a, model, hp, stream(4, "noise"), posterior)
+    eg = _step_peak(gen.eg_step, v, a, model, hp, stream(4, "noise"), True)
+    assert critic <= 30 * mb
+    assert eg <= 28.5 * mb
+
+
 def test_no_vae_losses_drop_reconstruction_path():
     model, hp = small_model(d=6, seed=41)
     batch = fixture_batch(d=6, n=4, seed=42)
@@ -440,6 +518,108 @@ def test_nan_weight_fails_at_the_first_critic_step(monkeypatch):
     hp = gen.GenHyperParams(lr=1e-3, batch=8, epochs=2, seed=3)
     with pytest.raises(NonFiniteError, match=r"^stage 1 img critic: loss is nan at epoch 1, step 1$"):
         gen.train_generation(split, corpus, hp)
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Train the text model on the worker thread whatever the width and core count."""
+    monkeypatch.setattr(gen, "CONCURRENT_MIN_WIDTH", 0)
+    monkeypatch.setattr(gen, "_spare_core", lambda: True)
+
+
+def _tiny_cell(epochs=2):
+    corpus = data.synth_corpus(n_classes=4, per_class=6, dim=8, seed=2)
+    split = data.split_xshot(corpus, x=0, seed=2)
+    return corpus, split, gen.GenHyperParams(lr=1e-3, batch=8, epochs=epochs, seed=3)
+
+
+@pytest.mark.parametrize("use_vae", [True, False])
+def test_concurrent_training_equals_training_in_turn(worker, monkeypatch, use_vae):
+    corpus, split, hp = _tiny_cell()
+    threads = set()
+    real_eg_step = gen.eg_step
+
+    def eg_step(*args):
+        threads.add(threading.get_ident())
+        return real_eg_step(*args)
+
+    monkeypatch.setattr(gen, "eg_step", eg_step)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as possible
+    try:
+        img, txt, curves = gen.train_generation(split, corpus, hp, use_vae)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(threads) == 2
+
+    idx = list(split.source_train) + list(split.target_train)
+    attrs = corpus.attr_matrix(idx)
+    for modality, feats, model in (
+        ("img", corpus.image_matrix(idx), img),
+        ("txt", corpus.text_matrix(idx), txt),
+    ):
+        ref, X = gen._new_model(feats, attrs.shape[1], hp, modality)
+        curve = gen._train_single_modality(ref, X, attrs, hp, modality, use_vae, threading.Event())
+        assert curves[modality] == curve
+        assert model.rng_state == ref.rng_state
+        for (name, p), (_, q) in zip(model.named_params(), ref.named_params()):
+            assert p.step_count == q.step_count, name
+            for got, want in ((p.data, q.data), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v)):
+                assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("poisoned", [("txt",), ("img", "txt")])
+def test_nan_in_a_concurrent_modality_is_raised_in_serial_order(worker, monkeypatch, poisoned):
+    corpus, split, hp = _tiny_cell()
+    init_states = {m: stream(hp.seed, m, "init").bit_generator.state for m in poisoned}
+
+    class Poisoned(gen.VaeGanModel):
+        def __init__(self, d_feat, d_attr, hp, rng):
+            fresh = rng.bit_generator.state in init_states.values()
+            super().__init__(d_feat, d_attr, hp, rng)
+            if fresh:
+                self.generator.l2.W.data[0, 0] = np.nan
+
+    monkeypatch.setattr(gen, "VaeGanModel", Poisoned)
+    before = threading.active_count()
+    with pytest.raises(
+        NonFiniteError, match=rf"^stage 1 {poisoned[0]} critic: loss is nan at epoch 1, step 1$"
+    ):
+        gen.train_generation(split, corpus, hp)
+    assert threading.active_count() == before
+
+
+def test_calling_thread_error_stops_the_worker_within_one_batch(worker, monkeypatch):
+    # one batch per epoch: without the stop the worker would run all 40
+    corpus, split, hp = _tiny_cell(epochs=40)
+    hp = replace(hp, batch=64)
+    main = threading.get_ident()
+    worker_started = threading.Event()
+    raised = threading.Event()
+    after_raise = []
+    real_critic_step, real_eg_step = gen.critic_step, gen.eg_step
+
+    def critic_step(*args):
+        if threading.get_ident() == main:
+            assert worker_started.wait(timeout=60)
+            raised.set()
+            raise KeyboardInterrupt
+        return real_critic_step(*args)
+
+    def eg_step(*args):
+        after_raise.append(raised.is_set())
+        worker_started.set()
+        time.sleep(0.02)  # a slow batch, so the calling thread sets the stop mid-batch
+        return real_eg_step(*args)
+
+    monkeypatch.setattr(gen, "critic_step", critic_step)
+    monkeypatch.setattr(gen, "eg_step", eg_step)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        gen.train_generation(split, corpus, hp)
+    assert threading.active_count() == before
+    assert sum(after_raise) <= 1
+    assert len(after_raise) < hp.epochs
 
 
 def test_modality_streams_are_independent():
