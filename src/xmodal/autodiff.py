@@ -369,15 +369,18 @@ def leaky_relu(a, slope: float = 0.2):
     return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
-def logistic(d: np.ndarray) -> np.ndarray:
+def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow: e = exp(-|d|) lies in (0, 1].
 
     Where d >= 0, e is exp(-d) and 1 / (1 + e) is the usual form; elsewhere e
     is exp(d) and e / (1 + e) is the same value without exp(-d) overflowing.
+    The numerator and the result are formed in `out`, which may be d itself.
     """
-    e = np.exp(-np.abs(d))
+    pos = d >= 0
+    e = np.exp(np.negative(np.abs(d, out=out), out=out), out=out)
     den = 1.0 + e
-    return np.where(d >= 0, 1.0 / den, e / den)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, den, out=e)
 
 
 def sigmoid(a):
@@ -499,6 +502,18 @@ def linear(x, W, b):
             lambda g: g.sum(axis=0, keepdims=True),
         ),
     )
+
+
+def affine(x: np.ndarray, layer: "Linear") -> np.ndarray:
+    """`linear`'s value in plain numpy: x @ W, then the bias added in place."""
+    out = x @ layer.W.data
+    out += layer.b.data
+    return out
+
+
+def relu_inplace(x: np.ndarray) -> np.ndarray:
+    """`relu`'s value, x times its (x > 0) mask, formed in x."""
+    return np.multiply(x, x > 0, out=x)
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:

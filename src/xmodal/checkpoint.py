@@ -263,6 +263,7 @@ def save_projection(model: ProjectionModel, path) -> None:
         "use_gate": model.use_gate,
         "hp": vars(model.hp).copy(),
         "steps": _step_counts(model),
+        "config_fingerprint": model.config_fingerprint,
     }
     save_checkpoint(path, "projection", meta, _param_arrays(model))
 
@@ -280,4 +281,5 @@ def load_projection(path) -> ProjectionModel:
             use_gate=meta["use_gate"],
         )
         _read_model(f, path, base, entries, model, meta["steps"], {})
+    model.config_fingerprint = meta.get("config_fingerprint")
     return model

@@ -35,15 +35,15 @@ reference, bitwise.
 
 The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time: `train_generation` runs the text model on a worker
-thread when a second core is free (see `CONCURRENT_MIN_WIDTH`). numpy
+thread when a second core is free (see `util.CONCURRENT_MIN_WIDTH`). numpy
 releases the GIL inside BLAS calls and ufunc loops, so the threads overlap.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .autodiff import Linear, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import require_finite, stream
+from .util import require_finite, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -193,10 +193,10 @@ class Critic:
 
     def scores(self, x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The tape forward's scores at rows [x, a], in numpy, and the slope mask M."""
-        pre = _affine(np.concatenate([x, a], axis=1), self.l1)
+        pre = ad.affine(np.concatenate([x, a], axis=1), self.l1)
         M = ad.slope_mask(pre, LEAKY_SLOPE)
         pre *= M
-        return _affine(pre, self.l2), M
+        return ad.affine(pre, self.l2), M
 
     @property
     def params(self):
@@ -333,17 +333,6 @@ def _data(x) -> np.ndarray:
 # forward, op for op, so values (and the curves) match it bitwise
 
 
-def _affine(x: np.ndarray, layer: Linear) -> np.ndarray:
-    out = x @ layer.W.data
-    out += layer.b.data
-    return out
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    """x times its (x > 0) mask, in place."""
-    return np.multiply(x, x > 0, out=x)
-
-
 def _mean(x: np.ndarray) -> float:
     """The tape's `mean_all`: the sum times 1 / size."""
     return x.sum() * (1.0 / x.size)
@@ -352,17 +341,17 @@ def _mean(x: np.ndarray) -> float:
 def _encode(enc: Encoder, v: np.ndarray, a: np.ndarray):
     """Encoder forward: ((input, h1, h2, h3), mu, pre-clip logvar)."""
     x = np.concatenate([v, a], axis=1)
-    h1 = _relu(_affine(x, enc.l1))
-    h2 = _relu(_affine(h1, enc.l2))
-    h3 = ad.logistic(_affine(h2, enc.l3))
-    return (x, h1, h2, h3), _affine(h3, enc.mu_head), _affine(h3, enc.logvar_head)
+    h1 = ad.relu_inplace(ad.affine(x, enc.l1))
+    h2 = ad.relu_inplace(ad.affine(h1, enc.l2))
+    h3 = ad.logistic(ad.affine(h2, enc.l3))
+    return (x, h1, h2, h3), ad.affine(h3, enc.mu_head), ad.affine(h3, enc.logvar_head)
 
 
 def _generate(gen: Generator, z: np.ndarray, a: np.ndarray):
     """Generator forward: (input, hidden, output feature)."""
     x = np.concatenate([z, a], axis=1)
-    h = _relu(_affine(x, gen.l1))
-    return x, h, ad.logistic(_affine(h, gen.l2))
+    h = ad.relu_inplace(ad.affine(x, gen.l1))
+    return x, h, ad.logistic(ad.affine(h, gen.l2))
 
 
 def _vae_forward(model: VaeGanModel, v: np.ndarray, a: np.ndarray, rng):
@@ -623,17 +612,6 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     return float(((kl + recon) + gan1) + gan2)
 
 
-# the narrowest feature width at which stage 1 trains its two modalities at
-# the same time. On 2 cores the worker thread pays for itself in time from
-# about d=48, but it always costs memory (a thread, a malloc arena and a second
-# step's temporaries); at d=128 it saves a third of a cell, at d=64 an eighth
-CONCURRENT_MIN_WIDTH = 128
-
-
-def _spare_core() -> bool:
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
 def train_generation(
     split: XShotSplit,
     corpus: Corpus,
@@ -644,7 +622,7 @@ def train_generation(
 
     Returns (image model, text model, loss curves); curves hold per-epoch
     means keyed by modality. With a second usable core and features at
-    least `CONCURRENT_MIN_WIDTH` wide, the text model trains on a worker
+    least `util.CONCURRENT_MIN_WIDTH` wide, the text model trains on a worker
     thread while the image model trains on the calling thread; the results
     are bitwise those of training one after the other. Errors surface in
     that order too: the image model's first. If the calling thread raises,
@@ -664,32 +642,13 @@ def train_generation(
         )
     }
     stop = threading.Event()
-    curves = {}
 
     def train(modality):
-        try:
-            curves[modality] = _train_single_modality(*jobs[modality], attrs, hp, modality, use_vae, stop)
-        except BaseException as e:  # re-raised on the calling thread
-            curves[modality] = e
+        return partial(_train_single_modality, *jobs[modality], attrs, hp, modality, use_vae, stop)
 
-    concurrent = _spare_core() and min(X.shape[1] for _, X in jobs.values()) >= CONCURRENT_MIN_WIDTH
-    worker = threading.Thread(target=train, args=("txt",), name="stage1-txt", daemon=True)
-    if concurrent:
-        worker.start()
-    try:
-        curves["img"] = _train_single_modality(*jobs["img"], attrs, hp, "img", use_vae, stop)
-        if concurrent:
-            worker.join()
-    except BaseException:
-        stop.set()
-        if concurrent:
-            worker.join()
-        raise
-    if not concurrent:
-        train("txt")
-    if isinstance(curves["txt"], BaseException):
-        raise curves["txt"]
-    return jobs["img"][0], jobs["txt"][0], {"img": curves["img"], "txt": curves["txt"]}
+    width = min(X.shape[1] for _, X in jobs.values())
+    img_curve, txt_curve = run_pair(train("img"), train("txt"), width, stop)
+    return jobs["img"][0], jobs["txt"][0], {"img": img_curve, "txt": txt_curve}
 
 
 def _new_model(feats, d_attr, hp, modality):

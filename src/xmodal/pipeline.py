@@ -3,8 +3,10 @@
 Each stage of an (x_shot, seed) cell has one implementation that every entry
 point calls: `cell_split`, `stage1` (generators, both modalities at once when
 a second core is free, plus pseudo pairs) and
-`stage2` (projection, target/source/baseline mAP, projection checkpoint and
-reports). `run_cell` chains them; `synth_cell` stops after stage 1 and writes
+`stage2` (projection, target/source/baseline mAP with both directions at
+once under the same rule, projection checkpoint and reports). Each stage
+fails the cell before its checkpoints are written if a trained parameter is
+NaN or Inf. `run_cell` chains them; `synth_cell` stops after stage 1 and writes
 the pseudo corpus; `train_proj_cell` runs stage 2 on the one `synth` wrote
 for the same cell. Cells live in `cell_x{x}_s{seed}/` under the output root.
 `run_grid` runs a cell function over the grid; cells fail independently, and
@@ -33,7 +35,7 @@ from .data import (
 from .errors import ConfigError, DimensionMismatchError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
-from .util import fingerprint, write_json
+from .util import fingerprint, require_finite_params, write_json
 
 ARTIFACT_VERSION = "0.1.0"
 _HASH_CHUNK = 1 << 20  # bytes per read when hashing a stage-1 checkpoint
@@ -207,13 +209,16 @@ def _file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _report_json(result: dict, split, config: ExperimentConfig) -> dict:
+def _report_json(result: dict, split, config: ExperimentConfig, trained: str | None) -> dict:
+    """A report; `trained` is the fingerprint of the config that trained the
+    scored model, which for a loaded checkpoint may differ from `config`'s."""
     return {
         "img2txt": result["img2txt"].to_json(),
         "txt2img": result["txt2img"].to_json(),
         "avg": result["avg"],
         "split": split.describe(),
         "config_fingerprint": config.fingerprint(),
+        "trained_config_fingerprint": trained,
     }
 
 
@@ -255,6 +260,8 @@ def stage1(corpus: Corpus, split: XShotSplit, config: ExperimentConfig, cell: di
         split, corpus, gen_hp, use_vae=not config.ablations.no_vae
     )
     cell["timings"]["stage1"] = time.perf_counter() - t0
+    require_finite_params(img_model, "stage 1 img")
+    require_finite_params(txt_model, "stage 1 txt")
     pseudo = synthesize_target_set(
         (img_model, txt_model),
         split.target_classes,
@@ -292,9 +299,10 @@ def stage2(
     )
     model, proj_curve = train_projection(split, corpus, pseudo, proj_hp, use_gate=not abl.no_gate)
     cell["timings"]["stage2"] = time.perf_counter() - t0
+    require_finite_params(model, "stage 2 projection")
+    fp = model.config_fingerprint = config.fingerprint()
 
     t0 = time.perf_counter()
-    fp = config.fingerprint()
     target = retrieval.evaluate(model, split, corpus, domain="target", fingerprint=fp)
     source = retrieval.evaluate(model, split, corpus, domain="source", fingerprint=fp)
     baseline = retrieval.evaluate(RawFeatures(), split, corpus, domain="target", fingerprint=fp)
@@ -312,9 +320,9 @@ def stage2(
                 )
 
     cell["reports"] = {
-        "target": _report_json(target, split, config),
-        "source": _report_json(source, split, config),
-        "baseline_target": _report_json(baseline, split, config),
+        "target": _report_json(target, split, config, fp),
+        "source": _report_json(source, split, config, fp),
+        "baseline_target": _report_json(baseline, split, config, None),
     }
     if out_dir is not None:
         write_json(out_dir / "reports.json", {"config": config.resolved(), **cell["reports"]})
@@ -410,7 +418,11 @@ def eval_checkpoint(
     seed: int,
     domain: str = "target",
 ) -> dict:
-    """Load a projection checkpoint and score it on a freshly built split."""
+    """Load a projection checkpoint and score it on a freshly built split.
+
+    The report's `trained_config_fingerprint` is the one the checkpoint
+    stores (None if it stores none); `config_fingerprint` is `config`'s.
+    """
     model = ckpt.load_projection(checkpoint_path)
     corpus = load_config_corpus(config)
     if model.d != corpus.dim:
@@ -419,4 +431,4 @@ def eval_checkpoint(
         )
     split = cell_split(corpus, x_shot, seed, config)
     result = retrieval.evaluate(model, split, corpus, domain=domain, fingerprint=config.fingerprint())
-    return _report_json(result, split, config)
+    return _report_json(result, split, config, model.config_fingerprint)

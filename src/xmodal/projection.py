@@ -193,6 +193,8 @@ class ProjectionModel:
         self.gate_v = GateNet(d, rng)
         self.gate_t = GateNet(d, rng)
         self.head = ClassifierHead(d, len(self.classes), rng)
+        # the fingerprint of the run config that trained the model, when known
+        self.config_fingerprint: str | None = None
 
     def _embed(self, x, projector, gate) -> Tensor:
         if self.use_gate:
@@ -205,13 +207,36 @@ class ProjectionModel:
     def embed_texts_node(self, x) -> Tensor:
         return self._embed(x, self.projector_t, self.gate_t)
 
+    def _embed_array(self, X, projector: Projector, gate: GateNet) -> np.ndarray:
+        """`_embed`'s value in plain numpy, formed in place with no tape.
+
+        It repeats the tape's float operations, so the result equals
+        `embed_*_node(X).data` bitwise. X itself is never written.
+        """
+        x = ad.as_matrix(X)
+        h = ad.relu_inplace(ad.affine(x, projector.l1))
+        f = ad.affine(h, projector.l2)
+        if not self.use_gate:
+            return f
+        joint = np.concatenate([x, f], axis=1)
+        h = np.matmul(joint, gate.l1.W.data, out=h)
+        del joint
+        h += gate.l1.b.data
+        g = ad.affine(ad.relu_inplace(h), gate.l2)
+        del h
+        ad.logistic(g, out=g)
+        # u = g * f + (1 - g) * x, formed in f's buffer
+        f *= g
+        np.subtract(1.0, g, out=g)
+        g *= x
+        f += g
+        return f
+
     def embed_images(self, X: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self.embed_images_node(Tensor(X)).data
+        return self._embed_array(X, self.projector_v, self.gate_v)
 
     def embed_texts(self, X: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self.embed_texts_node(Tensor(X)).data
+        return self._embed_array(X, self.projector_t, self.gate_t)
 
     def named_params(self) -> list[tuple[str, ad.Parameter]]:
         out = []

@@ -4,6 +4,17 @@ Relevance is class-label match; the whole gallery is ranked per query with
 ties broken by ascending gallery index, and AP sums precision at every
 relevant rank divided by the total relevant count. Queries are ranked BLOCK
 rows at a time, which bounds the memory the ranking takes.
+
+The two directions share nothing until their average, so `evaluate` uses a
+second core when one is free and the features are at least
+`util.CONCURRENT_MIN_WIDTH` wide: the image embeddings are computed on a
+worker thread while the text embeddings are computed on the calling thread,
+then Txt2Img is ranked on the worker while Img2Txt is ranked on the calling
+thread. numpy releases the GIL in BLAS calls, sorts and ufunc loops, so the
+threads overlap. The reports are bitwise those of a serial run, and errors
+surface in serial order (Img2Txt's first). The second thread holds its own
+forward's temporaries and a ranking's similarity block at the same time as
+the first.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import numpy as np
 
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, NonFiniteError
+from .util import run_pair
 
 logger = logging.getLogger(__name__)
 
@@ -131,13 +143,21 @@ def evaluate(
     g_labels = corpus.labels(g_idx)
     rel = q_labels[:, None] == g_labels[None, :]
 
-    u_img_q = model.embed_images(corpus.image_matrix(q_idx))
-    u_txt_q = model.embed_texts(corpus.text_matrix(q_idx))
-    u_img_g = model.embed_images(corpus.image_matrix(g_idx))
-    u_txt_g = model.embed_texts(corpus.text_matrix(g_idx))
+    def embed(fn, matrix):
+        return lambda: (fn(matrix(q_idx)), fn(matrix(g_idx)))
 
-    img2txt = mean_ap(u_img_q, u_txt_g, rel, direction="Img2Txt", fingerprint=fingerprint)
-    txt2img = mean_ap(u_txt_q, u_img_g, rel, direction="Txt2Img", fingerprint=fingerprint)
+    # the image side on the worker; Img2Txt on the calling thread, so when
+    # both directions fail its error is the one raised, as in a serial run
+    (u_txt_q, u_txt_g), (u_img_q, u_img_g) = run_pair(
+        embed(model.embed_texts, corpus.text_matrix),
+        embed(model.embed_images, corpus.image_matrix),
+        corpus.dim,
+    )
+    img2txt, txt2img = run_pair(
+        lambda: mean_ap(u_img_q, u_txt_g, rel, direction="Img2Txt", fingerprint=fingerprint),
+        lambda: mean_ap(u_txt_q, u_img_g, rel, direction="Txt2Img", fingerprint=fingerprint),
+        corpus.dim,
+    )
     return {
         "img2txt": img2txt,
         "txt2img": txt2img,

@@ -1,6 +1,18 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+from xmodal import util  # noqa: E402
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Run `util.run_pair`'s second job on the worker thread whatever the width
+    and core count: the text model in stage 1, the image side in evaluation."""
+    monkeypatch.setattr(util, "CONCURRENT_MIN_WIDTH", 0)
+    monkeypatch.setattr(util, "_spare_core", lambda: True)

@@ -520,13 +520,6 @@ def test_nan_weight_fails_at_the_first_critic_step(monkeypatch):
         gen.train_generation(split, corpus, hp)
 
 
-@pytest.fixture
-def worker(monkeypatch):
-    """Train the text model on the worker thread whatever the width and core count."""
-    monkeypatch.setattr(gen, "CONCURRENT_MIN_WIDTH", 0)
-    monkeypatch.setattr(gen, "_spare_core", lambda: True)
-
-
 def _tiny_cell(epochs=2):
     corpus = data.synth_corpus(n_classes=4, per_class=6, dim=8, seed=2)
     split = data.split_xshot(corpus, x=0, seed=2)

@@ -235,6 +235,44 @@ def test_cli_eval_checkpoint(tmp_path, capsys):
     assert abs(report["avg"] - want) < 1e-12
 
 
+def test_cli_eval_reports_the_fingerprint_of_the_training_run(tmp_path, capsys):
+    # the grid flags change the run's config, so its fingerprint is not the
+    # fingerprint of the config file that eval is given
+    config_path = _config_file(tmp_path, tiny_config())
+    run_dir = tmp_path / "run"
+    assert cli_main([
+        "run", "--config", str(config_path), "--out", str(run_dir), "--x-shot", "1", "--seed", "1",
+    ]) == 0
+    record = json.loads((run_dir / "run_record.json").read_text())
+    report_path = tmp_path / "report.json"
+    assert cli_main([
+        "eval", "--config", str(config_path),
+        "--checkpoint", str(run_dir / "cell_x1_s1" / "projection.ckpt"),
+        "--eval-x-shot", "1", "--eval-seed", "1", "--report", str(report_path),
+    ]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["trained_config_fingerprint"] == record["config_fingerprint"]
+    assert report["config_fingerprint"] == tiny_config().fingerprint() != record["config_fingerprint"]
+    in_run = record["cells"][0]["reports"]
+    assert in_run["target"]["trained_config_fingerprint"] == record["config_fingerprint"]
+    assert in_run["baseline_target"]["trained_config_fingerprint"] is None
+    assert report["avg"] == in_run["target"]["avg"]
+
+
+def test_eval_of_a_checkpoint_without_a_fingerprint_reports_none(tmp_path):
+    cfg = tiny_config()
+    path = tmp_path / "projection.ckpt"
+    ckpt.save_projection(
+        proj.ProjectionModel(16, range(6), proj.ProjHyperParams(), np.random.default_rng(0)), path
+    )
+    meta, arrays = ckpt.load_checkpoint(path)
+    del meta["config_fingerprint"]
+    ckpt.save_checkpoint(path, "projection", meta, arrays)
+    report = pipeline.eval_checkpoint(path, cfg, x_shot=0, seed=0)
+    assert report["trained_config_fingerprint"] is None
+    assert report["config_fingerprint"] == cfg.fingerprint()
+
+
 def test_cli_ablation_flags_apply(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
@@ -386,6 +424,44 @@ def test_pseudo_corpus_of_another_split_is_rejected():
     )
     with pytest.raises(DimensionMismatchError, match="pseudo corpus dim 8"):
         pipeline.stage2(corpus, split0, narrow, cfg, cell)
+
+
+@pytest.mark.parametrize("stage, network", [
+    ("stage 1 txt", "generator.l2.W"), ("stage 2 projection", "gate_t.l1.b"),
+])
+def test_non_finite_parameter_fails_the_cell_before_its_checkpoint(
+    tmp_path, monkeypatch, stage, network
+):
+    # a NaN that the last update leaves behind, after the last loss was checked
+    def poison(model):
+        dict(model.named_params())[network].data[0, -1] = np.inf
+
+    if stage.startswith("stage 1"):
+        real = pipeline.train_generation
+
+        def train_generation(*args, **kwargs):
+            img, txt, curves = real(*args, **kwargs)
+            poison(txt)
+            return img, txt, curves
+
+        monkeypatch.setattr(pipeline, "train_generation", train_generation)
+    else:
+        real = pipeline.train_projection
+
+        def train_projection(*args, **kwargs):
+            model, curve = real(*args, **kwargs)
+            poison(model)
+            return model, curve
+
+        monkeypatch.setattr(pipeline, "train_projection", train_projection)
+    record = pipeline.run_experiment(tiny_config(out_dir=str(tmp_path)))
+    assert record["failures"] == 1
+    assert record["cells"][0]["error"] == (
+        f"NonFiniteError: {stage}: parameter {network} holds a non-finite value"
+    )
+    cell = pipeline.cell_dir(tmp_path, 0, 0)
+    written = {p.name for p in cell.iterdir()} if cell.exists() else set()
+    assert written == ({"gen_img.ckpt", "gen_txt.ckpt"} if stage.startswith("stage 2") else set())
 
 
 def test_synth_then_train_proj_fills_the_run_layout(tmp_path, capsys):

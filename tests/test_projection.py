@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from xmodal import autodiff as ad
-from xmodal import data, projection as proj
+from xmodal import data, projection as proj, retrieval as ret
 from xmodal.errors import ConfigError, ContractError, NonFiniteError
 from xmodal.util import stream
 
@@ -67,6 +69,72 @@ def test_fused_values_stay_between_original_and_projected():
     hi = np.maximum(x.data, f.data)
     assert np.all(u.data >= lo)
     assert np.all(u.data <= hi)
+
+
+# ---------------------------------------------------------------------------
+# the no-grad forward evaluation uses
+
+
+def _tape_embeddings(model, X):
+    with ad.no_grad():
+        return model.embed_images_node(X).data, model.embed_texts_node(X).data
+
+
+def _gate_preactivation(model, X):
+    with ad.no_grad():
+        x = ad.Tensor(X)
+        joint = ad.concat_cols(x, model.projector_v(x))
+        return model.gate_v.l2(ad.relu(model.gate_v.l1(joint))).data
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+def test_lean_embeddings_equal_the_tape_bitwise(use_gate, scale):
+    d = 12
+    model = proj.ProjectionModel(
+        d, range(3), proj.ProjHyperParams(), stream(4, "init"), use_gate=use_gate
+    )
+    rng = np.random.default_rng(5)
+    for p in model.params:
+        p.data += rng.normal(scale=0.3, size=p.data.shape)
+    X = rng.normal(scale=scale, size=(40, d))
+    before = X.copy()
+    if use_gate and scale > 1.0:
+        # both of the logistic's branches, and its saturated ends, run
+        pre = _gate_preactivation(model, X)
+        assert (pre > 40.0).any() and (pre < -40.0).any()
+    want_img, want_txt = _tape_embeddings(model, X)
+    assert np.array_equal(model.embed_images(X), want_img)
+    assert np.array_equal(model.embed_texts(X), want_txt)
+    assert np.array_equal(X, before)
+
+
+def test_lean_embeddings_of_a_nan_weight_are_nan():
+    # so retrieval still refuses to score a diverged model
+    model, _ = make_model(d=8)
+    model.projector_v.l1.W.data[0, 0] = np.nan
+    X = np.random.default_rng(6).normal(size=(10, 8))
+    u = model.embed_images(X)
+    assert np.isnan(u).all()
+    assert np.array_equal(u, _tape_embeddings(model, X)[0], equal_nan=True)
+    with pytest.raises(NonFiniteError, match="non-finite value in the queries"):
+        ret.mean_ap(u, X, np.ones((10, 10), dtype=bool))
+
+
+def test_lean_forward_holds_few_temporaries():
+    # at its peak the tape forward holds six (n, d) arrays besides the input,
+    # the lean one four: the projection, the (n, 2d) concat and one hidden buffer
+    n, d = 400, 256
+    model, _ = make_model(d=d)
+    X = np.random.default_rng(7).normal(size=(n, d))
+    model.embed_images(X)
+    tracemalloc.start()
+    try:
+        model.embed_images(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * d * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from xmodal import data, retrieval as ret
+from xmodal import data, retrieval as ret, util
 from xmodal.errors import ConfigError, NonFiniteError
-from xmodal.projection import RawFeatures
+from xmodal.projection import ProjectionModel, ProjHyperParams, RawFeatures
 
 
 def brute_force_ap(bits):
@@ -237,3 +240,94 @@ def test_evaluate_rejects_bad_domain(eval_setup):
     corpus, split = eval_setup
     with pytest.raises(ConfigError):
         ret.evaluate(RawFeatures(), split, corpus, domain="test")
+
+
+# ---------------------------------------------------------------------------
+# evaluate on two threads
+
+
+@pytest.fixture
+def fine_switching():
+    """Interleave the two threads as finely as possible."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(switch)
+
+
+def _model(seed=0):
+    return ProjectionModel(16, range(6), ProjHyperParams(), np.random.default_rng(seed))
+
+
+def _reports(result):
+    return {k: v.to_json() if k != "avg" else v for k, v in result.items()}
+
+
+@pytest.mark.parametrize("domain", ["target", "source"])
+def test_concurrent_evaluation_equals_serial_bitwise(
+    eval_setup, monkeypatch, worker, fine_switching, domain
+):
+    corpus, split = eval_setup
+    model = _model()
+    threads = {}
+    real_mean_ap = ret.mean_ap
+
+    def seen(key):
+        threads.setdefault(key, set()).add(threading.get_ident())
+
+    def embedder(key, embed):
+        def wrapped(X):
+            seen(key)
+            return embed(X)
+        return wrapped
+
+    def mean_ap(*args, **kwargs):
+        seen(kwargs["direction"])
+        return real_mean_ap(*args, **kwargs)
+
+    monkeypatch.setattr(model, "embed_images", embedder("img", model.embed_images))
+    monkeypatch.setattr(model, "embed_texts", embedder("txt", model.embed_texts))
+    monkeypatch.setattr(ret, "mean_ap", mean_ap)
+    concurrent = ret.evaluate(model, split, corpus, domain=domain, fingerprint="fp")
+    main = threading.get_ident()
+    assert threads["txt"] == threads["Img2Txt"] == {main}
+    assert len(threads["img"]) == len(threads["Txt2Img"]) == 1
+    assert threads["img"] != {main} and threads["Txt2Img"] != {main}
+
+    monkeypatch.setattr(util, "_spare_core", lambda: False)
+    threads.clear()
+    serial = ret.evaluate(model, split, corpus, domain=domain, fingerprint="fp")
+    assert set().union(*threads.values()) == {main}
+    assert _reports(concurrent) == _reports(serial)
+
+
+def test_concurrent_evaluation_raises_img2txt_first(eval_setup, worker, fine_switching):
+    # a NaN image weight fails both directions: Img2Txt's queries and
+    # Txt2Img's gallery. The serial order raises Img2Txt's error
+    corpus, split = eval_setup
+    model = _model()
+    model.projector_v.l1.W.data[0, 0] = np.nan
+    before = threading.active_count()
+    for _ in range(5):
+        with pytest.raises(NonFiniteError, match=r"^Img2Txt: non-finite value in the queries$"):
+            ret.evaluate(model, split, corpus)
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["Img2Txt", "Txt2Img"])
+def test_concurrent_evaluation_error_leaves_no_thread(
+    eval_setup, monkeypatch, worker, fine_switching, failing
+):
+    corpus, split = eval_setup
+    real_mean_ap = ret.mean_ap
+
+    def mean_ap(*args, **kwargs):
+        if kwargs["direction"] == failing:
+            raise KeyboardInterrupt if failing == "Img2Txt" else ValueError(failing)
+        return real_mean_ap(*args, **kwargs)
+
+    monkeypatch.setattr(ret, "mean_ap", mean_ap)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt if failing == "Img2Txt" else ValueError):
+        ret.evaluate(_model(), split, corpus)
+    assert threading.active_count() == before
