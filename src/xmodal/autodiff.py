@@ -511,6 +511,13 @@ def affine(x: np.ndarray, layer: "Linear") -> np.ndarray:
     return out
 
 
+def add_affine_grads(layer: "Linear", x: np.ndarray, g: np.ndarray) -> None:
+    """Add `linear`'s parameter gradients at input x and output cotangent g,
+    xᵀ g and Σ_rows g, to the layer's .grad."""
+    layer.W.grad += x.T @ g
+    layer.b.grad += g.sum(axis=0, keepdims=True)
+
+
 def relu_inplace(x: np.ndarray) -> np.ndarray:
     """`relu`'s value, x times its (x > 0) mask, formed in x."""
     return np.multiply(x, x > 0, out=x)

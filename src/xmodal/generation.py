@@ -516,22 +516,16 @@ def critic_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, posterior) ->
     return loss + hp.lambda_gp * gp
 
 
-def _add_grads(layer: Linear, x: np.ndarray, g: np.ndarray) -> None:
-    """Add the affine layer's parameter gradients at input x and output cotangent g."""
-    layer.W.grad += x.T @ g
-    layer.b.grad += g.sum(axis=0, keepdims=True)
-
-
 def _generator_backward(gen: Generator, fwd, g: np.ndarray) -> np.ndarray:
     """Add the generator's gradients for cotangent g at the output of forward
     `fwd` (see `_generate`); returns the cotangent at its hidden pre-activation."""
     x, h, out = fwd
     g = g * out
     g *= 1.0 - out
-    _add_grads(gen.l2, h, g)
+    ad.add_affine_grads(gen.l2, h, g)
     g = g @ gen.l2.W.data.T
     g *= h > 0
-    _add_grads(gen.l1, x, g)
+    ad.add_affine_grads(gen.l1, x, g)
     return g
 
 
@@ -597,18 +591,18 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     dlv += t
     dlv *= cache["keep"]
     x, h1, h2, h3 = cache["enc"]
-    _add_grads(enc.logvar_head, h3, dlv)
-    _add_grads(enc.mu_head, h3, dmu)
+    ad.add_affine_grads(enc.logvar_head, h3, dlv)
+    ad.add_affine_grads(enc.mu_head, h3, dmu)
     g = dlv @ enc.logvar_head.W.data.T + dmu @ enc.mu_head.W.data.T
     g *= h3
     g *= 1.0 - h3
-    _add_grads(enc.l3, h2, g)
+    ad.add_affine_grads(enc.l3, h2, g)
     g = g @ enc.l3.W.data.T
     g *= h2 > 0
-    _add_grads(enc.l2, h1, g)
+    ad.add_affine_grads(enc.l2, h1, g)
     g = g @ enc.l2.W.data.T
     g *= h1 > 0
-    _add_grads(enc.l1, x, g)
+    ad.add_affine_grads(enc.l1, x, g)
     return float(((kl + recon) + gan1) + gan2)
 
 

@@ -6,20 +6,36 @@ sigmoid output blends projected and original features per dimension:
 u = g * f + (1 - g) * x. A classifier head shared by both modalities plus a
 modal consistency loss and a temperature-scaled contrastive loss train the
 space; the three terms are weighted by alpha/beta/gamma.
+
+Training records no tape. `projection_step` repeats in plain numpy the float
+operations of `projection_losses` and of the tape's reverse pass over it, so
+loss values, gradients and Adam updates equal the tape's bitwise;
+`projection_losses`, `fuse` and `embed_*_node` stay as the reference the
+tests compare against. The gate's direct partials are ∂u/∂g = f − x,
+∂u/∂f = g and ∂u/∂x = 1 − g; the contrastive term is NT-Xent, whose
+gradient with respect to the cosine matrix is (P − Y)/(τn) with P the masked
+softmax and Y the positives. The two modality towers (projector and gate)
+meet only in the losses, so their forwards, and then their backward passes
+and Adam updates, run through `util.run_pair`: the text tower on a worker
+thread from `util.CONCURRENT_MIN_WIDTH` on when a second core is free. The
+losses, their cotangents and the shared head's update run on the calling
+thread. The curve probe, `dataset_losses`, is the evaluation forward plus
+the loss values; its contrastive term holds one (2n, 2n) matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Linear, Tensor, no_grad
+from .autodiff import Linear, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, ContractError, DimensionMismatchError
 from .optim import adam_step, zero_grads
-from .util import require_finite, stream
+from .util import require_finite, run_pair, stream
 
 
 @dataclass
@@ -76,16 +92,14 @@ class GateNet:
 
 
 class ClassifierHead:
-    """One affine layer to class logits; probabilities via row softmax."""
+    """One affine layer from a common-space embedding to class logits, shared
+    by both modalities."""
 
     def __init__(self, d: int, n_classes: int, rng):
         self.layer = Linear(d, n_classes, rng)
 
     def logits(self, u):
         return self.layer(u)
-
-    def __call__(self, u):
-        return ad.softmax_rows(self.layer(u))
 
     @property
     def params(self):
@@ -280,6 +294,251 @@ def projection_losses(model: ProjectionModel, v, t, label_cols, hp: ProjHyperPar
     return {"l1": l1, "l2": l2, "l3": l3, "total": total_loss((l1, l2, l3), hp)}
 
 
+# ---------------------------------------------------------------------------
+# stage 2 in plain numpy, op for op the tape's forward and reverse pass
+
+
+def _tower_forward(x: np.ndarray, projector: Projector, gate: GateNet | None):
+    """One modality's embeddings u (`_embed`'s value at rows x) and the
+    activations its backward pass reads; gate is None under no_gate."""
+    r1 = ad.relu_inplace(ad.affine(x, projector.l1))
+    f = ad.affine(r1, projector.l2)
+    if gate is None:
+        return f, (x, r1)
+    joint = np.concatenate([x, f], axis=1)
+    r3 = ad.relu_inplace(ad.affine(joint, gate.l1))
+    g = ad.affine(r3, gate.l2)
+    ad.logistic(g, out=g)
+    # u = g * f + (1 - g) * x, formed in f's buffer; joint keeps f
+    rest = np.subtract(1.0, g)
+    rest *= x
+    f *= g
+    f += rest
+    return f, (x, r1, joint, r3, g)
+
+
+def _tower_backward(du: np.ndarray, projector: Projector, gate: GateNet | None, saved) -> None:
+    """Add one modality's projector and gate gradients at embedding cotangent
+    du to their .grad; `saved` is `_tower_forward`'s. du is only read."""
+    if gate is None:
+        x, r1 = saved
+        df = du
+    else:
+        x, r1, joint, r3, g = saved
+        d = x.shape[1]
+        # u = g*f + (1-g)*x reaches g as du*f - du*x and f as du*g
+        dg = du * x
+        np.negative(dg, out=dg)
+        tmp = du * joint[:, d:]
+        dg += tmp
+        df = du * g
+        # the logistic's derivative g(1 - g)
+        dg *= g
+        dg *= np.subtract(1.0, g, out=tmp)
+        del tmp
+        ad.add_affine_grads(gate.l2, r3, dg)
+        dh = dg @ gate.l2.W.data.T
+        dh *= r3 > 0
+        ad.add_affine_grads(gate.l1, joint, dh)
+        # the joint's cotangent is formed whole and then sliced, as on the
+        # tape: BLAS may sum a product over fewer columns in another order
+        df += (dh @ gate.l1.W.data.T)[:, d:]
+    ad.add_affine_grads(projector.l2, r1, df)
+    dh = df @ projector.l2.W.data.T
+    dh *= r1 > 0
+    ad.add_affine_grads(projector.l1, x, dh)
+
+
+def _log_prob_sum(u: np.ndarray, head: ClassifierHead, labels: np.ndarray):
+    """Σ_rows log softmax(logits)[label] at embeddings u, with the softmax
+    numerators and their row sums, which the cotangent reads."""
+    logits = ad.affine(u, head.layer)
+    shift = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - shift)
+    s = e.sum(axis=1, keepdims=True)
+    lp = logits[np.arange(len(labels)), labels].reshape(-1, 1) - (shift + np.log(s))
+    return lp.sum(), e, s
+
+
+def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
+    """`loss_ce`'s value and the function giving weight·L1's cotangents at
+    (u_v, u_t); that function also adds the head's gradients to its .grad."""
+    n = len(labels)
+    sum_v, e_v, s_v = _log_prob_sum(u_v, head, labels)
+    sum_t, e_t, s_t = _log_prob_sum(u_t, head, labels)
+
+    def cotangents():
+        k = weight * (1.0 / n)
+        rows = np.arange(n)
+        # each modality's logit cotangent: k times the softmax, less k at the label
+        for e, s in ((e_v, s_v), (e_t, s_t)):
+            e *= k / s
+            e[rows, labels] -= k
+        W = head.layer.W
+        dW = u_t.T @ e_t
+        dW += u_v.T @ e_v
+        W.grad += dW
+        db = e_t.sum(axis=0, keepdims=True)
+        db += e_v.sum(axis=0, keepdims=True)
+        head.layer.b.grad += db
+        return e_v @ W.data.T, e_t @ W.data.T
+
+    return (-(sum_v + sum_t)) * (1.0 / n), cotangents
+
+
+def _consistency_term(u_v, u_t, weight: float):
+    """`loss_consistency`'s value and the function giving weight·L2's
+    cotangents at (u_v, u_t)."""
+    diff = u_v - u_t
+    norms = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
+    n = len(norms)
+
+    def cotangents():
+        g = np.multiply(diff, 2.0, out=diff)
+        g *= (weight * (1.0 / n)) / (norms * 2.0)
+        return g, np.negative(g)
+
+    return norms.sum() * (1.0 / n), cotangents
+
+
+def _contrastive_term(u_v, u_t, tau: float, include_self: bool, weight: float):
+    """`loss_contrastive`'s value and the function giving weight·L3's
+    cotangents at (u_v, u_t), holding one (2n, 2n) array.
+
+    The tape's mask matrix is not formed: the excluded diagonal is set to
+    -inf for the row maxima and then restored, and its exponentials are
+    multiplied by 0.0 in place, the same values as the tape's product with
+    the mask. The gradient with respect to the cosine matrix is
+    (k/τ)(P − Y), with P the masked softmax, Y the positives and k the
+    weight over n (NT-Xent, arXiv:2002.05709); it runs back through the
+    product with the transposed copy and through the normalisation.
+    """
+    n = u_v.shape[0]
+    m = 2 * n
+    stacked = np.concatenate([u_v, u_t], axis=0)
+    norms = np.sqrt((stacked * stacked).sum(axis=1, keepdims=True))
+    unit = stacked / norms
+    # `ad.transpose` copies, so on the tape the product is a plain GEMM
+    unit_t = unit.T.copy()
+    sims = unit @ unit_t
+    sims *= 1.0 / tau
+    rows = np.arange(m)
+    pair = np.concatenate([np.arange(n) + n, np.arange(n)])
+    positives = sims[rows, pair].reshape(m, 1)
+    diag = sims.reshape(-1)[:: m + 1]
+    kept = diag.copy()
+    if not include_self:
+        diag[...] = -np.inf
+    shift = sims.max(axis=1, keepdims=True)
+    diag[...] = kept
+    sims -= shift
+    ex = np.exp(sims, out=sims)
+    if not include_self:
+        diag *= 0.0
+    denom = ex.sum(axis=1, keepdims=True)
+    log_p = positives - (shift + np.log(denom))
+
+    def cotangents():
+        k = weight * (1.0 / n)
+        # the cosine matrix's cotangent, in ex's buffer
+        g = ex
+        g *= k / denom
+        g[rows, pair] -= k
+        g *= 1.0 / tau
+        d_unit = g @ unit_t.T
+        d_unit += (unit.T @ g).T
+        d_stacked = d_unit / norms
+        d_unit *= unit
+        d_unit /= norms
+        np.negative(d_unit, out=d_unit)
+        d_sq = d_unit.sum(axis=1, keepdims=True) / (norms * 2.0)
+        d_stacked += np.multiply(stacked, 2.0, out=stacked) * d_sq
+        return d_stacked[:n], d_stacked[n:]
+
+    return (-log_p.sum()) * (1.0 / n), cotangents
+
+
+def _batch_losses(u_v, u_t, label_cols, head: ClassifierHead, hp: ProjHyperParams):
+    """`projection_losses`' values at embeddings (u_v, u_t) as floats, and the
+    cotangent functions of the terms it computes, in its order."""
+    values = {"l1": 0.0, "l2": 0.0, "l3": 0.0}
+    terms = []
+    if hp.alpha > 0:
+        values["l1"], back = _ce_term(u_v, u_t, label_cols, head, hp.alpha)
+        terms.append(back)
+    if hp.beta > 0:
+        values["l2"], back = _consistency_term(u_v, u_t, hp.beta)
+        terms.append(back)
+    if hp.gamma > 0 and u_v.shape[0] >= 2:
+        values["l3"], back = _contrastive_term(
+            u_v, u_t, hp.tau, hp.contrast_includes_self, hp.gamma
+        )
+        terms.append(back)
+    values["total"] = (values["l1"] * hp.alpha + values["l2"] * hp.beta) + values["l3"] * hp.gamma
+    return {k: float(v) for k, v in values.items()}, terms
+
+
+def _embedding_cotangents(terms):
+    """(d/du_v, d/du_t) of the weighted total: the tape reaches the embeddings
+    from the last term back to the first and sums in that order. None when
+    no term is on."""
+    du_v = du_t = None
+    for cotangents in reversed(terms):
+        dv, dt = cotangents()
+        du_v = dv if du_v is None else du_v + dv
+        du_t = dt if du_t is None else du_t + dt
+    return du_v, du_t
+
+
+def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParams,
+                    epoch: int = 1, step: int = 1) -> dict[str, float]:
+    """One Adam step of every parameter on `projection_losses`' total at the
+    batch (v, t), with no tape; returns the loss values.
+
+    Gradients are zeroed first. The two modality towers run their forwards,
+    then their backward passes and Adam updates, through `util.run_pair`:
+    the text tower on a worker thread when the model is wide enough and a
+    second core is free. The losses, their cotangents and the head's update
+    run on the calling thread. A non-finite loss raises NonFiniteError
+    naming `epoch` and `step` before any parameter moves. Parameters, Adam
+    moments and step counts end bitwise where the tape's step puts them.
+    """
+    zero_grads(model.params)
+    gate_v, gate_t = (model.gate_v, model.gate_t) if model.use_gate else (None, None)
+    (u_v, saved_v), (u_t, saved_t) = run_pair(
+        partial(_tower_forward, ad.as_matrix(v), model.projector_v, gate_v),
+        partial(_tower_forward, ad.as_matrix(t), model.projector_t, gate_t),
+        model.d,
+    )
+    values, terms = _batch_losses(u_v, u_t, label_cols, model.head, hp)
+    require_finite(values["total"], "stage 2 projection", epoch, step)
+    du_v, du_t = _embedding_cotangents(terms)
+    del terms  # and with them the losses' saved arrays, before the towers' passes
+
+    def update(du, projector, gate, saved, params):
+        if du is not None:
+            _tower_backward(du, projector, gate, saved)
+        adam_step(params, hp.lr)
+
+    run_pair(
+        partial(update, du_v, model.projector_v, gate_v, saved_v,
+                model.projector_v.params + model.gate_v.params),
+        partial(update, du_t, model.projector_t, gate_t, saved_t,
+                model.projector_t.params + model.gate_t.params),
+        model.d,
+    )
+    adam_step(model.head.params, hp.lr)
+    return values
+
+
+def dataset_losses(model: ProjectionModel, V, T, label_cols, hp: ProjHyperParams) -> dict[str, float]:
+    """`projection_losses`' values over whole image and text matrices, for
+    curve logging: the evaluation forward of both towers through
+    `util.run_pair`, then the loss values, bitwise the tape's."""
+    u_v, u_t = run_pair(partial(model.embed_images, V), partial(model.embed_texts, T), model.d)
+    return _batch_losses(u_v, u_t, label_cols, model.head, hp)[0]
+
+
 def train_projection(
     split: XShotSplit,
     corpus: Corpus,
@@ -334,22 +593,14 @@ def train_projection(
     curve: dict[str, list[float]] = {}
 
     def log_point():
-        with no_grad():
-            losses = projection_losses(model, Tensor(V), Tensor(T), label_cols, hp)
-        for k, t in losses.items():
-            curve.setdefault(k, []).append(t.item())
+        for k, val in dataset_losses(model, V, T, label_cols, hp).items():
+            curve.setdefault(k, []).append(val)
 
     log_point()
     for epoch in range(1, hp.epochs + 1):
         perm = rng_shuffle.permutation(n)
         for step, start in enumerate(range(0, n, hp.batch), 1):
             idx = perm[start : start + hp.batch]
-            zero_grads(model.params)
-            losses = projection_losses(
-                model, Tensor(V[idx]), Tensor(T[idx]), label_cols[idx], hp
-            )
-            require_finite(losses["total"].item(), "stage 2 projection", epoch, step)
-            ad.backward(losses["total"])
-            adam_step(model.params, hp.lr)
+            projection_step(model, V[idx], T[idx], label_cols[idx], hp, epoch, step)
         log_point()
     return model, curve

@@ -1,11 +1,13 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from xmodal import autodiff as ad
-from xmodal import data, projection as proj, retrieval as ret
+from xmodal import data, projection as proj, retrieval as ret, util
 from xmodal.errors import ConfigError, ContractError, NonFiniteError
+from xmodal.optim import adam_step, zero_grads
 from xmodal.util import stream
 
 from fdcheck import assert_grad_matches
@@ -352,6 +354,129 @@ def test_full_projection_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# the closed-form step and the lean curve probe
+
+
+def _twin_models(d, n_classes, hp, use_gate, seed):
+    # two equal models; the weights are jittered off their Xavier draws and the
+    # biases off zero, so no ReLU row dies and no embedding row is zero
+    models = [
+        proj.ProjectionModel(d, range(n_classes), hp, stream(seed, "init"), use_gate=use_gate)
+        for _ in range(2)
+    ]
+    rng = np.random.default_rng(seed)
+    for p, q in zip(models[0].params, models[1].params):
+        p.data += rng.normal(scale=0.1, size=p.data.shape)
+        q.data[...] = p.data
+    return models
+
+
+def _batch(d, n, n_classes, rng):
+    return rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.integers(0, n_classes, size=n)
+
+
+def _spy_on_adam(monkeypatch):
+    """Record each parameter's gradient as `projection_step` hands it to Adam."""
+    seen = {}
+
+    def spy(params, lr):
+        for p in params:
+            seen[id(p)] = p.grad.copy()
+        adam_step(params, lr)
+
+    monkeypatch.setattr(proj, "adam_step", spy)
+    return seen
+
+
+def _assert_steps_equal(d, n, hp, use_gate, monkeypatch, steps=2, n_classes=5):
+    tape, lean = _twin_models(d, n_classes, hp, use_gate, seed=d + n)
+    grads = _spy_on_adam(monkeypatch)
+    rng = np.random.default_rng(n)
+    for _ in range(steps):
+        v, t, labels = _batch(d, n, n_classes, rng)
+        zero_grads(tape.params)
+        want = proj.projection_losses(tape, ad.Tensor(v), ad.Tensor(t), labels, hp)
+        ad.backward(want["total"])
+        want_grads = [p.grad.copy() for p in tape.params]
+        adam_step(tape.params, hp.lr)
+
+        got = proj.projection_step(lean, v, t, labels, hp)
+        assert got == {k: x.item() for k, x in want.items()}
+        for (name, p), (_, q), g in zip(lean.named_params(), tape.named_params(), want_grads):
+            assert np.array_equal(grads[id(p)], g), name
+            assert p.step_count == q.step_count, name
+            for a, b in ((p.data, q.data), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v)):
+                assert np.array_equal(a, b), name
+            assert not p.grad.any(), name
+
+
+@pytest.mark.parametrize("include_self", [False, True])
+@pytest.mark.parametrize("use_gate", [True, False])
+@pytest.mark.parametrize("d, n", [(5, 4), (64, 64), (64, 37), (512, 256)])
+def test_projection_step_equals_the_tape_step_bitwise(d, n, use_gate, include_self, monkeypatch):
+    # an odd batch makes the 1/n scalings inexact; at d=512 BLAS blocks its sums
+    hp = proj.ProjHyperParams(tau=0.2, contrast_includes_self=include_self)
+    _assert_steps_equal(d, n, hp, use_gate, monkeypatch)
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+@pytest.mark.parametrize(
+    "weights, n",
+    [((0.0, 1.0, 1.0), 37), ((1.0, 0.0, 1.0), 37), ((1.0, 1.0, 0.0), 37),
+     ((0.5, 2.0, 1.5), 1), ((0.0, 0.0, 0.0), 9)],
+    ids=["no-l1", "no-l2", "no-l3", "one-row", "no-loss"],
+)
+def test_projection_step_with_terms_off_equals_the_tape_step_bitwise(weights, n, use_gate, monkeypatch):
+    # a term whose weight is 0 is not computed, and one row has no contrastive
+    # term; every parameter still takes its Adam step, the head's included
+    alpha, beta, gamma = weights
+    hp = proj.ProjHyperParams(alpha=alpha, beta=beta, gamma=gamma)
+    _assert_steps_equal(16, n, hp, use_gate, monkeypatch)
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+def test_projection_step_gradients_match_finite_differences(use_gate, monkeypatch):
+    hp = proj.ProjHyperParams(tau=0.5)
+    model = _twin_models(5, 3, hp, use_gate, seed=15)[0]
+    v, t, labels = _batch(5, 4, 3, np.random.default_rng(16))
+    monkeypatch.setattr(proj, "adam_step", lambda params, lr: None)
+
+    def loss_value():
+        return proj.dataset_losses(model, v, t, labels, hp)["total"]
+
+    assert_grad_matches(
+        loss_value, model.params, lambda: proj.projection_step(model, v, t, labels, hp)
+    )
+
+
+def _warm_peak(fn):
+    """Peak traced bytes of a second call of fn."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_curve_probe_holds_at_most_two_pair_matrices():
+    # the contrastive term over 2n rows needs one (2n, 2n) matrix; the tape's
+    # loss also forms a mask, its where-copy, the shifted and masked matrices
+    n, d = 384, 8
+    model, hp = make_model(d=d, n_classes=4)
+    V, T, labels = _batch(d, n, 4, np.random.default_rng(17))
+    pair_matrix = (2 * n) ** 2 * 8
+
+    def tape_probe():
+        with ad.no_grad():
+            proj.projection_losses(model, ad.Tensor(V), ad.Tensor(T), labels, hp)
+
+    assert _warm_peak(lambda: proj.dataset_losses(model, V, T, labels, hp)) <= 2 * pair_matrix
+    assert _warm_peak(tape_probe) >= 3.5 * pair_matrix
+
+
+# ---------------------------------------------------------------------------
 # training
 
 
@@ -416,3 +541,87 @@ def test_empty_training_set_rejected(proj_corpus):
     hollow = split.__class__(**{**split.__dict__, "source_train": (), "target_train": ()})
     with pytest.raises(ConfigError, match="empty"):
         proj.train_projection(hollow, corpus, None, proj.ProjHyperParams(epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# the two towers on two threads
+
+
+def _thread_spy(monkeypatch, name):
+    threads = set()
+    real = getattr(proj, name)
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(proj, name, spy)
+    return threads
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+def test_concurrent_training_equals_serial_bitwise(
+    proj_corpus, monkeypatch, worker, fine_switching, use_gate
+):
+    corpus, split = proj_corpus
+    hp = proj.ProjHyperParams(lr=1e-3, batch=16, epochs=2, seed=3)
+    forwards = _thread_spy(monkeypatch, "_tower_forward")
+    backwards = _thread_spy(monkeypatch, "_tower_backward")
+    concurrent, concurrent_curve = proj.train_projection(split, corpus, None, hp, use_gate)
+    assert len(forwards) == len(backwards) == 2
+
+    monkeypatch.setattr(util, "_spare_core", lambda: False)
+    forwards.clear()
+    serial, serial_curve = proj.train_projection(split, corpus, None, hp, use_gate)
+    assert forwards == {threading.get_ident()}
+    assert concurrent_curve == serial_curve
+    for (name, p), (_, q) in zip(concurrent.named_params(), serial.named_params()):
+        assert p.step_count == q.step_count, name
+        for a, b in ((p.data, q.data), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v)):
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("tower", ["projector_v", "projector_t", "gate_t"])
+def test_nan_in_a_concurrent_tower_fails_at_the_first_step(
+    proj_corpus, monkeypatch, worker, fine_switching, tower
+):
+    class Poisoned(proj.ProjectionModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            getattr(self, tower).l1.W.data[0, 0] = np.nan
+
+    monkeypatch.setattr(proj, "ProjectionModel", Poisoned)
+    corpus, split = proj_corpus
+    hp = proj.ProjHyperParams(lr=1e-3, batch=16, epochs=2, seed=3)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError, match=r"^stage 2 projection: loss is nan at epoch 1, step 1$"):
+        proj.train_projection(split, corpus, None, hp)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("phase", ["_tower_forward", "_tower_backward"])
+def test_calling_thread_error_leaves_no_thread(proj_corpus, monkeypatch, worker, fine_switching, phase):
+    corpus, split = proj_corpus
+    main = threading.get_ident()
+    real = getattr(proj, phase)
+
+    def failing(*args):
+        if threading.get_ident() == main:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(proj, phase, failing)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        proj.train_projection(split, corpus, None, proj.ProjHyperParams(batch=16, epochs=1, seed=3))
+    assert threading.active_count() == before
+
+
+def test_concurrent_step_holds_few_temporaries_at_width_512(worker, fine_switching):
+    # wide_cell's stage-2 shapes: d=512, a 256-row batch. The tape's step
+    # peaked at 73 MiB; both towers' steps at once hold about 28 MiB
+    d, n = 512, 256
+    hp = proj.ProjHyperParams()
+    model = proj.ProjectionModel(d, range(8), hp, stream(2, "init"))
+    v, t, labels = _batch(d, n, 8, np.random.default_rng(3))
+    assert _warm_peak(lambda: proj.projection_step(model, v, t, labels, hp)) <= 36 * (1 << 20)

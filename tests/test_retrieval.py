@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -244,15 +243,6 @@ def test_evaluate_rejects_bad_domain(eval_setup):
 
 # ---------------------------------------------------------------------------
 # evaluate on two threads
-
-
-@pytest.fixture
-def fine_switching():
-    """Interleave the two threads as finely as possible."""
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    yield
-    sys.setswitchinterval(switch)
 
 
 def _model(seed=0):
