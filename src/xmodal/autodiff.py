@@ -11,6 +11,13 @@ builds no graph. The critic's gradient penalty, the one value defined
 through a gradient, has a closed form (see `generation`) and enters the
 tape as a single node with array-valued VJPs.
 
+Networks derive from `Module`, which owns their parameter lists: a model's
+`named_params()` names each array `<part>.<layer>.W` or `<part>.<layer>.b`,
+sub-Modules in the order they were set and each part's `Linear` layers in
+name order. That name, after a `param/`, `adam_m/` or `adam_v/` prefix, is
+the array's checkpoint key, and that order is the order of the step counts
+in a checkpoint header.
+
 Defaults to float64; `set_default_dtype(np.float32)` trades gradient-check
 headroom for speed.
 """
@@ -120,9 +127,6 @@ class Tensor:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -154,9 +158,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
 
 
 class Parameter(Tensor):
@@ -543,9 +544,32 @@ class Linear:
     def __call__(self, x):
         return linear(x, self.W, self.b)
 
+
+class Module:
+    """Owner of a network's parameters, found by walking its attributes.
+
+    Sub-Modules come first, in the order they were set, their names prefixed
+    with the attribute's; then `Linear` layers in name order, each giving
+    `<layer>.W` and `<layer>.b`. Other attributes add nothing.
+    """
+
+    def named_params(self) -> list[tuple[str, Parameter]]:
+        attrs = vars(self)
+        out = [
+            (f"{name}.{sub}", p)
+            for name, part in attrs.items()
+            if isinstance(part, Module)
+            for sub, p in part.named_params()
+        ]
+        for name in sorted(attrs):
+            layer = attrs[name]
+            if isinstance(layer, Linear):
+                out += [(f"{name}.W", layer.W), (f"{name}.b", layer.b)]
+        return out
+
     @property
     def params(self) -> list[Parameter]:
-        return [self.W, self.b]
+        return [p for _, p in self.named_params()]
 
 
 # ---------------------------------------------------------------------------

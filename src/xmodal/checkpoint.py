@@ -21,7 +21,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .generation import FeatureScaler, GenHyperParams, VaeGanModel
 from .projection import ProjHyperParams, ProjectionModel
 
@@ -85,14 +85,18 @@ def _require(mapping, keys, path, where: str) -> None:
 
 
 def _hyperparams(cls, hp, path):
-    """cls(**hp), with a CheckpointError naming any key cls does not know."""
+    """cls(**hp), with a CheckpointError naming any key cls does not know or
+    any value it rejects."""
     _require(hp, (), path, "meta.hp")
     unknown = sorted(set(hp) - {f.name for f in fields(cls)})
     if unknown:
         raise CheckpointError(
             f"{path}: checkpoint meta.hp holds unknown keys {', '.join(repr(k) for k in unknown)}"
         )
-    return cls(**hp)
+    try:
+        return cls(**hp)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: checkpoint meta.hp is out of range: {e}") from e
 
 
 def _is_count(value) -> bool:
@@ -245,8 +249,8 @@ def load_vaegan(path) -> VaeGanModel:
         hp = _hyperparams(GenHyperParams, meta["hp"], path)
         model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, None)
         scaler = {}
-        if "scaler/lo" in entries:
-            _require(entries, ("scaler/span",), path, "payload")
+        if "scaler/lo" in entries or "scaler/span" in entries:
+            _require(entries, ("scaler/lo", "scaler/span"), path, "payload")
             for key in ("scaler/lo", "scaler/span"):
                 scaler[key] = np.empty((1, model.d_feat), entries[key]["dtype"])
         _read_model(f, path, base, entries, model, meta["steps"], scaler)

@@ -178,10 +178,6 @@ class Corpus:
         return _rows(self._labels, idx)
 
 
-# the matrix constructor under the name library code and tests know it by
-make_corpus = Corpus
-
-
 def load_corpus(
     image_path,
     text_path,
@@ -273,13 +269,25 @@ class XShotSplit:
         }
 
 
+def check_split_params(x_shots, query_fraction: float, source_eval_fraction: float) -> None:
+    """Raise ConfigError for a negative x-shot or a fraction outside (0, 1)."""
+    for x in x_shots:
+        if x < 0:
+            raise ConfigError(f"x_shot must be non-negative, got {x}")
+    if not 0.0 < query_fraction < 1.0:
+        raise ConfigError(f"query_fraction must be in (0, 1), got {query_fraction}")
+    if not 0.0 < source_eval_fraction < 1.0:
+        raise ConfigError(
+            f"source_eval_fraction must be in (0, 1), got {source_eval_fraction}"
+        )
+
+
 def split_xshot(
     corpus: Corpus,
     x: int,
     seed: int,
     query_fraction: float = 0.5,
     source_eval_fraction: float = 0.25,
-    shots_in_gallery: bool = False,
 ) -> XShotSplit:
     """Class-disjoint source/target split with exactly x target shots per class.
 
@@ -288,17 +296,9 @@ def split_xshot(
     target_train; the remainder is split query/gallery by query_fraction.
     Source classes keep a held-out evaluation pool of source_eval_fraction per
     class, split the same way; the rest is source_train. The x-shot instances
-    are excluded from the test gallery unless shots_in_gallery is set (which
-    relaxes the partition-disjointness property).
+    are excluded from the test gallery.
     """
-    if x < 0:
-        raise ConfigError(f"x_shot must be non-negative, got {x}")
-    if not 0.0 < query_fraction < 1.0:
-        raise ConfigError(f"query_fraction must be in (0, 1), got {query_fraction}")
-    if not 0.0 < source_eval_fraction < 1.0:
-        raise ConfigError(
-            f"source_eval_fraction must be in (0, 1), got {source_eval_fraction}"
-        )
+    check_split_params((x,), query_fraction, source_eval_fraction)
     classes = corpus.classes()
     if len(classes) < 2:
         raise ConfigError(f"need at least 2 classes to split, got {len(classes)}")
@@ -334,8 +334,6 @@ def split_xshot(
         target_train.extend(int(i) for i in shots)
         target_query.extend(int(i) for i in pool[:n_q])
         target_gallery.extend(int(i) for i in pool[n_q:])
-    if shots_in_gallery:
-        target_gallery.extend(target_train)
 
     source_train: list[int] = []
     source_query: list[int] = []

@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Linear, Tensor
+from .autodiff import Linear, Module, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
@@ -88,6 +88,8 @@ class GenHyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.latent_dim is not None and self.latent_dim < 1:
+            raise ConfigError(f"latent_dim must be at least 1, got {self.latent_dim}")
         if self.lambda_gp < 0:
             raise ConfigError(f"lambda_gp must be non-negative, got {self.lambda_gp}")
         if self.critic_steps < 1:
@@ -98,7 +100,7 @@ class GenHyperParams:
             raise ConfigError("batch and epochs must be positive")
 
 
-class Encoder:
+class Encoder(Module):
     """Three stacked affine layers (ReLU, ReLU, Sigmoid) plus mean/log-variance heads."""
 
     def __init__(self, d_feat: int, d_attr: int, d_z: int, rng):
@@ -117,18 +119,8 @@ class Encoder:
         logvar = ad.clip(self.logvar_head(h), LOGVAR_MIN, LOGVAR_MAX)
         return mu, logvar
 
-    @property
-    def params(self):
-        return (
-            self.l1.params
-            + self.l2.params
-            + self.l3.params
-            + self.mu_head.params
-            + self.logvar_head.params
-        )
 
-
-class Generator:
+class Generator(Module):
     """Decoder/generator: (latent ++ attribute) -> hidden ReLU -> sigmoid feature."""
 
     def __init__(self, d_feat: int, d_attr: int, d_z: int, rng):
@@ -140,12 +132,8 @@ class Generator:
         h = ad.relu(self.l1(ad.concat_cols(z, a)))
         return ad.sigmoid(self.l2(h))
 
-    @property
-    def params(self):
-        return self.l1.params + self.l2.params
 
-
-class Critic:
+class Critic(Module):
     """Two affine layers with an intermediate LeakyReLU; raw scalar score per row.
 
     Calling it scores [v, a] rows on the tape. The array methods below serve
@@ -198,10 +186,6 @@ class Critic:
         pre *= M
         return ad.affine(pre, self.l2), M
 
-    @property
-    def params(self):
-        return self.l1.params + self.l2.params
-
 
 class FeatureScaler:
     """Per-dimension min-max map to [0, 1]; identity until fitted."""
@@ -232,7 +216,7 @@ class FeatureScaler:
         return X * self.span + self.lo
 
 
-class VaeGanModel:
+class VaeGanModel(Module):
     """Encoder, generator, and critic for one modality plus the feature scaler."""
 
     def __init__(self, d_feat: int, d_attr: int, hp: GenHyperParams, rng):
@@ -261,24 +245,6 @@ class VaeGanModel:
         """Feature-space pseudo samples, one per attribute row."""
         noise = rng.standard_normal((attrs.shape[0], self.d_z))
         return self.scaler.inverse(_generate(self.generator, noise, _data(attrs))[2])
-
-    def named_params(self) -> list[tuple[str, ad.Parameter]]:
-        out = []
-        for part_name, part in (
-            ("encoder", self.encoder),
-            ("generator", self.generator),
-            ("critic", self.critic),
-        ):
-            for layer_name in sorted(vars(part)):
-                layer = getattr(part, layer_name)
-                if isinstance(layer, Linear):
-                    out.append((f"{part_name}.{layer_name}.W", layer.W))
-                    out.append((f"{part_name}.{layer_name}.b", layer.b))
-        return out
-
-    @property
-    def params(self):
-        return self.encoder.params + self.generator.params + self.critic.params
 
 
 def reparameterize(mu, logvar, rng) -> Tensor:

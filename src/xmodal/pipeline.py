@@ -26,6 +26,7 @@ from . import retrieval
 from .data import (
     Corpus,
     XShotSplit,
+    check_split_params,
     load_corpus,
     load_corpus_dir,
     split_xshot,
@@ -96,6 +97,7 @@ class ExperimentConfig:
             raise ConfigError(f"gen_num must be positive, got {self.gen_num}")
         if not self.x_shots:
             raise ConfigError("x_shots must not be empty")
+        check_split_params(self.x_shots, self.query_fraction, self.source_eval_fraction)
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
 

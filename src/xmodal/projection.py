@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Linear, Tensor
+from .autodiff import Linear, Module, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, ContractError, DimensionMismatchError
 from .optim import adam_step, zero_grads
@@ -61,7 +61,7 @@ class ProjHyperParams:
             raise ConfigError("batch and epochs must be positive")
 
 
-class Projector:
+class Projector(Module):
     """Two affine layers with a ReLU between; keeps the feature width."""
 
     def __init__(self, d: int, rng):
@@ -71,12 +71,8 @@ class Projector:
     def __call__(self, x):
         return self.l2(ad.relu(self.l1(x)))
 
-    @property
-    def params(self):
-        return self.l1.params + self.l2.params
 
-
-class GateNet:
+class GateNet(Module):
     """Maps (original ++ projected) to per-dimension mixing coefficients in (0, 1)."""
 
     def __init__(self, d: int, rng):
@@ -86,12 +82,8 @@ class GateNet:
     def __call__(self, joint):
         return ad.sigmoid(self.l2(ad.relu(self.l1(joint))))
 
-    @property
-    def params(self):
-        return self.l1.params + self.l2.params
 
-
-class ClassifierHead:
+class ClassifierHead(Module):
     """One affine layer from a common-space embedding to class logits, shared
     by both modalities."""
 
@@ -100,10 +92,6 @@ class ClassifierHead:
 
     def logits(self, u):
         return self.layer(u)
-
-    @property
-    def params(self):
-        return self.layer.params
 
 
 def fuse(x, projector: Projector, gate: GateNet) -> Tensor:
@@ -193,7 +181,7 @@ class RawFeatures:
         return np.asarray(X, dtype=np.float64)
 
 
-class ProjectionModel:
+class ProjectionModel(Module):
     """Both projectors, both gates, and the shared classifier head."""
 
     def __init__(self, d: int, classes, hp: ProjHyperParams, rng, use_gate: bool = True):
@@ -251,32 +239,6 @@ class ProjectionModel:
 
     def embed_texts(self, X: np.ndarray) -> np.ndarray:
         return self._embed_array(X, self.projector_t, self.gate_t)
-
-    def named_params(self) -> list[tuple[str, ad.Parameter]]:
-        out = []
-        for part_name, part in (
-            ("projector_v", self.projector_v),
-            ("projector_t", self.projector_t),
-            ("gate_v", self.gate_v),
-            ("gate_t", self.gate_t),
-            ("head", self.head),
-        ):
-            for layer_name in sorted(vars(part)):
-                layer = getattr(part, layer_name)
-                if isinstance(layer, Linear):
-                    out.append((f"{part_name}.{layer_name}.W", layer.W))
-                    out.append((f"{part_name}.{layer_name}.b", layer.b))
-        return out
-
-    @property
-    def params(self):
-        return (
-            self.projector_v.params
-            + self.projector_t.params
-            + self.gate_v.params
-            + self.gate_t.params
-            + self.head.params
-        )
 
 
 def projection_losses(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParams):

@@ -228,19 +228,49 @@ def test_scaler_without_its_span_names_it(small_setup, tmp_path):
         ckpt.load_vaegan(path)
 
 
+def test_scaler_without_its_lo_names_it(small_setup, tmp_path):
+    # loading it would leave an identity scaler, so `synthesize` would return
+    # features in the [0, 1] model space
+    _, _, img, _, _ = small_setup
+    path = tmp_path / "gen.ckpt"
+    ckpt.save_vaegan(img, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    del arrays["scaler/lo"]
+    _rewrite(path, "vaegan", meta, arrays)
+    with pytest.raises(CheckpointError, match="payload lacks 'scaler/lo'"):
+        ckpt.load_vaegan(path)
+
+
+def _save(kind, img, model, path):
+    """Save the `kind` model of the setup at path; returns the matching load."""
+    if kind == "vaegan":
+        ckpt.save_vaegan(img, path)
+        return ckpt.load_vaegan
+    ckpt.save_projection(model, path)
+    return ckpt.load_projection
+
+
 @pytest.mark.parametrize("kind", ["vaegan", "projection"])
 def test_unknown_hyperparameter_key_names_it(small_setup, tmp_path, kind):
     _, _, img, _, model = small_setup
     path = tmp_path / f"{kind}.ckpt"
-    save, load = {
-        "vaegan": (lambda: ckpt.save_vaegan(img, path), ckpt.load_vaegan),
-        "projection": (lambda: ckpt.save_projection(model, path), ckpt.load_projection),
-    }[kind]
-    save()
+    load = _save(kind, img, model, path)
     meta, arrays = ckpt.load_checkpoint(path)
     meta["hp"]["dtype"] = "float32"
     _rewrite(path, kind, meta, arrays)
     with pytest.raises(CheckpointError, match="meta.hp holds unknown keys 'dtype'"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind, key, value", [("vaegan", "latent_dim", 0), ("projection", "tau", 0.0)])
+def test_out_of_range_hyperparameter_names_it(small_setup, tmp_path, kind, key, value):
+    _, _, img, _, model = small_setup
+    path = tmp_path / f"{kind}.ckpt"
+    load = _save(kind, img, model, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    meta["hp"][key] = value
+    _rewrite(path, kind, meta, arrays)
+    with pytest.raises(CheckpointError, match=f"{kind}.ckpt: checkpoint meta.hp is out of range: {key}"):
         load(path)
 
 

@@ -17,7 +17,7 @@ def tiny_corpus(d=8, name="tiny"):
     texts = rng.normal(size=(4, d))
     labels = [0, 0, 1, 1]
     attrs = {0: rng.normal(size=d), 1: rng.normal(size=d)}
-    return data.make_corpus(images, texts, labels, attrs, name=name)
+    return data.Corpus(images, texts, labels, attrs, name=name)
 
 
 def test_fixture_corpus_counts():
@@ -30,7 +30,7 @@ def test_fixture_corpus_counts():
 def test_unknown_label_names_missing_class():
     rng = np.random.default_rng(1)
     with pytest.raises(MissingAttributeError, match="missing attribute for class 7"):
-        data.make_corpus(
+        data.Corpus(
             rng.normal(size=(2, 4)),
             rng.normal(size=(2, 4)),
             [0, 7],
@@ -41,7 +41,7 @@ def test_unknown_label_names_missing_class():
 def test_row_count_mismatch_is_named_error():
     rng = np.random.default_rng(2)
     with pytest.raises(DimensionMismatchError):
-        data.make_corpus(
+        data.Corpus(
             rng.normal(size=(3, 4)),
             rng.normal(size=(2, 4)),
             [0, 0],
@@ -54,7 +54,7 @@ def test_nonfinite_feature_rejected():
     images = rng.normal(size=(2, 4))
     images[1, 2] = np.nan
     with pytest.raises(NonFiniteError):
-        data.make_corpus(
+        data.Corpus(
             images, rng.normal(size=(2, 4)), [0, 0], {0: rng.normal(size=4)}
         )
 
@@ -178,12 +178,6 @@ def test_odd_class_count_warns_and_splits_floor_ceil():
         split = data.split_xshot(corpus, x=0, seed=0)
     assert len(split.source_classes) == 3
     assert len(split.target_classes) == 2
-
-
-def test_shots_in_gallery_flag():
-    corpus = data.synth_corpus(n_classes=4, per_class=6, dim=4, seed=3)
-    split = data.split_xshot(corpus, x=2, seed=0, shots_in_gallery=True)
-    assert set(split.target_train) <= set(split.target_gallery)
 
 
 # ---------------------------------------------------------------------------

@@ -618,7 +618,7 @@ def test_calling_thread_error_stops_the_worker_within_one_batch(worker, monkeypa
 def test_modality_streams_are_independent():
     corpus = data.synth_corpus(n_classes=4, per_class=6, dim=8, seed=2)
     # same images, different texts: the image model must come out identical
-    other = data.make_corpus(
+    other = data.Corpus(
         corpus.image_matrix(),
         np.roll(corpus.text_matrix(), shift=1, axis=0),
         corpus.labels(),

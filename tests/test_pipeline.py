@@ -301,6 +301,29 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"gen": {"latent_dim": -3}}, "latent_dim"),
+        ({"query_fraction": 1.5}, "query_fraction"),
+        ({"source_eval_fraction": 0.0}, "source_eval_fraction"),
+        ({"x_shots": [0, -1]}, "x_shot"),
+    ],
+)
+def test_cli_out_of_range_config_value_exits_2_naming_it(tmp_path, capsys, override, field):
+    # the config is rejected before any cell runs, not cell by cell
+    payload = tiny_config().resolved()
+    payload.pop("artifact_version")
+    payload.update(override)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    rc = cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_corrupt_corpus_exits_with_error(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert cli_main(["make-data", "--out", str(out), "--classes", "4", "--per-class", "8",
@@ -418,7 +441,7 @@ def test_pseudo_corpus_of_another_split_is_rejected():
     pseudo0, _ = pipeline.stage1(corpus, split0, cfg, cell)
     with pytest.raises(ConfigError, match=r"classes \[0, 6\] that are not target classes"):
         pipeline.stage2(corpus, split1, pseudo0, cfg, cell)
-    narrow = data.make_corpus(
+    narrow = data.Corpus(
         pseudo0.image_matrix()[:, :8], pseudo0.text_matrix()[:, :8], pseudo0.labels(),
         {c: corpus.class_attrs[c][:, :8] for c in pseudo0.classes()},
     )

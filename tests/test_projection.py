@@ -548,11 +548,14 @@ def test_empty_training_set_rejected(proj_corpus):
 
 
 def _thread_spy(monkeypatch, name):
+    # "caller" or "worker" per call: every run_pair starts a new worker
+    # thread, and a new thread need not reuse the last one's ident
     threads = set()
+    caller = threading.get_ident()
     real = getattr(proj, name)
 
     def spy(*args):
-        threads.add(threading.get_ident())
+        threads.add("caller" if threading.get_ident() == caller else "worker")
         return real(*args)
 
     monkeypatch.setattr(proj, name, spy)
@@ -568,12 +571,12 @@ def test_concurrent_training_equals_serial_bitwise(
     forwards = _thread_spy(monkeypatch, "_tower_forward")
     backwards = _thread_spy(monkeypatch, "_tower_backward")
     concurrent, concurrent_curve = proj.train_projection(split, corpus, None, hp, use_gate)
-    assert len(forwards) == len(backwards) == 2
+    assert forwards == backwards == {"caller", "worker"}
 
     monkeypatch.setattr(util, "_spare_core", lambda: False)
     forwards.clear()
     serial, serial_curve = proj.train_projection(split, corpus, None, hp, use_gate)
-    assert forwards == {threading.get_ident()}
+    assert forwards == {"caller"}
     assert concurrent_curve == serial_curve
     for (name, p), (_, q) in zip(concurrent.named_params(), serial.named_params()):
         assert p.step_count == q.step_count, name
