@@ -14,9 +14,8 @@ tape as a single node with array-valued VJPs.
 Networks derive from `Module`, which owns their parameter lists: a model's
 `named_params()` names each array `<part>.<layer>.W` or `<part>.<layer>.b`,
 sub-Modules in the order they were set and each part's `Linear` layers in
-name order. That name, after a `param/`, `adam_m/` or `adam_v/` prefix, is
-the array's checkpoint key, and that order is the order of the step counts
-in a checkpoint header.
+name order. That name, after a `param/` prefix, is the array's checkpoint
+key.
 
 Defaults to float64; `set_default_dtype(np.float32)` trades gradient-check
 headroom for speed.
@@ -168,7 +167,7 @@ class Parameter(Tensor):
     def __init__(self, value):
         super().__init__(value, requires_grad=True)
         # np.zeros, not zeros_like: large buffers stay untouched pages until
-        # written, so a model that is only loaded and run costs no RSS for grads
+        # written, so a model that is only loaded and run costs no RSS for them
         self.grad = np.zeros(self.data.shape, self.data.dtype)
         self.adam_m = np.zeros(self.data.shape, self.data.dtype)
         self.adam_v = np.zeros(self.data.shape, self.data.dtype)

@@ -1,13 +1,16 @@
 """Versioned binary checkpoints with exact array round-trips.
 
 Layout: 8-byte magic, u32 container version, u32 header length, JSON header,
-then the raw little-endian array payload, arrays in sorted-name order. Arrays
-are stored byte-exact, so a reloaded model reproduces its in-run numbers
-bitwise. A save streams each array from its own buffer. A load validates the
+then the raw little-endian array payload, arrays in sorted-name order. A
+model's checkpoint holds what a load uses: its parameters, byte-exact, a
+generator's feature scaler and the meta its loader reads. It holds no
+optimizer state, so a loaded model starts with zero Adam moments and step
+count 0. A save streams each array from its own buffer. A load validates the
 header against the file and the model, then reads each array once into place:
 every array entry, key and shape is checked before the first payload byte is
-read, so a failed load leaves no partial model. The model a load reads into
-is built without random draws: its weights start as zeros.
+read, so a failed load leaves no partial model. Entries it does not read, such
+as the Adam moments of older files, are checked and skipped. The model a load
+reads into is built without random draws: its weights start as zeros.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .errors import CheckpointError, ConfigError
 from .generation import FeatureScaler, GenHyperParams, VaeGanModel
 from .projection import ProjHyperParams, ProjectionModel
+from .util import is_int
 
 MAGIC = b"FLEXCKP1"
 VERSION = 1
@@ -100,7 +104,7 @@ def _hyperparams(cls, hp, path):
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return is_int(value) and value >= 0
 
 
 def _check_entry(entry, base: int, size: int, path) -> None:
@@ -204,26 +208,8 @@ def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[st
 
 
 def _param_arrays(model) -> dict[str, np.ndarray]:
-    """The model's parameter and Adam-moment buffers under their checkpoint names."""
-    arrays = {}
-    for name, p in model.named_params():
-        arrays[f"param/{name}"] = p.data
-        arrays[f"adam_m/{name}"] = p.adam_m
-        arrays[f"adam_v/{name}"] = p.adam_v
-    return arrays
-
-
-def _step_counts(model) -> dict[str, int]:
-    return {name: p.step_count for name, p in model.named_params()}
-
-
-def _read_model(f, path, base: int, entries: dict, model, steps, extra: dict) -> None:
-    """Read the model's parameters, Adam moments and `extra` arrays into place
-    and set its step counts."""
-    _require(steps, [name for name, _ in model.named_params()], path, "step counts")
-    _read_into(f, path, base, entries, {**_param_arrays(model), **extra})
-    for name, p in model.named_params():
-        p.step_count = int(steps[name])
+    """The model's parameter buffers under their checkpoint names."""
+    return {f"param/{name}": p.data for name, p in model.named_params()}
 
 
 def save_vaegan(model: VaeGanModel, path) -> None:
@@ -231,21 +217,14 @@ def save_vaegan(model: VaeGanModel, path) -> None:
     if model.scaler.fitted:
         arrays["scaler/lo"] = model.scaler.lo
         arrays["scaler/span"] = model.scaler.span
-    meta = {
-        "d_feat": model.d_feat,
-        "d_attr": model.d_attr,
-        "d_z": model.d_z,
-        "hp": vars(model.hp).copy(),
-        "steps": _step_counts(model),
-        "rng_state": model.rng_state,
-    }
+    meta = {"d_feat": model.d_feat, "d_attr": model.d_attr, "hp": vars(model.hp).copy()}
     save_checkpoint(path, "vaegan", meta, arrays)
 
 
 def load_vaegan(path) -> VaeGanModel:
     with open(path, "rb") as f:
         meta, entries, base = _read_header(f, path, "vaegan")
-        _require(meta, ("d_feat", "d_attr", "hp", "steps", "rng_state"), path, "meta")
+        _require(meta, ("d_feat", "d_attr", "hp"), path, "meta")
         hp = _hyperparams(GenHyperParams, meta["hp"], path)
         model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, None)
         scaler = {}
@@ -253,10 +232,9 @@ def load_vaegan(path) -> VaeGanModel:
             _require(entries, ("scaler/lo", "scaler/span"), path, "payload")
             for key in ("scaler/lo", "scaler/span"):
                 scaler[key] = np.empty((1, model.d_feat), entries[key]["dtype"])
-        _read_model(f, path, base, entries, model, meta["steps"], scaler)
+        _read_into(f, path, base, entries, {**_param_arrays(model), **scaler})
     if scaler:
         model.scaler = FeatureScaler(lo=scaler["scaler/lo"], span=scaler["scaler/span"])
-    model.rng_state = meta["rng_state"]
     return model
 
 
@@ -266,7 +244,6 @@ def save_projection(model: ProjectionModel, path) -> None:
         "classes": list(model.classes),
         "use_gate": model.use_gate,
         "hp": vars(model.hp).copy(),
-        "steps": _step_counts(model),
         "config_fingerprint": model.config_fingerprint,
     }
     save_checkpoint(path, "projection", meta, _param_arrays(model))
@@ -275,7 +252,7 @@ def save_projection(model: ProjectionModel, path) -> None:
 def load_projection(path) -> ProjectionModel:
     with open(path, "rb") as f:
         meta, entries, base = _read_header(f, path, "projection")
-        _require(meta, ("d", "classes", "use_gate", "hp", "steps"), path, "meta")
+        _require(meta, ("d", "classes", "use_gate", "hp"), path, "meta")
         hp = _hyperparams(ProjHyperParams, meta["hp"], path)
         model = ProjectionModel(
             d=meta["d"],
@@ -284,6 +261,6 @@ def load_projection(path) -> ProjectionModel:
             rng=None,
             use_gate=meta["use_gate"],
         )
-        _read_model(f, path, base, entries, model, meta["steps"], {})
+        _read_into(f, path, base, entries, _param_arrays(model))
     model.config_fingerprint = meta.get("config_fingerprint")
     return model

@@ -10,8 +10,9 @@ checkpoint). run, synth and train-proj run the stage functions of
 keeps it; `run_record.json` otherwise). They exit 0 only when every grid cell
 succeeded and 1 when any failed (the failure is recorded and the grid
 continues); a bad config, corpus or checkpoint exits 2 with a one-line
-error. eval takes only the flags it reads, so argparse rejects the grid
-flags there (exit 2).
+error. Given both --preset and --config, the file's keys override the
+preset's, section by section. eval takes only the flags it reads, so
+argparse rejects the grid flags there (exit 2).
 """
 
 from __future__ import annotations
@@ -42,22 +43,17 @@ ABLATIONS = ("no_vae", "no_generation", "no_gate", "no_l1", "no_l2", "no_l3")
 
 
 def _load_config(args) -> ExperimentConfig:
-    overrides = {}
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "x_shot", None):
-        overrides["x_shots"] = args.x_shot
-    if getattr(args, "seed", None):
-        overrides["seeds"] = args.seed
-
-    if args.config is not None:
-        payload = read_json(args.config)
-        payload.update(overrides)
-        config = config_from_dict(payload)
-    elif args.preset is not None:
-        config = preset_config(args.preset, **overrides)
-    else:
+    if args.config is None and args.preset is None:
         raise ConfigError("provide --config or --preset")
+    payload = read_json(args.config) if args.config is not None else {}
+    if getattr(args, "out", None) is not None:
+        payload["out_dir"] = args.out
+    if getattr(args, "x_shot", None):
+        payload["x_shots"] = args.x_shot
+    if getattr(args, "seed", None):
+        payload["seeds"] = args.seed
+    # given both, the file's sections update the preset's key by key
+    config = preset_config(args.preset, **payload) if args.preset else config_from_dict(payload)
 
     ablations = config.ablations
     for flag in ABLATIONS:
@@ -68,7 +64,9 @@ def _load_config(args) -> ExperimentConfig:
 
 def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--preset", help="named preset (synthetic, wikipedia, ...)")
+    parser.add_argument(
+        "--preset", help="named preset (synthetic, wikipedia, ...); a --config file's keys override it"
+    )
 
 
 def _add_grid(parser: argparse.ArgumentParser) -> None:

@@ -52,7 +52,7 @@ from .autodiff import Linear, Module, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import require_finite, run_pair, stream
+from .util import require_finite, require_int_fields, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -88,6 +88,7 @@ class GenHyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ConfigError(f"latent_dim must be at least 1, got {self.latent_dim}")
         if self.lambda_gp < 0:
@@ -228,7 +229,6 @@ class VaeGanModel(Module):
         self.generator = Generator(d_feat, d_attr, self.d_z, rng)
         self.critic = Critic(d_feat, d_attr, rng)
         self.scaler = FeatureScaler()
-        self.rng_state: dict | None = None
 
     def encode(self, v, a, rng) -> tuple[Tensor, Tensor, Tensor]:
         """Posterior parameters plus a reparameterized latent sample."""
@@ -693,8 +693,6 @@ def _train_single_modality(model, X, attrs, hp, modality, use_vae, stop: threadi
             require_finite(loss, f"stage 1 {modality} encoder/generator", epoch, batch + 1)
             adam_step(eg_params, hp.lr)
         log_point()
-
-    model.rng_state = rng_noise.bit_generator.state
     return curve
 
 

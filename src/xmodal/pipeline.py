@@ -36,7 +36,7 @@ from .data import (
 from .errors import ConfigError, DimensionMismatchError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
-from .util import fingerprint, require_finite_params, write_json
+from .util import fingerprint, require_finite_params, require_int_fields, write_json
 
 ARTIFACT_VERSION = "0.1.0"
 _HASH_CHUNK = 1 << 20  # bytes per read when hashing a stage-1 checkpoint
@@ -52,6 +52,9 @@ class SyntheticSpec:
     proto_rank: int | None = 3
     unit_norm: bool = True
     seed: int = 2024
+
+    def __post_init__(self):
+        require_int_fields(self)
 
 
 @dataclass
@@ -89,6 +92,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.synthetic is None and self.files is None:
             raise ConfigError("config needs either a synthetic spec or corpus files")
         if self.synthetic is not None and self.files is not None:

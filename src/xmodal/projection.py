@@ -35,7 +35,7 @@ from .autodiff import Linear, Module, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, ContractError, DimensionMismatchError
 from .optim import adam_step, zero_grads
-from .util import require_finite, run_pair, stream
+from .util import require_finite, require_int_fields, run_pair, stream
 
 
 @dataclass
@@ -51,6 +51,7 @@ class ProjHyperParams:
     contrast_includes_self: bool = False
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if min(self.alpha, self.beta, self.gamma) < 0:

@@ -1,5 +1,6 @@
 """Shared helpers: named deterministic RNG streams, config fingerprints, the
-training guards and the two-thread runner."""
+integer check of config fields, the training guards and the two-thread
+runner."""
 
 from __future__ import annotations
 
@@ -9,10 +10,11 @@ import math
 import os
 import threading
 import zlib
+from dataclasses import fields
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError
 
 
 def stream(seed: int, *tags) -> np.random.Generator:
@@ -25,6 +27,24 @@ def stream(seed: int, *tags) -> np.random.Generator:
     parts = [int(seed) & 0xFFFFFFFF]
     parts += [zlib.crc32(str(t).encode("utf8")) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int_fields(obj) -> None:
+    """Raise ConfigError naming the first field of dataclass `obj` annotated
+    `int`, `int | None` or `list[int]` (read as the postponed annotation
+    string) that holds anything else, such as a bool or the float 2.0."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "list[int]":
+            if not isinstance(value, (list, tuple)) or not all(is_int(v) for v in value):
+                raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
+        elif f.type == "int" or (f.type == "int | None" and value is not None):
+            if not is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
 
 
 def require_finite(loss: float, phase: str, epoch: int, step: int) -> None:

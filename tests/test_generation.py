@@ -554,7 +554,6 @@ def test_concurrent_training_equals_training_in_turn(worker, monkeypatch, use_va
         ref, X = gen._new_model(feats, attrs.shape[1], hp, modality)
         curve = gen._train_single_modality(ref, X, attrs, hp, modality, use_vae, threading.Event())
         assert curves[modality] == curve
-        assert model.rng_state == ref.rng_state
         for (name, p), (_, q) in zip(model.named_params(), ref.named_params()):
             assert p.step_count == q.step_count, name
             for got, want in ((p.data, q.data), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v)):

@@ -1,7 +1,7 @@
 """`autodiff.Module`: the one owner of every network's parameter list.
 
-Its names are the checkpoint keys and its order is the order of a
-checkpoint header's step counts, so both are pinned here.
+Its names are the checkpoint keys and its order is the order in which a
+step updates the parameters, so both are pinned here.
 """
 
 import numpy as np
@@ -68,7 +68,7 @@ def test_other_attributes_add_no_names():
     # parameters, even where they hold arrays or layer widths
     g, p = vaegan(), projection()
     g.scaler.fit(np.arange(8.0).reshape(2, 4))
-    g.rng_state = {"state": 1}
+    g.probe = {"noise": np.ones((2, 3))}
     p.config_fingerprint = "abc"
     assert g.critic.d_feat == 4
     assert names(g.critic) == ["l1.W", "l1.b", "l2.W", "l2.b"]

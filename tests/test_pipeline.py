@@ -324,6 +324,79 @@ def test_cli_out_of_range_config_value_exits_2_naming_it(tmp_path, capsys, overr
     assert not (tmp_path / "run").exists()
 
 
+def _payload_with(section, key, value):
+    """tiny_config's resolved payload with `key` (under `section`, if any) set to value."""
+    payload = tiny_config().resolved()
+    payload.pop("artifact_version")
+    (payload[section] if section else payload)[key] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("gen", "latent_dim", 2.5),
+        ("gen", "critic_steps", True),
+        ("gen", "batch", 4.5),
+        ("gen", "epochs", 3.0),
+        ("gen", "seed", "0"),
+        ("proj", "batch", 16.0),
+        ("proj", "epochs", False),
+        ("proj", "seed", 0.5),
+        ("synthetic", "n_classes", 6.0),
+        ("synthetic", "per_class", 8.5),
+        ("synthetic", "dim", True),
+        ("synthetic", "proto_rank", 2.5),
+        ("synthetic", "seed", 11.5),
+        (None, "x_shots", [1.5]),
+        (None, "x_shots", [True]),
+        (None, "x_shots", 0),
+        (None, "seeds", [0.5]),
+        (None, "gen_num", 2.5),
+    ],
+    ids=str,
+)
+def test_integer_field_rejects_a_non_integer_naming_it(section, key, value):
+    with pytest.raises(ConfigError, match=rf"^{key} must be (an integer|a list of integers), got "):
+        pipeline.config_from_dict(_payload_with(section, key, value))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("gen", "batch", 4.5), ("synthetic", "per_class", 8.5), (None, "seeds", [0.5]), (None, "x_shots", [True])],
+    ids=str,
+)
+def test_cli_non_integer_config_value_exits_2_naming_it(tmp_path, capsys, section, key, value):
+    # these failed every cell with a TypeError, died with a traceback, or ran
+    # seed 0 and x=1 under the labels 0.5 and True
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_payload_with(section, key, value)))
+    rc = cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_preset_with_config_file_overrides_the_preset(tmp_path, capsys):
+    # a real-data preset needs corpus files, which only a config file can name
+    corpus = tmp_path / "corpus"
+    assert cli_main(["make-data", "--out", str(corpus), "--classes", "4", "--per-class", "8",
+                     "--dim", "8", "--seed", "5"]) == 0
+    files = {key: str(corpus / name) for key, name in data.CORPUS_FILES.items()}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"files": files, "gen": {"epochs": 1}, "proj": {"epochs": 1}}))
+    run_dir = tmp_path / "run"
+    argv = ["run", "--preset", "wikipedia", "--config", str(config_path), "--out", str(run_dir),
+            "--x-shot", "0", "--seed", "0"]
+    assert cli_main(argv) == 0
+    record = json.loads((run_dir / "run_record.json").read_text())["config"]
+    assert record["name"] == "wikipedia" and record["files"] == files
+    assert record["gen"]["batch"] == 256 and record["gen"]["epochs"] == 1
+    assert record["proj"]["batch"] == 256 and record["proj"]["epochs"] == 1
+    assert record["gen_num"] == 70
+
+
 def test_cli_corrupt_corpus_exits_with_error(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert cli_main(["make-data", "--out", str(out), "--classes", "4", "--per-class", "8",
