@@ -17,8 +17,7 @@ sub-Modules in the order they were set and each part's `Linear` layers in
 name order. That name, after a `param/` prefix, is the array's checkpoint
 key.
 
-Defaults to float64; `set_default_dtype(np.float32)` trades gradient-check
-headroom for speed.
+Every array is float64.
 """
 
 from __future__ import annotations
@@ -29,24 +28,15 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 
-_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    global _DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ConfigError(f"unsupported dtype {dt}; use float64 or float32")
-    _DTYPE = dt.type
-
 
 def default_dtype():
-    return _DTYPE
+    """The dtype of every array: float64."""
+    return np.float64
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce scalar / 1-D / 2-D input to a 2-D array of the default dtype."""
-    arr = np.asarray(data, dtype=_DTYPE)
+    """Coerce scalar / 1-D / 2-D input to a 2-D float64 array."""
+    arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -536,7 +526,7 @@ class Linear:
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None):
-        W = np.zeros((d_in, d_out), _DTYPE) if rng is None else xavier_uniform(rng, d_in, d_out)
+        W = np.zeros((d_in, d_out)) if rng is None else xavier_uniform(rng, d_in, d_out)
         self.W = Parameter(W)
         self.b = Parameter(np.zeros((1, d_out)))
 

@@ -46,6 +46,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is None and args.preset is None:
         raise ConfigError("provide --config or --preset")
     payload = read_json(args.config) if args.config is not None else {}
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
     if getattr(args, "out", None) is not None:
         payload["out_dir"] = args.out
     if getattr(args, "x_shot", None):

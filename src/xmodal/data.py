@@ -24,7 +24,7 @@ from .errors import (
     MissingAttributeError,
     NonFiniteError,
 )
-from .util import stream
+from .util import stream, unit_rows
 
 EMB_MAGIC = b"FLEXEMB1"
 
@@ -365,10 +365,6 @@ def split_xshot(
     )
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
-
-
 def _quantize_f32(X: np.ndarray) -> np.ndarray:
     # keep values exactly representable in the float32 file format so a
     # write/load round-trip reproduces the corpus bit for bit
@@ -410,9 +406,9 @@ def synth_corpus(
             raise ConfigError(f"proto_rank must be in [2, {dim}], got {proto_rank}")
         basis, _ = np.linalg.qr(rng.standard_normal((dim, proto_rank)))
         weights = rng.standard_normal((n_classes, proto_rank))
-        protos = _unit_rows(weights @ basis.T)
+        protos = unit_rows(weights @ basis.T)
     else:
-        protos = _unit_rows(rng.standard_normal((n_classes, dim)))
+        protos = unit_rows(rng.standard_normal((n_classes, dim)))
     gap_dir = rng.standard_normal(dim)
     gap_dir = gap_dir / np.linalg.norm(gap_dir)
 
@@ -424,8 +420,8 @@ def synth_corpus(
     images = base + eps_img
     texts = base + modality_gap * gap_dir + eps_txt
     if unit_norm:
-        images = _unit_rows(images)
-        texts = _unit_rows(texts)
+        images = unit_rows(images)
+        texts = unit_rows(texts)
 
     images = _quantize_f32(images)
     texts = _quantize_f32(texts)

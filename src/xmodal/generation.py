@@ -29,9 +29,9 @@ backpropagated through the generator (affine, ReLU, affine, sigmoid). On the
 reconstruction path the analytic KL and reconstruction gradients join it,
 and the sum flows through the reparameterisation z = mu + exp(logvar/2)·eps,
 the log-variance clip and the encoder. The stage-1 steps, the posterior and
-the curve probe share one numpy forward that repeats the tape's float
-operations, so they match `generation_losses`, which stays as the tape
-reference, bitwise.
+the curve probe take float64 arrays and share one numpy forward that
+repeats the tape's float operations, the log-variance clip included, so
+they match `generation_losses`, which stays as the tape reference, bitwise.
 
 The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time: `train_generation` runs the text model on a worker
@@ -237,14 +237,14 @@ class VaeGanModel(Module):
         return mu, logvar, z
 
     def posterior(self, v, a) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, exp(logvar / 2)) of the encoder at rows (v, a)."""
-        _, mu, logvar = _encode(self.encoder, _data(v), _data(a))
+        """(mu, exp(logvar / 2)) of the encoder at rows (v, a), the log-variance clipped."""
+        _, mu, logvar, _ = _encode(self.encoder, v, a)
         return mu, np.exp(logvar * 0.5)
 
     def synthesize(self, attrs: np.ndarray, rng) -> np.ndarray:
         """Feature-space pseudo samples, one per attribute row."""
         noise = rng.standard_normal((attrs.shape[0], self.d_z))
-        return self.scaler.inverse(_generate(self.generator, noise, _data(attrs))[2])
+        return self.scaler.inverse(_generate(self.generator, noise, attrs)[2])
 
 
 def reparameterize(mu, logvar, rng) -> Tensor:
@@ -290,10 +290,6 @@ def penalty_terms(critic: Critic, v_hat: np.ndarray, a_pre: np.ndarray, n: int, 
     return value, dW1_v, GW.sum(axis=0, keepdims=True).T
 
 
-def _data(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else ad.as_matrix(x)
-
-
 # ---------------------------------------------------------------------------
 # the stage-1 forward in plain numpy: the float operations of the tape's
 # forward, op for op, so values (and the curves) match it bitwise
@@ -305,12 +301,17 @@ def _mean(x: np.ndarray) -> float:
 
 
 def _encode(enc: Encoder, v: np.ndarray, a: np.ndarray):
-    """Encoder forward: ((input, h1, h2, h3), mu, pre-clip logvar)."""
+    """Encoder forward: ((input, h1, h2, h3), mu, logvar, keep), logvar
+    clipped to [LOGVAR_MIN, LOGVAR_MAX] and keep true where the clip passed
+    it through."""
     x = np.concatenate([v, a], axis=1)
     h1 = ad.relu_inplace(ad.affine(x, enc.l1))
     h2 = ad.relu_inplace(ad.affine(h1, enc.l2))
     h3 = ad.logistic(ad.affine(h2, enc.l3))
-    return (x, h1, h2, h3), ad.affine(h3, enc.mu_head), ad.affine(h3, enc.logvar_head)
+    logvar = ad.affine(h3, enc.logvar_head)
+    keep = (logvar >= LOGVAR_MIN) & (logvar <= LOGVAR_MAX)
+    np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX, out=logvar)
+    return (x, h1, h2, h3), ad.affine(h3, enc.mu_head), logvar, keep
 
 
 def _generate(gen: Generator, z: np.ndarray, a: np.ndarray):
@@ -325,10 +326,7 @@ def _vae_forward(model: VaeGanModel, v: np.ndarray, a: np.ndarray, rng):
 
     Draws the reparameterisation eps from rng.
     """
-    (x, h1, h2, h3), mu, pre = _encode(model.encoder, v, a)
-    keep = (pre >= LOGVAR_MIN) & (pre <= LOGVAR_MAX)
-    logvar = np.clip(pre, LOGVAR_MIN, LOGVAR_MAX)
-    del pre
+    (x, h1, h2, h3), mu, logvar, keep = _encode(model.encoder, v, a)
     std = np.exp(logvar * 0.5)
     eps = rng.standard_normal(mu.shape)
     z = mu + std * eps
@@ -352,11 +350,11 @@ def gradient_penalty(real, fake, a, critic: Critic, rng) -> Tensor:
     is enabled the result is one tape node whose parents are the critic's two
     weights, with the closed-form gradients as its VJPs.
     """
-    real_d, fake_d = _data(real), _data(fake)
+    real_d, fake_d, a_d = (ad.as_tensor(x).data for x in (real, fake, a))
     eps = rng.uniform(size=(real_d.shape[0], 1))
     v_hat = eps * real_d + (1.0 - eps) * fake_d
     value, dW1_v, dw2 = penalty_terms(
-        critic, v_hat, critic.attr_branch(_data(a)), v_hat.shape[0], grads=ad.grad_enabled()
+        critic, v_hat, critic.attr_branch(a_d), v_hat.shape[0], grads=ad.grad_enabled()
     )
     if dW1_v is None:
         return Tensor(value)
@@ -424,18 +422,17 @@ def generation_losses(batch, model: VaeGanModel, hp: GenHyperParams, rng, use_va
     }
 
 
-def critic_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, posterior) -> float:
+def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, posterior) -> float:
     """Add the gradients of the loss the critic minimizes to the critic's .grad.
 
     The loss is Σ_paths [E D(other) − E D(real) + λ·GP(real, other)] over the
     fake path and, unless `posterior` is None, the reconstruction path: −gan1
     − gan2 of `generation_losses`, computed in closed form with no tape.
-    `posterior` is `model.posterior(v, a)`, which the critic's updates leave
-    unchanged, so one value serves every critic step of a batch. Draws from
-    rng in this order: noise, reparameterisation, then one eps per path.
-    Returns the loss value.
+    `posterior` is `model.posterior(real, attrs)`, which the critic's
+    updates leave unchanged, so one value serves every critic step of a
+    batch. Draws from rng in this order: noise, reparameterisation, then one
+    eps per path. Returns the loss value.
     """
-    real, attrs = _data(v), _data(a)
     n = real.shape[0]
     noise = rng.standard_normal((n, model.d_z))
     others = [_generate(model.generator, noise, attrs)[2]]
@@ -507,7 +504,6 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     operation is the tape's, so the gradients equal its backward pass
     bitwise (on zeroed .grad). Returns the loss value.
     """
-    v, a = _data(v), _data(a)
     n = v.shape[0]
     enc, gen, critic = model.encoder, model.generator, model.critic
     if use_vae:
@@ -625,7 +621,6 @@ def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
     Plain numpy with the tape's float operations and draws, so the values
     equal the tape's bitwise.
     """
-    X, attrs = _data(X), _data(attrs)
     n = X.shape[0]
     critic = model.critic
     if use_vae:

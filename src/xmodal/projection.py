@@ -456,7 +456,7 @@ def _embedding_cotangents(terms):
 def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParams,
                     epoch: int = 1, step: int = 1) -> dict[str, float]:
     """One Adam step of every parameter on `projection_losses`' total at the
-    batch (v, t), with no tape; returns the loss values.
+    float64 batch (v, t), with no tape; returns the loss values.
 
     Gradients are zeroed first. The two modality towers run their forwards,
     then their backward passes and Adam updates, through `util.run_pair`:
@@ -469,8 +469,8 @@ def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParam
     zero_grads(model.params)
     gate_v, gate_t = (model.gate_v, model.gate_t) if model.use_gate else (None, None)
     (u_v, saved_v), (u_t, saved_t) = run_pair(
-        partial(_tower_forward, ad.as_matrix(v), model.projector_v, gate_v),
-        partial(_tower_forward, ad.as_matrix(t), model.projector_t, gate_t),
+        partial(_tower_forward, v, model.projector_v, gate_v),
+        partial(_tower_forward, t, model.projector_t, gate_t),
         model.d,
     )
     values, terms = _batch_losses(u_v, u_t, label_cols, model.head, hp)

@@ -2,8 +2,9 @@
 
 Relevance is class-label match; the whole gallery is ranked per query with
 ties broken by ascending gallery index, and AP sums precision at every
-relevant rank divided by the total relevant count. Queries are ranked BLOCK
-rows at a time, which bounds the memory the ranking takes.
+relevant rank divided by the total relevant count. Queries are scored and
+ranked BLOCK rows at a time, so no more than BLOCK rows of the (queries,
+gallery) similarity matrix exist at once.
 
 The two directions share nothing until their average, so `evaluate` uses a
 second core when one is free and the features are at least
@@ -26,7 +27,7 @@ import numpy as np
 
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, NonFiniteError
-from .util import run_pair
+from .util import run_pair, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -54,13 +55,6 @@ class RetrievalReport:
             "skipped_queries": self.skipped_queries,
             "fingerprint": self.fingerprint,
         }
-
-
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine similarity is undefined for a zero vector")
-    return X / norms
 
 
 def average_precision(sims: np.ndarray, relevance: np.ndarray) -> np.ndarray:
@@ -100,7 +94,7 @@ def mean_ap(
     for name, X in (("queries", queries), ("gallery", gallery)):
         if not np.isfinite(X).all():
             raise NonFiniteError(f"{direction or 'mean_ap'}: non-finite value in the {name}")
-    sims = _unit_rows(queries) @ _unit_rows(gallery).T
+    unit_q, unit_g = unit_rows(queries), unit_rows(gallery)
 
     skipped = np.flatnonzero(~relevance.any(axis=1))
     if skipped.size == queries.shape[0]:
@@ -108,7 +102,7 @@ def mean_ap(
     if skipped.size:
         logger.warning("queries %s have no relevant gallery item; excluded from mAP", skipped.tolist())
     aps = np.delete(np.concatenate([
-        average_precision(sims[i : i + BLOCK], relevance[i : i + BLOCK])
+        average_precision(unit_q[i : i + BLOCK] @ unit_g.T, relevance[i : i + BLOCK])
         for i in range(0, queries.shape[0], BLOCK)
     ]), skipped)
     return RetrievalReport(

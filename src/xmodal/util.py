@@ -1,6 +1,6 @@
 """Shared helpers: named deterministic RNG streams, config fingerprints, the
-integer check of config fields, the training guards and the two-thread
-runner."""
+integer check of config fields, the training guards, unit-row normalisation
+and the two-thread runner."""
 
 from __future__ import annotations
 
@@ -63,6 +63,14 @@ def require_finite_params(model, where: str) -> None:
     for name, p in model.named_params():
         if not np.isfinite(p.data).all():
             raise NonFiniteError(f"{where}: parameter {name} holds a non-finite value")
+
+
+def unit_rows(X: np.ndarray) -> np.ndarray:
+    """X with each row divided by its Euclidean norm; a zero row raises ValueError."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity is undefined for a zero vector")
+    return X / norms
 
 
 # the narrowest feature width at which a job runs its two modalities on two

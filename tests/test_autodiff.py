@@ -223,16 +223,6 @@ def test_forward_backward_bit_identical_across_runs():
     assert np.array_equal(g1, g2)
 
 
-def test_set_default_dtype_switches_precision():
-    ad.set_default_dtype(np.float32)
-    try:
-        t = ad.Tensor([[1.0]])
-        assert t.data.dtype == np.float32
-    finally:
-        ad.set_default_dtype(np.float64)
-    assert ad.Tensor([[1.0]]).data.dtype == np.float64
-
-
 def test_tapes_are_thread_local():
     import threading
 

@@ -25,7 +25,7 @@ def fixture_batch(d=8, n=4, seed=21):
     rng = np.random.default_rng(seed)
     v = rng.uniform(0.05, 0.95, size=(n, d))
     a = rng.normal(size=(n, d))
-    return ad.Tensor(v), ad.Tensor(a)
+    return v, a
 
 
 def small_model(d=8, seed=0, hp=None):
@@ -66,6 +66,17 @@ def test_encoder_clamps_logvar():
     model.encoder.logvar_head.b.data[...] = -1e6
     _, logvar = model.encoder(v, a)
     assert np.all(logvar.data >= -10.0)
+
+
+@pytest.mark.parametrize("bias, logvar", [(30.0, gen.LOGVAR_MAX), (-30.0, gen.LOGVAR_MIN)])
+def test_posterior_takes_the_clipped_log_variance(bias, logvar):
+    # the critic step's posterior is the tape's: sigma = exp(clip(logvar) / 2)
+    model, _ = small_model()
+    model.encoder.logvar_head.b.data[...] = bias
+    v, a = fixture_batch()
+    mu, std = model.posterior(v, a)
+    assert np.array_equal(std, np.full(std.shape, np.exp(logvar * 0.5)))
+    assert np.array_equal(mu, model.encoder(v, a)[0].data)
 
 
 def test_reparameterized_moments_match_parameters():
@@ -277,10 +288,17 @@ def test_one_critic_step_increases_objective():
     assert objective() > before
 
 
-@pytest.mark.parametrize("use_vae", [True, False])
-def test_critic_step_gradients_match_finite_differences(use_vae):
+@pytest.mark.parametrize(
+    "use_vae, logvar_bias",
+    [(True, None), (False, None), (True, 30.0), (True, -30.0)],
+    ids=["True", "False", "True-logvar-high", "True-logvar-low"],
+)
+def test_critic_step_gradients_match_finite_differences(use_vae, logvar_bias):
     model, hp = small_model(d=6, seed=51)
     v, a = fixture_batch(d=6, n=5, seed=52)
+    if logvar_bias is not None:
+        # a saturated head: the step's posterior must take the tape's clip
+        model.encoder.logvar_head.b.data[...] = logvar_bias
 
     def loss_value():
         # the critic step's loss rebuilt from the tape-level losses, drawing
@@ -435,6 +453,20 @@ def test_eg_step_gradients_match_finite_differences(use_vae):
     )
     if not use_vae:
         assert not any(p.grad.any() for p in model.encoder.params)
+
+
+@pytest.mark.parametrize("use_vae", [True, False])
+@pytest.mark.parametrize("lambda_gp", [10.0, 0.0])
+@pytest.mark.parametrize("d, n", [(6, 5), (64, 37)])
+def test_curve_probe_equals_the_tape_bitwise(use_vae, lambda_gp, d, n):
+    hp = gen.GenHyperParams(lambda_gp=lambda_gp, seed=3)
+    model = gen.VaeGanModel(d, d, hp, stream(d + n, "init"))
+    rng = np.random.default_rng(n)
+    X, attrs = rng.uniform(0.05, 0.95, size=(n, d)), rng.normal(size=(n, d))
+    got = gen._dataset_metrics(model, X, attrs, hp, stream(6, "probe"), use_vae)
+    with ad.no_grad():
+        want = gen.generation_losses((X, attrs), model, hp, stream(6, "probe"), use_vae)
+    assert got == {k: t.item() for k, t in want.items()}
 
 
 def _step_peak(step, *args):

@@ -378,6 +378,21 @@ def test_cli_non_integer_config_value_exits_2_naming_it(tmp_path, capsys, sectio
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, top", [("run", [1, 2]), ("eval", "x")])
+def test_cli_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, command, top):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(top))
+    argv = [command, "--config", str(config_path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "run")]
+    else:
+        argv += ["--checkpoint", str(tmp_path / "projection.ckpt")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config file {config_path} must hold a JSON object\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_preset_with_config_file_overrides_the_preset(tmp_path, capsys):
     # a real-data preset needs corpus files, which only a config file can name
     corpus = tmp_path / "corpus"

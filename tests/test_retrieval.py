@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ def test_mean_ap_scale_invariance():
     b = ret.mean_ap(3.7 * queries, 0.2 * gallery, rel)
     assert a.map_score == b.map_score
     assert a.per_query_ap == b.per_query_ap
+
+
+def test_mean_ap_holds_one_block_of_similarities():
+    # the whole 2000 x 8000 cosine matrix takes 122 MiB, one BLOCK of its rows 16 MiB
+    rng = np.random.default_rng(6)
+    queries, gallery = rng.normal(size=(2000, 64)), rng.normal(size=(8000, 64))
+    rel = rng.integers(0, 10, size=2000)[:, None] == rng.integers(0, 10, size=8000)[None, :]
+    tracemalloc.start()
+    try:
+        ret.mean_ap(queries, gallery, rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * (1 << 20)
 
 
 # ---------------------------------------------------------------------------
