@@ -88,10 +88,11 @@ def _require(mapping, keys, path, where: str) -> None:
         )
 
 
-def _hyperparams(cls, hp, path):
-    """cls(**hp), with a CheckpointError naming any key cls does not know or
-    any value it rejects."""
+def _hyperparams(cls, hp, path, retired=()):
+    """cls(**hp) less the `retired` keys, with a CheckpointError naming any
+    other key cls does not know or any value it rejects."""
     _require(hp, (), path, "meta.hp")
+    hp = {k: v for k, v in hp.items() if k not in retired}
     unknown = sorted(set(hp) - {f.name for f in fields(cls)})
     if unknown:
         raise CheckpointError(
@@ -253,7 +254,8 @@ def load_projection(path) -> ProjectionModel:
     with open(path, "rb") as f:
         meta, entries, base = _read_header(f, path, "projection")
         _require(meta, ("d", "classes", "use_gate", "hp"), path, "meta")
-        hp = _hyperparams(ProjHyperParams, meta["hp"], path)
+        # earlier builds wrote this switch; it only shaped training
+        hp = _hyperparams(ProjHyperParams, meta["hp"], path, retired=("contrast_includes_self",))
         model = ProjectionModel(
             d=meta["d"],
             classes=meta["classes"],

@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
 from .errors import CheckpointError, ConfigError, IngestError
 from .pipeline import (
+    AblationFlags,
     ExperimentConfig,
     SyntheticSpec,
     config_from_dict,
@@ -39,7 +40,7 @@ from .pipeline import (
 )
 from .util import read_json, write_json
 
-ABLATIONS = ("no_vae", "no_generation", "no_gate", "no_l1", "no_l2", "no_l3")
+ABLATIONS = tuple(f.name for f in fields(AblationFlags))
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -159,15 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = SyntheticSpec()
     p = sub.add_parser("make-data", help="write a synthetic corpus in the binary embedding format")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--per-class", type=int, default=50)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--gap", type=float, default=5.0)
-    p.add_argument("--noise", type=float, default=0.08)
-    p.add_argument("--proto-rank", type=int, default=3)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--classes", type=int, default=spec.n_classes)
+    p.add_argument("--per-class", type=int, default=spec.per_class)
+    p.add_argument("--dim", type=int, default=spec.dim)
+    p.add_argument("--gap", type=float, default=spec.modality_gap)
+    p.add_argument("--noise", type=float, default=spec.noise_sigma)
+    p.add_argument("--proto-rank", type=int, default=spec.proto_rank)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.set_defaults(func=cmd_make_data)
 
     p = sub.add_parser("run", help="full two-stage grid over x-shots and seeds")

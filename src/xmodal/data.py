@@ -378,7 +378,6 @@ def synth_corpus(
     modality_gap: float = 0.5,
     noise_sigma: float = 0.25,
     seed: int = 0,
-    unit_norm: bool = True,
     proto_rank: int | None = None,
     name: str = "synthetic",
 ) -> Corpus:
@@ -387,7 +386,8 @@ def synth_corpus(
     Each class gets a unit-norm prototype that doubles as its attribute
     vector. Image features are noisy copies of the prototype; text features
     additionally carry a fixed modality-offset direction scaled by
-    modality_gap. Deterministic in seed.
+    modality_gap. Every feature row is then scaled to unit norm, as CLIP
+    features are. Deterministic in seed.
 
     proto_rank confines every prototype to a shared random subspace, which
     correlates classes the way pretrained class embeddings are correlated;
@@ -417,14 +417,8 @@ def synth_corpus(
     eps_txt = rng.standard_normal((n, dim)) * noise_sigma
 
     base = np.repeat(protos, per_class, axis=0)
-    images = base + eps_img
-    texts = base + modality_gap * gap_dir + eps_txt
-    if unit_norm:
-        images = unit_rows(images)
-        texts = unit_rows(texts)
-
-    images = _quantize_f32(images)
-    texts = _quantize_f32(texts)
+    images = _quantize_f32(unit_rows(base + eps_img))
+    texts = _quantize_f32(unit_rows(base + modality_gap * gap_dir + eps_txt))
     attrs = {c: _quantize_f32(protos[c : c + 1])[0] for c in range(n_classes)}
     labels = np.repeat(np.arange(n_classes), per_class)
     return Corpus(images, texts, labels, attrs, name=name)

@@ -431,7 +431,8 @@ def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, poster
     `posterior` is `model.posterior(real, attrs)`, which the critic's
     updates leave unchanged, so one value serves every critic step of a
     batch. Draws from rng in this order: noise, reparameterisation, then one
-    eps per path. Returns the loss value.
+    eps per path (none when lambda_gp is 0, which skips the penalty).
+    Returns the loss value.
     """
     n = real.shape[0]
     noise = rng.standard_normal((n, model.d_z))
@@ -441,7 +442,6 @@ def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, poster
         z = mu + std * rng.standard_normal(mu.shape)
         others.append(_generate(model.generator, z, attrs)[2])
     k = len(others)
-    eps = [rng.uniform(size=(n, 1)) for _ in others]
     critic = model.critic
     d = critic.d_feat
     w2 = critic.l2.W.data
@@ -468,13 +468,16 @@ def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, poster
     del dpre, M
     # Σ w·D = (hᵀ w)·w2 + b2·Σ w, and the weights sum to zero
     loss = float((dW2 * w2).sum())
+    # b2's gradient is Σ w = 0
+    critic.l2.W.grad += dW2
+    if not hp.lambda_gp:
+        return loss
 
+    eps = [rng.uniform(size=(n, 1)) for _ in others]
     v_hat = np.vstack([e * real + (1.0 - e) * o for e, o in zip(eps, others)])
     del others
     gp, dW1_v, dw2 = penalty_terms(critic, v_hat, a_pre, n)
     critic.l1.W.grad[:d] += hp.lambda_gp * dW1_v
-    # b2's gradient is Σ w = 0
-    critic.l2.W.grad += dW2
     critic.l2.W.grad += hp.lambda_gp * dw2
     return loss + hp.lambda_gp * gp
 
@@ -498,9 +501,10 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     Closed form, no tape. The critic is a constant for the step, and real
     and fake enter the penalty as constants, so the penalty cannot move the
     encoder or generator: the loss is `generation_losses`' total at
-    lambda_gp = 0, but the skipped penalties' eps are drawn all the same, so
-    the noise stream stays what it is with them. Draws from rng in this
-    order: reparameterisation, noise, the two skipped eps. Each float
+    lambda_gp = 0. When lambda_gp is positive, the skipped penalties' eps
+    are drawn all the same, so the noise stream stays what it is with them.
+    Draws from rng in this order: reparameterisation, noise, one skipped eps
+    per path (none when lambda_gp is 0). Each float
     operation is the tape's, so the gradients equal its backward pass
     bitwise (on zeroed .grad). Returns the loss value.
     """
@@ -509,7 +513,8 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     if use_vae:
         kl, recon, v_bar, cache = _vae_forward(model, v, a, rng)
     noise = rng.standard_normal((n, model.d_z))
-    rng.uniform(size=(n, 2 if use_vae else 1))
+    if hp.lambda_gp:
+        rng.uniform(size=(n, 2 if use_vae else 1))
 
     d_real = _mean(critic.scores(v, a)[0])
     # a fake score's cotangent is -1/n per row, applied to w2 before the

@@ -50,7 +50,6 @@ class SyntheticSpec:
     modality_gap: float = 5.0
     noise_sigma: float = 0.08
     proto_rank: int | None = 3
-    unit_norm: bool = True
     seed: int = 2024
 
     def __post_init__(self):
@@ -353,6 +352,8 @@ def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -
 
 def synth_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
     """Stage 1 only: the cell's generators plus its pseudo corpus in `pseudo/`."""
+    if config.out_dir is None:
+        raise ConfigError("synth_cell needs out_dir for the pseudo corpus")
     cell = _new_cell(x_shot, seed)
     split = cell_split(corpus, x_shot, seed, config)
     pseudo, gen_curves = stage1(corpus, split, config, cell)

@@ -48,7 +48,6 @@ class ProjHyperParams:
     batch: int = 64
     epochs: int = 100
     seed: int = 0
-    contrast_includes_self: bool = False
 
     def __post_init__(self):
         require_int_fields(self)
@@ -129,13 +128,14 @@ def loss_consistency(u_v, u_t) -> Tensor:
     return ad.mean_all(norms)
 
 
-def loss_contrastive(u_v, u_t, tau: float, include_self: bool = False) -> Tensor:
+def loss_contrastive(u_v, u_t, tau: float) -> Tensor:
     """Contrastive instance-discrimination loss over both modalities of a batch.
 
     All 2n embeddings act as anchors; each anchor's positive is its paired
-    embedding from the other modality, the denominator runs over every other
-    embedding in the batch (self excluded unless include_self). Cosine
-    similarities are scaled by 1/tau; the sum of anchor terms is divided by n.
+    embedding from the other modality, and the denominator runs over every
+    other embedding in the batch, the anchor itself left out (NT-Xent).
+    Cosine similarities are scaled by 1/tau; the sum of anchor terms is
+    divided by n.
     """
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}")
@@ -155,8 +155,7 @@ def loss_contrastive(u_v, u_t, tau: float, include_self: bool = False) -> Tensor
 
     m = 2 * n
     mask = np.ones((m, m))
-    if not include_self:
-        np.fill_diagonal(mask, 0.0)
+    np.fill_diagonal(mask, 0.0)
     masked_max = np.where(mask > 0, sims.data, -np.inf).max(axis=1, keepdims=True)
     shift = Tensor(masked_max)
     denom = ad.sum_axis(ad.exp(sims - shift) * Tensor(mask), axis=1)
@@ -251,7 +250,7 @@ def projection_losses(model: ProjectionModel, v, t, label_cols, hp: ProjHyperPar
     l2 = loss_consistency(u_v, u_t) if hp.beta > 0 else zero
     n = u_v.data.shape[0]
     if hp.gamma > 0 and n >= 2:
-        l3 = loss_contrastive(u_v, u_t, hp.tau, hp.contrast_includes_self)
+        l3 = loss_contrastive(u_v, u_t, hp.tau)
     else:
         l3 = zero
     return {"l1": l1, "l2": l2, "l3": l3, "total": total_loss((l1, l2, l3), hp)}
@@ -364,17 +363,18 @@ def _consistency_term(u_v, u_t, weight: float):
     return norms.sum() * (1.0 / n), cotangents
 
 
-def _contrastive_term(u_v, u_t, tau: float, include_self: bool, weight: float):
+def _contrastive_term(u_v, u_t, tau: float, weight: float):
     """`loss_contrastive`'s value and the function giving weight·L3's
     cotangents at (u_v, u_t), holding one (2n, 2n) array.
 
-    The tape's mask matrix is not formed: the excluded diagonal is set to
-    -inf for the row maxima and then restored, and its exponentials are
-    multiplied by 0.0 in place, the same values as the tape's product with
-    the mask. The gradient with respect to the cosine matrix is
-    (k/τ)(P − Y), with P the masked softmax, Y the positives and k the
-    weight over n (NT-Xent, arXiv:2002.05709); it runs back through the
-    product with the transposed copy and through the normalisation.
+    The tape's mask matrix is not formed: the diagonal is set to -inf, which
+    leaves it out of the row maxima and, through the shift and exp(-inf) =
+    +0.0, out of the row sums, the values of the tape's product with the
+    mask (a non-finite similarity makes the loss NaN either way). The
+    gradient with respect to the cosine matrix is (k/τ)(P − Y), with P the
+    masked softmax, Y the positives and k the weight over n (NT-Xent,
+    arXiv:2002.05709); it runs back through the product with the transposed
+    copy and through the normalisation.
     """
     n = u_v.shape[0]
     m = 2 * n
@@ -388,16 +388,10 @@ def _contrastive_term(u_v, u_t, tau: float, include_self: bool, weight: float):
     rows = np.arange(m)
     pair = np.concatenate([np.arange(n) + n, np.arange(n)])
     positives = sims[rows, pair].reshape(m, 1)
-    diag = sims.reshape(-1)[:: m + 1]
-    kept = diag.copy()
-    if not include_self:
-        diag[...] = -np.inf
+    np.fill_diagonal(sims, -np.inf)
     shift = sims.max(axis=1, keepdims=True)
-    diag[...] = kept
     sims -= shift
     ex = np.exp(sims, out=sims)
-    if not include_self:
-        diag *= 0.0
     denom = ex.sum(axis=1, keepdims=True)
     log_p = positives - (shift + np.log(denom))
 
@@ -433,9 +427,7 @@ def _batch_losses(u_v, u_t, label_cols, head: ClassifierHead, hp: ProjHyperParam
         values["l2"], back = _consistency_term(u_v, u_t, hp.beta)
         terms.append(back)
     if hp.gamma > 0 and u_v.shape[0] >= 2:
-        values["l3"], back = _contrastive_term(
-            u_v, u_t, hp.tau, hp.contrast_includes_self, hp.gamma
-        )
+        values["l3"], back = _contrastive_term(u_v, u_t, hp.tau, hp.gamma)
         terms.append(back)
     values["total"] = (values["l1"] * hp.alpha + values["l2"] * hp.beta) + values["l3"] * hp.gamma
     return {k: float(v) for k, v in values.items()}, terms

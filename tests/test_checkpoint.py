@@ -355,6 +355,30 @@ def test_earlier_layout_projection_evaluates_identically(small_setup, tmp_path):
     assert pipeline.eval_checkpoint(old, config, x_shot=0, seed=3) == want
 
 
+@pytest.mark.parametrize("included", [True, False])
+def test_projection_hp_with_the_removed_contrast_switch_loads_and_evaluates_the_same(
+    small_setup, tmp_path, included
+):
+    # earlier builds wrote proj.contrast_includes_self into meta.hp; it only
+    # shaped training, so a load drops it whatever its value
+    _, _, _, _, model = small_setup
+    new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+    ckpt.save_projection(model, new)
+    meta, arrays = ckpt.load_checkpoint(new)
+    meta["hp"]["contrast_includes_self"] = included
+    ckpt.save_checkpoint(old, "projection", meta, arrays)
+    back = ckpt.load_projection(old)
+    assert vars(back.hp) == vars(model.hp)
+    for (n1, p1), (n2, p2) in zip(model.named_params(), back.named_params()):
+        assert n1 == n2
+        assert np.array_equal(p1.data, p2.data), n1
+    config = pipeline.ExperimentConfig(
+        synthetic=pipeline.SyntheticSpec(n_classes=4, per_class=8, dim=8, seed=3, noise_sigma=0.15)
+    )
+    want = pipeline.eval_checkpoint(new, config, x_shot=0, seed=3)
+    assert pipeline.eval_checkpoint(old, config, x_shot=0, seed=3) == want
+
+
 def _edit_entry(path, name, **changes):
     """Rewrite one array entry of a checkpoint's header, payload unchanged."""
     raw = path.read_bytes()

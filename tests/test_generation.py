@@ -328,6 +328,47 @@ def test_critic_step_gradients_match_finite_differences(use_vae, logvar_bias):
         assert not p.grad.any()
 
 
+@pytest.mark.parametrize("use_vae", [True, False])
+def test_critic_step_without_penalty_draws_no_eps(use_vae, monkeypatch):
+    # at lambda_gp = 0 the step computes no penalty and draws no eps, as
+    # critic_loss does, so its noise stream stays the tape's
+    model, hp = small_model(d=6, seed=53)
+    hp = replace(hp, lambda_gp=0.0)
+    v, a = fixture_batch(d=6, n=5, seed=54)
+    posterior = model.posterior(v, a) if use_vae else None
+
+    def tape_loss(rng):
+        # the step's loss from the tape-level losses, in its draw order:
+        # noise, then the reparameterisation
+        with ad.no_grad():
+            others = [model.generator(ad.Tensor(rng.standard_normal((5, model.d_z))), a)]
+            if use_vae:
+                others.append(model.generator(model.encode(v, a, rng)[2], a))
+            return -sum(gen.critic_loss(v, o, a, model.critic, 0.0, rng).item() for o in others)
+
+    def step(rng):
+        return gen.critic_step(v, a, model, hp, rng, posterior)
+
+    penalties, real = [], gen.penalty_terms
+
+    def penalty_terms(*args, **kwargs):
+        penalties.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gen, "penalty_terms", penalty_terms)
+    rng_step, rng_tape = stream(9, "critic"), stream(9, "critic")
+    zero_grads(model.params)
+    assert step(rng_step) == pytest.approx(tape_loss(rng_tape), rel=1e-12)
+    assert rng_step.bit_generator.state == rng_tape.bit_generator.state
+    assert not penalties
+    assert_grad_matches(
+        lambda: tape_loss(stream(9, "critic")),
+        model.critic.params,
+        lambda: step(stream(9, "critic")),
+        eps=1e-6,
+    )
+
+
 # ---------------------------------------------------------------------------
 # combined losses
 
@@ -412,26 +453,28 @@ def test_eg_step_equals_the_tape_backward_bitwise(use_vae, d, d_attr, n):
     # an odd batch makes the 1/n scalings inexact, and BLAS may sum a
     # product over a column slice in another order than over the whole
     # matrix (the critic's W1 at d = d_attr = 64 and n = 16 is such a case)
-    hp = gen.GenHyperParams(seed=1)
-    model = gen.VaeGanModel(d, d_attr, hp, stream(d + n, "init"))
+    model = gen.VaeGanModel(d, d_attr, gen.GenHyperParams(seed=1), stream(d + n, "init"))
     rng = np.random.default_rng(n)
     v, a = rng.uniform(0.05, 0.95, size=(n, d)), rng.normal(size=(n, d_attr))
     eg = model.encoder.params + model.generator.params
-    zero_grads(model.params)
-    losses = gen.generation_losses((v, a), model, replace(hp, lambda_gp=0.0), stream(5, "eg"), use_vae)
-    ad.backward(losses["total"])
-    want = [p.grad.copy() for p in eg]
+    for lambda_gp in (10.0, 0.0):
+        hp = gen.GenHyperParams(seed=1, lambda_gp=lambda_gp)
+        zero_grads(model.params)
+        losses = gen.generation_losses((v, a), model, replace(hp, lambda_gp=0.0), stream(5, "eg"), use_vae)
+        ad.backward(losses["total"])
+        want = [p.grad.copy() for p in eg]
 
-    zero_grads(model.params)
-    rng_step = stream(5, "eg")
-    assert gen.eg_step(v, a, model, hp, rng_step, use_vae) == losses["total"].item()
-    for got, expected in zip((p.grad for p in eg), want):
-        assert np.array_equal(got, expected)
-    # the two skipped penalty eps are drawn after the step's own draws
-    rng_tape = stream(5, "eg")
-    gen.generation_losses((v, a), model, hp, rng_tape, use_vae)
-    assert rng_step.bit_generator.state == rng_tape.bit_generator.state
-    ad.active_tape().clear()
+        zero_grads(model.params)
+        rng_step = stream(5, "eg")
+        assert gen.eg_step(v, a, model, hp, rng_step, use_vae) == losses["total"].item()
+        for got, expected in zip((p.grad for p in eg), want):
+            assert np.array_equal(got, expected)
+        # the skipped penalty eps are drawn after the step's own draws, and
+        # at lambda_gp = 0 neither side draws them
+        rng_tape = stream(5, "eg")
+        gen.generation_losses((v, a), model, hp, rng_tape, use_vae)
+        assert rng_step.bit_generator.state == rng_tape.bit_generator.state, lambda_gp
+        ad.active_tape().clear()
 
 
 @pytest.mark.parametrize("use_vae", [True, False])

@@ -96,6 +96,13 @@ def test_make_data_two_instance_corpus(tmp_path):
     assert len(corpus) == 2
 
 
+def test_cli_make_data_defaults_are_the_synthetic_spec(tmp_path, capsys):
+    assert cli_main(["make-data", "--out", str(tmp_path / "cli")]) == 0
+    pipeline.make_data(pipeline.SyntheticSpec(), tmp_path / "lib")
+    for name in data.CORPUS_FILES.values():
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
 def test_make_data_byte_identical_across_runs(tmp_path):
     spec = pipeline.SyntheticSpec(n_classes=3, per_class=4, dim=8)
     a = tmp_path / "a"
@@ -393,6 +400,21 @@ def test_cli_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, command
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value", [("proj", "contrast_includes_self", True), ("synthetic", "unit_norm", False)]
+)
+def test_cli_config_naming_a_removed_switch_exits_2(tmp_path, capsys, section, key, value):
+    # this build always leaves the anchor out of the contrastive denominator
+    # and always writes unit feature rows, so it cannot honour either key
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_payload_with(section, key, value)))
+    rc = cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config keys under {section}: ['{key}']\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_preset_with_config_file_overrides_the_preset(tmp_path, capsys):
     # a real-data preset needs corpus files, which only a config file can name
     corpus = tmp_path / "corpus"
@@ -601,6 +623,18 @@ def test_synth_then_train_proj_fills_the_run_layout(tmp_path, capsys):
         for (n1, p1), (n2, p2) in zip(want.named_params(), got.named_params()):
             assert n1 == n2 and np.array_equal(p1.data, p2.data)
     assert len(targets) == 2  # the seeds' target classes differ
+
+
+def test_synth_cell_without_out_dir_fails_before_stage_1(monkeypatch):
+    def train_generation(*args, **kwargs):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(pipeline, "train_generation", train_generation)
+    record = pipeline.run_grid(tiny_config(), pipeline.synth_cell)
+    assert record["failures"] == 1
+    assert record["cells"][0]["error"] == (
+        "ConfigError: synth_cell needs out_dir for the pseudo corpus"
+    )
 
 
 def test_train_proj_keeps_the_synth_record(tmp_path):

@@ -237,7 +237,7 @@ def test_consistency_gradient_matches_finite_differences():
 # contrastive loss
 
 
-def brute_force_contrastive(u_v, u_t, tau, include_self=False):
+def brute_force_contrastive(u_v, u_t, tau):
     embs = np.vstack([u_v, u_t])
     m = len(embs)
     n = len(u_v)
@@ -248,7 +248,7 @@ def brute_force_contrastive(u_v, u_t, tau, include_self=False):
         num = np.exp(unit[i] @ unit[pair] / tau)
         denom = 0.0
         for j in range(m):
-            if j == i and not include_self:
+            if j == i:
                 continue
             denom += np.exp(unit[j] @ unit[i] / tau)
         total += -np.log(num / denom)
@@ -271,14 +271,10 @@ def test_contrastive_matches_enumeration_on_fixture():
 
 def test_contrastive_matches_enumeration_on_random_batches():
     rng = np.random.default_rng(9)
-    for include_self in (False, True):
-        u_v = rng.normal(size=(5, 4))
-        u_t = rng.normal(size=(5, 4))
-        got = proj.loss_contrastive(
-            ad.Tensor(u_v), ad.Tensor(u_t), tau=0.3, include_self=include_self
-        ).item()
-        want = brute_force_contrastive(u_v, u_t, tau=0.3, include_self=include_self)
-        assert got == pytest.approx(want, abs=1e-12)
+    u_v = rng.normal(size=(5, 4))
+    u_t = rng.normal(size=(5, 4))
+    got = proj.loss_contrastive(ad.Tensor(u_v), ad.Tensor(u_t), tau=0.3).item()
+    assert got == pytest.approx(brute_force_contrastive(u_v, u_t, tau=0.3), abs=1e-12)
 
 
 def test_contrastive_scale_invariance():
@@ -410,12 +406,13 @@ def _assert_steps_equal(d, n, hp, use_gate, monkeypatch, steps=2, n_classes=5):
             assert not p.grad.any(), name
 
 
-@pytest.mark.parametrize("include_self", [False, True])
-@pytest.mark.parametrize("use_gate", [True, False])
+# each id ends in -False, the self-excluded half of an earlier include_self
+# axis, so the cases keep their names
+@pytest.mark.parametrize("use_gate", [True, False], ids=lambda gate: f"{gate}-False")
 @pytest.mark.parametrize("d, n", [(5, 4), (64, 64), (64, 37), (512, 256)])
-def test_projection_step_equals_the_tape_step_bitwise(d, n, use_gate, include_self, monkeypatch):
+def test_projection_step_equals_the_tape_step_bitwise(d, n, use_gate, monkeypatch):
     # an odd batch makes the 1/n scalings inexact; at d=512 BLAS blocks its sums
-    hp = proj.ProjHyperParams(tau=0.2, contrast_includes_self=include_self)
+    hp = proj.ProjHyperParams(tau=0.2)
     _assert_steps_equal(d, n, hp, use_gate, monkeypatch)
 
 
