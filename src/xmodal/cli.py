@@ -153,6 +153,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def rank_or_none(text: str) -> int | None:
+    """`--proto-rank`: an integer, or `none` for `proto_rank=None`."""
+    return None if text == "none" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmodal",
@@ -168,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=spec.dim)
     p.add_argument("--gap", type=float, default=spec.modality_gap)
     p.add_argument("--noise", type=float, default=spec.noise_sigma)
-    p.add_argument("--proto-rank", type=int, default=spec.proto_rank)
+    p.add_argument("--proto-rank", type=rank_or_none, default=spec.proto_rank,
+                   help="an integer, or `none` for isotropic class prototypes")
     p.add_argument("--seed", type=int, default=spec.seed)
     p.set_defaults(func=cmd_make_data)
 

@@ -34,9 +34,16 @@ repeats the tape's float operations, the log-variance clip included, so
 they match `generation_losses`, which stays as the tape reference, bitwise.
 
 The two modalities share no parameters, RNG streams or buffers, so they may
-train at the same time: `train_generation` runs the text model on a worker
-thread when a second core is free (see `util.CONCURRENT_MIN_WIDTH`). numpy
-releases the GIL inside BLAS calls and ufunc loops, so the threads overlap.
+train at the same time when a second core is free (see
+`util.CONCURRENT_MIN_WIDTH`). Below 128 features `train_generation` trains
+the text model in a forked child when BLAS is held to one thread and no other
+thread is alive; the child sends back its curve, its trained parameters and
+their Adam state. At d=64 the interpreter holds the GIL for most of a step,
+so a thread would overlap little, while the child takes stage 1 of a desk
+cell from about 1.05 s to 0.6 s. From 128 on `train_generation` trains the
+text model on a worker thread: numpy releases the GIL inside BLAS calls and
+ufunc loops, so the threads overlap, and a thread does not pay the
+copy-on-write page faults that a fork of a large process does.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .autodiff import Linear, Module, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import require_finite, require_int_fields, run_pair, stream
+from .util import Handoff, require_finite, require_int_fields, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -582,12 +589,15 @@ def train_generation(
     """Stage-1 training for both modalities; they share nothing but the data.
 
     Returns (image model, text model, loss curves); curves hold per-epoch
-    means keyed by modality. With a second usable core and features at
-    least `util.CONCURRENT_MIN_WIDTH` wide, the text model trains on a worker
-    thread while the image model trains on the calling thread; the results
-    are bitwise those of training one after the other. Errors surface in
-    that order too: the image model's first. If the calling thread raises,
-    the worker stops within one batch.
+    means keyed by modality. With a second usable core, the text model trains
+    while the image model trains on the calling thread: in a forked child when
+    the features are narrower than `util.CONCURRENT_MIN_WIDTH` (128), BLAS is
+    held to one thread and no other thread is alive, on a worker thread from
+    that width on (see `util.run_pair`). The results are bitwise those of
+    training one after the other. Errors surface in that order too: the image
+    model's first. If the calling thread raises, a worker thread stops within
+    one batch and a child is killed; neither is left running. A child that
+    dies without a result raises RuntimeError naming `stage 1 txt`.
     """
     train_idx = list(split.source_train) + list(split.target_train)
     if not train_idx:
@@ -607,9 +617,28 @@ def train_generation(
     def train(modality):
         return partial(_train_single_modality, *jobs[modality], attrs, hp, modality, use_vae, stop)
 
+    txt_model = jobs["txt"][0]
+    handoff = Handoff(
+        "stage 1 txt", partial(_trained_state, txt_model), partial(_adopt_state, txt_model)
+    )
     width = min(X.shape[1] for _, X in jobs.values())
-    img_curve, txt_curve = run_pair(train("img"), train("txt"), width, stop)
-    return jobs["img"][0], jobs["txt"][0], {"img": img_curve, "txt": txt_curve}
+    img_curve, txt_curve = run_pair(train("img"), train("txt"), width, stop, handoff)
+    return jobs["img"][0], txt_model, {"img": img_curve, "txt": txt_curve}
+
+
+def _trained_state(model, curve):
+    """(curve, every parameter's data, Adam moments and step count by name): what a
+    forked child hands back for `_adopt_state`."""
+    state = {name: (p.data, p.adam_m, p.adam_v, p.step_count) for name, p in model.named_params()}
+    return curve, state
+
+
+def _adopt_state(model, result):
+    """Copy the `_trained_state` result into model in place; returns its curve."""
+    curve, state = result
+    for name, p in model.named_params():
+        p.data[...], p.adam_m[...], p.adam_v[...], p.step_count = state[name]
+    return curve
 
 
 def _new_model(feats, d_attr, hp, modality):

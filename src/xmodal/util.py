@@ -1,6 +1,6 @@
 """Shared helpers: named deterministic RNG streams, config fingerprints, the
 integer check of config fields, the training guards, unit-row normalisation
-and the two-thread runner."""
+and the runners that put two jobs on two cores."""
 
 from __future__ import annotations
 
@@ -8,9 +8,12 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import threading
 import zlib
 from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,10 +62,16 @@ def require_finite(loss: float, phase: str, epoch: int, step: int) -> None:
 
 def require_finite_params(model, where: str) -> None:
     """Fail a diverged model before it is saved: raise NonFiniteError naming
-    its first parameter array that holds a NaN or Inf."""
+    its first parameter array, or array of its fitted feature scaler, that
+    holds a NaN or Inf."""
     for name, p in model.named_params():
         if not np.isfinite(p.data).all():
             raise NonFiniteError(f"{where}: parameter {name} holds a non-finite value")
+    scaler = getattr(model, "scaler", None)
+    if scaler is not None and scaler.fitted:
+        for name in ("lo", "span"):
+            if not np.isfinite(getattr(scaler, name)).all():
+                raise NonFiniteError(f"{where}: scaler {name} holds a non-finite value")
 
 
 def unit_rows(X: np.ndarray) -> np.ndarray:
@@ -73,29 +82,79 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-# the narrowest feature width at which a job runs its two modalities on two
-# threads. On 2 cores a stage-1 worker thread pays for itself in time from
-# about d=48, but it always costs memory (a thread, a malloc arena and a second
-# step's temporaries); at d=128 it saves a third of a cell, at d=64 an eighth
+# the narrowest feature width at which `run_pair` runs its two jobs on two
+# threads. Below it the interpreter holds the GIL for most of a step, so a
+# worker thread saves little (an eighth of a cell at d=64); a pair that comes
+# with a `Handoff` runs its second job in a forked child instead, which takes
+# a third off a desk cell (d=64). From this width a thread wins: it saves a
+# third of a cell at d=128, while forking a process of a few hundred MB costs
+# more in copy-on-write page faults than it gains (a d=512 cell took 2.80 s
+# forked against 2.59 s on a thread). A thread costs memory too: its malloc
+# arena and a second step's temporaries
 CONCURRENT_MIN_WIDTH = 128
+
+
+class Handoff(NamedTuple):
+    """How `second`'s effects leave a forked child: `pack` turns its value into
+    a picklable payload in the child, `unpack` applies that payload to the
+    parent's objects and returns the value. `name` names the job in errors."""
+
+    name: str
+    pack: Callable
+    unpack: Callable
 
 
 def _spare_core() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-def run_pair(first, second, width: int, stop: threading.Event | None = None):
-    """(first(), second()): `second` runs on a worker thread while `first` runs
-    on the calling thread, when a second core is usable and `width` is at
-    least `CONCURRENT_MIN_WIDTH`; otherwise one after the other.
+def _thread_count() -> int:
+    """Threads in this process: every OS thread where /proc lists them, a BLAS
+    pool's included, else the Python threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
 
-    Errors surface in that serial order: first's before second's. If the
-    calling thread raises, `stop` (when given) is set, so a `second` that
-    checks it returns early, and the worker is joined before the error
+
+def _can_fork() -> bool:
+    # a fork copies only the calling thread: another thread's locks would stay
+    # held in the child. A BLAS pool is no such thread for long: OpenBLAS stops
+    # it before a fork and starts one again in each process at its next large
+    # call, so only the environment tells whether it will run (OpenBLAS reads
+    # its own variable, or OpenMP's when that is unset). Two pools
+    # oversubscribe the cores: a 70-epoch stage 1 at d=64 took 32 s forked
+    # against 7.6 s serially under a two-thread OpenBLAS, 3.9 s forked under one
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return hasattr(os, "fork") and blas_threads == "1" and _thread_count() == 1
+
+
+def run_pair(first, second, width: int, stop: threading.Event | None = None,
+             handoff: Handoff | None = None):
+    """(first(), second()), run at the same time when a second core is usable.
+
+    From `CONCURRENT_MIN_WIDTH` on, `second` runs on a worker thread (see
+    `thread_pair`). Below it, when `handoff` is given, `os.fork` exists, BLAS
+    is held to one thread and no other thread is alive, native ones included,
+    `second` runs in a forked child (see `fork_pair`). Otherwise the two run
+    one after the other. Errors surface in that serial order on every path:
+    first's before second's.
+    """
+    if _spare_core():
+        if width >= CONCURRENT_MIN_WIDTH:
+            return thread_pair(first, second, stop)
+        if handoff is not None and _can_fork():
+            return fork_pair(first, second, handoff)
+    return first(), second()
+
+
+def thread_pair(first, second, stop: threading.Event | None = None):
+    """(first(), second()): `second` on a worker thread, `first` on the calling one.
+
+    If the calling thread raises, `stop` (when given) is set, so a `second`
+    that checks it returns early, and the worker is joined before the error
     propagates; it is never left running.
     """
-    if not (_spare_core() and width >= CONCURRENT_MIN_WIDTH):
-        return first(), second()
     out = {}
 
     def work():
@@ -117,6 +176,56 @@ def run_pair(first, second, width: int, stop: threading.Event | None = None):
     if "error" in out:
         raise out["error"]
     return value, out["value"]
+
+
+def fork_pair(first, second, handoff: Handoff):
+    """(first(), second()): `second` in a forked child, `first` in this process.
+
+    The child pickles `handoff.pack(second())`, or the error it raised, into a
+    pipe and leaves with `os._exit`; `handoff.unpack` applies the payload here.
+    If `first` raises, the child is killed and reaped before the error
+    propagates. A child that dies without a result raises RuntimeError naming
+    `handoff.name` and how it ended. The child is always reaped.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                result = ("value", handoff.pack(second()))
+            except BaseException as e:  # re-raised in the parent
+                result = ("error", e)
+            # a result that does not pickle ends the child with status 1
+            blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            with open(w, "wb") as pipe:
+                pipe.write(blob)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        try:
+            value = first()
+            blob = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not blob:
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"{handoff.name}: the child process sent no result ({how})")
+    kind, payload = pickle.loads(blob)
+    if kind == "error":
+        raise payload
+    return value, handoff.unpack(payload)
 
 
 def fingerprint(obj) -> str:

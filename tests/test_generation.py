@@ -1,7 +1,11 @@
+import faulthandler
+import os
+import signal
 import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -601,14 +605,19 @@ def _tiny_cell(epochs=2):
     return corpus, split, gen.GenHyperParams(lr=1e-3, batch=8, epochs=epochs, seed=3)
 
 
-@pytest.mark.parametrize("use_vae", [True, False])
-def test_concurrent_training_equals_training_in_turn(worker, monkeypatch, use_vae):
+def _record_caller(path):
+    """Append this process's and thread's identity to the file at path."""
+    with open(path, "a") as f:
+        f.write(f"{os.getpid()} {threading.get_ident()}\n")
+
+
+def _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae):
     corpus, split, hp = _tiny_cell()
-    threads = set()
+    callers = tmp_path / "callers"
     real_eg_step = gen.eg_step
 
     def eg_step(*args):
-        threads.add(threading.get_ident())
+        _record_caller(callers)
         return real_eg_step(*args)
 
     monkeypatch.setattr(gen, "eg_step", eg_step)
@@ -618,7 +627,7 @@ def test_concurrent_training_equals_training_in_turn(worker, monkeypatch, use_va
         img, txt, curves = gen.train_generation(split, corpus, hp, use_vae)
     finally:
         sys.setswitchinterval(switch)
-    assert len(threads) == 2
+    assert len(set(callers.read_text().splitlines())) == 2
 
     idx = list(split.source_train) + list(split.target_train)
     attrs = corpus.attr_matrix(idx)
@@ -635,8 +644,17 @@ def test_concurrent_training_equals_training_in_turn(worker, monkeypatch, use_va
                 assert np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("poisoned", [("txt",), ("img", "txt")])
-def test_nan_in_a_concurrent_modality_is_raised_in_serial_order(worker, monkeypatch, poisoned):
+@pytest.mark.parametrize("use_vae", [True, False])
+def test_concurrent_training_equals_training_in_turn(worker, monkeypatch, tmp_path, use_vae):
+    _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae)
+
+
+@pytest.mark.parametrize("use_vae", [True, False])
+def test_forked_training_equals_training_in_turn(child, monkeypatch, tmp_path, use_vae):
+    _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae)
+
+
+def _check_nan_raised_in_serial_order(monkeypatch, poisoned):
     corpus, split, hp = _tiny_cell()
     init_states = {m: stream(hp.seed, m, "init").bit_generator.state for m in poisoned}
 
@@ -654,6 +672,16 @@ def test_nan_in_a_concurrent_modality_is_raised_in_serial_order(worker, monkeypa
     ):
         gen.train_generation(split, corpus, hp)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("poisoned", [("txt",), ("img", "txt")])
+def test_nan_in_a_concurrent_modality_is_raised_in_serial_order(worker, monkeypatch, poisoned):
+    _check_nan_raised_in_serial_order(monkeypatch, poisoned)
+
+
+@pytest.mark.parametrize("poisoned", [("txt",), ("img", "txt")])
+def test_nan_in_a_forked_modality_is_raised_in_serial_order(child, monkeypatch, poisoned):
+    _check_nan_raised_in_serial_order(monkeypatch, poisoned)
 
 
 def test_calling_thread_error_stops_the_worker_within_one_batch(worker, monkeypatch):
@@ -687,6 +715,109 @@ def test_calling_thread_error_stops_the_worker_within_one_batch(worker, monkeypa
     assert threading.active_count() == before
     assert sum(after_raise) <= 1
     assert len(after_raise) < hp.epochs
+
+
+def test_calling_thread_error_kills_the_child(child, monkeypatch, tmp_path):
+    # one batch per epoch: a child left running would go through all 40
+    corpus, split, hp = _tiny_cell(epochs=40)
+    hp = replace(hp, batch=64)
+    parent = os.getpid()
+    batches = tmp_path / "batches"
+    real_critic_step, real_eg_step = gen.critic_step, gen.eg_step
+
+    def critic_step(*args):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 60
+            while not batches.exists():
+                assert time.monotonic() < deadline, "the child never started a batch"
+                time.sleep(0.001)
+            raise KeyboardInterrupt
+        return real_critic_step(*args)
+
+    def eg_step(*args):
+        _record_caller(batches)
+        time.sleep(0.02)  # a slow batch, so the kill lands mid-batch
+        return real_eg_step(*args)
+
+    monkeypatch.setattr(gen, "critic_step", critic_step)
+    monkeypatch.setattr(gen, "eg_step", eg_step)
+    with pytest.raises(KeyboardInterrupt):
+        gen.train_generation(split, corpus, hp)
+    assert len(batches.read_text().splitlines()) < hp.epochs
+
+
+@pytest.mark.parametrize(
+    "end, how",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(3), "exit status 3"),
+    ],
+    ids=["sigkill", "exit-3"],
+)
+def test_a_child_that_dies_without_a_result_raises_naming_stage_1_txt(child, monkeypatch, end, how):
+    corpus, split, hp = _tiny_cell()
+    parent = os.getpid()
+    real_critic_step = gen.critic_step
+
+    def critic_step(*args):
+        if os.getpid() != parent:
+            end()
+        return real_critic_step(*args)
+
+    monkeypatch.setattr(gen, "critic_step", critic_step)
+    with pytest.raises(RuntimeError, match=rf"^stage 1 txt: .*\({how}\)$"):
+        gen.train_generation(split, corpus, hp)
+
+
+@contextmanager
+def _another_thread(kind, monkeypatch):
+    """Another thread alive in this process: a Python one, a native one (an OS
+    thread that `threading` does not list, as a BLAS pool's threads are), or
+    for "blas" an environment that lets OpenBLAS start a pool of two."""
+    if kind == "blas":
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        yield
+    elif kind == "native":
+        faulthandler.dump_traceback_later(600)  # its watchdog is a native thread
+        try:
+            yield
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+    else:
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            yield
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+
+
+@pytest.mark.parametrize("kind", [
+    "python",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="native threads are counted through /proc"
+    )),
+    "blas",
+])
+def test_no_fork_while_another_thread_is_alive(child, monkeypatch, kind):
+    corpus, split, hp = _tiny_cell()
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    _, _, forked = gen.train_generation(split, corpus, hp)
+    assert forks == [1]
+    with _another_thread(kind, monkeypatch):
+        _, _, serial = gen.train_generation(split, corpus, hp)
+    assert forks == [1]
+    assert serial == forked
 
 
 def test_modality_streams_are_independent():

@@ -103,6 +103,21 @@ def test_cli_make_data_defaults_are_the_synthetic_spec(tmp_path, capsys):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
+def test_cli_make_data_proto_rank_none_is_isotropic(tmp_path, capsys):
+    assert cli_main(["make-data", "--out", str(tmp_path / "cli"), "--proto-rank", "none"]) == 0
+    pipeline.make_data(replace(pipeline.SyntheticSpec(), proto_rank=None), tmp_path / "lib")
+    for name in data.CORPUS_FILES.values():
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+@pytest.mark.parametrize("rank", ["None", "2.5", "four"])
+def test_cli_make_data_rejects_a_proto_rank_that_is_not_an_integer_or_none(tmp_path, rank):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["make-data", "--out", str(tmp_path / "cli"), "--proto-rank", rank])
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "cli").exists()
+
+
 def test_make_data_byte_identical_across_runs(tmp_path):
     spec = pipeline.SyntheticSpec(n_classes=3, per_class=4, dim=8)
     a = tmp_path / "a"
@@ -595,6 +610,24 @@ def test_non_finite_parameter_fails_the_cell_before_its_checkpoint(
     cell = pipeline.cell_dir(tmp_path, 0, 0)
     written = {p.name for p in cell.iterdir()} if cell.exists() else set()
     assert written == ({"gen_img.ckpt", "gen_txt.ckpt"} if stage.startswith("stage 2") else set())
+
+
+@pytest.mark.parametrize("array", ["lo", "span"])
+def test_non_finite_scaler_fails_the_cell_before_its_checkpoint(tmp_path, monkeypatch, array):
+    real = pipeline.train_generation
+
+    def train_generation(*args, **kwargs):
+        img, txt, curves = real(*args, **kwargs)
+        getattr(txt.scaler, array)[0, -1] = np.nan
+        return img, txt, curves
+
+    monkeypatch.setattr(pipeline, "train_generation", train_generation)
+    record = pipeline.run_experiment(tiny_config(out_dir=str(tmp_path)))
+    assert record["failures"] == 1
+    assert record["cells"][0]["error"] == (
+        f"NonFiniteError: stage 1 txt: scaler {array} holds a non-finite value"
+    )
+    assert not pipeline.cell_dir(tmp_path, 0, 0).exists()
 
 
 def test_synth_then_train_proj_fills_the_run_layout(tmp_path, capsys):
