@@ -6,11 +6,12 @@ model's checkpoint holds what a load uses: its parameters, byte-exact, a
 generator's feature scaler and the meta its loader reads. It holds no
 optimizer state, so a loaded model starts with zero Adam moments and step
 count 0. A save streams each array from its own buffer. A load validates the
-header against the file and the model, then reads each array once into place:
-every array entry, key and shape is checked before the first payload byte is
-read, so a failed load leaves no partial model. Entries it does not read, such
-as the Adam moments of older files, are checked and skipped. The model a load
-reads into is built without random draws: its weights start as zeros.
+header against the file and the model, and the kind of each meta value it
+reads, then reads each array once into place: every array entry, key and
+shape is checked before the first payload byte is read, so a failed load
+leaves no partial model. Entries it does not read, such as the Adam moments
+of older files, are checked and skipped. The model a load reads into is built
+without random draws: its weights start as zeros.
 """
 
 from __future__ import annotations
@@ -86,6 +87,27 @@ def _require(mapping, keys, path, where: str) -> None:
         raise CheckpointError(
             f"{path}: checkpoint {where} lacks {', '.join(repr(k) for k in missing)}"
         )
+
+
+# what each meta value a model is built from must be: (description, check)
+_POSITIVE = ("a positive integer", lambda v: is_int(v) and v > 0)
+_META = {
+    "d": _POSITIVE,
+    "d_feat": _POSITIVE,
+    "d_attr": _POSITIVE,
+    "classes": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
+    "use_gate": ("a bool", lambda v: isinstance(v, bool)),
+}
+
+
+def _require_meta(meta, keys, path) -> None:
+    """Raise CheckpointError naming every one of `keys` and "hp" that meta
+    lacks, else the first of `keys` whose value is not of its `_META` kind."""
+    _require(meta, (*keys, "hp"), path, "meta")
+    for key in keys:
+        what, ok = _META[key]
+        if not ok(meta[key]):
+            raise CheckpointError(f"{path}: checkpoint meta {key!r} is {meta[key]!r}; it must be {what}")
 
 
 def _hyperparams(cls, hp, path, retired=()):
@@ -225,7 +247,7 @@ def save_vaegan(model: VaeGanModel, path) -> None:
 def load_vaegan(path) -> VaeGanModel:
     with open(path, "rb") as f:
         meta, entries, base = _read_header(f, path, "vaegan")
-        _require(meta, ("d_feat", "d_attr", "hp"), path, "meta")
+        _require_meta(meta, ("d_feat", "d_attr"), path)
         hp = _hyperparams(GenHyperParams, meta["hp"], path)
         model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, None)
         scaler = {}
@@ -253,7 +275,7 @@ def save_projection(model: ProjectionModel, path) -> None:
 def load_projection(path) -> ProjectionModel:
     with open(path, "rb") as f:
         meta, entries, base = _read_header(f, path, "projection")
-        _require(meta, ("d", "classes", "use_gate", "hp"), path, "meta")
+        _require_meta(meta, ("d", "classes", "use_gate"), path)
         # earlier builds wrote this switch; it only shaped training
         hp = _hyperparams(ProjHyperParams, meta["hp"], path, retired=("contrast_includes_self",))
         model = ProjectionModel(

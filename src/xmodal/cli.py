@@ -46,7 +46,10 @@ ABLATIONS = tuple(f.name for f in fields(AblationFlags))
 def _load_config(args) -> ExperimentConfig:
     if args.config is None and args.preset is None:
         raise ConfigError("provide --config or --preset")
-    payload = read_json(args.config) if args.config is not None else {}
+    try:
+        payload = read_json(args.config) if args.config is not None else {}
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"config file {args.config} cannot be read as JSON: {e}") from e
     if not isinstance(payload, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")
     if getattr(args, "out", None) is not None:

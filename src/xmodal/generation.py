@@ -37,13 +37,13 @@ The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time when a second core is free (see
 `util.CONCURRENT_MIN_WIDTH`). Below 128 features `train_generation` trains
 the text model in a forked child when BLAS is held to one thread and no other
-thread is alive; the child sends back its curve, its trained parameters and
-their Adam state. At d=64 the interpreter holds the GIL for most of a step,
-so a thread would overlap little, while the child takes stage 1 of a desk
-cell from about 1.05 s to 0.6 s. From 128 on `train_generation` trains the
-text model on a worker thread: numpy releases the GIL inside BLAS calls and
-ufunc loops, so the threads overlap, and a thread does not pay the
-copy-on-write page faults that a fork of a large process does.
+thread is alive; the child sends back the trained model and its curve. At
+d=64 the interpreter holds the GIL for most of a step, so a thread would
+overlap little, while the child takes stage 1 of a desk cell from about
+1.05 s to 0.6 s. From 128 on `train_generation` trains the text model on a
+worker thread: numpy releases the GIL inside BLAS calls and ufunc loops, so
+the threads overlap, and a thread does not pay the copy-on-write page faults
+that a fork of a large process does.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .autodiff import Linear, Module, Tensor
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import Handoff, require_finite, require_int_fields, run_pair, stream
+from .util import require_finite, require_int_fields, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -593,11 +593,12 @@ def train_generation(
     while the image model trains on the calling thread: in a forked child when
     the features are narrower than `util.CONCURRENT_MIN_WIDTH` (128), BLAS is
     held to one thread and no other thread is alive, on a worker thread from
-    that width on (see `util.run_pair`). The results are bitwise those of
-    training one after the other. Errors surface in that order too: the image
-    model's first. If the calling thread raises, a worker thread stops within
-    one batch and a child is killed; neither is left running. A child that
-    dies without a result raises RuntimeError naming `stage 1 txt`.
+    that width on (see `util.run_pair`); the child sends back the trained
+    model. The results are bitwise those of training one after the other.
+    Errors surface in that order too: the image model's first. If the calling
+    thread raises, a worker thread stops within one batch and a child is
+    killed; neither is left running. A child that dies without a result
+    raises RuntimeError naming `stage 1 txt`.
     """
     train_idx = list(split.source_train) + list(split.target_train)
     if not train_idx:
@@ -617,28 +618,9 @@ def train_generation(
     def train(modality):
         return partial(_train_single_modality, *jobs[modality], attrs, hp, modality, use_vae, stop)
 
-    txt_model = jobs["txt"][0]
-    handoff = Handoff(
-        "stage 1 txt", partial(_trained_state, txt_model), partial(_adopt_state, txt_model)
-    )
     width = min(X.shape[1] for _, X in jobs.values())
-    img_curve, txt_curve = run_pair(train("img"), train("txt"), width, stop, handoff)
-    return jobs["img"][0], txt_model, {"img": img_curve, "txt": txt_curve}
-
-
-def _trained_state(model, curve):
-    """(curve, every parameter's data, Adam moments and step count by name): what a
-    forked child hands back for `_adopt_state`."""
-    state = {name: (p.data, p.adam_m, p.adam_v, p.step_count) for name, p in model.named_params()}
-    return curve, state
-
-
-def _adopt_state(model, result):
-    """Copy the `_trained_state` result into model in place; returns its curve."""
-    curve, state = result
-    for name, p in model.named_params():
-        p.data[...], p.adam_m[...], p.adam_v[...], p.step_count = state[name]
-    return curve
+    (img, img_curve), (txt, txt_curve) = run_pair(train("img"), train("txt"), width, stop, "stage 1 txt")
+    return img, txt, {"img": img_curve, "txt": txt_curve}
 
 
 def _new_model(feats, d_attr, hp, modality):
@@ -684,7 +666,7 @@ def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
 
 def _train_single_modality(model, X, attrs, hp, modality, use_vae, stop: threading.Event):
     """Train one modality's model from `_new_model` in place on its scaled
-    features X; returns its curve, or None once `stop` is set."""
+    features X; returns (model, curve), or None once `stop` is set."""
     rng_shuffle = stream(hp.seed, modality, "shuffle")
     rng_noise = stream(hp.seed, modality, "noise")
     n = X.shape[0]
@@ -722,7 +704,7 @@ def _train_single_modality(model, X, attrs, hp, modality, use_vae, stop: threadi
             require_finite(loss, f"stage 1 {modality} encoder/generator", epoch, batch + 1)
             adam_step(eg_params, hp.lr)
         log_point()
-    return curve
+    return model, curve
 
 
 def synthesize_target_set(

@@ -13,7 +13,6 @@ import signal
 import threading
 import zlib
 from dataclasses import fields
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,24 +83,14 @@ def unit_rows(X: np.ndarray) -> np.ndarray:
 
 # the narrowest feature width at which `run_pair` runs its two jobs on two
 # threads. Below it the interpreter holds the GIL for most of a step, so a
-# worker thread saves little (an eighth of a cell at d=64); a pair that comes
-# with a `Handoff` runs its second job in a forked child instead, which takes
-# a third off a desk cell (d=64). From this width a thread wins: it saves a
+# worker thread saves little (an eighth of a cell at d=64); a `child` job runs
+# in a forked child instead, which sends back the trained model and takes a
+# third off a desk cell (d=64). From this width a thread wins: it saves a
 # third of a cell at d=128, while forking a process of a few hundred MB costs
 # more in copy-on-write page faults than it gains (a d=512 cell took 2.80 s
 # forked against 2.59 s on a thread). A thread costs memory too: its malloc
 # arena and a second step's temporaries
 CONCURRENT_MIN_WIDTH = 128
-
-
-class Handoff(NamedTuple):
-    """How `second`'s effects leave a forked child: `pack` turns its value into
-    a picklable payload in the child, `unpack` applies that payload to the
-    parent's objects and returns the value. `name` names the job in errors."""
-
-    name: str
-    pack: Callable
-    unpack: Callable
 
 
 def _spare_core() -> bool:
@@ -130,11 +119,12 @@ def _can_fork() -> bool:
 
 
 def run_pair(first, second, width: int, stop: threading.Event | None = None,
-             handoff: Handoff | None = None):
+             child: str | None = None):
     """(first(), second()), run at the same time when a second core is usable.
 
     From `CONCURRENT_MIN_WIDTH` on, `second` runs on a worker thread (see
-    `thread_pair`). Below it, when `handoff` is given, `os.fork` exists, BLAS
+    `thread_pair`). Below it, when `child` names `second`, a job whose value
+    pickles and is all this process needs of it, and `os.fork` exists, BLAS
     is held to one thread and no other thread is alive, native ones included,
     `second` runs in a forked child (see `fork_pair`). Otherwise the two run
     one after the other. Errors surface in that serial order on every path:
@@ -143,8 +133,8 @@ def run_pair(first, second, width: int, stop: threading.Event | None = None,
     if _spare_core():
         if width >= CONCURRENT_MIN_WIDTH:
             return thread_pair(first, second, stop)
-        if handoff is not None and _can_fork():
-            return fork_pair(first, second, handoff)
+        if child is not None and _can_fork():
+            return fork_pair(first, second, child)
     return first(), second()
 
 
@@ -178,14 +168,15 @@ def thread_pair(first, second, stop: threading.Event | None = None):
     return value, out["value"]
 
 
-def fork_pair(first, second, handoff: Handoff):
+def fork_pair(first, second, name: str):
     """(first(), second()): `second` in a forked child, `first` in this process.
 
-    The child pickles `handoff.pack(second())`, or the error it raised, into a
-    pipe and leaves with `os._exit`; `handoff.unpack` applies the payload here.
-    If `first` raises, the child is killed and reaped before the error
-    propagates. A child that dies without a result raises RuntimeError naming
-    `handoff.name` and how it ended. The child is always reaped.
+    The child pickles second's value, or the error it raised, into a pipe and
+    leaves with `os._exit`; here the value is returned as unpickled, or the
+    error raised. One that does not pickle becomes a RuntimeError naming
+    `name` and the original error. If `first` raises, the child is killed and
+    reaped before the error propagates. A child that dies without a result
+    raises RuntimeError naming `name` and how it ended; it is always reaped.
     """
     r, w = os.pipe()
     try:
@@ -199,11 +190,15 @@ def fork_pair(first, second, handoff: Handoff):
         try:
             os.close(r)
             try:
-                result = ("value", handoff.pack(second()))
+                result = ("value", second())
             except BaseException as e:  # re-raised in the parent
                 result = ("error", e)
-            # a result that does not pickle ends the child with status 1
-            blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            try:
+                blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            except Exception as e:  # PicklingError, TypeError or AttributeError, by the object
+                cause = result[1] if result[0] == "error" else e
+                failure = f"the child's {result[0]} does not pickle: {type(cause).__name__}: {cause}"
+                blob = pickle.dumps(("error", RuntimeError(f"{name}: {failure}")))
             with open(w, "wb") as pipe:
                 pipe.write(blob)
             status = 0
@@ -221,11 +216,11 @@ def fork_pair(first, second, handoff: Handoff):
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code or not blob:
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise RuntimeError(f"{handoff.name}: the child process sent no result ({how})")
+        raise RuntimeError(f"{name}: the child process sent no result ({how})")
     kind, payload = pickle.loads(blob)
     if kind == "error":
         raise payload
-    return value, handoff.unpack(payload)
+    return value, payload
 
 
 def fingerprint(obj) -> str:

@@ -183,6 +183,46 @@ def test_projection_meta_missing_key_names_it(small_setup, tmp_path, key):
         ckpt.load_projection(path)
 
 
+@pytest.mark.parametrize(
+    "kind, key, value, what",
+    [
+        ("vaegan", "d_feat", "3", "a positive integer"),
+        ("vaegan", "d_feat", 3.0, "a positive integer"),
+        ("vaegan", "d_feat", True, "a positive integer"),
+        ("vaegan", "d_attr", None, "a positive integer"),
+        ("projection", "d", "3", "a positive integer"),
+        ("projection", "d", 3.0, "a positive integer"),
+        ("projection", "d", True, "a positive integer"),
+        ("projection", "d", -1, "a positive integer"),
+        ("projection", "classes", 5, "a list of integers"),
+        ("projection", "classes", [0, "x"], "a list of integers"),
+        ("projection", "use_gate", "no", "a bool"),
+    ],
+)
+def test_meta_value_of_the_wrong_kind_names_it(small_setup, tmp_path, kind, key, value, what):
+    # each used to raise a raw TypeError or ValueError, or for use_gate load
+    # and run the gate
+    _, _, img, _, model = small_setup
+    path = tmp_path / f"{kind}.ckpt"
+    load = _save(kind, img, model, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    meta[key] = value
+    _rewrite(path, kind, meta, arrays)
+    message = f"{kind}.ckpt: checkpoint meta '{key}' is {value!r}; it must be {what}"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load(path)
+
+
+def test_cli_eval_meta_value_of_the_wrong_kind_exits_2(tmp_path, capsys):
+    path = _untrained_projection(tmp_path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    meta["classes"] = [0, "x"]
+    _rewrite(path, "projection", meta, arrays)
+    assert _cli_eval(tmp_path, capsys, path) == (
+        2, f"error: {path}: checkpoint meta 'classes' is [0, 'x']; it must be a list of integers\n"
+    )
+
+
 def test_missing_parameter_array_names_it(small_setup, tmp_path):
     _, _, _, _, model = small_setup
     path = tmp_path / "proj.ckpt"
@@ -419,7 +459,15 @@ def test_malformed_array_entry_names_it(small_setup, tmp_path, changes, message)
             load(path)
 
 
-def test_cli_eval_malformed_array_entry_exits_2(tmp_path, capsys):
+def _untrained_projection(tmp_path):
+    """Path of a saved untrained d=8 projection over 4 classes."""
+    path = tmp_path / "projection.ckpt"
+    ckpt.save_projection(proj.ProjectionModel(8, range(4), proj.ProjHyperParams(), np.random.default_rng(0)), path)
+    return path
+
+
+def _cli_eval(tmp_path, capsys, path):
+    """Exit code and stderr of `eval` on the checkpoint at path over a d=8 corpus."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({
         "name": "eval-ckpt",
@@ -427,13 +475,17 @@ def test_cli_eval_malformed_array_entry_exits_2(tmp_path, capsys):
         "x_shots": [0],
         "seeds": [0],
     }))
-    path = tmp_path / "projection.ckpt"
-    ckpt.save_projection(proj.ProjectionModel(8, range(4), proj.ProjHyperParams(), np.random.default_rng(0)), path)
+    capsys.readouterr()
+    rc = cli_main(["eval", "--config", str(config_path), "--checkpoint", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def test_cli_eval_malformed_array_entry_exits_2(tmp_path, capsys):
+    path = _untrained_projection(tmp_path)
     name = _square_param(path)
     _edit_entry(path, name, shape=[8.5, 8])
-    capsys.readouterr()
-    assert cli_main(["eval", "--config", str(config_path), "--checkpoint", str(path)]) == 2
-    err = capsys.readouterr().err
+    rc, err = _cli_eval(tmp_path, capsys, path)
+    assert rc == 2
     assert err.startswith("error: ") and f"array '{name}' has shape [8.5, 8]" in err
 
 

@@ -636,8 +636,12 @@ def _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae):
         ("txt", corpus.text_matrix(idx), txt),
     ):
         ref, X = gen._new_model(feats, attrs.shape[1], hp, modality)
-        curve = gen._train_single_modality(ref, X, attrs, hp, modality, use_vae, threading.Event())
+        _, curve = gen._train_single_modality(ref, X, attrs, hp, modality, use_vae, threading.Event())
         assert curves[modality] == curve
+        # the forked child sends back its whole model, not only the parameters
+        assert (model.d_z, model.hp) == (ref.d_z, ref.hp)
+        assert np.array_equal(model.scaler.lo, ref.scaler.lo)
+        assert np.array_equal(model.scaler.span, ref.scaler.span)
         for (name, p), (_, q) in zip(model.named_params(), ref.named_params()):
             assert p.step_count == q.step_count, name
             for got, want in ((p.data, q.data), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v)):
@@ -766,6 +770,38 @@ def test_a_child_that_dies_without_a_result_raises_naming_stage_1_txt(child, mon
 
     monkeypatch.setattr(gen, "critic_step", critic_step)
     with pytest.raises(RuntimeError, match=rf"^stage 1 txt: .*\({how}\)$"):
+        gen.train_generation(split, corpus, hp)
+
+
+def _unpicklable_value(model, curve):
+    return model, lambda: curve
+
+
+def _unpicklable_error(model, curve):
+    error = ValueError("the curve went flat")
+    error.hook = lambda: curve  # an exception's attributes are pickled with it
+    raise error
+
+
+@pytest.mark.parametrize(
+    "end, what",
+    [
+        (_unpicklable_value, r"value does not pickle: \w+: .*lambda"),
+        (_unpicklable_error, r"error does not pickle: ValueError: the curve went flat"),
+    ],
+    ids=["value", "error"],
+)
+def test_a_child_result_that_does_not_pickle_raises_naming_stage_1_txt(child, monkeypatch, end, what):
+    corpus, split, hp = _tiny_cell()
+    parent = os.getpid()
+    real_train = gen._train_single_modality
+
+    def train(*args):
+        model, curve = real_train(*args)
+        return (model, curve) if os.getpid() == parent else end(model, curve)
+
+    monkeypatch.setattr(gen, "_train_single_modality", train)
+    with pytest.raises(RuntimeError, match=rf"^stage 1 txt: the child's {what}"):
         gen.train_generation(split, corpus, hp)
 
 

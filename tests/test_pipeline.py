@@ -415,6 +415,20 @@ def test_cli_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, command
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("content", ['{"name": ', None], ids=["truncated", "directory"])
+def test_cli_config_file_that_is_not_json_exits_2(tmp_path, capsys, content):
+    config_path = tmp_path / "config.json"
+    if content is None:
+        config_path.mkdir()
+    else:
+        config_path.write_text(content)
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config_path} cannot be read as JSON: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value", [("proj", "contrast_includes_self", True), ("synthetic", "unit_norm", False)]
 )
