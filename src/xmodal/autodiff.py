@@ -360,16 +360,17 @@ def leaky_relu(a, slope: float = 0.2):
 
 
 def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: e = exp(-|d|) lies in (0, 1].
+    """Logistic function without overflow: e = exp(-|d|) lies in [0, 1].
 
     Where d >= 0, e is exp(-d) and 1 / (1 + e) is the usual form; elsewhere e
     is exp(d) and e / (1 + e) is the same value without exp(-d) overflowing.
-    The numerator and the result are formed in `out`, which may be d itself.
+    The numerator and the result are formed in `out`, which may be d itself:
+    max(e, d >= 0) is 1 where d >= 0 and e elsewhere (NaN where d is NaN).
     """
     pos = d >= 0
     e = np.exp(np.negative(np.abs(d, out=out), out=out), out=out)
     den = 1.0 + e
-    np.copyto(e, 1.0, where=pos)
+    np.maximum(e, pos, out=e)
     return np.divide(e, den, out=e)
 
 

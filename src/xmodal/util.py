@@ -173,10 +173,11 @@ def fork_pair(first, second, name: str):
 
     The child pickles second's value, or the error it raised, into a pipe and
     leaves with `os._exit`; here the value is returned as unpickled, or the
-    error raised. One that does not pickle becomes a RuntimeError naming
-    `name` and the original error. If `first` raises, the child is killed and
-    reaped before the error propagates. A child that dies without a result
-    raises RuntimeError naming `name` and how it ended; it is always reaped.
+    error raised. One that does not pickle in the child, or does not unpickle
+    here, becomes a RuntimeError naming `name` and the original error. If
+    `first` raises, the child is killed and reaped before the error
+    propagates. A child that dies without a result raises RuntimeError naming
+    `name` and how it ended; it is always reaped.
     """
     r, w = os.pipe()
     try:
@@ -217,7 +218,12 @@ def fork_pair(first, second, name: str):
     if code or not blob:
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
         raise RuntimeError(f"{name}: the child process sent no result ({how})")
-    kind, payload = pickle.loads(blob)
+    try:
+        kind, payload = pickle.loads(blob)
+    except Exception as e:  # e.g. an error whose __init__ the pickled args do not fit
+        raise RuntimeError(
+            f"{name}: the child's result does not unpickle: {type(e).__name__}: {e}"
+        ) from e
     if kind == "error":
         raise payload
     return value, payload

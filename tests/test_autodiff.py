@@ -95,6 +95,33 @@ def test_sigmoid_equals_the_two_branch_formula_bitwise():
     assert out[0] == 1.0 and out[1] == 0.0 and out[2] == out[3] == 0.5
 
 
+def masked_copy_logistic(d, out=None):
+    """The logistic with e set to 1 where d >= 0 by a masked copy: the formula
+    `autodiff.logistic` must match byte for byte."""
+    pos = d >= 0
+    e = np.exp(np.negative(np.abs(d, out=out), out=out), out=out)
+    den = 1.0 + e
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, den, out=e)
+
+
+@pytest.mark.parametrize("into", ["fresh", "empty", "d"])
+def test_logistic_equals_the_masked_copy_formula_bytewise(into):
+    rng = np.random.default_rng(4)
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 800.0, -800.0, 745.2, -745.2]
+    d = np.concatenate([special, rng.normal(scale=8.0, size=300), rng.uniform(-1e-3, 1e-3, 60)])
+    d = d.reshape(-1, 3)
+    want = masked_copy_logistic(d.copy())
+    given = d.copy()
+    out = {"fresh": None, "empty": np.empty_like(d), "d": given}[into]
+    got = ad.logistic(given, out=out)
+    assert got.tobytes() == want.tobytes()
+    if out is not None:
+        assert got is out
+    else:
+        assert given.tobytes() == d.tobytes()
+
+
 def test_relu_and_sigmoid_point_values():
     assert ad.relu(ad.Tensor([[-3.0]])).item() == 0.0
     assert ad.relu(ad.Tensor([[2.5]])).item() == 2.5

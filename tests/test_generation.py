@@ -805,6 +805,32 @@ def test_a_child_result_that_does_not_pickle_raises_naming_stage_1_txt(child, mo
         gen.train_generation(split, corpus, hp)
 
 
+class _TwoArgumentError(Exception):
+    """Pickles as its class and its one-element `args`, so it does not unpickle."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def test_a_child_error_that_does_not_unpickle_raises_naming_stage_1_txt(child, monkeypatch):
+    corpus, split, hp = _tiny_cell()
+    parent = os.getpid()
+    real_train = gen._train_single_modality
+
+    def train(*args):
+        if os.getpid() != parent:
+            raise _TwoArgumentError("the curve", "went flat")
+        return real_train(*args)
+
+    monkeypatch.setattr(gen, "_train_single_modality", train)
+    with pytest.raises(
+        RuntimeError,
+        match=r"^stage 1 txt: the child's result does not unpickle: TypeError: .*'why'",
+    ) as raised:
+        gen.train_generation(split, corpus, hp)
+    assert isinstance(raised.value.__cause__, TypeError)
+
+
 @contextmanager
 def _another_thread(kind, monkeypatch):
     """Another thread alive in this process: a Python one, a native one (an OS

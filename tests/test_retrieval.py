@@ -26,6 +26,16 @@ def ap_of(bits):
     return ret.average_precision(sims[None, :], np.array(bits, dtype=bool)[None, :])[0]
 
 
+def stable_argsort_aps(sims, relevance):
+    """AP of each row by a stable argsort of the negated block: the formula
+    `average_precision` must match byte for byte."""
+    order = np.argsort(-sims, axis=1, kind="stable")
+    hits = np.take_along_axis(relevance, order, axis=1).astype(np.float64)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    with np.errstate(invalid="ignore"):
+        return (precision * hits).sum(axis=1) / hits.sum(axis=1)
+
+
 def oracle_aps(queries, gallery, rel):
     """Per-query AP from numpy cosines, ranked by (-sim, gallery index)."""
     qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
@@ -86,6 +96,41 @@ def test_tie_breaking_is_by_ascending_gallery_index():
     sims = np.array([[0.5, 0.9, 0.5, 0.9]])
     rel = np.array([[True, False, False, True]])
     assert ret.average_precision(sims, rel)[0] == pytest.approx(7.0 / 12.0, abs=1e-15)
+
+
+def _blocks():
+    """(sims, relevance) blocks that take the value sort, the stable argsort
+    or both."""
+    rng = np.random.default_rng(8)
+
+    def rel(shape, rate=0.2):
+        return rng.random(shape) < rate
+
+    yield "random", rng.normal(size=(40, 300)), rel((40, 300))
+    yield "rounded", np.round(rng.normal(size=(40, 300)), 1), rel((40, 300))
+    yield "integer-valued", rng.integers(-3, 4, size=(30, 50)).astype(float), rel((30, 50), 0.4)
+    yield "integer-dtype", rng.integers(-3, 4, size=(30, 50)), rel((30, 50), 0.4)
+    signed_zeros = rng.normal(size=(6, 40))
+    signed_zeros[:, 3], signed_zeros[:, 17] = 0.0, -0.0
+    signed_zeros[1, 17] = 0.0
+    yield "signed-zeros", signed_zeros, np.ones((6, 40), dtype=bool)
+    with_nan = rng.normal(size=(5, 30))
+    with_nan[2, 11] = np.nan
+    yield "nan", with_nan, rel((5, 30), 0.5)
+    no_relevant = rel((5, 30), 0.5)
+    no_relevant[3] = False
+    yield "no-relevant-item", rng.normal(size=(5, 30)), no_relevant
+    one_column = rng.normal(size=(6, 1))
+    one_column[4, 0] = np.nan
+    yield "one-column", one_column, np.array([[True], [False]] * 3)
+    yield "all-equal", np.full((4, 25), 0.5), rel((4, 25), 0.5)
+    cosines = rng.normal(size=(ret.BLOCK, 16)) @ rng.normal(size=(16, 700))
+    yield "ranking-block", cosines, rel(cosines.shape, 0.05)
+
+
+@pytest.mark.parametrize("sims, relevance", [pytest.param(s, r, id=name) for name, s, r in _blocks()])
+def test_average_precision_equals_the_stable_argsort_formula_bytewise(sims, relevance):
+    assert ret.average_precision(sims, relevance).tobytes() == stable_argsort_aps(sims, relevance).tobytes()
 
 
 # ---------------------------------------------------------------------------
