@@ -1,15 +1,20 @@
-"""Reverse-mode autodiff over dense 2-D float arrays.
+"""Parameters and layers over dense 2-D float arrays, and a reverse-mode
+autodiff engine that the program no longer calls.
 
-Everything is a (rows, cols) matrix; scalars are 1x1. Ops that touch a
-grad-requiring input are recorded on a thread-local tape in application
-order. `backward` replays the tape in exact reverse order and accumulates
-gradients into Parameters, then clears the tape.
+The models use `Parameter` (a value with its gradient and Adam moment
+buffers), `Linear`, `Module` and the array helpers `as_matrix`, `affine`,
+`add_affine_grads`, `relu_inplace`, `slope_mask`, `logistic` and
+`xavier_uniform`; `generation` and `projection` compute every gradient in
+closed form from them.
 
-The engine is first-order: every VJP is a plain numpy function from an
-output cotangent array to an input cotangent array, so the reverse pass
-builds no graph. The critic's gradient penalty, the one value defined
-through a gradient, has a closed form (see `generation`) and enters the
-tape as a single node with array-valued VJPs.
+The engine (`Tensor`, `Tape`, the ops, `backward`, `grad`, `no_grad`)
+remains only because the benchmark's tracer, `bench/tracer.py`, patches it
+by name; `tests/test_autodiff.py` checks it. Everything is a (rows, cols)
+matrix; scalars are 1x1. Ops that touch a grad-requiring input are recorded
+on a thread-local tape in application order. `backward` replays the tape in
+exact reverse order and accumulates gradients into Parameters, then clears
+the tape. Every VJP is a plain numpy function from an output cotangent array
+to an input cotangent array, so the reverse pass builds no graph.
 
 Networks derive from `Module`, which owns their parameter lists: a model's
 `named_params()` names each array `<part>.<layer>.W` or `<part>.<layer>.b`,
@@ -89,10 +94,6 @@ class no_grad:
     def __exit__(self, *exc):
         _STATE.grad_enabled = self._prev
         return False
-
-
-def grad_enabled() -> bool:
-    return _STATE.grad_enabled
 
 
 class Tensor:
@@ -182,16 +183,6 @@ def _node(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
         _STATE.tape.append(out)
         return out
     return Tensor(data)
-
-
-def custom(value, parents, vjps) -> Tensor:
-    """A node with hand-written VJPs, one per parent.
-
-    Each VJP maps the output's cotangent array to that parent's cotangent
-    array. Recorded like any op: only when grad is enabled and some parent
-    requires grad.
-    """
-    return _node(as_matrix(value), tuple(parents), tuple(vjps))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -496,21 +487,21 @@ def linear(x, W, b):
 
 
 def affine(x: np.ndarray, layer: "Linear") -> np.ndarray:
-    """`linear`'s value in plain numpy: x @ W, then the bias added in place."""
+    """The layer's affine map x @ W + b: x @ W, then the bias added in place."""
     out = x @ layer.W.data
     out += layer.b.data
     return out
 
 
 def add_affine_grads(layer: "Linear", x: np.ndarray, g: np.ndarray) -> None:
-    """Add `linear`'s parameter gradients at input x and output cotangent g,
-    xᵀ g and Σ_rows g, to the layer's .grad."""
+    """Add the affine map's parameter gradients at input x and output
+    cotangent g, xᵀ g and Σ_rows g, to the layer's .grad."""
     layer.W.grad += x.T @ g
     layer.b.grad += g.sum(axis=0, keepdims=True)
 
 
 def relu_inplace(x: np.ndarray) -> np.ndarray:
-    """`relu`'s value, x times its (x > 0) mask, formed in x."""
+    """ReLU: x times its (x > 0) mask, formed in x."""
     return np.multiply(x, x > 0, out=x)
 
 
@@ -530,9 +521,6 @@ class Linear:
         W = np.zeros((d_in, d_out)) if rng is None else xavier_uniform(rng, d_in, d_out)
         self.W = Parameter(W)
         self.b = Parameter(np.zeros((1, d_out)))
-
-    def __call__(self, x):
-        return linear(x, self.W, self.b)
 
 
 class Module:

@@ -20,8 +20,8 @@ mask M (1 or the leaky slope per hidden unit), the input gradient is
 gin = (M ⊙ w2ᵀ) @ W1_vᵀ. M is piecewise constant, so with G = ∂GP/∂gin the
 penalty's only parameter gradients are ∂GP/∂W1_v = Gᵀ (M ⊙ w2ᵀ) and
 ∂GP/∂w2 = Σ_rows (G W1_v) ⊙ M. The critic step uses the same closed form
-for the whole objective and records no tape; a different critic
-architecture needs a new `penalty_terms`.
+for the whole objective; a different critic architecture needs a new
+`penalty_terms`.
 
 The encoder/generator step is closed-form too. With the critic frozen, the
 GAN term's gradient at a fake row is −(1/n)(M ⊙ w2ᵀ) W1_vᵀ; it is
@@ -29,9 +29,12 @@ backpropagated through the generator (affine, ReLU, affine, sigmoid). On the
 reconstruction path the analytic KL and reconstruction gradients join it,
 and the sum flows through the reparameterisation z = mu + exp(logvar/2)·eps,
 the log-variance clip and the encoder. The stage-1 steps, the posterior and
-the curve probe take float64 arrays and share one numpy forward that
-repeats the tape's float operations, the log-variance clip included, so
-they match `generation_losses`, which stays as the tape reference, bitwise.
+the curve probe take float64 arrays and share one numpy forward, the
+log-variance clip included. Its float operations keep their order, so
+results stay byte-identical with earlier releases and with the pinned
+values of `tests/test_golden.py`. The tests check each step's gradients
+against central finite differences of the loss it returns or of the curve
+probe, `_dataset_metrics`.
 
 The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time when a second core is free (see
@@ -55,7 +58,7 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Linear, Module, Tensor
+from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
@@ -69,8 +72,8 @@ LATENT_1024 = 512
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
-# the critic's LeakyReLU slope, shared by its tape forward and the closed-form
-# slope mask of `Critic.hidden`, which must agree
+# the critic's LeakyReLU slope: every slope mask of its forward and of its
+# closed-form gradients takes it
 LEAKY_SLOPE = 0.2
 
 
@@ -109,7 +112,8 @@ class GenHyperParams:
 
 
 class Encoder(Module):
-    """Three stacked affine layers (ReLU, ReLU, Sigmoid) plus mean/log-variance heads."""
+    """Three stacked affine layers (ReLU, ReLU, Sigmoid) plus mean/log-variance
+    heads; `_encode` is its forward."""
 
     def __init__(self, d_feat: int, d_attr: int, d_z: int, rng):
         w1, w2, w3 = (_scaled(w, d_feat) for w in ENCODER_WIDTHS_1024)
@@ -119,34 +123,22 @@ class Encoder(Module):
         self.mu_head = Linear(w3, d_z, rng)
         self.logvar_head = Linear(w3, d_z, rng)
 
-    def __call__(self, v, a):
-        h = ad.relu(self.l1(ad.concat_cols(v, a)))
-        h = ad.relu(self.l2(h))
-        h = ad.sigmoid(self.l3(h))
-        mu = self.mu_head(h)
-        logvar = ad.clip(self.logvar_head(h), LOGVAR_MIN, LOGVAR_MAX)
-        return mu, logvar
-
 
 class Generator(Module):
-    """Decoder/generator: (latent ++ attribute) -> hidden ReLU -> sigmoid feature."""
+    """Decoder/generator: (latent ++ attribute) -> hidden ReLU -> sigmoid
+    feature; `_generate` is its forward."""
 
     def __init__(self, d_feat: int, d_attr: int, d_z: int, rng):
         hidden = _scaled(GENERATOR_HIDDEN_1024, d_feat)
         self.l1 = Linear(d_z + d_attr, hidden, rng)
         self.l2 = Linear(hidden, d_feat, rng)
 
-    def __call__(self, z, a):
-        h = ad.relu(self.l1(ad.concat_cols(z, a)))
-        return ad.sigmoid(self.l2(h))
-
 
 class Critic(Module):
     """Two affine layers with an intermediate LeakyReLU; raw scalar score per row.
 
-    Calling it scores [v, a] rows on the tape. The array methods below serve
-    the closed-form stage-1 steps, the penalty and the probe, and record
-    nothing.
+    The methods below are its forward and the closed forms of its gradients,
+    shared by the stage-1 steps, the penalty and the curve probe.
     """
 
     def __init__(self, d_feat: int, d_attr: int, rng):
@@ -154,10 +146,6 @@ class Critic(Module):
         self.d_feat = d_feat
         self.l1 = Linear(d_feat + d_attr, hidden, rng)
         self.l2 = Linear(hidden, 1, rng)
-
-    def __call__(self, v, a):
-        h = ad.leaky_relu(self.l1(ad.concat_cols(v, a)), slope=LEAKY_SLOPE)
-        return self.l2(h)
 
     def attr_branch(self, a: np.ndarray) -> np.ndarray:
         """a @ W1_a + b1: the part of the hidden pre-activation the features do not touch."""
@@ -188,7 +176,7 @@ class Critic(Module):
         return M, K, K @ self.l1.W.data[: self.d_feat].T
 
     def scores(self, x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The tape forward's scores at rows [x, a], in numpy, and the slope mask M."""
+        """The scores at rows [x, a] and the slope mask M."""
         pre = ad.affine(np.concatenate([x, a], axis=1), self.l1)
         M = ad.slope_mask(pre, LEAKY_SLOPE)
         pre *= M
@@ -237,12 +225,6 @@ class VaeGanModel(Module):
         self.critic = Critic(d_feat, d_attr, rng)
         self.scaler = FeatureScaler()
 
-    def encode(self, v, a, rng) -> tuple[Tensor, Tensor, Tensor]:
-        """Posterior parameters plus a reparameterized latent sample."""
-        mu, logvar = self.encoder(v, a)
-        z = reparameterize(mu, logvar, rng)
-        return mu, logvar, z
-
     def posterior(self, v, a) -> tuple[np.ndarray, np.ndarray]:
         """(mu, exp(logvar / 2)) of the encoder at rows (v, a), the log-variance clipped."""
         _, mu, logvar, _ = _encode(self.encoder, v, a)
@@ -252,24 +234,6 @@ class VaeGanModel(Module):
         """Feature-space pseudo samples, one per attribute row."""
         noise = rng.standard_normal((attrs.shape[0], self.d_z))
         return self.scaler.inverse(_generate(self.generator, noise, attrs)[2])
-
-
-def reparameterize(mu, logvar, rng) -> Tensor:
-    """z = mu + exp(logvar / 2) * eps with eps drawn from the given rng."""
-    eps = Tensor(rng.standard_normal(mu.data.shape))
-    return mu + ad.exp(logvar * 0.5) * eps
-
-
-def kl_loss(mu, logvar) -> Tensor:
-    """Mean over the batch of the analytic KL to the standard-normal prior."""
-    per_row = ad.sum_axis(ad.exp(logvar) + ad.square(mu) - 1.0 - logvar, axis=1)
-    n = mu.data.shape[0]
-    return ad.sum_all(per_row) * (0.5 / n)
-
-
-def recon_loss(v, v_bar) -> Tensor:
-    """Mean squared error over all elements."""
-    return ad.mean_all(ad.square(ad.as_tensor(v) - v_bar))
 
 
 def penalty_terms(critic: Critic, v_hat: np.ndarray, a_pre: np.ndarray, n: int, grads: bool = True):
@@ -298,12 +262,12 @@ def penalty_terms(critic: Critic, v_hat: np.ndarray, a_pre: np.ndarray, n: int, 
 
 
 # ---------------------------------------------------------------------------
-# the stage-1 forward in plain numpy: the float operations of the tape's
-# forward, op for op, so values (and the curves) match it bitwise
+# the stage-1 forward; its float operations keep their order, so the curves
+# stay byte-identical with earlier releases
 
 
 def _mean(x: np.ndarray) -> float:
-    """The tape's `mean_all`: the sum times 1 / size."""
+    """The sum times 1 / size; the sum divided by the size may round otherwise."""
     return x.sum() * (1.0 / x.size)
 
 
@@ -349,92 +313,12 @@ def _vae_forward(model: VaeGanModel, v: np.ndarray, a: np.ndarray, rng):
     return kl, recon, dec[2], cache
 
 
-def gradient_penalty(real, fake, a, critic: Critic, rng) -> Tensor:
-    """Mean squared deviation of the critic's input-gradient norm from 1.
-
-    Interpolates eps*real + (1-eps)*fake per row with eps ~ U(0, 1); real and
-    fake enter as data (the penalty regularizes the critic only). While grad
-    is enabled the result is one tape node whose parents are the critic's two
-    weights, with the closed-form gradients as its VJPs.
-    """
-    real_d, fake_d, a_d = (ad.as_tensor(x).data for x in (real, fake, a))
-    eps = rng.uniform(size=(real_d.shape[0], 1))
-    v_hat = eps * real_d + (1.0 - eps) * fake_d
-    value, dW1_v, dw2 = penalty_terms(
-        critic, v_hat, critic.attr_branch(a_d), v_hat.shape[0], grads=ad.grad_enabled()
-    )
-    if dW1_v is None:
-        return Tensor(value)
-    dW1 = np.zeros_like(critic.l1.W.data)
-    dW1[: critic.d_feat] = dW1_v
-    return ad.custom(value, (critic.l1.W, critic.l2.W), (lambda g: g * dW1, lambda g: g * dw2))
-
-
-def _wgan_term(d_real, real, other, a, critic, lambda_gp: float, rng) -> tuple[Tensor, Tensor]:
-    """(d_real - E[D(other)] - lambda * GP(real, other), the score gap d_real - E[D(other)])."""
-    gap = d_real - ad.mean_all(critic(other, a))
-    if lambda_gp == 0:
-        return gap, gap
-    return gap - lambda_gp * gradient_penalty(real, other, a, critic, rng), gap
-
-
-def critic_loss(real, other, a, critic, lambda_gp: float, rng) -> Tensor:
-    """E[D(real)] - E[D(other)] - lambda * gradient penalty.
-
-    The critic maximizes this value; the encoder/generator minimize the same
-    expression through `other`.
-    """
-    return _wgan_term(ad.mean_all(critic(real, a)), real, other, a, critic, lambda_gp, rng)[0]
-
-
-def generation_losses(batch, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool = True):
-    """All stage-1 loss components on one batch of model-space features.
-
-    Returns {"kl", "recon", "vae", "critic_gap", "gan1", "gan2", "total"} as
-    graph tensors: vae = kl + recon, critic_gap is the fake path's score gap
-    and total is the exact sum of vae, gan1 and gan2. With use_vae off, the
-    reconstruction path is skipped and only the pure conditional WGAN-GP
-    term remains. Draws from rng in this order: reparameterisation, noise,
-    then one eps per path (none when lambda_gp is 0).
-    """
-    v, a = batch
-    v = ad.as_tensor(v)
-    a = ad.as_tensor(a)
-    n = v.data.shape[0]
-    if n == 0:
-        raise ConfigError("empty batch")
-
-    if use_vae:
-        mu, logvar, z = model.encode(v, a, rng)
-        v_bar = model.generator(z, a)
-        kl, recon = kl_loss(mu, logvar), recon_loss(v, v_bar)
-        vae = kl + recon
-    else:
-        kl = recon = vae = Tensor(0.0)
-
-    noise = Tensor(rng.standard_normal((n, model.d_z)))
-    v_tilde = model.generator(noise, a)
-    # D(real) is scored once and shared by both paths
-    d_real = ad.mean_all(model.critic(v, a))
-    gan1, gap = _wgan_term(d_real, v, v_tilde, a, model.critic, hp.lambda_gp, rng)
-    if use_vae:
-        gan2, _ = _wgan_term(d_real, v, v_bar, a, model.critic, hp.lambda_gp, rng)
-    else:
-        gan2 = Tensor(0.0)
-
-    total = vae + gan1 + gan2
-    return {
-        "kl": kl, "recon": recon, "vae": vae, "critic_gap": gap,
-        "gan1": gan1, "gan2": gan2, "total": total,
-    }
-
-
 def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, posterior) -> float:
     """Add the gradients of the loss the critic minimizes to the critic's .grad.
 
     The loss is Σ_paths [E D(other) − E D(real) + λ·GP(real, other)] over the
     fake path and, unless `posterior` is None, the reconstruction path: −gan1
-    − gan2 of `generation_losses`, computed in closed form with no tape.
+    − gan2 of `_dataset_metrics`, computed in closed form.
     `posterior` is `model.posterior(real, attrs)`, which the critic's
     updates leave unchanged, so one value serves every critic step of a
     batch. Draws from rng in this order: noise, reparameterisation, then one
@@ -503,17 +387,15 @@ def _generator_backward(gen: Generator, fwd, g: np.ndarray) -> np.ndarray:
 
 
 def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> float:
-    """Add the encoder/generator gradients of `generation_losses`' total to their .grad.
+    """Add the encoder/generator gradients of the stage-1 total to their .grad.
 
-    Closed form, no tape. The critic is a constant for the step, and real
-    and fake enter the penalty as constants, so the penalty cannot move the
-    encoder or generator: the loss is `generation_losses`' total at
-    lambda_gp = 0. When lambda_gp is positive, the skipped penalties' eps
-    are drawn all the same, so the noise stream stays what it is with them.
-    Draws from rng in this order: reparameterisation, noise, one skipped eps
-    per path (none when lambda_gp is 0). Each float
-    operation is the tape's, so the gradients equal its backward pass
-    bitwise (on zeroed .grad). Returns the loss value.
+    Closed form. The critic is a constant for the step, and real and fake
+    enter the penalty as constants, so the penalty cannot move the encoder
+    or generator: the loss is `_dataset_metrics`' total at lambda_gp = 0.
+    When lambda_gp is positive, the skipped penalties' eps are drawn all the
+    same, so the noise stream stays what it is with them. Draws from rng in
+    this order: reparameterisation, noise, one skipped eps per path (none
+    when lambda_gp is 0). Returns the loss value.
     """
     n = v.shape[0]
     enc, gen, critic = model.encoder, model.generator, model.critic
@@ -525,9 +407,10 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
 
     d_real = _mean(critic.scores(v, a)[0])
     # a fake score's cotangent is -1/n per row, applied to w2 before the
-    # product with W1ᵀ, as the tape orders it. The product spans the whole of
-    # W1, attribute columns too, and is then sliced: BLAS may sum a product
-    # with fewer columns in another order.
+    # product with W1ᵀ. The product spans the whole of W1, attribute columns
+    # too, and is then sliced: BLAS may sum a product with fewer columns in
+    # another order, and this order keeps results byte-identical with
+    # earlier releases.
     w2_scaled = -(1.0 / n) * critic.l2.W.data.T
 
     def gan_term(fake):
@@ -632,10 +515,16 @@ def _new_model(feats, d_attr, hp, modality):
 
 
 def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
-    """`generation_losses`' values over a whole feature matrix, for curve logging.
+    """Every stage-1 loss term over a whole feature matrix, for curve logging.
 
-    Plain numpy with the tape's float operations and draws, so the values
-    equal the tape's bitwise.
+    Returns {"kl", "recon", "vae", "critic_gap", "gan1", "gan2", "total"}:
+    vae = kl + recon; gan1 and gan2 are E D(real) − E D(fake) − λ·GP on the
+    noise path and the reconstruction path, critic_gap is the noise path's
+    score gap and total = vae + gan1 + gan2. With use_vae off, kl, recon,
+    vae and gan2 are 0. Draws from rng in this order: reparameterisation,
+    noise, then one eps per path (none when lambda_gp is 0). Its float
+    operations keep their order, so the curves stay byte-identical with
+    earlier releases.
     """
     n = X.shape[0]
     critic = model.critic

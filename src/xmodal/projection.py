@@ -7,14 +7,14 @@ u = g * f + (1 - g) * x. A classifier head shared by both modalities plus a
 modal consistency loss and a temperature-scaled contrastive loss train the
 space; the three terms are weighted by alpha/beta/gamma.
 
-Training records no tape. `projection_step` repeats in plain numpy the float
-operations of `projection_losses` and of the tape's reverse pass over it, so
-loss values, gradients and Adam updates equal the tape's bitwise;
-`projection_losses`, `fuse` and `embed_*_node` stay as the reference the
-tests compare against. The gate's direct partials are ∂u/∂g = f − x,
-∂u/∂f = g and ∂u/∂x = 1 − g; the contrastive term is NT-Xent, whose
-gradient with respect to the cosine matrix is (P − Y)/(τn) with P the masked
-softmax and Y the positives. The two modality towers (projector and gate)
+`projection_step` computes the losses and their gradients in closed form.
+The gate's direct partials are ∂u/∂g = f − x, ∂u/∂f = g and ∂u/∂x = 1 − g;
+the contrastive term is NT-Xent, whose gradient with respect to the cosine
+matrix is (P − Y)/(τn) with P the masked softmax and Y the positives. Its
+float operations keep their order, so results stay byte-identical with
+earlier releases and with the pinned values of `tests/test_golden.py`; the
+tests check its gradients against central finite differences of the curve
+probe. The two modality towers (projector and gate)
 meet only in the losses, so their forwards, and then their backward passes
 and Adam updates, run through `util.run_pair`: the text tower on a worker
 thread from `util.CONCURRENT_MIN_WIDTH` on when a second core is free. The
@@ -31,9 +31,9 @@ from functools import partial
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Linear, Module, Tensor
+from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
-from .errors import ConfigError, ContractError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 from .optim import adam_step, zero_grads
 from .util import require_finite, require_int_fields, run_pair, stream
 
@@ -68,9 +68,6 @@ class Projector(Module):
         self.l1 = Linear(d, d, rng)
         self.l2 = Linear(d, d, rng)
 
-    def __call__(self, x):
-        return self.l2(ad.relu(self.l1(x)))
-
 
 class GateNet(Module):
     """Maps (original ++ projected) to per-dimension mixing coefficients in (0, 1)."""
@@ -79,9 +76,6 @@ class GateNet(Module):
         self.l1 = Linear(2 * d, d, rng)
         self.l2 = Linear(d, d, rng)
 
-    def __call__(self, joint):
-        return ad.sigmoid(self.l2(ad.relu(self.l1(joint))))
-
 
 class ClassifierHead(Module):
     """One affine layer from a common-space embedding to class logits, shared
@@ -89,86 +83,6 @@ class ClassifierHead(Module):
 
     def __init__(self, d: int, n_classes: int, rng):
         self.layer = Linear(d, n_classes, rng)
-
-    def logits(self, u):
-        return self.layer(u)
-
-
-def fuse(x, projector: Projector, gate: GateNet) -> Tensor:
-    """Gated residual mix of the projected feature with the original one."""
-    x = ad.as_tensor(x)
-    f = projector(x)
-    g = gate(ad.concat_cols(x, f))
-    return g * f + (1.0 - g) * x
-
-
-def _log_prob_of_label(logits, labels) -> Tensor:
-    """log softmax probability of each row's labeled class, numerically stable."""
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    lse = shift + ad.log(ad.sum_axis(ad.exp(logits - shift), axis=1))
-    return ad.pick_cols(logits, labels) - lse
-
-
-def loss_ce(u_v, u_t, labels, head: ClassifierHead) -> Tensor:
-    """Cross-entropy of both modalities through the shared head, averaged over the batch."""
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n_classes = head.layer.W.data.shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ConfigError(f"label out of range [0, {n_classes})")
-    lp_v = _log_prob_of_label(head.logits(u_v), labels)
-    lp_t = _log_prob_of_label(head.logits(u_t), labels)
-    n = labels.size
-    return -(ad.sum_all(lp_v) + ad.sum_all(lp_t)) * (1.0 / n)
-
-
-def loss_consistency(u_v, u_t) -> Tensor:
-    """Mean Euclidean distance between paired common-space embeddings."""
-    diff = ad.as_tensor(u_v) - u_t
-    norms = ad.sqrt(ad.sum_axis(ad.square(diff), axis=1))
-    return ad.mean_all(norms)
-
-
-def loss_contrastive(u_v, u_t, tau: float) -> Tensor:
-    """Contrastive instance-discrimination loss over both modalities of a batch.
-
-    All 2n embeddings act as anchors; each anchor's positive is its paired
-    embedding from the other modality, and the denominator runs over every
-    other embedding in the batch, the anchor itself left out (NT-Xent).
-    Cosine similarities are scaled by 1/tau; the sum of anchor terms is
-    divided by n.
-    """
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    u_v = ad.as_tensor(u_v)
-    u_t = ad.as_tensor(u_t)
-    n = u_v.data.shape[0]
-    if n < 2:
-        raise ContractError(f"contrastive loss needs a batch of at least 2 pairs, got {n}")
-
-    stacked = ad.concat_rows(u_v, u_t)
-    norms = ad.sqrt(ad.sum_axis(ad.square(stacked), axis=1))
-    unit = stacked / norms
-    sims = ad.matmul(unit, ad.transpose(unit)) * (1.0 / tau)
-
-    pair_idx = np.concatenate([np.arange(n) + n, np.arange(n)])
-    positives = ad.pick_cols(sims, pair_idx)
-
-    m = 2 * n
-    mask = np.ones((m, m))
-    np.fill_diagonal(mask, 0.0)
-    masked_max = np.where(mask > 0, sims.data, -np.inf).max(axis=1, keepdims=True)
-    shift = Tensor(masked_max)
-    denom = ad.sum_axis(ad.exp(sims - shift) * Tensor(mask), axis=1)
-    log_denoms = shift + ad.log(denom)
-
-    log_p = positives - log_denoms
-    return -ad.sum_all(log_p) * (1.0 / n)
-
-
-def total_loss(components, hp: ProjHyperParams) -> Tensor:
-    """alpha*L1 + beta*L2 + gamma*L3."""
-    l1, l2, l3 = components
-    return hp.alpha * ad.as_tensor(l1) + hp.beta * ad.as_tensor(l2) + hp.gamma * ad.as_tensor(l3)
 
 
 class RawFeatures:
@@ -198,22 +112,12 @@ class ProjectionModel(Module):
         # the fingerprint of the run config that trained the model, when known
         self.config_fingerprint: str | None = None
 
-    def _embed(self, x, projector, gate) -> Tensor:
-        if self.use_gate:
-            return fuse(x, projector, gate)
-        return projector(ad.as_tensor(x))
-
-    def embed_images_node(self, x) -> Tensor:
-        return self._embed(x, self.projector_v, self.gate_v)
-
-    def embed_texts_node(self, x) -> Tensor:
-        return self._embed(x, self.projector_t, self.gate_t)
-
     def _embed_array(self, X, projector: Projector, gate: GateNet) -> np.ndarray:
-        """`_embed`'s value in plain numpy, formed in place with no tape.
+        """One modality's embeddings at rows X, the gate skipped under no_gate,
+        formed in place with few temporaries.
 
-        It repeats the tape's float operations, so the result equals
-        `embed_*_node(X).data` bitwise. X itself is never written.
+        The float operations are `_tower_forward`'s, so evaluation embeds
+        bitwise as training does. X itself is never written.
         """
         x = ad.as_matrix(X)
         h = ad.relu_inplace(ad.affine(x, projector.l1))
@@ -241,28 +145,13 @@ class ProjectionModel(Module):
         return self._embed_array(X, self.projector_t, self.gate_t)
 
 
-def projection_losses(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParams):
-    """L1/L2/L3 and their weighted total on one batch; zero-weight terms are skipped."""
-    u_v = model.embed_images_node(v)
-    u_t = model.embed_texts_node(t)
-    zero = Tensor(0.0)
-    l1 = loss_ce(u_v, u_t, label_cols, model.head) if hp.alpha > 0 else zero
-    l2 = loss_consistency(u_v, u_t) if hp.beta > 0 else zero
-    n = u_v.data.shape[0]
-    if hp.gamma > 0 and n >= 2:
-        l3 = loss_contrastive(u_v, u_t, hp.tau)
-    else:
-        l3 = zero
-    return {"l1": l1, "l2": l2, "l3": l3, "total": total_loss((l1, l2, l3), hp)}
-
-
 # ---------------------------------------------------------------------------
-# stage 2 in plain numpy, op for op the tape's forward and reverse pass
+# the stage-2 step: each tower's forward and backward pass, and the losses
 
 
 def _tower_forward(x: np.ndarray, projector: Projector, gate: GateNet | None):
-    """One modality's embeddings u (`_embed`'s value at rows x) and the
-    activations its backward pass reads; gate is None under no_gate."""
+    """One modality's embeddings u at rows x and the activations its backward
+    pass reads; gate is None under no_gate."""
     r1 = ad.relu_inplace(ad.affine(x, projector.l1))
     f = ad.affine(r1, projector.l2)
     if gate is None:
@@ -302,8 +191,9 @@ def _tower_backward(du: np.ndarray, projector: Projector, gate: GateNet | None, 
         dh = dg @ gate.l2.W.data.T
         dh *= r3 > 0
         ad.add_affine_grads(gate.l1, joint, dh)
-        # the joint's cotangent is formed whole and then sliced, as on the
-        # tape: BLAS may sum a product over fewer columns in another order
+        # the joint's cotangent is formed whole and then sliced: BLAS may sum
+        # a product over fewer columns in another order, and this order keeps
+        # results byte-identical with earlier releases
         df += (dh @ gate.l1.W.data.T)[:, d:]
     ad.add_affine_grads(projector.l2, r1, df)
     dh = df @ projector.l2.W.data.T
@@ -323,8 +213,10 @@ def _log_prob_sum(u: np.ndarray, head: ClassifierHead, labels: np.ndarray):
 
 
 def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
-    """`loss_ce`'s value and the function giving weight·L1's cotangents at
-    (u_v, u_t); that function also adds the head's gradients to its .grad."""
+    """L1, the cross-entropy of both modalities through the shared head summed
+    over both and averaged over the batch, and the function giving weight·L1's
+    cotangents at (u_v, u_t); that function also adds the head's gradients to
+    its .grad."""
     n = len(labels)
     sum_v, e_v, s_v = _log_prob_sum(u_v, head, labels)
     sum_t, e_t, s_t = _log_prob_sum(u_t, head, labels)
@@ -349,8 +241,8 @@ def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
 
 
 def _consistency_term(u_v, u_t, weight: float):
-    """`loss_consistency`'s value and the function giving weight·L2's
-    cotangents at (u_v, u_t)."""
+    """L2, the mean Euclidean distance between paired embeddings, and the
+    function giving weight·L2's cotangents at (u_v, u_t)."""
     diff = u_v - u_t
     norms = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
     n = len(norms)
@@ -364,24 +256,28 @@ def _consistency_term(u_v, u_t, weight: float):
 
 
 def _contrastive_term(u_v, u_t, tau: float, weight: float):
-    """`loss_contrastive`'s value and the function giving weight·L3's
-    cotangents at (u_v, u_t), holding one (2n, 2n) array.
+    """L3 and the function giving weight·L3's cotangents at (u_v, u_t),
+    holding one (2n, 2n) array; n must be at least 2.
 
-    The tape's mask matrix is not formed: the diagonal is set to -inf, which
-    leaves it out of the row maxima and, through the shift and exp(-inf) =
-    +0.0, out of the row sums, the values of the tape's product with the
-    mask (a non-finite similarity makes the loss NaN either way). The
-    gradient with respect to the cosine matrix is (k/τ)(P − Y), with P the
-    masked softmax, Y the positives and k the weight over n (NT-Xent,
-    arXiv:2002.05709); it runs back through the product with the transposed
-    copy and through the normalisation.
+    All 2n embeddings act as anchors; each anchor's positive is its paired
+    embedding from the other modality, and the denominator runs over every
+    other embedding, the anchor itself left out (NT-Xent, arXiv:2002.05709).
+    Cosine similarities are scaled by 1/tau; the sum of anchor terms is
+    divided by n. The diagonal is set to -inf, which leaves it out of the row
+    maxima and, through the shift and exp(-inf) = +0.0, out of the row sums
+    (a non-finite similarity makes the loss NaN). The gradient with respect
+    to the cosine matrix is (k/τ)(P − Y), with P the masked softmax, Y the
+    positives and k the weight over n; it runs back through the product with
+    the transposed copy and through the normalisation.
     """
     n = u_v.shape[0]
     m = 2 * n
     stacked = np.concatenate([u_v, u_t], axis=0)
     norms = np.sqrt((stacked * stacked).sum(axis=1, keepdims=True))
     unit = stacked / norms
-    # `ad.transpose` copies, so on the tape the product is a plain GEMM
+    # a product with a transposed copy, a plain GEMM: another product may
+    # round otherwise, and this one keeps results byte-identical with
+    # earlier releases
     unit_t = unit.T.copy()
     sims = unit @ unit_t
     sims *= 1.0 / tau
@@ -416,8 +312,10 @@ def _contrastive_term(u_v, u_t, tau: float, weight: float):
 
 
 def _batch_losses(u_v, u_t, label_cols, head: ClassifierHead, hp: ProjHyperParams):
-    """`projection_losses`' values at embeddings (u_v, u_t) as floats, and the
-    cotangent functions of the terms it computes, in its order."""
+    """L1, L2, L3 and their weighted total alpha·L1 + beta·L2 + gamma·L3 at
+    embeddings (u_v, u_t) as floats, and the cotangent functions of the terms
+    computed, in that order. A term whose weight is 0 is not computed and
+    reads 0, as does L3 on a batch of one pair."""
     values = {"l1": 0.0, "l2": 0.0, "l3": 0.0}
     terms = []
     if hp.alpha > 0:
@@ -434,9 +332,9 @@ def _batch_losses(u_v, u_t, label_cols, head: ClassifierHead, hp: ProjHyperParam
 
 
 def _embedding_cotangents(terms):
-    """(d/du_v, d/du_t) of the weighted total: the tape reaches the embeddings
-    from the last term back to the first and sums in that order. None when
-    no term is on."""
+    """(d/du_v, d/du_t) of the weighted total, summed from the last term back
+    to the first, an order that keeps results byte-identical with earlier
+    releases. None when no term is on."""
     du_v = du_t = None
     for cotangents in reversed(terms):
         dv, dt = cotangents()
@@ -447,16 +345,15 @@ def _embedding_cotangents(terms):
 
 def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParams,
                     epoch: int = 1, step: int = 1) -> dict[str, float]:
-    """One Adam step of every parameter on `projection_losses`' total at the
-    float64 batch (v, t), with no tape; returns the loss values.
+    """One Adam step of every parameter on `_batch_losses`' total at the
+    float64 batch (v, t); returns the loss values.
 
     Gradients are zeroed first. The two modality towers run their forwards,
     then their backward passes and Adam updates, through `util.run_pair`:
     the text tower on a worker thread when the model is wide enough and a
     second core is free. The losses, their cotangents and the head's update
     run on the calling thread. A non-finite loss raises NonFiniteError
-    naming `epoch` and `step` before any parameter moves. Parameters, Adam
-    moments and step counts end bitwise where the tape's step puts them.
+    naming `epoch` and `step` before any parameter moves.
     """
     zero_grads(model.params)
     gate_v, gate_t = (model.gate_v, model.gate_t) if model.use_gate else (None, None)
@@ -487,9 +384,9 @@ def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParam
 
 
 def dataset_losses(model: ProjectionModel, V, T, label_cols, hp: ProjHyperParams) -> dict[str, float]:
-    """`projection_losses`' values over whole image and text matrices, for
-    curve logging: the evaluation forward of both towers through
-    `util.run_pair`, then the loss values, bitwise the tape's."""
+    """`_batch_losses`' values over whole image and text matrices, for curve
+    logging: the evaluation forward of both towers through `util.run_pair`,
+    then the loss values. Tests take its total as the step's loss."""
     u_v, u_t = run_pair(partial(model.embed_images, V), partial(model.embed_texts, T), model.d)
     return _batch_losses(u_v, u_t, label_cols, model.head, hp)[0]
 

@@ -47,15 +47,17 @@ def assert_grad_matches(loss_fn, params, backward_fn, tol: float = 1e-4, eps: fl
     """Check analytic gradients of every parameter in `params` against central differences.
 
     backward_fn() must populate param.grad for the same loss loss_fn() evaluates.
+    The gradients are read before loss_fn first runs, so loss_fn may be a
+    training step that adds to .grad itself. Returns the worst relative error.
     """
     for p in params:
         p.grad[...] = 0.0
     backward_fn()
+    analytic = [p.grad.copy() for p in params]
     worst = 0.0
-    for p in params:
-        analytic = p.grad.copy()
+    for p, g in zip(params, analytic):
         fd = finite_difference_grad(loss_fn, p, eps=eps)
-        err = max_rel_error(analytic, fd)
+        err = max_rel_error(g, fd)
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol:g}"
     for p in params:

@@ -13,13 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xmodal import autodiff as ad
 from xmodal import data, generation as gen, projection as proj, retrieval as ret
 from xmodal import checkpoint as ckpt
 from xmodal import pipeline
 from xmodal.util import stream
 
-from fdcheck import finite_difference_grad, max_rel_error
+from fdcheck import assert_grad_matches
 
 warnings.filterwarnings("ignore", message="odd class count")
 
@@ -36,68 +35,62 @@ def report(criterion: int, ok: bool, detail: str):
 # criterion 1: gradient correctness of every loss
 
 
-def check_all_params(build_loss, params, tol=GRAD_TOL, eps=1e-6):
-    # eps=1e-6 keeps the finite-difference stencil clear of LeakyReLU mask
-    # flips, which make the penalty's inner-gradient norm jump discontinuously
-    for p in params:
-        p.grad[...] = 0.0
-    ad.backward(build_loss())
-    worst = 0.0
-    for p in params:
-        analytic = p.grad.copy()
-
-        def value():
-            with ad.no_grad():
-                return build_loss().item()
-
-        fd = finite_difference_grad(value, p, eps=eps)
-        worst = max(worst, max_rel_error(analytic, fd))
-        p.grad[...] = 0.0
-    assert worst < tol, f"worst rel err {worst:.3e}"
-    return worst
-
-
-def test_criterion_1_gradient_correctness():
+def test_criterion_1_gradient_correctness(monkeypatch):
+    # every closed-form step against central differences of its loss: the
+    # value the critic step returns, and the curve probes' totals for the
+    # E/G and projection steps. eps=1e-6 keeps the stencil clear of ReLU and
+    # LeakyReLU mask flips, which make the penalty's inner-gradient norm jump
     t0 = time.time()
     n, dim = 4, 16
     hp = gen.GenHyperParams(seed=41)
     model = gen.VaeGanModel(dim, dim, hp, stream(41, "init"))
     rng = np.random.default_rng(42)
-    v = ad.Tensor(rng.uniform(0.05, 0.95, size=(n, dim)))
-    a = ad.Tensor(rng.normal(size=(n, dim)))
+    v = rng.uniform(0.05, 0.95, size=(n, dim))
+    a = rng.normal(size=(n, dim))
 
+    probe_hp = replace(hp, lambda_gp=0.0)
     worst = {}
+    for use_vae in (True, False):
+        posterior = model.posterior(v, a) if use_vae else None
 
-    def losses():
-        return gen.generation_losses((v, a), model, hp, stream(7, "fd"))
+        def critic_step_loss():
+            return gen.critic_step(v, a, model, hp, stream(7, "fd"), posterior)
 
-    worst["vae"] = check_all_params(
-        lambda: losses()["vae"], model.encoder.params + model.generator.params
-    )
-    worst["adversarial_fake"] = check_all_params(lambda: losses()["gan1"], model.params)
-    worst["adversarial_recon"] = check_all_params(lambda: losses()["gan2"], model.params)
+        worst[f"critic step, vae {use_vae}"] = assert_grad_matches(
+            critic_step_loss, model.critic.params, critic_step_loss, GRAD_TOL, eps=1e-6
+        )
 
-    pm = proj.ProjectionModel(dim, range(4), proj.ProjHyperParams(seed=43), stream(43, "init"))
-    t = ad.Tensor(rng.normal(size=(n, dim)))
-    x = ad.Tensor(rng.normal(size=(n, dim)))
+        def eg_loss():
+            return gen._dataset_metrics(model, v, a, probe_hp, stream(7, "fd"), use_vae)["total"]
+
+        eg = model.generator.params + (model.encoder.params if use_vae else [])
+        worst[f"E/G step, vae {use_vae}"] = assert_grad_matches(
+            eg_loss, eg, lambda: gen.eg_step(v, a, model, hp, stream(7, "fd"), use_vae),
+            GRAD_TOL, eps=1e-6,
+        )
+
+    t = rng.normal(size=(n, dim))
+    x = rng.normal(size=(n, dim))
     labels = rng.integers(0, 4, size=n)
-
-    def embeddings():
-        return pm.embed_images_node(x), pm.embed_texts_node(t)
-
-    worst["classification"] = check_all_params(
-        lambda: proj.loss_ce(*embeddings(), labels, pm.head), pm.params
-    )
-    worst["consistency"] = check_all_params(
-        lambda: proj.loss_consistency(*embeddings()), pm.params
-    )
-    worst["contrastive"] = check_all_params(
-        lambda: proj.loss_contrastive(*embeddings(), tau=0.1), pm.params
-    )
+    monkeypatch.setattr(proj, "adam_step", lambda params, lr: None)
+    for use_gate in (True, False):
+        pm = proj.ProjectionModel(
+            dim, range(4), proj.ProjHyperParams(seed=43), stream(43, "init"), use_gate=use_gate
+        )
+        for term, (alpha, beta, gamma) in (("L1", (1, 0, 0)), ("L2", (0, 1, 0)), ("L3", (0, 0, 1))):
+            php = proj.ProjHyperParams(alpha=alpha, beta=beta, gamma=gamma, seed=43)
+            worst[f"projection step, {term} alone, gate {use_gate}"] = assert_grad_matches(
+                lambda: proj.dataset_losses(pm, x, t, labels, php)["total"],
+                pm.params,
+                lambda: proj.projection_step(pm, x, t, labels, php),
+                GRAD_TOL,
+                eps=1e-6,
+            )
 
     elapsed = time.time() - t0
     detail = (
-        "all six losses match finite differences at rel err < 1e-4 "
+        f"{len(worst)} step checks (critic and E/G, VAE on and off; projection, gate on "
+        "and off, each loss alone) match finite differences at rel err < 1e-4 "
         f"(worst {max(worst.values()):.2e}) in {elapsed:.1f}s"
     )
     report(1, elapsed < 60.0, detail)
@@ -107,11 +100,20 @@ def test_criterion_1_gradient_correctness():
 # criterion 2: closed-form oracles
 
 
+def vae_kl(mu, logvar) -> float:
+    """`_vae_forward`'s KL term at one row whose posterior is (mu, logvar):
+    the encoder's heads are zeroed and their biases set to them."""
+    mu, logvar = np.atleast_2d(mu), np.atleast_2d(logvar)
+    model = gen.VaeGanModel(4, 4, gen.GenHyperParams(latent_dim=mu.shape[1]), stream(1, "kl"))
+    for head, value in ((model.encoder.mu_head, mu), (model.encoder.logvar_head, logvar)):
+        head.W.data[...] = 0.0
+        head.b.data[...] = value
+    return gen._vae_forward(model, np.full((1, 4), 0.5), np.zeros((1, 4)), stream(1, "eps"))[0]
+
+
 def test_criterion_2_closed_form_oracles():
-    kl_prior = gen.kl_loss(ad.Tensor([[0.0]]), ad.Tensor([[0.0]])).item()
-    kl_unit = gen.kl_loss(ad.Tensor([[1.0]]), ad.Tensor([[0.0]])).item()
-    assert kl_prior == 0.0
-    assert kl_unit == 0.5
+    assert vae_kl(0.0, 0.0) == 0.0
+    assert vae_kl(1.0, 0.0) == 0.5
 
     # a critic linear in its features, score v @ w with |w| = 3: identity
     # feature block, zero attribute block, and a bias that keeps every
@@ -121,18 +123,13 @@ def test_criterion_2_closed_form_oracles():
     critic.l1.b.data[...] = 10.0
     critic.l2.W.data[...] = np.array([[3.0], [0.0], [0.0], [0.0]])
     rng = np.random.default_rng(2)
-    penalty = gen.gradient_penalty(
-        rng.normal(size=(5, 2)),
-        rng.normal(size=(5, 2)),
-        rng.normal(size=(5, 2)),
-        critic,
-        stream(2, "gp"),
-    ).item()
+    v_hat, a = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    penalty = gen.penalty_terms(critic, v_hat, critic.attr_branch(a), 5, grads=False)[0]
     assert abs(penalty - 4.0) < 1e-10
 
     u_v = np.array([[1.0, 0.0], [0.0, 1.0]])
     u_t = np.array([[1.0, 0.0], [0.0, 1.0]])
-    got = proj.loss_contrastive(ad.Tensor(u_v), ad.Tensor(u_t), tau=1.0).item()
+    got = proj._contrastive_term(u_v, u_t, tau=1.0, weight=1.0)[0]
     # enumerate all similarity terms by hand: each anchor has positive sim 1,
     # denominators sum exp over the 3 non-self embeddings
     num = np.exp(1.0)
@@ -182,24 +179,22 @@ def test_criterion_3_map_oracle():
 def test_criterion_4_gate_identities():
     model = proj.ProjectionModel(8, range(3), proj.ProjHyperParams(seed=44), stream(44, "init"))
     rng = np.random.default_rng(45)
-    x = ad.Tensor(rng.normal(size=(40, 8)))
-    f = model.projector_v(x)
+    x = rng.normal(size=(40, 8))
+    f = proj._tower_forward(x, model.projector_v, None)[0]
 
     model.gate_v.l2.W.data[...] = 0.0
     model.gate_v.l2.b.data[...] = 1e4
-    u_one = proj.fuse(x, model.projector_v, model.gate_v)
-    assert np.array_equal(u_one.data, f.data)
+    assert np.array_equal(model.embed_images(x), f)
 
     model.gate_v.l2.b.data[...] = -1e4
-    u_zero = proj.fuse(x, model.projector_v, model.gate_v)
-    assert np.array_equal(u_zero.data, x.data)
+    assert np.array_equal(model.embed_images(x), x)
 
     fresh = proj.ProjectionModel(8, range(3), proj.ProjHyperParams(seed=46), stream(46, "init"))
-    f2 = fresh.projector_v(x)
-    u = proj.fuse(x, fresh.projector_v, fresh.gate_v)
-    lo = np.minimum(x.data, f2.data)
-    hi = np.maximum(x.data, f2.data)
-    assert np.all(u.data >= lo) and np.all(u.data <= hi)
+    f2 = proj._tower_forward(x, fresh.projector_v, None)[0]
+    u = fresh.embed_images(x)
+    lo = np.minimum(x, f2)
+    hi = np.maximum(x, f2)
+    assert np.all(u >= lo) and np.all(u <= hi)
     report(4, True, "g=1 gives u=f bitwise, g=0 gives u=x bitwise, fusion stays in [min, max]")
 
 

@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xmodal import autodiff as ad
 from xmodal import data, generation as gen
 from xmodal.errors import ConfigError, NonFiniteError
 from xmodal.optim import adam_step, zero_grads
@@ -38,82 +37,123 @@ def small_model(d=8, seed=0, hp=None):
 
 
 # ---------------------------------------------------------------------------
-# encode / reparameterize
+# encoder forward and reparameterisation
+
+
+def set_heads(model, mu, logvar):
+    """Zero the encoder's heads' weights and set their biases, so that every
+    row's posterior is (mu, logvar)."""
+    for head, value in ((model.encoder.mu_head, mu), (model.encoder.logvar_head, logvar)):
+        zero_layer(head)
+        head.b.data[...] = value
 
 
 def test_reparameterization_identity_when_heads_zeroed():
     model, _ = small_model()
     zero_layer(model.encoder.mu_head)
     zero_layer(model.encoder.logvar_head)
-    v = ad.Tensor(np.random.default_rng(1).normal(size=(3, 8)))
-    a = ad.Tensor(np.random.default_rng(2).normal(size=(3, 8)))
-    mu, logvar, z = model.encode(v, a, stream(5, "eps"))
+    v = np.random.default_rng(1).normal(size=(3, 8))
+    a = np.random.default_rng(2).normal(size=(3, 8))
+    _, _, v_bar, cache = gen._vae_forward(model, v, a, stream(5, "eps"))
     expected_eps = stream(5, "eps").standard_normal((3, model.d_z))
-    assert np.array_equal(mu.data, np.zeros((3, model.d_z)))
-    assert np.array_equal(z.data, expected_eps)
-
-
-def test_zero_variance_limit_returns_mu():
-    mu = ad.Tensor([[1.5, -2.0]])
-    logvar = ad.Tensor([[-1e9, -1e9]])
-    z = gen.reparameterize(mu, logvar, stream(0, "eps"))
-    assert np.array_equal(z.data, mu.data)
+    assert np.array_equal(cache["mu"], np.zeros((3, model.d_z)))
+    # z = mu + std * eps is the draw itself, and the decoder sees it
+    assert np.array_equal(v_bar, gen._generate(model.generator, expected_eps, a)[2])
 
 
 def test_encoder_clamps_logvar():
     model, _ = small_model()
     model.encoder.logvar_head.b.data[...] = 1e6
-    v = ad.Tensor(np.zeros((2, 8)))
-    a = ad.Tensor(np.zeros((2, 8)))
-    _, logvar = model.encoder(v, a)
-    assert np.all(logvar.data <= 10.0)
+    v = np.zeros((2, 8))
+    a = np.zeros((2, 8))
+    _, _, logvar, keep = gen._encode(model.encoder, v, a)
+    assert np.all(logvar <= 10.0)
+    assert not keep.any()
     model.encoder.logvar_head.b.data[...] = -1e6
-    _, logvar = model.encoder(v, a)
-    assert np.all(logvar.data >= -10.0)
+    _, _, logvar, keep = gen._encode(model.encoder, v, a)
+    assert np.all(logvar >= -10.0)
+    assert not keep.any()
 
 
 @pytest.mark.parametrize("bias, logvar", [(30.0, gen.LOGVAR_MAX), (-30.0, gen.LOGVAR_MIN)])
 def test_posterior_takes_the_clipped_log_variance(bias, logvar):
-    # the critic step's posterior is the tape's: sigma = exp(clip(logvar) / 2)
+    # the critic step's posterior is the E/G step's: sigma = exp(clip(logvar) / 2)
     model, _ = small_model()
     model.encoder.logvar_head.b.data[...] = bias
     v, a = fixture_batch()
     mu, std = model.posterior(v, a)
     assert np.array_equal(std, np.full(std.shape, np.exp(logvar * 0.5)))
-    assert np.array_equal(mu, model.encoder(v, a)[0].data)
+    cache = gen._vae_forward(model, v, a, stream(0, "eps"))[3]
+    assert np.array_equal(mu, cache["mu"])
+    assert np.array_equal(std, cache["std"])
 
 
-def test_reparameterized_moments_match_parameters():
+def spy_on_latents(monkeypatch) -> list:
+    """Record a copy of every latent matrix the generator is run on."""
+    latents, generate = [], gen._generate
+
+    def spy(generator, z, a):
+        latents.append(z.copy())
+        return generate(generator, z, a)
+
+    monkeypatch.setattr(gen, "_generate", spy)
+    return latents
+
+
+def test_zero_variance_limit_returns_mu(monkeypatch):
+    # the critic step's reconstruction path draws z = mu + std * eps: at
+    # std 0 the generator sees mu itself
+    model, hp = small_model()
+    v, a = fixture_batch()
+    mu = np.random.default_rng(3).normal(size=(4, model.d_z))
+    latents = spy_on_latents(monkeypatch)
+    gen.critic_step(v, a, model, hp, stream(0, "eps"), (mu, np.zeros_like(mu)))
+    _, z = latents
+    assert np.array_equal(z, mu)
+
+
+def test_reparameterized_moments_match_parameters(monkeypatch):
     n = 10_000
-    mu = ad.Tensor(np.ones((n, 1)))
-    logvar = ad.Tensor(np.zeros((n, 1)))
-    z = gen.reparameterize(mu, logvar, stream(3, "mc"))
-    assert z.data.mean() == pytest.approx(1.0, abs=0.05)
-    assert z.data.std() == pytest.approx(1.0, abs=0.05)
+    model, _ = small_model(hp=gen.GenHyperParams(latent_dim=1))
+    set_heads(model, 1.0, 0.0)
+    latents = spy_on_latents(monkeypatch)
+    gen._vae_forward(model, np.zeros((n, 8)), np.zeros((n, 8)), stream(3, "mc"))
+    (z,) = latents
+    assert z.mean() == pytest.approx(1.0, abs=0.05)
+    assert z.std() == pytest.approx(1.0, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
 # kl / recon
 
 
+def vae_kl(mu, logvar) -> float:
+    """`_vae_forward`'s KL term at one row whose posterior is (mu, logvar)."""
+    mu, logvar = np.atleast_2d(mu), np.atleast_2d(logvar)
+    model, _ = small_model(hp=gen.GenHyperParams(latent_dim=mu.shape[1]))
+    set_heads(model, mu, logvar)
+    v, a = fixture_batch(n=1)
+    return gen._vae_forward(model, v, a, stream(0, "eps"))[0]
+
+
 def test_kl_zero_at_prior():
-    assert gen.kl_loss(ad.Tensor([[0.0]]), ad.Tensor([[0.0]])).item() == 0.0
+    assert vae_kl(0.0, 0.0) == 0.0
 
 
 def test_kl_unit_mean_single_dim():
-    assert gen.kl_loss(ad.Tensor([[1.0]]), ad.Tensor([[0.0]])).item() == 0.5
+    assert vae_kl(1.0, 0.0) == 0.5
 
 
 def test_kl_matches_monte_carlo_oracle():
     rng = np.random.default_rng(12)
-    mu = rng.normal(size=(2, 3))
-    logvar = rng.uniform(-1.0, 1.0, size=(2, 3))
-    analytic = gen.kl_loss(ad.Tensor(mu), ad.Tensor(logvar)).item()
+    mu = rng.normal(size=(1, 6))
+    logvar = rng.uniform(-1.0, 1.0, size=(1, 6))
+    analytic = vae_kl(mu, logvar)
 
     # independent oracle: E_q[log q(z) - log p(z)] by sampling
     std = np.exp(logvar / 2.0)
     draws = 100_000
-    eps = np.random.default_rng(99).standard_normal((draws, 2, 3))
+    eps = np.random.default_rng(99).standard_normal((draws, 1, 6))
     z = mu + std * eps
     log_q = -0.5 * (np.log(2 * np.pi) + logvar + eps**2)
     log_p = -0.5 * (np.log(2 * np.pi) + z**2)
@@ -124,20 +164,25 @@ def test_kl_matches_monte_carlo_oracle():
 def test_kl_nonnegative_on_random_inputs():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        mu = ad.Tensor(rng.normal(size=(3, 4)))
-        logvar = ad.Tensor(rng.uniform(-3, 3, size=(3, 4)))
-        assert gen.kl_loss(mu, logvar).item() >= 0.0
+        assert vae_kl(rng.normal(size=(1, 4)), rng.uniform(-3, 3, size=(1, 4))) >= 0.0
 
 
 def test_recon_loss_values_and_gradient():
-    v = ad.Tensor([[0.0, 0.0]])
-    same = gen.recon_loss(v, ad.Tensor([[0.0, 0.0]]))
-    assert same.item() == 0.0
-    v_bar = ad.Parameter(np.array([[1.0, 1.0]]))
-    loss = gen.recon_loss(v, v_bar)
-    assert loss.item() == 1.0
-    ad.backward(loss)
-    assert np.allclose(v_bar.grad, 2.0 * v_bar.data / v_bar.data.size)
+    # a zeroed last generator layer makes every reconstruction 0.5, and a
+    # zeroed critic gives the E/G step no adversarial gradient
+    model, hp = small_model()
+    zero_layer(model.generator.l2)
+    zero_layer(model.critic.l1)
+    zero_layer(model.critic.l2)
+    a = fixture_batch()[1]
+    assert gen._vae_forward(model, np.full((4, 8), 0.5), a, stream(0, "eps"))[1] == 0.0
+    v = np.zeros((4, 8))
+    assert gen._vae_forward(model, v, a, stream(0, "eps"))[1] == 0.25
+    zero_grads(model.params)
+    gen.eg_step(v, a, model, hp, stream(0, "eps"), use_vae=True)
+    # d recon / d v_bar = 2 (v_bar - v) / 32 per element, times the sigmoid's
+    # slope 0.25, summed over 4 rows
+    assert np.array_equal(model.generator.l2.b.grad, np.full((1, 8), 0.25 / 8))
 
 
 # ---------------------------------------------------------------------------
@@ -161,55 +206,47 @@ def linear_critic(w):
     return critic
 
 
+def penalty_at(critic, rng, n):
+    """The penalty at interpolates of random real and fake rows."""
+    d = critic.d_feat
+    real, fake, a = (rng.normal(size=(n, d)) for _ in range(3))
+    eps = rng.uniform(size=(n, 1))
+    v_hat = eps * real + (1.0 - eps) * fake
+    return gen.penalty_terms(critic, v_hat, critic.attr_branch(a), n, grads=False)[0]
+
+
 def test_penalty_zero_for_unit_norm_linear_critic():
-    rng = np.random.default_rng(0)
-    real, fake = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
-    a = rng.normal(size=(6, 2))
-    critic = linear_critic([0.6, 0.8])
-    pen = gen.gradient_penalty(real, fake, a, critic, stream(1, "gp"))
-    assert pen.item() == pytest.approx(0.0, abs=1e-12)
+    pen = penalty_at(linear_critic([0.6, 0.8]), np.random.default_rng(0), 6)
+    assert pen == pytest.approx(0.0, abs=1e-12)
 
 
 def test_penalty_closed_form_for_norm_three_critic():
-    rng = np.random.default_rng(1)
-    real, fake = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    a = rng.normal(size=(5, 2))
-    critic = linear_critic([3.0, 0.0])
-    pen = gen.gradient_penalty(real, fake, a, critic, stream(2, "gp"))
-    assert pen.item() == pytest.approx(4.0, abs=1e-10)
+    pen = penalty_at(linear_critic([3.0, 0.0]), np.random.default_rng(1), 5)
+    assert pen == pytest.approx(4.0, abs=1e-10)
 
 
 def test_penalty_nonnegative():
     model, _ = small_model(d=6, seed=3)
-    rng = np.random.default_rng(5)
-    pen = gen.gradient_penalty(
-        rng.normal(size=(4, 6)),
-        rng.normal(size=(4, 6)),
-        rng.normal(size=(4, 6)),
-        model.critic,
-        stream(4, "gp"),
-    )
-    assert pen.item() >= 0.0
+    assert penalty_at(model.critic, np.random.default_rng(5), 4) >= 0.0
 
 
 def test_critic_input_gradient_matches_finite_differences():
     model, _ = small_model(d=6, seed=7)
     rng = np.random.default_rng(8)
-    v_hat = ad.Tensor(rng.normal(size=(3, 6)))
-    a = ad.Tensor(rng.normal(size=(3, 6)))
-    _, _, gin = model.critic.input_gradient(v_hat.data, model.critic.attr_branch(a.data))
+    v_hat = rng.normal(size=(3, 6))
+    a = rng.normal(size=(3, 6))
+    _, _, gin = model.critic.input_gradient(v_hat, model.critic.attr_branch(a))
 
     eps = 1e-5
-    fd = np.zeros_like(v_hat.data)
+    fd = np.zeros_like(v_hat)
     for i in range(3):
         for j in range(6):
-            with ad.no_grad():
-                orig = v_hat.data[i, j]
-                v_hat.data[i, j] = orig + eps
-                up = ad.sum_all(model.critic(v_hat, a)).item()
-                v_hat.data[i, j] = orig - eps
-                down = ad.sum_all(model.critic(v_hat, a)).item()
-                v_hat.data[i, j] = orig
+            orig = v_hat[i, j]
+            v_hat[i, j] = orig + eps
+            up = model.critic.scores(v_hat, a)[0].sum()
+            v_hat[i, j] = orig - eps
+            down = model.critic.scores(v_hat, a)[0].sum()
+            v_hat[i, j] = orig
             fd[i, j] = (up - down) / (2 * eps)
     rel = np.abs(gin - fd) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-4
@@ -222,15 +259,6 @@ def test_zeroed_critic_penalty_gradients_are_finite():
     zero_layer(model.critic.l1)
     zero_layer(model.critic.l2)
     v, a = fixture_batch(d=4, n=4, seed=10)
-    fake = ad.Tensor(np.random.default_rng(11).uniform(size=(4, 4)))
-
-    zero_grads(model.params)
-    loss = gen.critic_loss(v, fake, a, model.critic, lambda_gp=10.0, rng=stream(0, "gp"))
-    assert loss.item() == pytest.approx(-10.0, abs=1e-12)
-    ad.backward(-loss)
-    for p in model.critic.params:
-        assert np.all(np.isfinite(p.grad))
-
     for use_vae in (True, False):
         zero_grads(model.params)
         posterior = model.posterior(v, a) if use_vae else None
@@ -241,55 +269,46 @@ def test_zeroed_critic_penalty_gradients_are_finite():
 
 
 # ---------------------------------------------------------------------------
-# critic loss
+# critic loss: the value `critic_step` returns, which the critic minimizes
 
 
 def test_critic_loss_zero_for_zero_critic():
-    model, _ = small_model(d=4, seed=9)
+    model, hp = small_model(d=4, seed=9)
     zero_layer(model.critic.l1)
     zero_layer(model.critic.l2)
     rng = np.random.default_rng(3)
-    loss = gen.critic_loss(
-        ad.Tensor(rng.normal(size=(4, 4))),
-        ad.Tensor(rng.normal(size=(4, 4))),
-        ad.Tensor(rng.normal(size=(4, 4))),
-        model.critic,
-        lambda_gp=0.0,
-        rng=stream(0, "gp"),
-    )
-    assert loss.item() == 0.0
+    v, a = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    for posterior in (None, model.posterior(v, a)):
+        loss = gen.critic_step(v, a, model, replace(hp, lambda_gp=0.0), stream(0, "gp"), posterior)
+        assert loss == 0.0
 
 
 def test_critic_loss_linear_critic_is_mean_difference():
     w = np.array([1.0, -2.0, 0.5])
-    critic = linear_critic(w)
+    model, hp = small_model(d=3)
+    model.critic = linear_critic(w)
+    # a zeroed last generator layer makes every fake row 0.5
+    zero_layer(model.generator.l2)
     real = np.tile([1.0, 1.0, 1.0], (4, 1))
-    fake = np.tile([0.0, 2.0, -1.0], (4, 1))
     a = np.zeros((4, 3))
-    loss = gen.critic_loss(real, fake, a, critic, lambda_gp=0.0, rng=stream(0, "gp"))
-    expected = float(w @ real[0] - w @ fake[0])
-    assert loss.item() == pytest.approx(expected, abs=1e-12)
+    loss = gen.critic_step(real, a, model, replace(hp, lambda_gp=0.0), stream(0, "gp"), None)
+    expected = float(w @ np.full(3, 0.5) - w @ real[0])
+    assert loss == pytest.approx(expected, abs=1e-12)
 
 
 def test_one_critic_step_increases_objective():
     model, hp = small_model(d=6, seed=11)
     rng = np.random.default_rng(13)
-    v = ad.Tensor(rng.normal(size=(8, 6)))
-    fake = ad.Tensor(rng.normal(size=(8, 6)) + 2.0)
-    a = ad.Tensor(rng.normal(size=(8, 6)))
+    v = rng.normal(size=(8, 6))
+    a = rng.normal(size=(8, 6))
 
-    def objective():
-        with ad.no_grad():
-            return gen.critic_loss(
-                v, fake, a, model.critic, hp.lambda_gp, stream(1, "gp")
-            ).item()
+    def loss():
+        zero_grads(model.critic.params)
+        return gen.critic_step(v, a, model, hp, stream(1, "gp"), None)
 
-    before = objective()
-    zero_grads(model.critic.params)
-    loss = -gen.critic_loss(v, fake, a, model.critic, hp.lambda_gp, stream(1, "gp"))
-    ad.backward(loss)
+    before = loss()
     adam_step(model.critic.params, lr=1e-3)
-    assert objective() > before
+    assert loss() < before
 
 
 @pytest.mark.parametrize(
@@ -301,54 +320,27 @@ def test_critic_step_gradients_match_finite_differences(use_vae, logvar_bias):
     model, hp = small_model(d=6, seed=51)
     v, a = fixture_batch(d=6, n=5, seed=52)
     if logvar_bias is not None:
-        # a saturated head: the step's posterior must take the tape's clip
+        # a saturated head: the reconstruction path's posterior is clipped
         model.encoder.logvar_head.b.data[...] = logvar_bias
+    posterior = model.posterior(v, a) if use_vae else None
 
-    def loss_value():
-        # the critic step's loss rebuilt from the tape-level losses, drawing
-        # in the step's order: noise, reparameterisation, one eps per path
-        rng = stream(9, "critic")
-        with ad.no_grad():
-            others = [model.generator(ad.Tensor(rng.standard_normal((5, model.d_z))), a)]
-            if use_vae:
-                _, _, z = model.encode(v, a, rng)
-                others.append(model.generator(z, a))
-            return -sum(
-                gen.critic_loss(v, o, a, model.critic, hp.lambda_gp, rng).item() for o in others
-            )
+    def loss():
+        return gen.critic_step(v, a, model, hp, stream(9, "critic"), posterior)
 
     zero_grads(model.params)
-    posterior = model.posterior(v, a) if use_vae else None
-    value = gen.critic_step(v, a, model, hp, stream(9, "critic"), posterior)
-    assert value == pytest.approx(loss_value(), rel=1e-12)
     # eps=1e-6 keeps the stencil clear of LeakyReLU mask flips
-    assert_grad_matches(
-        loss_value,
-        model.critic.params,
-        lambda: gen.critic_step(v, a, model, hp, stream(9, "critic"), posterior),
-        eps=1e-6,
-    )
+    assert_grad_matches(loss, model.critic.params, loss, eps=1e-6)
     for p in model.encoder.params + model.generator.params:
         assert not p.grad.any()
 
 
 @pytest.mark.parametrize("use_vae", [True, False])
 def test_critic_step_without_penalty_draws_no_eps(use_vae, monkeypatch):
-    # at lambda_gp = 0 the step computes no penalty and draws no eps, as
-    # critic_loss does, so its noise stream stays the tape's
+    # at lambda_gp = 0 the step computes no penalty and draws no eps
     model, hp = small_model(d=6, seed=53)
     hp = replace(hp, lambda_gp=0.0)
     v, a = fixture_batch(d=6, n=5, seed=54)
     posterior = model.posterior(v, a) if use_vae else None
-
-    def tape_loss(rng):
-        # the step's loss from the tape-level losses, in its draw order:
-        # noise, then the reparameterisation
-        with ad.no_grad():
-            others = [model.generator(ad.Tensor(rng.standard_normal((5, model.d_z))), a)]
-            if use_vae:
-                others.append(model.generator(model.encode(v, a, rng)[2], a))
-            return -sum(gen.critic_loss(v, o, a, model.critic, 0.0, rng).item() for o in others)
 
     def step(rng):
         return gen.critic_step(v, a, model, hp, rng, posterior)
@@ -360,13 +352,22 @@ def test_critic_step_without_penalty_draws_no_eps(use_vae, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gen, "penalty_terms", penalty_terms)
-    rng_step, rng_tape = stream(9, "critic"), stream(9, "critic")
+    rng_step, rng_ref = stream(9, "critic"), stream(9, "critic")
     zero_grads(model.params)
-    assert step(rng_step) == pytest.approx(tape_loss(rng_tape), rel=1e-12)
-    assert rng_step.bit_generator.state == rng_tape.bit_generator.state
+    value = step(rng_step)
+    # the loss by hand, drawing in the step's order: noise, then the
+    # reparameterisation
+    others = [gen._generate(model.generator, rng_ref.standard_normal((5, model.d_z)), a)[2]]
+    if use_vae:
+        mu, std = posterior
+        z = mu + std * rng_ref.standard_normal(mu.shape)
+        others.append(gen._generate(model.generator, z, a)[2])
+    d_real = model.critic.scores(v, a)[0].mean()
+    assert value == pytest.approx(sum(model.critic.scores(o, a)[0].mean() - d_real for o in others), rel=1e-12)
+    assert rng_step.bit_generator.state == rng_ref.bit_generator.state
     assert not penalties
     assert_grad_matches(
-        lambda: tape_loss(stream(9, "critic")),
+        lambda: step(stream(9, "critic")),
         model.critic.params,
         lambda: step(stream(9, "critic")),
         eps=1e-6,
@@ -374,19 +375,16 @@ def test_critic_step_without_penalty_draws_no_eps(use_vae, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# combined losses
+# the encoder/generator step and the curve probe
 
 
 def test_generation_losses_additive_and_finite():
     model, hp = small_model()
-    batch = fixture_batch()
-    losses = gen.generation_losses(batch, model, hp, stream(0, "loss"))
-    vals = {k: t.item() for k, t in losses.items()}
+    v, a = fixture_batch()
+    vals = gen._dataset_metrics(model, v, a, hp, stream(0, "loss"), True)
     assert all(np.isfinite(v) for v in vals.values())
-    assert vals["total"] == pytest.approx(
-        vals["vae"] + vals["gan1"] + vals["gan2"], abs=1e-12
-    )
-    ad.active_tape().clear()
+    assert vals["vae"] == vals["kl"] + vals["recon"]
+    assert vals["total"] == pytest.approx(vals["vae"] + vals["gan1"] + vals["gan2"], abs=1e-12)
 
 
 def test_zero_penalty_zero_critic_reduces_to_vae():
@@ -394,38 +392,37 @@ def test_zero_penalty_zero_critic_reduces_to_vae():
     model = gen.VaeGanModel(8, 8, hp, stream(1, "init"))
     zero_layer(model.critic.l1)
     zero_layer(model.critic.l2)
-    batch = fixture_batch()
-    losses = gen.generation_losses(batch, model, hp, stream(2, "loss"))
-    assert losses["total"].item() == pytest.approx(losses["vae"].item(), abs=1e-12)
-    ad.active_tape().clear()
+    v, a = fixture_batch()
+    vals = gen._dataset_metrics(model, v, a, hp, stream(2, "loss"), True)
+    assert vals["total"] == pytest.approx(vals["vae"], abs=1e-12)
 
 
 def test_generation_total_gradients_match_finite_differences():
+    # the E/G step against central differences of the total it returns, at
+    # the default lambda_gp; eps=1e-6 keeps the stencil clear of mask flips
     model, hp = small_model(d=6, seed=31)
-    batch = fixture_batch(d=6, n=4, seed=32)
+    v, a = fixture_batch(d=6, n=4, seed=32)
 
-    def losses():
-        return gen.generation_losses(batch, model, hp, stream(7, "fd"))["total"]
+    def loss():
+        return gen.eg_step(v, a, model, hp, stream(7, "fd"), True)
 
-    def loss_value():
-        with ad.no_grad():
-            return losses().item()
-
-    assert_grad_matches(loss_value, model.params, lambda: ad.backward(losses()), tol=1e-4)
+    assert_grad_matches(loss, model.encoder.params + model.generator.params, loss, eps=1e-6)
 
 
 def test_penalty_leaves_encoder_and_generator_gradients_unchanged():
-    # why the encoder/generator step may evaluate its loss without the penalty
+    # real and fake enter the penalty as constants, so the E/G step skips
+    # it: its loss and gradients are the same at any lambda_gp
     model, hp = small_model(d=6, seed=61)
-    batch = fixture_batch(d=6, n=4, seed=62)
+    v, a = fixture_batch(d=6, n=4, seed=62)
     eg = model.encoder.params + model.generator.params
-    grads = []
+    results = []
     for lambda_gp in (hp.lambda_gp, 0.0):
         zero_grads(model.params)
-        losses = gen.generation_losses(batch, model, replace(hp, lambda_gp=lambda_gp), stream(5, "eg"))
-        ad.backward(losses["total"])
-        grads.append([p.grad.copy() for p in eg])
-    for with_gp, without in zip(*grads):
+        value = gen.eg_step(v, a, model, replace(hp, lambda_gp=lambda_gp), stream(5, "eg"), True)
+        results.append((value, [p.grad.copy() for p in eg]))
+    (value, grads), (want_value, want_grads) = results
+    assert value == want_value
+    for with_gp, without in zip(grads, want_grads):
         assert np.array_equal(with_gp, without)
 
 
@@ -433,52 +430,19 @@ def test_penalty_leaves_encoder_and_generator_gradients_unchanged():
 def test_eg_step_holds_the_critic_constant(use_vae):
     model, hp = small_model(d=6, seed=71)
     v, a = fixture_batch(d=6, n=4, seed=72)
-    eg = model.encoder.params + model.generator.params
-    # the same loss with the critic left trainable also fills the critic's grads
     zero_grads(model.params)
-    losses = gen.generation_losses((v, a), model, replace(hp, lambda_gp=0.0), stream(5, "eg"), use_vae)
-    ad.backward(losses["total"])
-    assert all(p.grad.any() for p in (model.critic.l1.W, model.critic.l1.b, model.critic.l2.W))
-    want = [p.grad.copy() for p in eg]
-
-    zero_grads(model.params)
-    value = gen.eg_step(v, a, model, hp, stream(5, "eg"), use_vae)
-    assert value == losses["total"].item()
+    rng_step = stream(5, "eg")
+    value = gen.eg_step(v, a, model, hp, rng_step, use_vae)
     for p in model.critic.params:
         assert not p.grad.any()
-        assert p.requires_grad
-    for got, expected in zip((p.grad for p in eg), want):
-        assert np.array_equal(got, expected)
-
-
-@pytest.mark.parametrize("use_vae", [True, False])
-@pytest.mark.parametrize("d, d_attr, n", [(16, 8, 7), (64, 64, 16)])
-def test_eg_step_equals_the_tape_backward_bitwise(use_vae, d, d_attr, n):
-    # an odd batch makes the 1/n scalings inexact, and BLAS may sum a
-    # product over a column slice in another order than over the whole
-    # matrix (the critic's W1 at d = d_attr = 64 and n = 16 is such a case)
-    model = gen.VaeGanModel(d, d_attr, gen.GenHyperParams(seed=1), stream(d + n, "init"))
-    rng = np.random.default_rng(n)
-    v, a = rng.uniform(0.05, 0.95, size=(n, d)), rng.normal(size=(n, d_attr))
-    eg = model.encoder.params + model.generator.params
-    for lambda_gp in (10.0, 0.0):
-        hp = gen.GenHyperParams(seed=1, lambda_gp=lambda_gp)
-        zero_grads(model.params)
-        losses = gen.generation_losses((v, a), model, replace(hp, lambda_gp=0.0), stream(5, "eg"), use_vae)
-        ad.backward(losses["total"])
-        want = [p.grad.copy() for p in eg]
-
-        zero_grads(model.params)
-        rng_step = stream(5, "eg")
-        assert gen.eg_step(v, a, model, hp, rng_step, use_vae) == losses["total"].item()
-        for got, expected in zip((p.grad for p in eg), want):
-            assert np.array_equal(got, expected)
-        # the skipped penalty eps are drawn after the step's own draws, and
-        # at lambda_gp = 0 neither side draws them
-        rng_tape = stream(5, "eg")
-        gen.generation_losses((v, a), model, hp, rng_tape, use_vae)
-        assert rng_step.bit_generator.state == rng_tape.bit_generator.state, lambda_gp
-        ad.active_tape().clear()
+    # the step's loss is the probe's total at lambda_gp = 0
+    probe = gen._dataset_metrics(model, v, a, replace(hp, lambda_gp=0.0), stream(5, "eg"), use_vae)
+    assert value == probe["total"]
+    # the skipped penalties' eps are drawn after the step's own draws, as the
+    # probe draws its penalties' eps
+    rng_probe = stream(5, "eg")
+    gen._dataset_metrics(model, v, a, hp, rng_probe, use_vae)
+    assert rng_step.bit_generator.state == rng_probe.bit_generator.state
 
 
 @pytest.mark.parametrize("use_vae", [True, False])
@@ -487,11 +451,8 @@ def test_eg_step_gradients_match_finite_differences(use_vae):
     v, a = fixture_batch(d=6, n=5, seed=82)
 
     def loss_value():
-        with ad.no_grad():
-            losses = gen.generation_losses(
-                (v, a), model, replace(hp, lambda_gp=0.0), stream(4, "eg"), use_vae
-            )
-            return losses["total"].item()
+        probe_hp = replace(hp, lambda_gp=0.0)
+        return gen._dataset_metrics(model, v, a, probe_hp, stream(4, "eg"), use_vae)["total"]
 
     eg = model.encoder.params + model.generator.params if use_vae else model.generator.params
     # eps=1e-6 keeps the stencil clear of ReLU and LeakyReLU mask flips
@@ -500,20 +461,6 @@ def test_eg_step_gradients_match_finite_differences(use_vae):
     )
     if not use_vae:
         assert not any(p.grad.any() for p in model.encoder.params)
-
-
-@pytest.mark.parametrize("use_vae", [True, False])
-@pytest.mark.parametrize("lambda_gp", [10.0, 0.0])
-@pytest.mark.parametrize("d, n", [(6, 5), (64, 37)])
-def test_curve_probe_equals_the_tape_bitwise(use_vae, lambda_gp, d, n):
-    hp = gen.GenHyperParams(lambda_gp=lambda_gp, seed=3)
-    model = gen.VaeGanModel(d, d, hp, stream(d + n, "init"))
-    rng = np.random.default_rng(n)
-    X, attrs = rng.uniform(0.05, 0.95, size=(n, d)), rng.normal(size=(n, d))
-    got = gen._dataset_metrics(model, X, attrs, hp, stream(6, "probe"), use_vae)
-    with ad.no_grad():
-        want = gen.generation_losses((X, attrs), model, hp, stream(6, "probe"), use_vae)
-    assert got == {k: t.item() for k, t in want.items()}
 
 
 def _step_peak(step, *args):
@@ -527,8 +474,8 @@ def _step_peak(step, *args):
 
 def test_stage1_steps_hold_few_temporaries_at_width_512():
     # wide_cell's shapes: d = d_attr = 512 and a 256-row batch; the critic's
-    # first weight alone is 8 MiB. A tape E/G step peaked at 57 MB and the
-    # critic step at 60 MB; two steps at a time must fit in one of those.
+    # first weight alone is 8 MiB. An op-by-op E/G step peaked at 57 MB and
+    # the critic step at 60 MB; two steps at a time must fit in one of those.
     hp = gen.GenHyperParams(seed=2)
     model = gen.VaeGanModel(512, 512, hp, stream(2, "init"))
     rng = np.random.default_rng(3)
@@ -543,12 +490,11 @@ def test_stage1_steps_hold_few_temporaries_at_width_512():
 
 def test_no_vae_losses_drop_reconstruction_path():
     model, hp = small_model(d=6, seed=41)
-    batch = fixture_batch(d=6, n=4, seed=42)
-    losses = gen.generation_losses(batch, model, hp, stream(3, "loss"), use_vae=False)
-    assert losses["vae"].item() == 0.0
-    assert losses["gan2"].item() == 0.0
-    assert losses["total"].item() == losses["gan1"].item()
-    ad.active_tape().clear()
+    v, a = fixture_batch(d=6, n=4, seed=42)
+    vals = gen._dataset_metrics(model, v, a, hp, stream(3, "loss"), False)
+    assert vals["vae"] == 0.0
+    assert vals["gan2"] == 0.0
+    assert vals["total"] == vals["gan1"]
 
 
 # ---------------------------------------------------------------------------

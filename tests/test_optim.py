@@ -24,10 +24,10 @@ def test_first_step_moves_by_learning_rate():
 
 
 def test_converges_on_convex_quadratic():
+    # the gradient of (w - 3)^2, set by hand
     w = ad.Parameter(np.array([[0.0]]))
     for _ in range(100):
-        loss = ad.square(w - 3.0)
-        ad.backward(loss)
+        w.grad += 2.0 * (w.data - 3.0)
         adam_step([w], lr=0.1)
     assert abs(w.data[0, 0] - 3.0) < 0.1
 
@@ -51,7 +51,8 @@ def test_step_count_monotone_per_parameter():
 
 def test_zero_grads_clears_accumulation():
     p = ad.Parameter(np.ones((1, 2)))
-    ad.backward(ad.sum_all(p))
+    p.grad += 1.0
+    p.grad += 1.0
     zero_grads([p])
     assert np.array_equal(p.grad, np.zeros((1, 2)))
 
