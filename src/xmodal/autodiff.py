@@ -2,8 +2,9 @@
 autodiff engine that the program no longer calls.
 
 The models use `Parameter` (a value with its gradient and Adam moment
-buffers), `Linear`, `Module` and the array helpers `as_matrix`, `affine`,
-`add_affine_grads`, `relu_inplace`, `slope_mask`, `logistic` and
+arrays), `ParamGroup` (one network's four flat buffers, which those arrays
+are views into), `Linear`, `Module` and the array helpers `as_matrix`,
+`affine`, `add_affine_grads`, `relu_inplace`, `slope_mask`, `logistic` and
 `xavier_uniform`; `generation` and `projection` compute every gradient in
 closed form from them.
 
@@ -27,6 +28,7 @@ Every array is float64.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -151,27 +153,56 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf: value plus gradient and Adam moment buffers."""
+    """Trainable leaf: value `data`, gradient `grad` and Adam moments `adam_m`
+    and `adam_v`. In a network all four are views into its `ParamGroup`, and
+    `unbound` until the network is laid out; they pickle with the group."""
 
-    __slots__ = ("grad", "adam_m", "adam_v", "step_count")
+    __slots__ = ("grad", "adam_m", "adam_v")
 
     def __init__(self, value):
         super().__init__(value, requires_grad=True)
-        # np.zeros, not zeros_like: large buffers stay untouched pages until
-        # written, so a model that is only loaded and run costs no RSS for them
-        self.grad = np.zeros(self.data.shape, self.data.dtype)
-        self.adam_m = np.zeros(self.data.shape, self.data.dtype)
-        self.adam_v = np.zeros(self.data.shape, self.data.dtype)
+        self.grad, self.adam_m, self.adam_v = (np.zeros(self.data.shape) for _ in range(3))
+
+    @classmethod
+    def unbound(cls, shape) -> "Parameter":
+        """A Parameter that holds no memory: its arrays read as zeros, read-only."""
+        p = cls.__new__(cls)
+        Tensor.__init__(p, np.broadcast_to(0.0, shape), requires_grad=True)
+        p.grad = p.adam_m = p.adam_v = p.data
+        return p
+
+    def __getstate__(self):
+        return None, {name: getattr(self, name) for name in Tensor.__slots__[1:]}
+
+
+class ParamGroup(list):
+    """One network's Parameters over four flat float64 buffers, `data`, `grad`,
+    `adam_m` and `adam_v`, which hold the members' arrays of those names as
+    views, in order, from zero; `step_count` counts its Adam steps. np.zeros
+    pages cost no RSS until written: a model that is only loaded and run pays
+    nothing for its gradients and moments. A pickle holds each buffer once."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.shapes = [p.data.shape for p in self]
+        size = sum(map(math.prod, self.shapes))
+        self.data, self.grad, self.adam_m, self.adam_v = (np.zeros(size) for _ in range(4))
         self.step_count = 0
+        self.__setstate__(vars(self))
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        start = 0
+        for p, shape in zip(self, self.shapes):
+            end = start + math.prod(shape)
+            p.data, p.grad, p.adam_m, p.adam_v = (
+                buf[start:end].reshape(shape) for buf in (self.data, self.grad, self.adam_m, self.adam_v)
+            )
+            start = end
 
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def as_tensor(x) -> Tensor:
-    """Wrap scalars/arrays as a constant Tensor; pass Tensors through."""
-    return _coerce(x)
 
 
 def _node(data: np.ndarray, parents: tuple, vjps: tuple) -> Tensor:
@@ -505,22 +536,29 @@ def relu_inplace(x: np.ndarray) -> np.ndarray:
     return np.multiply(x, x > 0, out=x)
 
 
-def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
-    limit = float(np.sqrt(6.0 / (d_in + d_out)))
-    return rng.uniform(-limit, limit, size=(d_in, d_out))
+# elements per pass of a blocked walk (a draw, an Adam step): a block stays in cache
+BLOCK = 32768
+
+
+def xavier_uniform(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out (d_in, d_out) with rng.uniform(-l, l)'s bits, l = √(6 / (d_in + d_out))."""
+    limit = float(np.sqrt(6.0 / sum(out.shape)))
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, BLOCK):
+        block = rng.random(out=flat[start : start + BLOCK])
+        block *= limit - -limit
+        block += -limit
 
 
 class Linear:
-    """Trainable affine layer; weights drawn from the given rng.
-
-    With rng None the weights are zeros and nothing is drawn: a layer to
-    load a checkpoint into.
-    """
+    """Trainable affine layer: W (d_in, d_out) and b (1, d_out), unbound until
+    its network is laid out (`Module.lay_out`), which draws W from rng into its
+    view. With rng None the weights stay zeros: a layer to load a checkpoint into."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None):
-        W = np.zeros((d_in, d_out)) if rng is None else xavier_uniform(rng, d_in, d_out)
-        self.W = Parameter(W)
-        self.b = Parameter(np.zeros((1, d_out)))
+        self.W = Parameter.unbound((d_in, d_out))
+        self.b = Parameter.unbound((1, d_out))
+        self.rng = rng
 
 
 class Module:
@@ -528,8 +566,26 @@ class Module:
 
     Sub-Modules come first, in the order they were set, their names prefixed
     with the attribute's; then `Linear` layers in name order, each giving
-    `<layer>.W` and `<layer>.b`. Other attributes add nothing.
+    `<layer>.W` and `<layer>.b`. Other attributes add nothing. A model lays
+    out its parameters when it is built (`lay_out`): its `groups` hold one
+    `ParamGroup` per network that Adam updates as a whole.
     """
+
+    def lay_out(self, *networks: tuple["Module", ...]) -> None:
+        """Set `groups`, one ParamGroup per network (a tuple of parts), then draw
+        each W into its view, layers in the order set: earlier releases' draw order."""
+        self.groups = tuple(ParamGroup([p for part in net for p in part.params]) for net in networks)
+        for layer in self._layers():
+            if layer.rng is not None:
+                xavier_uniform(layer.rng, layer.W.data)
+            layer.rng = None
+
+    def _layers(self):
+        for part in vars(self).values():
+            if isinstance(part, Module):
+                yield from part._layers()
+            elif isinstance(part, Linear):
+                yield part
 
     def named_params(self) -> list[tuple[str, Parameter]]:
         attrs = vars(self)

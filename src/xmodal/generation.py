@@ -38,11 +38,11 @@ probe, `_dataset_metrics`.
 
 The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time when a second core is free (see
-`util.CONCURRENT_MIN_WIDTH`). Below 128 features `train_generation` trains
-the text model in a forked child when BLAS is held to one thread and no other
-thread is alive; the child sends back the trained model and its curve. At
-d=64 the interpreter holds the GIL for most of a step, so a thread would
-overlap little, while the child takes stage 1 of a desk cell from about
+`util.CONCURRENT_MIN_WIDTH`). Below 128 features `train_generation` trains the
+text model in a forked child when BLAS is held to one thread and no other
+thread is alive; the child builds it and sends back the trained model and its
+curve. At d=64 the interpreter holds the GIL for most of a step, so a thread
+would overlap little, while the child takes stage 1 of a desk cell from about
 1.05 s to 0.6 s. From 128 on `train_generation` trains the text model on a
 worker thread: numpy releases the GIL inside BLAS calls and ufunc loops, so
 the threads overlap, and a thread does not pay the copy-on-write page faults
@@ -62,7 +62,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import require_finite, require_int_fields, run_pair, stream
+from .util import forks, require_finite, require_int_fields, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -223,6 +223,8 @@ class VaeGanModel(Module):
         self.encoder = Encoder(d_feat, d_attr, self.d_z, rng)
         self.generator = Generator(d_feat, d_attr, self.d_z, rng)
         self.critic = Critic(d_feat, d_attr, rng)
+        # `groups`: the encoder and generator step together, the critic alone
+        self.lay_out((self.encoder, self.generator), (self.critic,))
         self.scaler = FeatureScaler()
 
     def posterior(self, v, a) -> tuple[np.ndarray, np.ndarray]:
@@ -476,8 +478,8 @@ def train_generation(
     while the image model trains on the calling thread: in a forked child when
     the features are narrower than `util.CONCURRENT_MIN_WIDTH` (128), BLAS is
     held to one thread and no other thread is alive, on a worker thread from
-    that width on (see `util.run_pair`); the child sends back the trained
-    model. The results are bitwise those of training one after the other.
+    that width on (see `util.run_pair`); the child builds the text model and
+    sends back the trained one. The results are bitwise those of training one after the other.
     Errors surface in that order too: the image model's first. If the calling
     thread raises, a worker thread stops within one batch and a child is
     killed; neither is left running. A child that dies without a result
@@ -487,22 +489,22 @@ def train_generation(
     if not train_idx:
         raise ConfigError("generation training set is empty")
     attrs = corpus.attr_matrix(train_idx)
-    # both models are built here, on the calling thread, so their buffers do
-    # not stay behind in the worker's malloc arena for the later stages
-    jobs = {
-        modality: _new_model(feats, attrs.shape[1], hp, modality)
-        for modality, feats in (
-            ("img", corpus.image_matrix(train_idx)),
-            ("txt", corpus.text_matrix(train_idx)),
-        )
-    }
+    feats = {"img": corpus.image_matrix(train_idx), "txt": corpus.text_matrix(train_idx)}
+    width = min(X.shape[1] for X in feats.values())
+    # the models are built here, on the calling thread, so their buffers do
+    # not stay behind in a worker's malloc arena for the later stages; a
+    # forked child builds its own, and only the trained model comes back
+    in_child = "txt" if forks(width) else None
+    built = {m: _new_model(X, attrs.shape[1], hp, m) for m, X in feats.items() if m != in_child}
     stop = threading.Event()
 
     def train(modality):
-        return partial(_train_single_modality, *jobs[modality], attrs, hp, modality, use_vae, stop)
+        model = built.get(modality) or _new_model(feats[modality], attrs.shape[1], hp, modality)
+        return _train_single_modality(*model, attrs, hp, modality, use_vae, stop)
 
-    width = min(X.shape[1] for _, X in jobs.values())
-    (img, img_curve), (txt, txt_curve) = run_pair(train("img"), train("txt"), width, stop, "stage 1 txt")
+    (img, img_curve), (txt, txt_curve) = run_pair(
+        partial(train, "img"), partial(train, "txt"), width, stop, "stage 1 txt"
+    )
     return img, txt, {"img": img_curve, "txt": txt_curve}
 
 
@@ -560,8 +562,7 @@ def _train_single_modality(model, X, attrs, hp, modality, use_vae, stop: threadi
     rng_noise = stream(hp.seed, modality, "noise")
     n = X.shape[0]
 
-    eg_params = model.encoder.params + model.generator.params
-    critic_params = model.critic.params
+    eg_params, critic_params = model.groups
 
     # curve index 0 is the untrained model; one entry per epoch after that
     curve: dict[str, list[float]] = {}

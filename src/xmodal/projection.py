@@ -109,6 +109,8 @@ class ProjectionModel(Module):
         self.gate_v = GateNet(d, rng)
         self.gate_t = GateNet(d, rng)
         self.head = ClassifierHead(d, len(self.classes), rng)
+        # `groups`: each modality's tower (projector and gate), then the head
+        self.lay_out((self.projector_v, self.gate_v), (self.projector_t, self.gate_t), (self.head,))
         # the fingerprint of the run config that trained the model, when known
         self.config_fingerprint: str | None = None
 
@@ -355,7 +357,8 @@ def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParam
     run on the calling thread. A non-finite loss raises NonFiniteError
     naming `epoch` and `step` before any parameter moves.
     """
-    zero_grads(model.params)
+    for group in model.groups:
+        zero_grads(group)
     gate_v, gate_t = (model.gate_v, model.gate_t) if model.use_gate else (None, None)
     (u_v, saved_v), (u_t, saved_t) = run_pair(
         partial(_tower_forward, v, model.projector_v, gate_v),
@@ -372,14 +375,13 @@ def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParam
             _tower_backward(du, projector, gate, saved)
         adam_step(params, hp.lr)
 
+    tower_v, tower_t, head = model.groups
     run_pair(
-        partial(update, du_v, model.projector_v, gate_v, saved_v,
-                model.projector_v.params + model.gate_v.params),
-        partial(update, du_t, model.projector_t, gate_t, saved_t,
-                model.projector_t.params + model.gate_t.params),
+        partial(update, du_v, model.projector_v, gate_v, saved_v, tower_v),
+        partial(update, du_t, model.projector_t, gate_t, saved_t, tower_t),
         model.d,
     )
-    adam_step(model.head.params, hp.lr)
+    adam_step(head, hp.lr)
     return values
 
 

@@ -62,10 +62,11 @@ def require_finite(loss: float, phase: str, epoch: int, step: int) -> None:
 def require_finite_params(model, where: str) -> None:
     """Fail a diverged model before it is saved: raise NonFiniteError naming
     its first parameter array, or array of its fitted feature scaler, that
-    holds a NaN or Inf."""
-    for name, p in model.named_params():
-        if not np.isfinite(p.data).all():
-            raise NonFiniteError(f"{where}: parameter {name} holds a non-finite value")
+    holds a NaN or Inf. One pass per network; a failure is then named."""
+    if not all(np.isfinite(group.data).all() for group in model.groups):
+        for name, p in model.named_params():
+            if not np.isfinite(p.data).all():
+                raise NonFiniteError(f"{where}: parameter {name} holds a non-finite value")
     scaler = getattr(model, "scaler", None)
     if scaler is not None and scaler.fitted:
         for name in ("lo", "span"):
@@ -130,12 +131,16 @@ def run_pair(first, second, width: int, stop: threading.Event | None = None,
     one after the other. Errors surface in that serial order on every path:
     first's before second's.
     """
-    if _spare_core():
-        if width >= CONCURRENT_MIN_WIDTH:
-            return thread_pair(first, second, stop)
-        if child is not None and _can_fork():
-            return fork_pair(first, second, child)
+    if child is not None and forks(width):
+        return fork_pair(first, second, child)
+    if _spare_core() and width >= CONCURRENT_MIN_WIDTH:
+        return thread_pair(first, second, stop)
     return first(), second()
+
+
+def forks(width: int) -> bool:
+    """Whether `run_pair` runs a `child` job at `width` in a forked child."""
+    return width < CONCURRENT_MIN_WIDTH and _spare_core() and _can_fork()
 
 
 def thread_pair(first, second, stop: threading.Event | None = None):

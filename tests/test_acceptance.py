@@ -119,6 +119,7 @@ def test_criterion_2_closed_form_oracles():
     # feature block, zero attribute block, and a bias that keeps every
     # hidden pre-activation positive
     critic = gen.Critic(2, 2, stream(2, "critic"))
+    critic.lay_out((critic,))
     critic.l1.W.data[...] = np.vstack([np.eye(2, 4), np.zeros((2, 4))])
     critic.l1.b.data[...] = 10.0
     critic.l2.W.data[...] = np.array([[3.0], [0.0], [0.0], [0.0]])

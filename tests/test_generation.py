@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xmodal import data, generation as gen
+from xmodal import data, generation as gen, util
 from xmodal.errors import ConfigError, NonFiniteError
 from xmodal.optim import adam_step, zero_grads
 from xmodal.util import stream
@@ -29,6 +29,11 @@ def fixture_batch(d=8, n=4, seed=21):
     v = rng.uniform(0.05, 0.95, size=(n, d))
     a = rng.normal(size=(n, d))
     return v, a
+
+
+def zero_all_grads(model):
+    for group in model.groups:
+        zero_grads(group)
 
 
 def small_model(d=8, seed=0, hp=None):
@@ -178,7 +183,7 @@ def test_recon_loss_values_and_gradient():
     assert gen._vae_forward(model, np.full((4, 8), 0.5), a, stream(0, "eps"))[1] == 0.0
     v = np.zeros((4, 8))
     assert gen._vae_forward(model, v, a, stream(0, "eps"))[1] == 0.25
-    zero_grads(model.params)
+    zero_all_grads(model)
     gen.eg_step(v, a, model, hp, stream(0, "eps"), use_vae=True)
     # d recon / d v_bar = 2 (v_bar - v) / 32 per element, times the sigmoid's
     # slope 0.25, summed over 4 rows
@@ -199,6 +204,7 @@ def linear_critic(w):
     w = np.asarray(w, dtype=float).reshape(-1, 1)
     d = w.shape[0]
     critic = gen.Critic(d, d, stream(0, "linear"))
+    critic.lay_out((critic,))
     critic.l1.W.data[...] = np.vstack([np.eye(d, 2 * d), np.zeros((d, 2 * d))])
     critic.l1.b.data[...] = 10.0
     critic.l2.W.data[...] = np.vstack([w, np.zeros((d, 1))])
@@ -260,7 +266,7 @@ def test_zeroed_critic_penalty_gradients_are_finite():
     zero_layer(model.critic.l2)
     v, a = fixture_batch(d=4, n=4, seed=10)
     for use_vae in (True, False):
-        zero_grads(model.params)
+        zero_all_grads(model)
         posterior = model.posterior(v, a) if use_vae else None
         value = gen.critic_step(v, a, model, hp, stream(1, "gp"), posterior)
         assert value == pytest.approx(10.0 * (2 if use_vae else 1), abs=1e-12)
@@ -303,11 +309,11 @@ def test_one_critic_step_increases_objective():
     a = rng.normal(size=(8, 6))
 
     def loss():
-        zero_grads(model.critic.params)
+        zero_grads(model.groups[1])
         return gen.critic_step(v, a, model, hp, stream(1, "gp"), None)
 
     before = loss()
-    adam_step(model.critic.params, lr=1e-3)
+    adam_step(model.groups[1], lr=1e-3)
     assert loss() < before
 
 
@@ -327,7 +333,7 @@ def test_critic_step_gradients_match_finite_differences(use_vae, logvar_bias):
     def loss():
         return gen.critic_step(v, a, model, hp, stream(9, "critic"), posterior)
 
-    zero_grads(model.params)
+    zero_all_grads(model)
     # eps=1e-6 keeps the stencil clear of LeakyReLU mask flips
     assert_grad_matches(loss, model.critic.params, loss, eps=1e-6)
     for p in model.encoder.params + model.generator.params:
@@ -353,7 +359,7 @@ def test_critic_step_without_penalty_draws_no_eps(use_vae, monkeypatch):
 
     monkeypatch.setattr(gen, "penalty_terms", penalty_terms)
     rng_step, rng_ref = stream(9, "critic"), stream(9, "critic")
-    zero_grads(model.params)
+    zero_all_grads(model)
     value = step(rng_step)
     # the loss by hand, drawing in the step's order: noise, then the
     # reparameterisation
@@ -417,7 +423,7 @@ def test_penalty_leaves_encoder_and_generator_gradients_unchanged():
     eg = model.encoder.params + model.generator.params
     results = []
     for lambda_gp in (hp.lambda_gp, 0.0):
-        zero_grads(model.params)
+        zero_all_grads(model)
         value = gen.eg_step(v, a, model, replace(hp, lambda_gp=lambda_gp), stream(5, "eg"), True)
         results.append((value, [p.grad.copy() for p in eg]))
     (value, grads), (want_value, want_grads) = results
@@ -430,7 +436,7 @@ def test_penalty_leaves_encoder_and_generator_gradients_unchanged():
 def test_eg_step_holds_the_critic_constant(use_vae):
     model, hp = small_model(d=6, seed=71)
     v, a = fixture_batch(d=6, n=4, seed=72)
-    zero_grads(model.params)
+    zero_all_grads(model)
     rng_step = stream(5, "eg")
     value = gen.eg_step(v, a, model, hp, rng_step, use_vae)
     for p in model.critic.params:
@@ -588,8 +594,8 @@ def _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae):
         assert (model.d_z, model.hp) == (ref.d_z, ref.hp)
         assert np.array_equal(model.scaler.lo, ref.scaler.lo)
         assert np.array_equal(model.scaler.span, ref.scaler.span)
+        assert [g.step_count for g in model.groups] == [g.step_count for g in ref.groups]
         for (name, p), (_, q) in zip(model.named_params(), ref.named_params()):
-            assert p.step_count == q.step_count, name
             for got, want in ((p.data, q.data), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v)):
                 assert np.array_equal(got, want), name
 
@@ -602,6 +608,35 @@ def test_concurrent_training_equals_training_in_turn(worker, monkeypatch, tmp_pa
 @pytest.mark.parametrize("use_vae", [True, False])
 def test_forked_training_equals_training_in_turn(child, monkeypatch, tmp_path, use_vae):
     _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae)
+
+
+def test_the_forked_text_model_is_built_in_the_child_only(child, monkeypatch, tmp_path):
+    corpus, split, hp = _tiny_cell()
+    builds = tmp_path / "builds"
+    real_new_model = gen._new_model
+
+    def new_model(feats, d_attr, hp, modality):
+        with open(builds, "a") as f:
+            f.write(f"{os.getpid()} {modality}\n")
+        return real_new_model(feats, d_attr, hp, modality)
+
+    monkeypatch.setattr(gen, "_new_model", new_model)
+    forked = gen.train_generation(split, corpus, hp)
+    parent = str(os.getpid())
+    built = [line.split() for line in builds.read_text().splitlines()]
+    assert [m for pid, m in built if pid == parent] == ["img"]
+    assert [m for pid, m in built if pid != parent] == ["txt"]
+
+    monkeypatch.setattr(util, "_spare_core", lambda: False)
+    serial = gen.train_generation(split, corpus, hp)
+    assert forked[2] == serial[2]
+    for got, want in zip(forked[:2], serial[:2]):
+        assert [g.step_count for g in got.groups] == [g.step_count for g in want.groups]
+        for a, b in zip(got.groups, want.groups):
+            for field in ("data", "grad", "adam_m", "adam_v"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert got.scaler.lo.tobytes() == want.scaler.lo.tobytes()
+        assert got.scaler.span.tobytes() == want.scaler.span.tobytes()
 
 
 def _check_nan_raised_in_serial_order(monkeypatch, poisoned):

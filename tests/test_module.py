@@ -1,13 +1,16 @@
 """`autodiff.Module`: the one owner of every network's parameter list.
 
 Its names are the checkpoint keys and its order is the order in which a
-step updates the parameters, so both are pinned here.
+step updates the parameters, so both are pinned here, and so is the flat
+layout of each network's arrays in its `ParamGroup`.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
-from xmodal import autodiff as ad
+from xmodal import autodiff as ad, checkpoint as ckpt
 from xmodal.generation import GenHyperParams, VaeGanModel
 from xmodal.projection import ProjectionModel, ProjHyperParams
 
@@ -100,3 +103,98 @@ def test_sub_modules_in_set_order_then_layers_in_name_order():
     named = dict(net.named_params())
     assert named["first.z.W"] is net.first.z.W and named["last.b"] is net.last.b
     assert np.array_equal(named["second.a.W"].data, np.zeros((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the flat layout: one ParamGroup per network
+
+
+NETWORKS = {
+    "vaegan": [("encoder", "generator"), ("critic",)],
+    "projection": [("projector_v", "gate_v"), ("projector_t", "gate_t"), ("head",)],
+}
+
+
+def trained(kind):
+    """A desk-width model (d=64) whose buffers all hold nonzero values."""
+    rng = np.random.default_rng(0)
+    if kind == "vaegan":
+        model = VaeGanModel(64, 32, GenHyperParams(), rng)
+        model.scaler.fit(rng.normal(size=(5, 64)))
+    else:
+        model = ProjectionModel(64, range(10), ProjHyperParams(), rng)
+    for group in model.groups:
+        for buf in (group.grad, group.adam_m, group.adam_v):
+            buf[...] = rng.normal(size=buf.shape)
+        group.step_count = 7
+    return model
+
+
+def assert_laid_out(model, kind):
+    """Each network's params are its group's members, in order, and their
+    four arrays are consecutive views into the group's four buffers."""
+    assert len(model.groups) == len(NETWORKS[kind])
+    for group, parts in zip(model.groups, NETWORKS[kind]):
+        want = [p for part in parts for p in getattr(model, part).params]
+        assert len(group) == len(want) and all(a is b for a, b in zip(group, want))
+        for field in ("data", "grad", "adam_m", "adam_v"):
+            buf = getattr(group, field)
+            assert buf.dtype == np.float64 and buf.ndim == 1
+            start = 0
+            for p in group:
+                view = getattr(p, field)
+                assert np.shares_memory(view, buf) and view.flags.c_contiguous, field
+                assert view.ctypes.data == buf.ctypes.data + 8 * start, field
+                start += view.size
+            assert start == buf.size
+
+
+def test_a_model_lays_out_one_group_per_network():
+    for kind, model in (("vaegan", vaegan()), ("projection", projection())):
+        assert_laid_out(model, kind)
+        assert all(g.step_count == 0 for g in model.groups)
+        # untrained: the gradients and moments start at zero
+        assert not any(g.grad.any() or g.adam_m.any() or g.adam_v.any() for g in model.groups)
+
+
+@pytest.mark.parametrize("kind", ["vaegan", "projection"])
+def test_a_loaded_model_reads_into_its_groups(kind, tmp_path):
+    model = trained(kind)
+    save, load = {"vaegan": (ckpt.save_vaegan, ckpt.load_vaegan),
+                  "projection": (ckpt.save_projection, ckpt.load_projection)}[kind]
+    save(model, tmp_path / "m.ckpt")
+    back = load(tmp_path / "m.ckpt")
+    assert_laid_out(back, kind)
+    for a, b in zip(model.groups, back.groups):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert b.step_count == 0 and not (b.grad.any() or b.adam_m.any() or b.adam_v.any())
+
+
+@pytest.mark.parametrize("kind", ["vaegan", "projection"])
+def test_a_pickled_model_sends_each_buffer_once_and_rebinds_the_views(kind):
+    model = trained(kind)
+    blob = pickle.dumps(model, pickle.HIGHEST_PROTOCOL)
+    buffers = sum(4 * g.data.nbytes for g in model.groups)
+    assert len(blob) <= 1.1 * buffers
+    back = pickle.loads(blob)
+    assert_laid_out(back, kind)
+    for a, b in zip(model.groups, back.groups):
+        assert b.step_count == a.step_count == 7
+        for field in ("data", "grad", "adam_m", "adam_v"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    assert [n for n, _ in back.named_params()] == [n for n, _ in model.named_params()]
+    if kind == "vaegan":
+        assert np.array_equal(back.scaler.lo, model.scaler.lo)
+
+
+def test_layers_are_drawn_in_the_order_they_were_set():
+    # the draw order of earlier releases, where each layer drew as it was
+    # built: layers in the order set, which differs from the name order
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    model = ProjectionModel(5, range(2), ProjHyperParams(), rng)
+    for part in ("projector_v", "projector_t", "gate_v", "gate_t", "head"):
+        for name in ("l1", "l2") if part != "head" else ("layer",):
+            W = getattr(getattr(model, part), name).W.data
+            limit = float(np.sqrt(6.0 / sum(W.shape)))
+            assert W.tobytes() == ref.uniform(-limit, limit, W.shape).tobytes(), (part, name)
+    assert rng.random() == ref.random()
