@@ -1,12 +1,12 @@
 """Parameters and layers over dense 2-D float arrays, and a reverse-mode
 autodiff engine that the program no longer calls.
 
-The models use `Parameter` (a value with its gradient and Adam moment
-arrays), `ParamGroup` (one network's four flat buffers, which those arrays
-are views into), `Linear`, `Module` and the array helpers `as_matrix`,
-`affine`, `add_affine_grads`, `relu_inplace`, `slope_mask`, `logistic` and
-`xavier_uniform`; `generation` and `projection` compute every gradient in
-closed form from them.
+The models use `Parameter` (a value with its gradient array), `ParamGroup`
+(one network's four flat buffers: the values and gradients, which a
+Parameter's arrays are views into, and the Adam moments), `Linear`, `Module`
+and the array helpers `as_matrix`, `affine`, `add_affine_grads`,
+`relu_inplace`, `slope_mask`, `logistic` and `xavier_uniform`; `generation`
+and `projection` compute every gradient in closed form from them.
 
 The engine (`Tensor`, `Tape`, the ops, `backward`, `grad`, `no_grad`)
 remains only because the benchmark's tracer, `bench/tracer.py`, patches it
@@ -153,22 +153,22 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf: value `data`, gradient `grad` and Adam moments `adam_m`
-    and `adam_v`. In a network all four are views into its `ParamGroup`, and
+    """Trainable leaf: value `data` and gradient `grad`. In a network both are
+    views into its `ParamGroup`, which also holds the Adam moments, and
     `unbound` until the network is laid out; they pickle with the group."""
 
-    __slots__ = ("grad", "adam_m", "adam_v")
+    __slots__ = ("grad",)
 
     def __init__(self, value):
         super().__init__(value, requires_grad=True)
-        self.grad, self.adam_m, self.adam_v = (np.zeros(self.data.shape) for _ in range(3))
+        self.grad = np.zeros(self.data.shape)
 
     @classmethod
     def unbound(cls, shape) -> "Parameter":
         """A Parameter that holds no memory: its arrays read as zeros, read-only."""
         p = cls.__new__(cls)
         Tensor.__init__(p, np.broadcast_to(0.0, shape), requires_grad=True)
-        p.grad = p.adam_m = p.adam_v = p.data
+        p.grad = p.data
         return p
 
     def __getstate__(self):
@@ -176,11 +176,12 @@ class Parameter(Tensor):
 
 
 class ParamGroup(list):
-    """One network's Parameters over four flat float64 buffers, `data`, `grad`,
-    `adam_m` and `adam_v`, which hold the members' arrays of those names as
-    views, in order, from zero; `step_count` counts its Adam steps. np.zeros
-    pages cost no RSS until written: a model that is only loaded and run pays
-    nothing for its gradients and moments. A pickle holds each buffer once."""
+    """One network's Parameters over four flat float64 buffers: `data` and
+    `grad` hold the members' arrays of those names as views, in order, from
+    zero, and `adam_m` and `adam_v` hold the Adam moments in the same layout;
+    `step_count` counts its Adam steps. np.zeros pages cost no RSS until
+    written: a model that is only loaded and run pays nothing for its
+    gradients and moments. A pickle holds each buffer once."""
 
     def __init__(self, params):
         super().__init__(params)
@@ -195,9 +196,7 @@ class ParamGroup(list):
         start = 0
         for p, shape in zip(self, self.shapes):
             end = start + math.prod(shape)
-            p.data, p.grad, p.adam_m, p.adam_v = (
-                buf[start:end].reshape(shape) for buf in (self.data, self.grad, self.adam_m, self.adam_v)
-            )
+            p.data, p.grad = (buf[start:end].reshape(shape) for buf in (self.data, self.grad))
             start = end
 
 

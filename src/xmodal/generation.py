@@ -30,11 +30,10 @@ reconstruction path the analytic KL and reconstruction gradients join it,
 and the sum flows through the reparameterisation z = mu + exp(logvar/2)·eps,
 the log-variance clip and the encoder. The stage-1 steps, the posterior and
 the curve probe take float64 arrays and share one numpy forward, the
-log-variance clip included. Its float operations keep their order, so
-results stay byte-identical with earlier releases and with the pinned
-values of `tests/test_golden.py`. The tests check each step's gradients
-against central finite differences of the loss it returns or of the curve
-probe, `_dataset_metrics`.
+log-variance clip included, and one critic forward, `Critic.scores`. The
+tests check each step's gradients against central finite differences of the
+loss it returns or of the curve probe, `_dataset_metrics`, and pin a grid
+cell's results by value (`tests/test_golden.py`).
 
 The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time when a second core is free (see
@@ -175,9 +174,10 @@ class Critic(Module):
         K = np.multiply(M, self.l2.W.data.T, out=pre)
         return M, K, K @ self.l1.W.data[: self.d_feat].T
 
-    def scores(self, x: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The scores at rows [x, a] and the slope mask M."""
-        pre = ad.affine(np.concatenate([x, a], axis=1), self.l1)
+    def scores(self, x: np.ndarray, a_pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scores at feature rows x and the slope mask M; a_pre is
+        `attr_branch` of the rows' attributes."""
+        pre = self.hidden(x, a_pre)
         M = ad.slope_mask(pre, LEAKY_SLOPE)
         pre *= M
         return ad.affine(pre, self.l2), M
@@ -264,13 +264,7 @@ def penalty_terms(critic: Critic, v_hat: np.ndarray, a_pre: np.ndarray, n: int, 
 
 
 # ---------------------------------------------------------------------------
-# the stage-1 forward; its float operations keep their order, so the curves
-# stay byte-identical with earlier releases
-
-
-def _mean(x: np.ndarray) -> float:
-    """The sum times 1 / size; the sum divided by the size may round otherwise."""
-    return x.sum() * (1.0 / x.size)
+# the stage-1 forward and steps
 
 
 def _encode(enc: Encoder, v: np.ndarray, a: np.ndarray):
@@ -307,9 +301,9 @@ def _vae_forward(model: VaeGanModel, v: np.ndarray, a: np.ndarray, rng):
     del z
     n = v.shape[0]
     exp_lv = np.exp(logvar)
-    kl = ((exp_lv + mu * mu) - 1.0 - logvar).sum(axis=1, keepdims=True).sum() * (0.5 / n)
+    kl = 0.5 * (exp_lv + mu * mu - 1.0 - logvar).sum() / n
     diff = v - dec[2]
-    recon = _mean(diff * diff)
+    recon = (diff * diff).mean()
     cache = {"enc": (x, h1, h2, h3), "mu": mu, "keep": keep, "std": std, "eps": eps,
              "exp_lv": exp_lv, "dec": dec, "diff": diff}
     return kl, recon, dec[2], cache
@@ -407,19 +401,19 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     if hp.lambda_gp:
         rng.uniform(size=(n, 2 if use_vae else 1))
 
-    d_real = _mean(critic.scores(v, a)[0])
+    # the attribute branch is shared by all three critic evaluations
+    a_pre = critic.attr_branch(a)
+    d_real = critic.scores(v, a_pre)[0].mean()
     # a fake score's cotangent is -1/n per row, applied to w2 before the
-    # product with W1ᵀ. The product spans the whole of W1, attribute columns
-    # too, and is then sliced: BLAS may sum a product with fewer columns in
-    # another order, and this order keeps results byte-identical with
-    # earlier releases.
+    # product with W1_vᵀ
     w2_scaled = -(1.0 / n) * critic.l2.W.data.T
+    W1_v = critic.l1.W.data[: critic.d_feat]
 
     def gan_term(fake):
         """(d_real - E D(fake), d(-E D(fake))/d fake)."""
-        score, M = critic.scores(fake, a)
+        score, M = critic.scores(fake, a_pre)
         M *= w2_scaled
-        return d_real - _mean(score), (M @ critic.l1.W.data.T)[:, : critic.d_feat]
+        return d_real - score.mean(), M @ W1_v.T
 
     fwd = _generate(gen, noise, a)
     gan1, g = gan_term(fwd[2])
@@ -430,25 +424,12 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
 
     gan2, g = gan_term(v_bar)
     diff = cache["diff"]
-    diff *= 2.0
-    diff *= 1.0 / diff.size
-    g -= diff
-    dz = (_generator_backward(gen, cache["dec"], g) @ gen.l1.W.data.T)[:, : model.d_z]
-    # kl: d/dmu = (0.5/n)·2mu, d/dlogvar = (0.5/n)(exp(logvar) - 1); the
+    g -= (2.0 / diff.size) * diff
+    dz = _generator_backward(gen, cache["dec"], g) @ gen.l1.W.data[: model.d_z].T
+    # kl: d/dmu = mu/n, d/dlogvar = (exp(logvar) - 1)/(2n); the
     # reparameterisation adds dz to mu and dz·eps·std/2 to logvar
-    c = 0.5 / n
-    dmu = cache["mu"]
-    dmu *= 2.0
-    dmu *= c
-    dmu += dz
-    dlv = cache["exp_lv"]
-    dlv *= c
-    dlv -= c
-    t = dz * cache["eps"]
-    t *= cache["std"]
-    t *= 0.5
-    dlv += t
-    dlv *= cache["keep"]
+    dmu = cache["mu"] / n + dz
+    dlv = 0.5 * ((cache["exp_lv"] - 1.0) / n + dz * cache["eps"] * cache["std"]) * cache["keep"]
     x, h1, h2, h3 = cache["enc"]
     ad.add_affine_grads(enc.logvar_head, h3, dlv)
     ad.add_affine_grads(enc.mu_head, h3, dmu)
@@ -462,7 +443,7 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     g = g @ enc.l2.W.data.T
     g *= h1 > 0
     ad.add_affine_grads(enc.l1, x, g)
-    return float(((kl + recon) + gan1) + gan2)
+    return float(kl + recon + gan1 + gan2)
 
 
 def train_generation(
@@ -524,9 +505,7 @@ def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
     noise path and the reconstruction path, critic_gap is the noise path's
     score gap and total = vae + gan1 + gan2. With use_vae off, kl, recon,
     vae and gan2 are 0. Draws from rng in this order: reparameterisation,
-    noise, then one eps per path (none when lambda_gp is 0). Its float
-    operations keep their order, so the curves stay byte-identical with
-    earlier releases.
+    noise, then one eps per path (none when lambda_gp is 0).
     """
     n = X.shape[0]
     critic = model.critic
@@ -536,11 +515,11 @@ def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
         kl = recon = 0.0
     vae = kl + recon
     v_tilde = _generate(model.generator, rng.standard_normal((n, model.d_z)), attrs)[2]
-    d_real = _mean(critic.scores(X, attrs)[0])
-    a_pre = critic.attr_branch(attrs) if hp.lambda_gp else None
+    a_pre = critic.attr_branch(attrs)
+    d_real = critic.scores(X, a_pre)[0].mean()
 
     def wgan_term(fake):
-        gap = d_real - _mean(critic.scores(fake, attrs)[0])
+        gap = d_real - critic.scores(fake, a_pre)[0].mean()
         if not hp.lambda_gp:
             return gap, gap
         eps = rng.uniform(size=(n, 1))
@@ -551,7 +530,7 @@ def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
     gan2 = wgan_term(v_bar)[0] if use_vae else 0.0
     return {
         "kl": float(kl), "recon": float(recon), "vae": float(vae), "critic_gap": float(gap),
-        "gan1": float(gan1), "gan2": float(gan2), "total": float((vae + gan1) + gan2),
+        "gan1": float(gan1), "gan2": float(gan2), "total": float(vae + gan1 + gan2),
     }
 
 

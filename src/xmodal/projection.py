@@ -10,17 +10,17 @@ space; the three terms are weighted by alpha/beta/gamma.
 `projection_step` computes the losses and their gradients in closed form.
 The gate's direct partials are ∂u/∂g = f − x, ∂u/∂f = g and ∂u/∂x = 1 − g;
 the contrastive term is NT-Xent, whose gradient with respect to the cosine
-matrix is (P − Y)/(τn) with P the masked softmax and Y the positives. Its
-float operations keep their order, so results stay byte-identical with
-earlier releases and with the pinned values of `tests/test_golden.py`; the
+matrix is (P − Y)/(τn) with P the masked softmax and Y the positives. The
 tests check its gradients against central finite differences of the curve
-probe. The two modality towers (projector and gate)
-meet only in the losses, so their forwards, and then their backward passes
-and Adam updates, run through `util.run_pair`: the text tower on a worker
-thread from `util.CONCURRENT_MIN_WIDTH` on when a second core is free. The
-losses, their cotangents and the shared head's update run on the calling
-thread. The curve probe, `dataset_losses`, is the evaluation forward plus
-the loss values; its contrastive term holds one (2n, 2n) matrix.
+probe and pin a grid cell's results by value (`tests/test_golden.py`).
+Under no_gate the model has no gate networks. The two modality towers
+(projector and any gate) meet only in the losses, so their forwards, and
+then their backward passes and Adam updates, run through `util.run_pair`:
+the text tower on a worker thread from `util.CONCURRENT_MIN_WIDTH` on when a
+second core is free. The losses, their cotangents and the shared head's
+update run on the calling thread. The curve probe, `dataset_losses`, is the
+evaluation forward plus the loss values; its contrastive term holds one
+(2n, 2n) matrix.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class RawFeatures:
 
 
 class ProjectionModel(Module):
-    """Both projectors, both gates, and the shared classifier head."""
+    """Both projectors, both gates (None under no_gate), and the shared
+    classifier head."""
 
     def __init__(self, d: int, classes, hp: ProjHyperParams, rng, use_gate: bool = True):
         self.d = d
@@ -106,16 +107,16 @@ class ProjectionModel(Module):
         self.use_gate = use_gate
         self.projector_v = Projector(d, rng)
         self.projector_t = Projector(d, rng)
-        self.gate_v = GateNet(d, rng)
-        self.gate_t = GateNet(d, rng)
+        self.gate_v, self.gate_t = (GateNet(d, rng), GateNet(d, rng)) if use_gate else (None, None)
         self.head = ClassifierHead(d, len(self.classes), rng)
-        # `groups`: each modality's tower (projector and gate), then the head
-        self.lay_out((self.projector_v, self.gate_v), (self.projector_t, self.gate_t), (self.head,))
+        # `groups`: each modality's tower (projector and any gate), then the head
+        towers = ((self.projector_v, self.gate_v), (self.projector_t, self.gate_t))
+        self.lay_out(*(tuple(part for part in tower if part is not None) for tower in towers), (self.head,))
         # the fingerprint of the run config that trained the model, when known
         self.config_fingerprint: str | None = None
 
-    def _embed_array(self, X, projector: Projector, gate: GateNet) -> np.ndarray:
-        """One modality's embeddings at rows X, the gate skipped under no_gate,
+    def _embed_array(self, X, projector: Projector, gate: GateNet | None) -> np.ndarray:
+        """One modality's embeddings at rows X, gate None under no_gate,
         formed in place with few temporaries.
 
         The float operations are `_tower_forward`'s, so evaluation embeds
@@ -124,7 +125,7 @@ class ProjectionModel(Module):
         x = ad.as_matrix(X)
         h = ad.relu_inplace(ad.affine(x, projector.l1))
         f = ad.affine(h, projector.l2)
-        if not self.use_gate:
+        if gate is None:
             return f
         joint = np.concatenate([x, f], axis=1)
         h = np.matmul(joint, gate.l1.W.data, out=h)
@@ -193,10 +194,8 @@ def _tower_backward(du: np.ndarray, projector: Projector, gate: GateNet | None, 
         dh = dg @ gate.l2.W.data.T
         dh *= r3 > 0
         ad.add_affine_grads(gate.l1, joint, dh)
-        # the joint's cotangent is formed whole and then sliced: BLAS may sum
-        # a product over fewer columns in another order, and this order keeps
-        # results byte-identical with earlier releases
-        df += (dh @ gate.l1.W.data.T)[:, d:]
+        # only the f half of the joint's cotangent is needed
+        df += dh @ gate.l1.W.data[d:].T
     ad.add_affine_grads(projector.l2, r1, df)
     dh = df @ projector.l2.W.data.T
     dh *= r1 > 0
@@ -224,7 +223,7 @@ def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
     sum_t, e_t, s_t = _log_prob_sum(u_t, head, labels)
 
     def cotangents():
-        k = weight * (1.0 / n)
+        k = weight / n
         rows = np.arange(n)
         # each modality's logit cotangent: k times the softmax, less k at the label
         for e, s in ((e_v, s_v), (e_t, s_t)):
@@ -239,7 +238,7 @@ def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
         head.layer.b.grad += db
         return e_v @ W.data.T, e_t @ W.data.T
 
-    return (-(sum_v + sum_t)) * (1.0 / n), cotangents
+    return -(sum_v + sum_t) / n, cotangents
 
 
 def _consistency_term(u_v, u_t, weight: float):
@@ -250,11 +249,10 @@ def _consistency_term(u_v, u_t, weight: float):
     n = len(norms)
 
     def cotangents():
-        g = np.multiply(diff, 2.0, out=diff)
-        g *= (weight * (1.0 / n)) / (norms * 2.0)
-        return g, np.negative(g)
+        g = np.multiply(diff, weight / n / norms, out=diff)
+        return g, -g
 
-    return norms.sum() * (1.0 / n), cotangents
+    return norms.mean(), cotangents
 
 
 def _contrastive_term(u_v, u_t, tau: float, weight: float):
@@ -268,21 +266,18 @@ def _contrastive_term(u_v, u_t, tau: float, weight: float):
     divided by n. The diagonal is set to -inf, which leaves it out of the row
     maxima and, through the shift and exp(-inf) = +0.0, out of the row sums
     (a non-finite similarity makes the loss NaN). The gradient with respect
-    to the cosine matrix is (k/τ)(P − Y), with P the masked softmax, Y the
-    positives and k the weight over n; it runs back through the product with
-    the transposed copy and through the normalisation.
+    to the cosine matrix is G = (k/τ)(P − Y), with P the masked softmax, Y
+    the positives and k the weight over n. The unit rows' cotangent is
+    (G + Gᵀ) û, and the normalisation's Jacobian maps it to
+    (d û − û (û · d û)) / ‖u‖ per row.
     """
     n = u_v.shape[0]
     m = 2 * n
-    stacked = np.concatenate([u_v, u_t], axis=0)
-    norms = np.sqrt((stacked * stacked).sum(axis=1, keepdims=True))
-    unit = stacked / norms
-    # a product with a transposed copy, a plain GEMM: another product may
-    # round otherwise, and this one keeps results byte-identical with
-    # earlier releases
-    unit_t = unit.T.copy()
-    sims = unit @ unit_t
-    sims *= 1.0 / tau
+    unit = np.concatenate([u_v, u_t], axis=0)
+    norms = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
+    unit /= norms
+    sims = unit @ unit.T
+    sims /= tau
     rows = np.arange(m)
     pair = np.concatenate([np.arange(n) + n, np.arange(n)])
     positives = sims[rows, pair].reshape(m, 1)
@@ -294,23 +289,18 @@ def _contrastive_term(u_v, u_t, tau: float, weight: float):
     log_p = positives - (shift + np.log(denom))
 
     def cotangents():
-        k = weight * (1.0 / n)
+        k = weight / n
         # the cosine matrix's cotangent, in ex's buffer
         g = ex
         g *= k / denom
         g[rows, pair] -= k
-        g *= 1.0 / tau
-        d_unit = g @ unit_t.T
-        d_unit += (unit.T @ g).T
-        d_stacked = d_unit / norms
-        d_unit *= unit
+        g /= tau
+        d_unit = (g + g.T) @ unit
+        d_unit -= unit * (unit * d_unit).sum(axis=1, keepdims=True)
         d_unit /= norms
-        np.negative(d_unit, out=d_unit)
-        d_sq = d_unit.sum(axis=1, keepdims=True) / (norms * 2.0)
-        d_stacked += np.multiply(stacked, 2.0, out=stacked) * d_sq
-        return d_stacked[:n], d_stacked[n:]
+        return d_unit[:n], d_unit[n:]
 
-    return (-log_p.sum()) * (1.0 / n), cotangents
+    return -log_p.sum() / n, cotangents
 
 
 def _batch_losses(u_v, u_t, label_cols, head: ClassifierHead, hp: ProjHyperParams):
@@ -329,16 +319,15 @@ def _batch_losses(u_v, u_t, label_cols, head: ClassifierHead, hp: ProjHyperParam
     if hp.gamma > 0 and u_v.shape[0] >= 2:
         values["l3"], back = _contrastive_term(u_v, u_t, hp.tau, hp.gamma)
         terms.append(back)
-    values["total"] = (values["l1"] * hp.alpha + values["l2"] * hp.beta) + values["l3"] * hp.gamma
+    values["total"] = values["l1"] * hp.alpha + values["l2"] * hp.beta + values["l3"] * hp.gamma
     return {k: float(v) for k, v in values.items()}, terms
 
 
 def _embedding_cotangents(terms):
-    """(d/du_v, d/du_t) of the weighted total, summed from the last term back
-    to the first, an order that keeps results byte-identical with earlier
-    releases. None when no term is on."""
+    """(d/du_v, d/du_t) of the weighted total, summed over the terms in
+    order. None when no term is on."""
     du_v = du_t = None
-    for cotangents in reversed(terms):
+    for cotangents in terms:
         dv, dt = cotangents()
         du_v = dv if du_v is None else du_v + dv
         du_t = dt if du_t is None else du_t + dt
@@ -359,10 +348,9 @@ def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParam
     """
     for group in model.groups:
         zero_grads(group)
-    gate_v, gate_t = (model.gate_v, model.gate_t) if model.use_gate else (None, None)
     (u_v, saved_v), (u_t, saved_t) = run_pair(
-        partial(_tower_forward, v, model.projector_v, gate_v),
-        partial(_tower_forward, t, model.projector_t, gate_t),
+        partial(_tower_forward, v, model.projector_v, model.gate_v),
+        partial(_tower_forward, t, model.projector_t, model.gate_t),
         model.d,
     )
     values, terms = _batch_losses(u_v, u_t, label_cols, model.head, hp)
@@ -377,8 +365,8 @@ def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParam
 
     tower_v, tower_t, head = model.groups
     run_pair(
-        partial(update, du_v, model.projector_v, gate_v, saved_v, tower_v),
-        partial(update, du_t, model.projector_t, gate_t, saved_t, tower_t),
+        partial(update, du_v, model.projector_v, model.gate_v, saved_v, tower_v),
+        partial(update, du_t, model.projector_t, model.gate_t, saved_t, tower_t),
         model.d,
     )
     adam_step(head, hp.lr)

@@ -248,6 +248,17 @@ def _avg(cells, kind, x, seed):
     return cells[(kind, x, seed)]["reports"]["target"]["avg"]
 
 
+def _paired(cells, other) -> str:
+    """full − other in target mAP at x=0, per seed: "+0.1129/-0.0004/+0.0952".
+    other is an ablation kind, or "baseline" for the cell's raw features."""
+    def theirs(s):
+        if other == "baseline":
+            return cells[("full", 0, s)]["reports"]["baseline_target"]["avg"]
+        return _avg(cells, other, 0, s)
+
+    return "/".join(f"{_avg(cells, 'full', 0, s) - theirs(s):+.4f}" for s in (0, 1, 2))
+
+
 def test_criterion_6_synthetic_end_to_end(battery):
     cells = battery["cells"]
     seeds = (0, 1, 2)
@@ -273,7 +284,9 @@ def test_criterion_6_synthetic_end_to_end(battery):
         ok,
         f"(a) full>no_generation {gen_wins}/3, (b) full>raw-baseline {base_wins}/3, "
         f"(c) median mAP {med0:.3f}->{med5:.3f} non-decreasing, "
-        f"(d) no_vae<=full {vae_holds}/3, battery {battery['elapsed']:.0f}s < 300s",
+        f"(d) no_vae<=full {vae_holds}/3, battery {battery['elapsed']:.0f}s < 300s; "
+        f"paired per seed 0/1/2: full-baseline {_paired(cells, 'baseline')}, "
+        f"full-no_vae {_paired(cells, 'no_vae')}, full-no_generation {_paired(cells, 'no_generation')}",
     )
 
 
@@ -330,17 +343,19 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 
 def test_criterion_8_training_sanity(battery):
     cells = battery["cells"]
-    worst_ratio = 0.0
+    ratios = {}
     for seed in (0, 1, 2):
         curves = cells[("full", 0, seed)]["curves"]
         for modality in ("img", "txt"):
             recon = curves["generation"][modality]["recon"]
-            worst_ratio = max(worst_ratio, recon[-1] / recon[0])
+            ratios[seed, modality] = recon[-1] / recon[0]
         total = curves["projection"]["total"]
         assert total[-1] < total[0]
+    worst_ratio = max(ratios.values())
     assert worst_ratio <= 0.5
+    each = ", ".join(f"s{s} {m} {r:.4f}" for (s, m), r in ratios.items())
     report(
         8,
         True,
-        f"stage-1 recon final/initial worst {worst_ratio:.3f} <= 0.5; stage-2 loss decreases",
+        f"stage-1 recon final/initial worst {worst_ratio:.4f} <= 0.5 ({each}); stage-2 loss decreases",
     )

@@ -241,7 +241,8 @@ def test_critic_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     v_hat = rng.normal(size=(3, 6))
     a = rng.normal(size=(3, 6))
-    _, _, gin = model.critic.input_gradient(v_hat, model.critic.attr_branch(a))
+    a_pre = model.critic.attr_branch(a)
+    _, _, gin = model.critic.input_gradient(v_hat, a_pre)
 
     eps = 1e-5
     fd = np.zeros_like(v_hat)
@@ -249,9 +250,9 @@ def test_critic_input_gradient_matches_finite_differences():
         for j in range(6):
             orig = v_hat[i, j]
             v_hat[i, j] = orig + eps
-            up = model.critic.scores(v_hat, a)[0].sum()
+            up = model.critic.scores(v_hat, a_pre)[0].sum()
             v_hat[i, j] = orig - eps
-            down = model.critic.scores(v_hat, a)[0].sum()
+            down = model.critic.scores(v_hat, a_pre)[0].sum()
             v_hat[i, j] = orig
             fd[i, j] = (up - down) / (2 * eps)
     rel = np.abs(gin - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -368,8 +369,9 @@ def test_critic_step_without_penalty_draws_no_eps(use_vae, monkeypatch):
         mu, std = posterior
         z = mu + std * rng_ref.standard_normal(mu.shape)
         others.append(gen._generate(model.generator, z, a)[2])
-    d_real = model.critic.scores(v, a)[0].mean()
-    assert value == pytest.approx(sum(model.critic.scores(o, a)[0].mean() - d_real for o in others), rel=1e-12)
+    a_pre = model.critic.attr_branch(a)
+    d_real = model.critic.scores(v, a_pre)[0].mean()
+    assert value == pytest.approx(sum(model.critic.scores(o, a_pre)[0].mean() - d_real for o in others), rel=1e-12)
     assert rng_step.bit_generator.state == rng_ref.bit_generator.state
     assert not penalties
     assert_grad_matches(
@@ -595,9 +597,9 @@ def _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae):
         assert np.array_equal(model.scaler.lo, ref.scaler.lo)
         assert np.array_equal(model.scaler.span, ref.scaler.span)
         assert [g.step_count for g in model.groups] == [g.step_count for g in ref.groups]
-        for (name, p), (_, q) in zip(model.named_params(), ref.named_params()):
-            for got, want in ((p.data, q.data), (p.adam_m, q.adam_m), (p.adam_v, q.adam_v)):
-                assert np.array_equal(got, want), name
+        for a, b in zip(model.groups, ref.groups):
+            for field in ("data", "adam_m", "adam_v"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 @pytest.mark.parametrize("use_vae", [True, False])

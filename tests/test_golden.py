@@ -1,22 +1,27 @@
-"""Pinned results of two small grid cells, one for each way stage 1 runs.
+"""Pinned results of small grid cells: one for each way stage 1 runs, and
+one ungated.
 
 The desk cell is shaped like the benchmark's desk_grid: the synthetic preset
 at d=64, where stage 1 trains the text model in a forked child or serially.
-The wide cell is shaped like its wide_cell: d=512, where both stages run the
-text side on a worker thread when a second core is free. Both run at seed 7
-with their epochs cut. Every report mAP and every curve value must match
-`golden_cells.json` to a relative 1e-9, not bit for bit: a BLAS built for
-another CPU may round a product otherwise.
+The desk_no_gate cell is the same cell under the no_gate ablation, whose
+projection model has no gate networks. The wide cell is shaped like its
+wide_cell: d=512, where both stages run the text side on a worker thread
+when a second core is free. All run at seed 7 with their epochs cut. Every
+report mAP and every curve value must match `golden_cells.json` to a
+relative 1e-9, not bit for bit: a BLAS built for another CPU may round a
+product otherwise.
 
-The file holds the results of the release whose closed-form steps were last
-checked bitwise against a tape-recorded copy of every loss. Rewrite it only
-with a change that declares new results:
+The values are pinned by value: finite differences and exact oracles check
+the steps' gradients, and this file holds the results the steps gave when a
+change last declared new ones. A change that moves any value past 1e-9
+declares it and rewrites the file:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_cells.json
 """
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,7 +57,11 @@ def wide_cell() -> ExperimentConfig:
     )
 
 
-CELLS = {"desk": desk_cell, "wide": wide_cell}
+def desk_no_gate_cell() -> ExperimentConfig:
+    return replace(desk_cell(), ablations=pipeline.AblationFlags(no_gate=True))
+
+
+CELLS = {"desk": desk_cell, "desk_no_gate": desk_no_gate_cell, "wide": wide_cell}
 
 
 def results(name: str) -> dict:

@@ -132,12 +132,15 @@ def trained(kind):
 
 def assert_laid_out(model, kind):
     """Each network's params are its group's members, in order, and their
-    four arrays are consecutive views into the group's four buffers."""
+    data and grad arrays are consecutive views into the group's buffers of
+    those names; the group's Adam moments are flat buffers of the same size."""
     assert len(model.groups) == len(NETWORKS[kind])
     for group, parts in zip(model.groups, NETWORKS[kind]):
         want = [p for part in parts for p in getattr(model, part).params]
         assert len(group) == len(want) and all(a is b for a, b in zip(group, want))
-        for field in ("data", "grad", "adam_m", "adam_v"):
+        for buf in (group.adam_m, group.adam_v):
+            assert buf.dtype == np.float64 and buf.shape == group.data.shape
+        for field in ("data", "grad"):
             buf = getattr(group, field)
             assert buf.dtype == np.float64 and buf.ndim == 1
             start = 0
