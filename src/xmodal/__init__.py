@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .data import Corpus, XShotSplit, load_corpus, split_xshot, synth_corpus
 from .generation import (
+    AttrRows,
     GenHyperParams,
     VaeGanModel,
     synthesize_target_set,
@@ -25,6 +26,7 @@ __all__ = [
     "load_corpus",
     "split_xshot",
     "synth_corpus",
+    "AttrRows",
     "GenHyperParams",
     "VaeGanModel",
     "train_generation",

@@ -368,8 +368,11 @@ def relu(a):
 
 
 def slope_mask(pre: np.ndarray, slope: float) -> np.ndarray:
-    """LeakyReLU's derivative at `pre`: 1 where pre > 0, else `slope`, in pre's dtype."""
-    return np.take(np.array([slope, 1.0], dtype=pre.dtype), (pre > 0).view(np.uint8))
+    """LeakyReLU's derivative at `pre`: 1 where pre > 0, else `slope` (NaN
+    included), in pre's dtype. The slope lies in (0, 1), so it is
+    max(pre > 0, slope)."""
+    mask = (pre > 0).astype(pre.dtype)
+    return np.maximum(mask, slope, out=mask)
 
 
 def leaky_relu(a, slope: float = 0.2):

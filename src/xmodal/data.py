@@ -174,6 +174,11 @@ class Corpus:
     def attr_matrix(self, idx=None) -> np.ndarray:
         return self._attrs[_rows(self._attr_rows, idx)]
 
+    def attr_rows(self, idx=None) -> tuple[np.ndarray, np.ndarray]:
+        """The attribute table, one row per class in `classes()` order, and
+        each pair's row in it: attr_matrix(idx) without the gather."""
+        return self._attrs, _rows(self._attr_rows, idx)
+
     def labels(self, idx=None) -> np.ndarray:
         return _rows(self._labels, idx)
 

@@ -21,7 +21,18 @@ gin = (M ⊙ w2ᵀ) @ W1_vᵀ. M is piecewise constant, so with G = ∂GP/∂gin
 penalty's only parameter gradients are ∂GP/∂W1_v = Gᵀ (M ⊙ w2ᵀ) and
 ∂GP/∂w2 = Σ_rows (G W1_v) ⊙ M. The critic step uses the same closed form
 for the whole objective; a different critic architecture needs a new
-`penalty_terms`.
+`penalty_terms`. The penalty's interpolates v̂ = e·v + (1 − e)·ṽ mix a real
+and an other row, and the first layer is affine, so their hidden
+pre-activation is e·(v W1_v) + (1 − e)·(ṽ W1_v) + a_pre. The critic step and
+the curve probe form it from the feature products their scores already
+took, and `penalty_terms` takes that pre-activation, not v̂.
+
+Every attribute row is one of a few class vectors, so stage 1 holds the
+attributes as an `AttrRows`: the class table and each row's index into it.
+The attribute halves of the encoder's and the generator's first layers and
+the critic's `attr_branch` are formed on the table's rows and gathered, and
+their weight gradients aᵀG as tableᵀ (G summed per class): C rows are
+multiplied, not n.
 
 The encoder/generator step is closed-form too. With the critic frozen, the
 GAN term's gradient at a fake row is −(1/n)(M ⊙ w2ᵀ) W1_vᵀ; it is
@@ -52,7 +63,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -110,6 +121,59 @@ class GenHyperParams:
             raise ConfigError("batch and epochs must be positive")
 
 
+class AttrRows:
+    """Attribute rows held by class: row i is table[rows[i]].
+
+    `affine` and `t_matmul` form a @ W + b and aᵀ G on the table's rows. The
+    table keeps only the classes the rows use, so it has at most n rows. A
+    plain matrix takes `each`, one class per row.
+    """
+
+    def __init__(self, table: np.ndarray, rows):
+        used, self.rows = np.unique(rows, return_inverse=True)
+        self.table = table[used]
+
+    @classmethod
+    def each(cls, a: np.ndarray) -> "AttrRows":
+        return cls(a, np.arange(len(a)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, idx) -> "AttrRows":
+        return AttrRows(self.table, self.rows[idx])
+
+    @cached_property
+    def _members(self) -> np.ndarray:
+        # 1 where row i is of class c: _members @ G sums G's rows per class
+        return (np.arange(len(self.table))[:, None] == self.rows).astype(np.float64)
+
+    def affine(self, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ W + b, as (table @ W + b)[rows]."""
+        out = self.table @ W
+        out += b
+        return out[self.rows]
+
+    def t_matmul(self, G: np.ndarray) -> np.ndarray:
+        """aᵀ G, as tableᵀ (G summed per class)."""
+        return self.table.T @ (self._members @ G)
+
+
+def _attr_affine(layer: Linear, x: np.ndarray, attrs: AttrRows) -> np.ndarray:
+    """The layer's affine map at the rows [x, a]: x @ W_x + (a @ W_a + b)."""
+    out = x @ layer.W.data[: x.shape[1]]
+    out += attrs.affine(layer.W.data[x.shape[1] :], layer.b.data)
+    return out
+
+
+def _add_attr_affine_grads(layer: Linear, x: np.ndarray, attrs: AttrRows, g: np.ndarray) -> None:
+    """Add `_attr_affine`'s parameter gradients at output cotangent g to the layer's .grad."""
+    d = x.shape[1]
+    layer.W.grad[:d] += x.T @ g
+    layer.W.grad[d:] += attrs.t_matmul(g)
+    layer.b.grad += g.sum(axis=0, keepdims=True)
+
+
 class Encoder(Module):
     """Three stacked affine layers (ReLU, ReLU, Sigmoid) plus mean/log-variance
     heads; `_encode` is its forward."""
@@ -146,38 +210,31 @@ class Critic(Module):
         self.l1 = Linear(d_feat + d_attr, hidden, rng)
         self.l2 = Linear(hidden, 1, rng)
 
-    def attr_branch(self, a: np.ndarray) -> np.ndarray:
+    def attr_branch(self, attrs: AttrRows) -> np.ndarray:
         """a @ W1_a + b1: the part of the hidden pre-activation the features do not touch."""
-        return a @ self.l1.W.data[self.d_feat :] + self.l1.b.data
+        return attrs.affine(self.l1.W.data[self.d_feat :], self.l1.b.data)
 
     def hidden(self, v: np.ndarray, a_pre: np.ndarray) -> np.ndarray:
-        """Hidden pre-activation at feature rows v.
-
-        v stacks one or more blocks of len(a_pre) rows; a_pre is added to
-        each block through a view, not a tiled copy.
-        """
+        """Hidden pre-activation at feature rows v: v @ W1_v + a_pre."""
         pre = v @ self.l1.W.data[: self.d_feat]
-        blocks = pre.reshape(-1, *a_pre.shape)
-        blocks += a_pre
+        pre += a_pre
         return pre
 
-    def input_gradient(self, v: np.ndarray, a_pre: np.ndarray):
-        """Closed form of d(sum of scores)/dv at feature rows v.
+    def input_gradient(self, pre: np.ndarray):
+        """Closed form of d(sum of scores)/dv at the feature rows v whose
+        hidden pre-activation is pre.
 
-        a_pre is `attr_branch` of the rows' attributes. Returns (M, K, gin):
-        the slope mask, K = M ⊙ w2ᵀ (the score's gradient w.r.t. the hidden
-        pre-activation, formed in the pre-activation's buffer) and
+        Returns (M, K, gin): the slope mask, K = M ⊙ w2ᵀ (the score's
+        gradient w.r.t. the hidden pre-activation, formed in pre) and
         gin = K @ W1_vᵀ.
         """
-        pre = self.hidden(v, a_pre)
         M = ad.slope_mask(pre, LEAKY_SLOPE)
         K = np.multiply(M, self.l2.W.data.T, out=pre)
         return M, K, K @ self.l1.W.data[: self.d_feat].T
 
-    def scores(self, x: np.ndarray, a_pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The scores at feature rows x and the slope mask M; a_pre is
-        `attr_branch` of the rows' attributes."""
-        pre = self.hidden(x, a_pre)
+    def scores(self, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scores at the rows whose hidden pre-activation is pre, and the
+        slope mask M; pre becomes the hidden activation."""
         M = ad.slope_mask(pre, LEAKY_SLOPE)
         pre *= M
         return ad.affine(pre, self.l2), M
@@ -227,28 +284,29 @@ class VaeGanModel(Module):
         self.lay_out((self.encoder, self.generator), (self.critic,))
         self.scaler = FeatureScaler()
 
-    def posterior(self, v, a) -> tuple[np.ndarray, np.ndarray]:
+    def posterior(self, v, attrs: AttrRows) -> tuple[np.ndarray, np.ndarray]:
         """(mu, exp(logvar / 2)) of the encoder at rows (v, a), the log-variance clipped."""
-        _, mu, logvar, _ = _encode(self.encoder, v, a)
+        _, mu, logvar, _ = _encode(self.encoder, v, attrs)
         return mu, np.exp(logvar * 0.5)
 
-    def synthesize(self, attrs: np.ndarray, rng) -> np.ndarray:
+    def synthesize(self, attrs: AttrRows, rng) -> np.ndarray:
         """Feature-space pseudo samples, one per attribute row."""
-        noise = rng.standard_normal((attrs.shape[0], self.d_z))
+        noise = rng.standard_normal((len(attrs), self.d_z))
         return self.scaler.inverse(_generate(self.generator, noise, attrs)[2])
 
 
-def penalty_terms(critic: Critic, v_hat: np.ndarray, a_pre: np.ndarray, n: int, grads: bool = True):
-    """Closed-form gradient penalty at interpolates v_hat, with its critic gradients.
+def penalty_terms(critic: Critic, pre: np.ndarray, n: int, grads: bool = True):
+    """Closed-form gradient penalty at the interpolates whose hidden
+    pre-activation is pre, with its critic gradients; pre is overwritten.
 
     The value is Σ_rows (‖gin_i‖ − 1)² / n: the mean over one path of n
-    rows, or the sum of the per-path means when v_hat stacks several paths
+    rows, or the sum of the per-path means when pre stacks several paths
     of n rows each. Only W1_v and w2 move it (see the module docstring).
     Returns (value, dW1_v, dw2), the gradients None when `grads` is off.
     A row whose input gradient is exactly zero has no norm derivative and
     contributes a zero gradient.
     """
-    M, K, gin = critic.input_gradient(v_hat, a_pre)
+    M, K, gin = critic.input_gradient(pre)
     norms = np.sqrt((gin * gin).sum(axis=1, keepdims=True))
     value = float(np.square(norms - 1.0).sum() / n)
     if not grads:
@@ -267,49 +325,46 @@ def penalty_terms(critic: Critic, v_hat: np.ndarray, a_pre: np.ndarray, n: int, 
 # the stage-1 forward and steps
 
 
-def _encode(enc: Encoder, v: np.ndarray, a: np.ndarray):
-    """Encoder forward: ((input, h1, h2, h3), mu, logvar, keep), logvar
-    clipped to [LOGVAR_MIN, LOGVAR_MAX] and keep true where the clip passed
-    it through."""
-    x = np.concatenate([v, a], axis=1)
-    h1 = ad.relu_inplace(ad.affine(x, enc.l1))
+def _encode(enc: Encoder, v: np.ndarray, attrs: AttrRows):
+    """Encoder forward: ((h1, h2, h3), mu, logvar, keep), logvar clipped to
+    [LOGVAR_MIN, LOGVAR_MAX] and keep true where the clip passed it through."""
+    h1 = ad.relu_inplace(_attr_affine(enc.l1, v, attrs))
     h2 = ad.relu_inplace(ad.affine(h1, enc.l2))
     h3 = ad.logistic(ad.affine(h2, enc.l3))
     logvar = ad.affine(h3, enc.logvar_head)
     keep = (logvar >= LOGVAR_MIN) & (logvar <= LOGVAR_MAX)
     np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX, out=logvar)
-    return (x, h1, h2, h3), ad.affine(h3, enc.mu_head), logvar, keep
+    return (h1, h2, h3), ad.affine(h3, enc.mu_head), logvar, keep
 
 
-def _generate(gen: Generator, z: np.ndarray, a: np.ndarray):
-    """Generator forward: (input, hidden, output feature)."""
-    x = np.concatenate([z, a], axis=1)
-    h = ad.relu_inplace(ad.affine(x, gen.l1))
-    return x, h, ad.logistic(ad.affine(h, gen.l2))
+def _generate(gen: Generator, z: np.ndarray, attrs: AttrRows):
+    """Generator forward: (latent, hidden, output feature)."""
+    h = ad.relu_inplace(_attr_affine(gen.l1, z, attrs))
+    return z, h, ad.logistic(ad.affine(h, gen.l2))
 
 
-def _vae_forward(model: VaeGanModel, v: np.ndarray, a: np.ndarray, rng):
+def _vae_forward(model: VaeGanModel, v: np.ndarray, attrs: AttrRows, rng):
     """The reconstruction path: (kl, recon, v_bar, what its backward pass reads).
 
     Draws the reparameterisation eps from rng.
     """
-    (x, h1, h2, h3), mu, logvar, keep = _encode(model.encoder, v, a)
+    hs, mu, logvar, keep = _encode(model.encoder, v, attrs)
     std = np.exp(logvar * 0.5)
     eps = rng.standard_normal(mu.shape)
     z = mu + std * eps
-    dec = _generate(model.generator, z, a)
+    dec = _generate(model.generator, z, attrs)
     del z
     n = v.shape[0]
     exp_lv = np.exp(logvar)
     kl = 0.5 * (exp_lv + mu * mu - 1.0 - logvar).sum() / n
     diff = v - dec[2]
     recon = (diff * diff).mean()
-    cache = {"enc": (x, h1, h2, h3), "mu": mu, "keep": keep, "std": std, "eps": eps,
+    cache = {"enc": hs, "mu": mu, "keep": keep, "std": std, "eps": eps,
              "exp_lv": exp_lv, "dec": dec, "diff": diff}
     return kl, recon, dec[2], cache
 
 
-def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, posterior) -> float:
+def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, rng, posterior) -> float:
     """Add the gradients of the loss the critic minimizes to the critic's .grad.
 
     The loss is Σ_paths [E D(other) − E D(real) + λ·GP(real, other)] over the
@@ -329,15 +384,18 @@ def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, poster
         z = mu + std * rng.standard_normal(mu.shape)
         others.append(_generate(model.generator, z, attrs)[2])
     k = len(others)
+    rows = np.vstack([real] + others)
+    del others
     critic = model.critic
     d = critic.d_feat
     w2 = critic.l2.W.data
-    # the attribute branch is shared by all 2k + 1 critic evaluations
+    # the feature products and the attribute branch serve all 2k + 1 critic
+    # evaluations: the penalty's interpolates mix them
+    P = rows @ critic.l1.W.data[:d]
     a_pre = critic.attr_branch(attrs)
 
     # score gaps: D(real) once, weighted -k/n per row; each other path +1/n
-    rows = np.vstack([real] + others)
-    pre = critic.hidden(rows, a_pre)
+    pre = (P.reshape(k + 1, n, -1) + a_pre).reshape(P.shape)
     M = ad.slope_mask(pre, LEAKY_SLOPE)
     w = np.full((rows.shape[0], 1), 1.0 / n)
     w[:n] = -k / n
@@ -350,7 +408,7 @@ def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, poster
     dpre *= w
     critic.l1.W.grad[:d] += rows.T @ dpre
     del rows
-    critic.l1.W.grad[d:] += attrs.T @ dpre.reshape(k + 1, n, -1).sum(axis=0)
+    critic.l1.W.grad[d:] += attrs.t_matmul(dpre.reshape(k + 1, n, -1).sum(axis=0))
     critic.l1.b.grad += dpre.sum(axis=0, keepdims=True)
     del dpre, M
     # Σ w·D = (hᵀ w)·w2 + b2·Σ w, and the weights sum to zero
@@ -360,29 +418,37 @@ def critic_step(real, attrs, model: VaeGanModel, hp: GenHyperParams, rng, poster
     if not hp.lambda_gp:
         return loss
 
-    eps = [rng.uniform(size=(n, 1)) for _ in others]
-    v_hat = np.vstack([e * real + (1.0 - e) * o for e, o in zip(eps, others)])
-    del others
-    gp, dW1_v, dw2 = penalty_terms(critic, v_hat, a_pre, n)
+    # the interpolate e·real + (1 − e)·other has the pre-activation
+    # e·P_real + (1 − e)·P_other + a_pre
+    blocks = P.reshape(k + 1, n, -1)
+    pre = np.empty((k, n, blocks.shape[2]))
+    for other, out in zip(blocks[1:], pre):
+        e = rng.uniform(size=(n, 1))
+        np.multiply(e, blocks[0], out=out)
+        out += (1.0 - e) * other
+        out += a_pre
+    del P, blocks
+    gp, dW1_v, dw2 = penalty_terms(critic, pre.reshape(k * n, -1), n)
     critic.l1.W.grad[:d] += hp.lambda_gp * dW1_v
     critic.l2.W.grad += hp.lambda_gp * dw2
     return loss + hp.lambda_gp * gp
 
 
-def _generator_backward(gen: Generator, fwd, g: np.ndarray) -> np.ndarray:
+def _generator_backward(gen: Generator, fwd, attrs: AttrRows, g: np.ndarray) -> np.ndarray:
     """Add the generator's gradients for cotangent g at the output of forward
-    `fwd` (see `_generate`); returns the cotangent at its hidden pre-activation."""
-    x, h, out = fwd
+    `fwd` (see `_generate`) at attributes attrs; returns the cotangent at its
+    hidden pre-activation."""
+    z, h, out = fwd
     g = g * out
     g *= 1.0 - out
     ad.add_affine_grads(gen.l2, h, g)
     g = g @ gen.l2.W.data.T
     g *= h > 0
-    ad.add_affine_grads(gen.l1, x, g)
+    _add_attr_affine_grads(gen.l1, z, attrs, g)
     return g
 
 
-def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> float:
+def eg_step(v, a: AttrRows, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) -> float:
     """Add the encoder/generator gradients of the stage-1 total to their .grad.
 
     Closed form. The critic is a constant for the step, and real and fake
@@ -403,7 +469,7 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
 
     # the attribute branch is shared by all three critic evaluations
     a_pre = critic.attr_branch(a)
-    d_real = critic.scores(v, a_pre)[0].mean()
+    d_real = critic.scores(critic.hidden(v, a_pre))[0].mean()
     # a fake score's cotangent is -1/n per row, applied to w2 before the
     # product with W1_vᵀ
     w2_scaled = -(1.0 / n) * critic.l2.W.data.T
@@ -411,13 +477,13 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
 
     def gan_term(fake):
         """(d_real - E D(fake), d(-E D(fake))/d fake)."""
-        score, M = critic.scores(fake, a_pre)
+        score, M = critic.scores(critic.hidden(fake, a_pre))
         M *= w2_scaled
         return d_real - score.mean(), M @ W1_v.T
 
     fwd = _generate(gen, noise, a)
     gan1, g = gan_term(fwd[2])
-    _generator_backward(gen, fwd, g)
+    _generator_backward(gen, fwd, a, g)
     del fwd, g
     if not use_vae:
         return float(gan1)
@@ -425,12 +491,12 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     gan2, g = gan_term(v_bar)
     diff = cache["diff"]
     g -= (2.0 / diff.size) * diff
-    dz = _generator_backward(gen, cache["dec"], g) @ gen.l1.W.data[: model.d_z].T
+    dz = _generator_backward(gen, cache["dec"], a, g) @ gen.l1.W.data[: model.d_z].T
     # kl: d/dmu = mu/n, d/dlogvar = (exp(logvar) - 1)/(2n); the
     # reparameterisation adds dz to mu and dz·eps·std/2 to logvar
     dmu = cache["mu"] / n + dz
     dlv = 0.5 * ((cache["exp_lv"] - 1.0) / n + dz * cache["eps"] * cache["std"]) * cache["keep"]
-    x, h1, h2, h3 = cache["enc"]
+    h1, h2, h3 = cache["enc"]
     ad.add_affine_grads(enc.logvar_head, h3, dlv)
     ad.add_affine_grads(enc.mu_head, h3, dmu)
     g = dlv @ enc.logvar_head.W.data.T + dmu @ enc.mu_head.W.data.T
@@ -442,7 +508,7 @@ def eg_step(v, a, model: VaeGanModel, hp: GenHyperParams, rng, use_vae: bool) ->
     ad.add_affine_grads(enc.l2, h1, g)
     g = g @ enc.l2.W.data.T
     g *= h1 > 0
-    ad.add_affine_grads(enc.l1, x, g)
+    _add_attr_affine_grads(enc.l1, v, a, g)
     return float(kl + recon + gan1 + gan2)
 
 
@@ -469,18 +535,19 @@ def train_generation(
     train_idx = list(split.source_train) + list(split.target_train)
     if not train_idx:
         raise ConfigError("generation training set is empty")
-    attrs = corpus.attr_matrix(train_idx)
+    attrs = AttrRows(*corpus.attr_rows(train_idx))
+    d_attr = attrs.table.shape[1]
     feats = {"img": corpus.image_matrix(train_idx), "txt": corpus.text_matrix(train_idx)}
     width = min(X.shape[1] for X in feats.values())
     # the models are built here, on the calling thread, so their buffers do
     # not stay behind in a worker's malloc arena for the later stages; a
     # forked child builds its own, and only the trained model comes back
     in_child = "txt" if forks(width) else None
-    built = {m: _new_model(X, attrs.shape[1], hp, m) for m, X in feats.items() if m != in_child}
+    built = {m: _new_model(X, d_attr, hp, m) for m, X in feats.items() if m != in_child}
     stop = threading.Event()
 
     def train(modality):
-        model = built.get(modality) or _new_model(feats[modality], attrs.shape[1], hp, modality)
+        model = built.get(modality) or _new_model(feats[modality], d_attr, hp, modality)
         return _train_single_modality(*model, attrs, hp, modality, use_vae, stop)
 
     (img, img_curve), (txt, txt_curve) = run_pair(
@@ -497,7 +564,7 @@ def _new_model(feats, d_attr, hp, modality):
     return model, model.scaler.transform(feats)
 
 
-def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
+def _dataset_metrics(model, X, attrs: AttrRows, hp, rng, use_vae) -> dict[str, float]:
     """Every stage-1 loss term over a whole feature matrix, for curve logging.
 
     Returns {"kl", "recon", "vae", "critic_gap", "gan1", "gan2", "total"}:
@@ -515,16 +582,20 @@ def _dataset_metrics(model, X, attrs, hp, rng, use_vae) -> dict[str, float]:
         kl = recon = 0.0
     vae = kl + recon
     v_tilde = _generate(model.generator, rng.standard_normal((n, model.d_z)), attrs)[2]
+    W1_v = critic.l1.W.data[: critic.d_feat]
     a_pre = critic.attr_branch(attrs)
-    d_real = critic.scores(X, a_pre)[0].mean()
+    P_real = X @ W1_v
+    d_real = critic.scores(P_real + a_pre)[0].mean()
 
     def wgan_term(fake):
-        gap = d_real - critic.scores(fake, a_pre)[0].mean()
+        P = fake @ W1_v
+        gap = d_real - critic.scores(P + a_pre)[0].mean()
         if not hp.lambda_gp:
             return gap, gap
         eps = rng.uniform(size=(n, 1))
-        v_hat = eps * X + (1.0 - eps) * fake
-        return gap - penalty_terms(critic, v_hat, a_pre, n, grads=False)[0] * hp.lambda_gp, gap
+        # the interpolates' pre-activation, as `critic_step` forms it
+        pre = eps * P_real + (1.0 - eps) * P + a_pre
+        return gap - penalty_terms(critic, pre, n, grads=False)[0] * hp.lambda_gp, gap
 
     gan1, gap = wgan_term(v_tilde)
     gan2 = wgan_term(v_bar)[0] if use_vae else 0.0
@@ -600,9 +671,10 @@ def synthesize_target_set(
     rng_txt = stream(seed, "synthesize", "txt")
     images, texts, labels = [], [], []
     for c in classes:
-        attr_rows = np.repeat(np.asarray(class_attrs[c]).reshape(1, -1), gen_num, axis=0)
-        images.append(img_model.synthesize(attr_rows, rng_img))
-        texts.append(txt_model.synthesize(attr_rows, rng_txt))
+        # gen_num rows of one class: the table is the class's attribute vector
+        rows = AttrRows(np.reshape(class_attrs[c], (1, -1)), np.zeros(gen_num, np.int64))
+        images.append(img_model.synthesize(rows, rng_img))
+        texts.append(txt_model.synthesize(rows, rng_txt))
         labels.extend([c] * gen_num)
     attrs = {c: np.asarray(class_attrs[c]).reshape(-1) for c in classes}
     return Corpus(np.vstack(images), np.vstack(texts), labels, attrs, name="pseudo")

@@ -243,13 +243,15 @@ def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
 
 def _consistency_term(u_v, u_t, weight: float):
     """L2, the mean Euclidean distance between paired embeddings, and the
-    function giving weight·L2's cotangents at (u_v, u_t)."""
+    function giving weight·L2's cotangents at (u_v, u_t). A pair at zero
+    distance has no norm derivative and gets a zero cotangent."""
     diff = u_v - u_t
     norms = np.sqrt((diff * diff).sum(axis=1, keepdims=True))
     n = len(norms)
 
     def cotangents():
-        g = np.multiply(diff, weight / n / norms, out=diff)
+        coef = np.divide(weight / n, norms, out=np.zeros_like(norms), where=norms > 0)
+        g = np.multiply(diff, coef, out=diff)
         return g, -g
 
     return norms.mean(), cotangents

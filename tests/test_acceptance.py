@@ -6,6 +6,7 @@ pipeline on the desk-scale synthetic preset for three seeds and reuses those
 runs across tests; the whole module stays well inside the 5-minute budget.
 """
 
+import itertools
 import time
 import warnings
 from dataclasses import replace
@@ -39,24 +40,29 @@ def test_criterion_1_gradient_correctness(monkeypatch):
     # every closed-form step against central differences of its loss: the
     # value the critic step returns, and the curve probes' totals for the
     # E/G and projection steps. eps=1e-6 keeps the stencil clear of ReLU and
-    # LeakyReLU mask flips, which make the penalty's inner-gradient norm jump
+    # LeakyReLU mask flips, which make the penalty's inner-gradient norm jump.
+    # Stage 1 runs on two batches: 4 rows of 4 classes, and 6 rows of 3
+    # classes, whose attribute gradients sum over each class's rows
     t0 = time.time()
     n, dim = 4, 16
     hp = gen.GenHyperParams(seed=41)
     model = gen.VaeGanModel(dim, dim, hp, stream(41, "init"))
-    rng = np.random.default_rng(42)
+    rng, rng_classes = np.random.default_rng(42), np.random.default_rng(44)
     v = rng.uniform(0.05, 0.95, size=(n, dim))
-    a = rng.normal(size=(n, dim))
+    a = gen.AttrRows.each(rng.normal(size=(n, dim)))
+    v_classes = rng_classes.uniform(0.05, 0.95, size=(6, dim))
+    a_classes = gen.AttrRows(rng_classes.normal(size=(3, dim)), np.array([2, 0, 1, 0, 2, 2]))
+    batches = {"4 classes": (v, a), "3 classes": (v_classes, a_classes)}
 
     probe_hp = replace(hp, lambda_gp=0.0)
     worst = {}
-    for use_vae in (True, False):
+    for (batch, (v, a)), use_vae in itertools.product(batches.items(), (True, False)):
         posterior = model.posterior(v, a) if use_vae else None
 
         def critic_step_loss():
             return gen.critic_step(v, a, model, hp, stream(7, "fd"), posterior)
 
-        worst[f"critic step, vae {use_vae}"] = assert_grad_matches(
+        worst[f"critic step, {batch}, vae {use_vae}"] = assert_grad_matches(
             critic_step_loss, model.critic.params, critic_step_loss, GRAD_TOL, eps=1e-6
         )
 
@@ -64,7 +70,7 @@ def test_criterion_1_gradient_correctness(monkeypatch):
             return gen._dataset_metrics(model, v, a, probe_hp, stream(7, "fd"), use_vae)["total"]
 
         eg = model.generator.params + (model.encoder.params if use_vae else [])
-        worst[f"E/G step, vae {use_vae}"] = assert_grad_matches(
+        worst[f"E/G step, {batch}, vae {use_vae}"] = assert_grad_matches(
             eg_loss, eg, lambda: gen.eg_step(v, a, model, hp, stream(7, "fd"), use_vae),
             GRAD_TOL, eps=1e-6,
         )
@@ -89,7 +95,8 @@ def test_criterion_1_gradient_correctness(monkeypatch):
 
     elapsed = time.time() - t0
     detail = (
-        f"{len(worst)} step checks (critic and E/G, VAE on and off; projection, gate on "
+        f"{len(worst)} step checks (critic and E/G, VAE on and off, on a batch of 4 classes "
+        "and one of 6 rows from 3; projection, gate on "
         "and off, each loss alone) match finite differences at rel err < 1e-4 "
         f"(worst {max(worst.values()):.2e}) in {elapsed:.1f}s"
     )
@@ -108,7 +115,8 @@ def vae_kl(mu, logvar) -> float:
     for head, value in ((model.encoder.mu_head, mu), (model.encoder.logvar_head, logvar)):
         head.W.data[...] = 0.0
         head.b.data[...] = value
-    return gen._vae_forward(model, np.full((1, 4), 0.5), np.zeros((1, 4)), stream(1, "eps"))[0]
+    a = gen.AttrRows.each(np.zeros((1, 4)))
+    return gen._vae_forward(model, np.full((1, 4), 0.5), a, stream(1, "eps"))[0]
 
 
 def test_criterion_2_closed_form_oracles():
@@ -124,8 +132,8 @@ def test_criterion_2_closed_form_oracles():
     critic.l1.b.data[...] = 10.0
     critic.l2.W.data[...] = np.array([[3.0], [0.0], [0.0], [0.0]])
     rng = np.random.default_rng(2)
-    v_hat, a = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    penalty = gen.penalty_terms(critic, v_hat, critic.attr_branch(a), 5, grads=False)[0]
+    v_hat, a = rng.normal(size=(5, 2)), gen.AttrRows.each(rng.normal(size=(5, 2)))
+    penalty = gen.penalty_terms(critic, critic.hidden(v_hat, critic.attr_branch(a)), 5, grads=False)[0]
     assert abs(penalty - 4.0) < 1e-10
 
     u_v = np.array([[1.0, 0.0], [0.0, 1.0]])

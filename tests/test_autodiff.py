@@ -140,6 +140,24 @@ def test_leaky_relu_slope_validation():
     assert np.allclose(out.data, [[-0.4, 2.0]])
 
 
+@pytest.mark.parametrize("slope", [0.2, 0.01])
+def test_slope_mask_matches_the_lookup_form_byte_for_byte(slope):
+    # the form it replaced: a two-entry table indexed by the (pre > 0) bytes
+    def lookup(pre):
+        return np.take(np.array([slope, 1.0], dtype=pre.dtype), (pre > 0).view(np.uint8))
+
+    rng = np.random.default_rng(3)
+    blocks = [
+        np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-310, -1e-310]]),
+        rng.normal(size=(7, 5)),
+        np.where(rng.uniform(size=(16, 9)) < 0.3, 0.0, rng.standard_cauchy(size=(16, 9))),
+    ]
+    for pre in blocks:
+        got, want = ad.slope_mask(pre, slope), lookup(pre)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

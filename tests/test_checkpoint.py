@@ -76,7 +76,7 @@ def test_vaegan_reload_synthesizes_identically(small_setup, tmp_path):
     path = tmp_path / "gen.ckpt"
     ckpt.save_vaegan(img, path)
     back = ckpt.load_vaegan(path)
-    attrs = np.repeat(corpus.class_attrs[split.target_classes[0]], 4, axis=0)
+    attrs = gen.AttrRows(corpus.class_attrs[split.target_classes[0]], np.zeros(4, np.int64))
     a = img.synthesize(attrs, stream(9, "syn"))
     b = back.synthesize(attrs, stream(9, "syn"))
     assert np.array_equal(a, b)

@@ -25,10 +25,11 @@ def zero_layer(layer):
 
 
 def fixture_batch(d=8, n=4, seed=21):
+    """Features in (0, 1) and attributes, each row its own class."""
     rng = np.random.default_rng(seed)
     v = rng.uniform(0.05, 0.95, size=(n, d))
     a = rng.normal(size=(n, d))
-    return v, a
+    return v, gen.AttrRows.each(a)
 
 
 def zero_all_grads(model):
@@ -39,6 +40,38 @@ def zero_all_grads(model):
 def small_model(d=8, seed=0, hp=None):
     hp = hp or gen.GenHyperParams(lr=1e-3, batch=4, epochs=1, seed=seed)
     return gen.VaeGanModel(d, d, hp, stream(seed, "init")), hp
+
+
+# ---------------------------------------------------------------------------
+# attributes by class
+
+
+def test_attribute_products_by_class_match_the_dense_products():
+    rng = np.random.default_rng(5)
+    table = rng.normal(size=(5, 6))
+    index = np.array([3, 0, 3, 4, 0, 0, 3])
+    W, b, G = rng.normal(size=(6, 9)), rng.normal(size=(1, 9)), rng.normal(size=(7, 9))
+    a = table[index]
+    for attrs in (gen.AttrRows(table, index), gen.AttrRows.each(a)):
+        assert len(attrs) == 7
+        np.testing.assert_allclose(attrs.affine(W, b), a @ W + b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(attrs.t_matmul(G), a.T @ G, rtol=1e-12, atol=1e-12)
+
+
+def test_attribute_rows_keep_only_the_classes_they_use():
+    table = np.arange(12.0).reshape(4, 3)
+    attrs = gen.AttrRows(table, np.array([2, 0, 2, 3, 0]))
+    batch = attrs[[0, 2, 3]]
+    assert np.array_equal(batch.table, table[[2, 3]])
+    assert np.array_equal(batch.table[batch.rows], table[[2, 2, 3]])
+
+
+def test_training_attributes_are_the_corpus_rows_by_class():
+    corpus = data.synth_corpus(n_classes=4, per_class=3, dim=5, seed=1)
+    idx = [0, 4, 5, 11]
+    attrs = gen.AttrRows(*corpus.attr_rows(idx))
+    assert np.array_equal(attrs.table[attrs.rows], corpus.attr_matrix(idx))
+    assert len(attrs.table) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +91,7 @@ def test_reparameterization_identity_when_heads_zeroed():
     zero_layer(model.encoder.mu_head)
     zero_layer(model.encoder.logvar_head)
     v = np.random.default_rng(1).normal(size=(3, 8))
-    a = np.random.default_rng(2).normal(size=(3, 8))
+    a = gen.AttrRows.each(np.random.default_rng(2).normal(size=(3, 8)))
     _, _, v_bar, cache = gen._vae_forward(model, v, a, stream(5, "eps"))
     expected_eps = stream(5, "eps").standard_normal((3, model.d_z))
     assert np.array_equal(cache["mu"], np.zeros((3, model.d_z)))
@@ -70,7 +103,7 @@ def test_encoder_clamps_logvar():
     model, _ = small_model()
     model.encoder.logvar_head.b.data[...] = 1e6
     v = np.zeros((2, 8))
-    a = np.zeros((2, 8))
+    a = gen.AttrRows.each(np.zeros((2, 8)))
     _, _, logvar, keep = gen._encode(model.encoder, v, a)
     assert np.all(logvar <= 10.0)
     assert not keep.any()
@@ -122,7 +155,8 @@ def test_reparameterized_moments_match_parameters(monkeypatch):
     model, _ = small_model(hp=gen.GenHyperParams(latent_dim=1))
     set_heads(model, 1.0, 0.0)
     latents = spy_on_latents(monkeypatch)
-    gen._vae_forward(model, np.zeros((n, 8)), np.zeros((n, 8)), stream(3, "mc"))
+    a = gen.AttrRows(np.zeros((1, 8)), np.zeros(n, np.int64))
+    gen._vae_forward(model, np.zeros((n, 8)), a, stream(3, "mc"))
     (z,) = latents
     assert z.mean() == pytest.approx(1.0, abs=0.05)
     assert z.std() == pytest.approx(1.0, abs=0.05)
@@ -218,7 +252,8 @@ def penalty_at(critic, rng, n):
     real, fake, a = (rng.normal(size=(n, d)) for _ in range(3))
     eps = rng.uniform(size=(n, 1))
     v_hat = eps * real + (1.0 - eps) * fake
-    return gen.penalty_terms(critic, v_hat, critic.attr_branch(a), n, grads=False)[0]
+    pre = critic.hidden(v_hat, critic.attr_branch(gen.AttrRows.each(a)))
+    return gen.penalty_terms(critic, pre, n, grads=False)[0]
 
 
 def test_penalty_zero_for_unit_norm_linear_critic():
@@ -240,9 +275,12 @@ def test_critic_input_gradient_matches_finite_differences():
     model, _ = small_model(d=6, seed=7)
     rng = np.random.default_rng(8)
     v_hat = rng.normal(size=(3, 6))
-    a = rng.normal(size=(3, 6))
+    a = gen.AttrRows.each(rng.normal(size=(3, 6)))
     a_pre = model.critic.attr_branch(a)
-    _, _, gin = model.critic.input_gradient(v_hat, a_pre)
+    _, _, gin = model.critic.input_gradient(model.critic.hidden(v_hat, a_pre))
+
+    def score_sum():
+        return model.critic.scores(model.critic.hidden(v_hat, a_pre))[0].sum()
 
     eps = 1e-5
     fd = np.zeros_like(v_hat)
@@ -250,13 +288,46 @@ def test_critic_input_gradient_matches_finite_differences():
         for j in range(6):
             orig = v_hat[i, j]
             v_hat[i, j] = orig + eps
-            up = model.critic.scores(v_hat, a_pre)[0].sum()
+            up = score_sum()
             v_hat[i, j] = orig - eps
-            down = model.critic.scores(v_hat, a_pre)[0].sum()
+            down = score_sum()
             v_hat[i, j] = orig
             fd[i, j] = (up - down) / (2 * eps)
     rel = np.abs(gin - fd) / np.maximum(np.abs(fd), 1e-8)
     assert rel.max() < 1e-4
+
+
+@pytest.mark.parametrize("caller", ["critic_step", "probe"])
+def test_penalty_pre_activation_is_the_interpolates_hidden_pre_activation(caller, monkeypatch):
+    # the step and the probe mix their feature products by linearity; that
+    # must be the hidden pre-activation at v_hat = e·real + (1 − e)·other
+    model, hp = small_model(d=6, seed=57)
+    v, a = fixture_batch(d=6, n=5, seed=58)
+    seen, real_penalty = [], gen.penalty_terms
+
+    def penalty_terms(critic, pre, n, grads=True):
+        seen.append(pre.copy())
+        return real_penalty(critic, pre, n, grads)
+
+    monkeypatch.setattr(gen, "penalty_terms", penalty_terms)
+    posterior = model.posterior(v, a)
+    ref = stream(3, "pre")
+    if caller == "critic_step":
+        gen.critic_step(v, a, model, hp, stream(3, "pre"), posterior)
+        # its draws: noise, reparameterisation, then one eps per path
+        fake = gen._generate(model.generator, ref.standard_normal((5, model.d_z)), a)[2]
+        mu, std = posterior
+        recon = gen._generate(model.generator, mu + std * ref.standard_normal(mu.shape), a)[2]
+    else:
+        gen._dataset_metrics(model, v, a, hp, stream(3, "pre"), True)
+        # its draws: reparameterisation, noise, then one eps per path
+        recon = gen._vae_forward(model, v, a, ref)[2]
+        fake = gen._generate(model.generator, ref.standard_normal((5, model.d_z)), a)[2]
+    a_pre = model.critic.attr_branch(a)
+    for other, got in zip((fake, recon), np.split(np.vstack(seen), 2)):
+        e = ref.uniform(size=(5, 1))
+        want = model.critic.hidden(e * v + (1.0 - e) * other, a_pre)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_zeroed_critic_penalty_gradients_are_finite():
@@ -284,7 +355,7 @@ def test_critic_loss_zero_for_zero_critic():
     zero_layer(model.critic.l1)
     zero_layer(model.critic.l2)
     rng = np.random.default_rng(3)
-    v, a = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    v, a = rng.normal(size=(4, 4)), gen.AttrRows.each(rng.normal(size=(4, 4)))
     for posterior in (None, model.posterior(v, a)):
         loss = gen.critic_step(v, a, model, replace(hp, lambda_gp=0.0), stream(0, "gp"), posterior)
         assert loss == 0.0
@@ -297,7 +368,7 @@ def test_critic_loss_linear_critic_is_mean_difference():
     # a zeroed last generator layer makes every fake row 0.5
     zero_layer(model.generator.l2)
     real = np.tile([1.0, 1.0, 1.0], (4, 1))
-    a = np.zeros((4, 3))
+    a = gen.AttrRows(np.zeros((1, 3)), np.zeros(4, np.int64))
     loss = gen.critic_step(real, a, model, replace(hp, lambda_gp=0.0), stream(0, "gp"), None)
     expected = float(w @ np.full(3, 0.5) - w @ real[0])
     assert loss == pytest.approx(expected, abs=1e-12)
@@ -307,7 +378,7 @@ def test_one_critic_step_increases_objective():
     model, hp = small_model(d=6, seed=11)
     rng = np.random.default_rng(13)
     v = rng.normal(size=(8, 6))
-    a = rng.normal(size=(8, 6))
+    a = gen.AttrRows.each(rng.normal(size=(8, 6)))
 
     def loss():
         zero_grads(model.groups[1])
@@ -370,8 +441,11 @@ def test_critic_step_without_penalty_draws_no_eps(use_vae, monkeypatch):
         z = mu + std * rng_ref.standard_normal(mu.shape)
         others.append(gen._generate(model.generator, z, a)[2])
     a_pre = model.critic.attr_branch(a)
-    d_real = model.critic.scores(v, a_pre)[0].mean()
-    assert value == pytest.approx(sum(model.critic.scores(o, a_pre)[0].mean() - d_real for o in others), rel=1e-12)
+
+    def mean_score(x):
+        return model.critic.scores(model.critic.hidden(x, a_pre))[0].mean()
+
+    assert value == pytest.approx(sum(mean_score(o) - mean_score(v) for o in others), rel=1e-12)
     assert rng_step.bit_generator.state == rng_ref.bit_generator.state
     assert not penalties
     assert_grad_matches(
@@ -487,7 +561,7 @@ def test_stage1_steps_hold_few_temporaries_at_width_512():
     hp = gen.GenHyperParams(seed=2)
     model = gen.VaeGanModel(512, 512, hp, stream(2, "init"))
     rng = np.random.default_rng(3)
-    v, a = rng.uniform(size=(256, 512)), rng.normal(size=(256, 512))
+    v, a = rng.uniform(size=(256, 512)), gen.AttrRows.each(rng.normal(size=(256, 512)))
     posterior = model.posterior(v, a)
     mb = 1 << 20
     critic = _step_peak(gen.critic_step, v, a, model, hp, stream(4, "noise"), posterior)
@@ -584,12 +658,12 @@ def _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae):
     assert len(set(callers.read_text().splitlines())) == 2
 
     idx = list(split.source_train) + list(split.target_train)
-    attrs = corpus.attr_matrix(idx)
+    attrs = gen.AttrRows(*corpus.attr_rows(idx))
     for modality, feats, model in (
         ("img", corpus.image_matrix(idx), img),
         ("txt", corpus.text_matrix(idx), txt),
     ):
-        ref, X = gen._new_model(feats, attrs.shape[1], hp, modality)
+        ref, X = gen._new_model(feats, attrs.table.shape[1], hp, modality)
         _, curve = gen._train_single_modality(ref, X, attrs, hp, modality, use_vae, threading.Event())
         assert curves[modality] == curve
         # the forked child sends back its whole model, not only the parameters

@@ -207,6 +207,24 @@ def test_consistency_gradient_matches_finite_differences():
     assert_grad_matches(lambda: proj._consistency_term(u_v.data, u_t, 1.0)[0], [u_v], backward)
 
 
+def test_consistency_gives_an_identical_pair_a_zero_cotangent():
+    # the norm has no derivative at zero distance: that row's cotangent is
+    # zero, not weight/n/0, and the other rows keep theirs
+    rng = np.random.default_rng(9)
+    u_v = ad.Parameter(rng.normal(size=(4, 5)))
+    u_t = rng.normal(size=(4, 5))
+    u_t[2] = u_v.data[2]
+    g_v, g_t = proj._consistency_term(u_v.data, u_t, 0.7)[1]()
+    assert np.isfinite(g_v).all() and np.isfinite(g_t).all()
+    assert not g_v[2].any() and not g_t[2].any()
+
+    def backward():
+        u_v.grad += proj._consistency_term(u_v.data, u_t, 0.7)[1]()[0]
+
+    # a central difference at zero distance is 0 by symmetry, so every row is checked
+    assert_grad_matches(lambda: 0.7 * proj._consistency_term(u_v.data, u_t, 0.7)[0], [u_v], backward)
+
+
 # ---------------------------------------------------------------------------
 # contrastive loss
 
