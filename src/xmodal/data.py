@@ -24,7 +24,7 @@ from .errors import (
     MissingAttributeError,
     NonFiniteError,
 )
-from .util import stream, unit_rows
+from .util import BLOCK, stream, unit_rows
 
 EMB_MAGIC = b"FLEXEMB1"
 
@@ -38,27 +38,29 @@ CORPUS_FILES = {
 
 
 def write_embedding_file(path, X: np.ndarray) -> None:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     if X.ndim != 2:
         raise DimensionMismatchError(f"embedding matrix must be 2-D, got shape {X.shape}")
-    n, d = X.shape
     with open(path, "wb") as f:
         f.write(EMB_MAGIC)
-        f.write(struct.pack("<II", n, d))
-        f.write(X.astype("<f4").tobytes(order="C"))
+        f.write(struct.pack("<II", *X.shape))
+        # a float32 C-ordered array is written as it is held, without a copy
+        f.write(np.ascontiguousarray(X, dtype="<f4"))
 
 
 def read_embedding_file(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:8] != EMB_MAGIC:
-        raise FileFormatError(f"{path}: not an embedding file (bad magic)")
-    n, d = struct.unpack("<II", raw[8:16])
-    expected = 16 + 4 * n * d
-    if len(raw) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} bytes for {n}x{d} floats, got {len(raw)}"
-        )
-    X = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, d).astype(np.float64)
+    """The float32 matrix an embedding file holds, read straight into one array."""
+    with open(path, "rb") as f:
+        head = f.read(16)
+        if len(head) < 16 or head[:8] != EMB_MAGIC:
+            raise FileFormatError(f"{path}: not an embedding file (bad magic)")
+        n, d = struct.unpack("<II", head[8:])
+        expected, size = 16 + 4 * n * d, f.seek(0, 2)  # seeks to the end
+        if size != expected:
+            raise FileFormatError(f"{path}: expected {expected} bytes for {n}x{d} floats, got {size}")
+        X = np.empty((n, d), dtype="<f4")
+        f.seek(16)
+        f.readinto(X)
     if not np.isfinite(X).all():
         raise NonFiniteError(f"{path}: embedding file contains NaN or Inf")
     return X
@@ -95,18 +97,24 @@ def _rows(X: np.ndarray, idx) -> np.ndarray:
     return X if idx is None else X[np.asarray(idx, dtype=np.int64)]
 
 
+def _features(x) -> np.ndarray:
+    x = np.asarray(x)
+    return _frozen(x, np.float32 if x.dtype == np.float32 else np.float64)
+
+
 class Corpus:
     """Paired features as columns: an image matrix, a text matrix and a label
     vector, one row per pair, plus the per-class attribute map.
 
-    Every array is float64/int64 and read-only; arrays passed in with those
-    dtypes are kept, not copied, and become read-only. Gathers by row index
-    go through image_matrix/text_matrix/attr_matrix/labels.
+    Features given as float32 (as files store them) stay float32, others are
+    held as float64, so a pseudo corpus is never rounded; attributes are
+    float64, labels int64. Arrays are read-only; one given at its held dtype
+    is kept, not copied. Gathers go through image_matrix/text_matrix/
+    attr_matrix/labels; a feature gather returns exact float64 rows.
     """
 
     def __init__(self, images, texts, labels, class_attrs, name: str = "corpus"):
-        images = _frozen(images, np.float64)
-        texts = _frozen(texts, np.float64)
+        images, texts = _features(images), _features(texts)
         labels = _frozen(np.reshape(labels, -1), np.int64)
         if images.ndim != 2 or texts.ndim != 2:
             raise DimensionMismatchError(
@@ -166,10 +174,10 @@ class Corpus:
         return {c: np.flatnonzero(self._labels == c) for c in self.classes()}
 
     def image_matrix(self, idx=None) -> np.ndarray:
-        return _rows(self._images, idx)
+        return _rows(self._images, idx).astype(np.float64, copy=False)
 
     def text_matrix(self, idx=None) -> np.ndarray:
-        return _rows(self._texts, idx)
+        return _rows(self._texts, idx).astype(np.float64, copy=False)
 
     def attr_matrix(self, idx=None) -> np.ndarray:
         return self._attrs[_rows(self._attr_rows, idx)]
@@ -215,14 +223,11 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {k: str(out / v) for k, v in CORPUS_FILES.items()}
-    write_embedding_file(paths["images"], corpus.image_matrix())
-    write_embedding_file(paths["texts"], corpus.text_matrix())
+    write_embedding_file(paths["images"], corpus._images)
+    write_embedding_file(paths["texts"], corpus._texts)
     _write_int_lines(paths["labels"], corpus.labels())
-    classes = corpus.classes()
-    write_embedding_file(
-        paths["attrs"], np.vstack([corpus.class_attrs[c] for c in classes])
-    )
-    _write_int_lines(paths["attr_ids"], classes)
+    write_embedding_file(paths["attrs"], corpus._attrs)
+    _write_int_lines(paths["attr_ids"], corpus.classes())
     return paths
 
 
@@ -370,12 +375,6 @@ def split_xshot(
     )
 
 
-def _quantize_f32(X: np.ndarray) -> np.ndarray:
-    # keep values exactly representable in the float32 file format so a
-    # write/load round-trip reproduces the corpus bit for bit
-    return X.astype(np.float32).astype(np.float64)
-
-
 def synth_corpus(
     n_classes: int,
     per_class: int,
@@ -392,7 +391,9 @@ def synth_corpus(
     vector. Image features are noisy copies of the prototype; text features
     additionally carry a fixed modality-offset direction scaled by
     modality_gap. Every feature row is then scaled to unit norm, as CLIP
-    features are. Deterministic in seed.
+    features are, and stored as float32. A modality is built BLOCK rows at a
+    time, image noise drawn first; draws and row norms are bitwise those of
+    whole matrices. Deterministic in seed.
 
     proto_rank confines every prototype to a shared random subspace, which
     correlates classes the way pretrained class embeddings are correlated;
@@ -417,13 +418,12 @@ def synth_corpus(
     gap_dir = rng.standard_normal(dim)
     gap_dir = gap_dir / np.linalg.norm(gap_dir)
 
-    n = n_classes * per_class
-    eps_img = rng.standard_normal((n, dim)) * noise_sigma
-    eps_txt = rng.standard_normal((n, dim)) * noise_sigma
-
-    base = np.repeat(protos, per_class, axis=0)
-    images = _quantize_f32(unit_rows(base + eps_img))
-    texts = _quantize_f32(unit_rows(base + modality_gap * gap_dir + eps_txt))
-    attrs = {c: _quantize_f32(protos[c : c + 1])[0] for c in range(n_classes)}
     labels = np.repeat(np.arange(n_classes), per_class)
-    return Corpus(images, texts, labels, attrs, name=name)
+    features = [np.empty((len(labels), dim), dtype=np.float32) for _ in range(2)]
+    for X, table in zip(features, (protos, protos + modality_gap * gap_dir)):
+        for i in range(0, len(X), BLOCK):
+            rows = labels[i : i + BLOCK]
+            eps = rng.standard_normal((len(rows), dim)) * noise_sigma
+            X[i : i + BLOCK] = unit_rows(table[rows] + eps)
+    attrs = {c: protos[c].astype(np.float32).astype(np.float64) for c in range(n_classes)}
+    return Corpus(*features, labels, attrs, name=name)

@@ -36,7 +36,7 @@ from .data import (
 from .errors import ConfigError, DimensionMismatchError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
-from .util import fingerprint, require_finite_params, require_int_fields, write_json
+from .util import fingerprint, numeric_environment, require_finite_params, require_int_fields, write_json
 
 ARTIFACT_VERSION = "0.1.0"
 _HASH_CHUNK = 1 << 20  # bytes per read when hashing a stage-1 checkpoint
@@ -382,8 +382,8 @@ def run_grid(config: ExperimentConfig, cell_fn, record_name: str = "run_record.j
     """Every (x_shot, seed) cell of the config through cell_fn(corpus, x_shot,
     seed, config); cells fail independently.
 
-    Returns the RunRecord dict; with an out_dir it is also written to
-    `record_name` beside the cell directories.
+    Returns the RunRecord dict, with the `util.numeric_environment`; with an
+    out_dir it is also written to `record_name` beside the cell directories.
     """
     corpus = load_config_corpus(config)
     record = {
@@ -391,6 +391,7 @@ def run_grid(config: ExperimentConfig, cell_fn, record_name: str = "run_record.j
         "config": config.resolved(),
         "config_fingerprint": config.fingerprint(),
         "corpus": {"name": corpus.name, "instances": len(corpus), "dim": corpus.dim},
+        "environment": numeric_environment(),
         "cells": [],
         "failures": 0,
     }

@@ -18,9 +18,11 @@ Under no_gate the model has no gate networks. The two modality towers
 then their backward passes and Adam updates, run through `util.run_pair`:
 the text tower on a worker thread from `util.CONCURRENT_MIN_WIDTH` on when a
 second core is free. The losses, their cotangents and the shared head's
-update run on the calling thread. The curve probe, `dataset_losses`, is the
-evaluation forward plus the loss values; its contrastive term holds one
-(2n, 2n) matrix.
+update run on the calling thread. The evaluation forward, `embed_*`, runs
+`_tower_forward` on row blocks into one (n, d) output, which with one
+block's activations, about seven (BLOCK, d) arrays, is all it holds. The
+curve probe, `dataset_losses`, is that forward plus the loss values; its
+contrastive term holds one (2n, 2n) matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, DimensionMismatchError
 from .optim import adam_step, zero_grads
-from .util import require_finite, require_int_fields, run_pair, stream
+from .util import BLOCK, require_finite, require_int_fields, run_pair, stream
 
 
 @dataclass
@@ -115,37 +117,23 @@ class ProjectionModel(Module):
         # the fingerprint of the run config that trained the model, when known
         self.config_fingerprint: str | None = None
 
-    def _embed_array(self, X, projector: Projector, gate: GateNet | None) -> np.ndarray:
-        """One modality's embeddings at rows X, gate None under no_gate,
-        formed in place with few temporaries.
-
-        The float operations are `_tower_forward`'s, so evaluation embeds
-        bitwise as training does. X itself is never written.
-        """
-        x = ad.as_matrix(X)
-        h = ad.relu_inplace(ad.affine(x, projector.l1))
-        f = ad.affine(h, projector.l2)
-        if gate is None:
-            return f
-        joint = np.concatenate([x, f], axis=1)
-        h = np.matmul(joint, gate.l1.W.data, out=h)
-        del joint
-        h += gate.l1.b.data
-        g = ad.affine(ad.relu_inplace(h), gate.l2)
-        del h
-        ad.logistic(g, out=g)
-        # u = g * f + (1 - g) * x, formed in f's buffer
-        f *= g
-        np.subtract(1.0, g, out=g)
-        g *= x
-        f += g
-        return f
+    def _embed(self, X, projector: Projector, gate: GateNet | None) -> np.ndarray:
+        """One modality's embeddings at rows X (never written), gate None
+        under no_gate: `_tower_forward` on near-equal blocks of at most BLOCK
+        rows, never a few rows of a longer X, which a BLAS may give to a
+        kernel that rounds differently (gemv, a small-matrix kernel)."""
+        X = ad.as_matrix(X)
+        out = np.empty(X.shape)
+        k = -(-len(X) // BLOCK) or 1
+        for x, u in zip(np.array_split(X, k), np.array_split(out, k)):
+            u[...] = _tower_forward(x, projector, gate)[0]
+        return out
 
     def embed_images(self, X: np.ndarray) -> np.ndarray:
-        return self._embed_array(X, self.projector_v, self.gate_v)
+        return self._embed(X, self.projector_v, self.gate_v)
 
     def embed_texts(self, X: np.ndarray) -> np.ndarray:
-        return self._embed_array(X, self.projector_t, self.gate_t)
+        return self._embed(X, self.projector_t, self.gate_t)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +259,14 @@ def _contrastive_term(u_v, u_t, tau: float, weight: float):
     to the cosine matrix is G = (k/τ)(P − Y), with P the masked softmax, Y
     the positives and k the weight over n. The unit rows' cotangent is
     (G + Gᵀ) û, and the normalisation's Jacobian maps it to
-    (d û − û (û · d û)) / ‖u‖ per row.
+    (d û − û (û · d û)) / ‖u‖ per row. A zero row, which has no direction,
+    gets a unit row of 0 and a zero cotangent.
     """
     n = u_v.shape[0]
     m = 2 * n
     unit = np.concatenate([u_v, u_t], axis=0)
     norms = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = np.inf  # dividing by inf zeroes the row and its cotangent
     unit /= norms
     sims = unit @ unit.T
     sims /= tau

@@ -2,14 +2,15 @@
 
 Relevance is class-label match; the whole gallery is ranked per query with
 ties broken by ascending gallery index, and AP sums precision at every
-relevant rank divided by the total relevant count. Queries are scored and
-ranked BLOCK rows at a time, so no more than BLOCK rows of the (queries,
-gallery) similarity matrix exist at once. Each row is ranked by a value
-sort: where its values are all distinct, a relevant item's rank is the
-count of greater values, found by binary search in the sorted row. A row
-with a tie or a NaN is ranked by a stable argsort instead, which breaks the
-tie by gallery index. Both paths give the same APs bit for bit, and the
-value sort is three to four times cheaper than a stable argsort of every row.
+relevant rank divided by the total relevant count. Queries are normalised,
+scored and ranked BLOCK rows at a time, so `mean_ap` holds the unit gallery
+and one block's unit queries, similarities and ranking temporaries besides
+its inputs. Each row is ranked by a value sort: where its values are all
+distinct, a relevant item's rank is the count of greater values, found by
+binary search in the sorted row. A row with a tie or a NaN is ranked by a
+stable argsort instead, which breaks the tie by gallery index. Both paths
+give the same APs bit for bit, and the value sort is three to four times
+cheaper than a stable argsort of every row.
 
 The two directions share nothing until their average, so `evaluate` uses a
 second core when one is free and the features are at least
@@ -18,9 +19,8 @@ worker thread while the text embeddings are computed on the calling thread,
 then Txt2Img is ranked on the worker while Img2Txt is ranked on the calling
 thread. numpy releases the GIL in BLAS calls, sorts and ufunc loops, so the
 threads overlap. The reports are bitwise those of a serial run, and errors
-surface in serial order (Img2Txt's first). The second thread holds its own
-forward's temporaries and a ranking's similarity block at the same time as
-the first.
+surface in serial order (Img2Txt's first). Each thread holds its own rows,
+embeddings and one forward or ranking block at a time.
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ import numpy as np
 
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, NonFiniteError
-from .util import run_pair, unit_rows
+from .util import BLOCK, run_pair, unit_rows
 
 logger = logging.getLogger(__name__)
-
-# query rows ranked at once
-BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,7 @@ def mean_ap(
     relevant gallery item are excluded from the mean with a logged warning;
     a non-finite query or gallery value raises NonFiniteError.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    gallery = np.asarray(gallery, dtype=np.float64)
+    queries, gallery = (np.asarray(X, dtype=np.float64) for X in (queries, gallery))
     if queries.size == 0 or gallery.size == 0:
         raise ConfigError("mean_ap needs non-empty queries and gallery")
     relevance = np.asarray(relevance, dtype=bool)
@@ -119,7 +115,7 @@ def mean_ap(
     for name, X in (("queries", queries), ("gallery", gallery)):
         if not np.isfinite(X).all():
             raise NonFiniteError(f"{direction or 'mean_ap'}: non-finite value in the {name}")
-    unit_q, unit_g = unit_rows(queries), unit_rows(gallery)
+    unit_g = unit_rows(gallery)
 
     skipped = np.flatnonzero(~relevance.any(axis=1))
     if skipped.size == queries.shape[0]:
@@ -127,7 +123,7 @@ def mean_ap(
     if skipped.size:
         logger.warning("queries %s have no relevant gallery item; excluded from mAP", skipped.tolist())
     aps = np.delete(np.concatenate([
-        average_precision(unit_q[i : i + BLOCK] @ unit_g.T, relevance[i : i + BLOCK])
+        average_precision(unit_rows(queries[i : i + BLOCK]) @ unit_g.T, relevance[i : i + BLOCK])
         for i in range(0, queries.shape[0], BLOCK)
     ]), skipped)
     return RetrievalReport(

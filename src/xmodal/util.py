@@ -1,6 +1,6 @@
 """Shared helpers: named deterministic RNG streams, config fingerprints, the
-integer check of config fields, the training guards, unit-row normalisation
-and the runners that put two jobs on two cores."""
+integer check of config fields, the training guards, row blocks and unit
+rows, the numeric environment and the runners that put two jobs on two cores."""
 
 from __future__ import annotations
 
@@ -74,6 +74,9 @@ def require_finite_params(model, where: str) -> None:
                 raise NonFiniteError(f"{where}: scaler {name} holds a non-finite value")
 
 
+BLOCK = 256  # rows the evaluation forward, mAP ranking and synthetic corpus take at once
+
+
 def unit_rows(X: np.ndarray) -> np.ndarray:
     """X with each row divided by its Euclidean norm; a zero row raises ValueError."""
     norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -107,16 +110,29 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
+def _blas_threads() -> str | None:
+    # OpenBLAS reads its own variable, or OpenMP's when that is unset
+    return os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+
+
+def numeric_environment() -> dict:
+    """numpy's version, BLAS build and BLAS threads: what a bitwise rerun needs."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # a numpy without config dicts
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas, "blas_threads": _blas_threads()}
+
+
 def _can_fork() -> bool:
     # a fork copies only the calling thread: another thread's locks would stay
     # held in the child. A BLAS pool is no such thread for long: OpenBLAS stops
     # it before a fork and starts one again in each process at its next large
-    # call, so only the environment tells whether it will run (OpenBLAS reads
-    # its own variable, or OpenMP's when that is unset). Two pools
+    # call, so only the environment tells whether it will run. Two pools
     # oversubscribe the cores: a 70-epoch stage 1 at d=64 took 32 s forked
     # against 7.6 s serially under a two-thread OpenBLAS, 3.9 s forked under one
-    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    return hasattr(os, "fork") and blas_threads == "1" and _thread_count() == 1
+    return hasattr(os, "fork") and _blas_threads() == "1" and _thread_count() == 1
 
 
 def run_pair(first, second, width: int, stop: threading.Event | None = None,

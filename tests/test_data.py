@@ -9,6 +9,7 @@ from xmodal.errors import (
     MissingAttributeError,
     NonFiniteError,
 )
+from xmodal.util import stream, unit_rows
 
 
 def tiny_corpus(d=8, name="tiny"):
@@ -81,6 +82,103 @@ def test_embedding_file_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FileFormatError):
         data.read_embedding_file(path)
+
+
+def test_embedding_file_reads_float32(tmp_path):
+    X = np.random.default_rng(5).normal(size=(6, 4))
+    path = tmp_path / "x.femb"
+    data.write_embedding_file(path, X)
+    back = data.read_embedding_file(path)
+    assert back.dtype == np.float32 and back.shape == (6, 4)
+    assert back.tobytes() == X.astype(np.float32).tobytes()
+    # a float32 matrix is written as it is held
+    data.write_embedding_file(tmp_path / "y.femb", back)
+    assert (tmp_path / "y.femb").read_bytes() == path.read_bytes()
+
+
+def test_embedding_file_oversized(tmp_path):
+    path = tmp_path / "x.femb"
+    data.write_embedding_file(path, np.ones((3, 3)))
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(FileFormatError, match="expected 52 bytes for 3x3 floats, got 56"):
+        data.read_embedding_file(path)
+
+
+def test_embedding_file_nan_rejected(tmp_path):
+    X = np.ones((3, 3))
+    X[1, 2] = np.nan
+    path = tmp_path / "x.femb"
+    data.write_embedding_file(path, X)
+    with pytest.raises(NonFiniteError, match="NaN or Inf"):
+        data.read_embedding_file(path)
+
+
+def _rows_bitwise_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_float32_corpus_gathers_float64_as_the_float64_path():
+    rng = np.random.default_rng(6)
+    images, texts = (rng.normal(size=(9, 5)).astype(np.float32) for _ in range(2))
+    images[3, 1] = -0.0
+    attrs = {0: rng.normal(size=5), 1: rng.normal(size=5)}
+    labels = [0, 1] * 4 + [0]
+    held = data.Corpus(images, texts, labels, attrs)
+    wide = data.Corpus(images.astype(np.float64), texts.astype(np.float64), labels, attrs)
+    assert held._images is images and held._images.dtype == np.float32
+    for idx in (None, [3, 0, 8, 3], np.arange(9)[::-2]):
+        for name in ("image_matrix", "text_matrix"):
+            got = getattr(held, name)(idx)
+            assert got.dtype == np.float64
+            assert _rows_bitwise_equal(got, getattr(wide, name)(idx))
+
+
+def test_float64_corpus_is_kept_unrounded():
+    # a pseudo corpus is float64 and must never pass through float32
+    X = np.random.default_rng(7).normal(size=(4, 3))
+    corpus = data.Corpus(X, X + 1.0, [0, 0, 1, 1], {0: np.ones(3), 1: -np.ones(3)})
+    assert corpus.image_matrix() is X
+    assert _rows_bitwise_equal(corpus.text_matrix([1, 2]), (X + 1.0)[[1, 2]])
+
+
+def whole_matrix_synth(n_classes, per_class, dim, modality_gap=0.5, noise_sigma=0.25,
+                       seed=0, proto_rank=None):
+    """synth_corpus's features and attributes drawn a whole matrix at once:
+    the formula the blocked build must reproduce bit for bit."""
+    rng = stream(seed, "synth")
+    if proto_rank is not None:
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, proto_rank)))
+        protos = unit_rows(rng.standard_normal((n_classes, proto_rank)) @ basis.T)
+    else:
+        protos = unit_rows(rng.standard_normal((n_classes, dim)))
+    gap_dir = rng.standard_normal(dim)
+    gap_dir = gap_dir / np.linalg.norm(gap_dir)
+    n = n_classes * per_class
+    eps_img = rng.standard_normal((n, dim)) * noise_sigma
+    eps_txt = rng.standard_normal((n, dim)) * noise_sigma
+    base = np.repeat(protos, per_class, axis=0)
+    images = unit_rows(base + eps_img).astype(np.float32)
+    texts = unit_rows(base + modality_gap * gap_dir + eps_txt).astype(np.float32)
+    attrs = protos.astype(np.float32).astype(np.float64)
+    return images, texts, attrs
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n_classes=3, per_class=100, dim=8, seed=1),
+        dict(n_classes=7, per_class=77, dim=64, seed=2, proto_rank=3, modality_gap=5.0, noise_sigma=0.08),
+        dict(n_classes=2, per_class=1, dim=2, seed=5),
+    ],
+)
+def test_synth_corpus_equals_the_whole_matrix_formula(kwargs):
+    # 300, 539 and 2 rows: a partial last block, three blocks, a tiny corpus
+    corpus = data.synth_corpus(**kwargs)
+    images, texts, attrs = whole_matrix_synth(**kwargs)
+    assert _rows_bitwise_equal(corpus._images, images)
+    assert _rows_bitwise_equal(corpus._texts, texts)
+    for c in corpus.classes():
+        assert _rows_bitwise_equal(corpus.class_attrs[c], attrs[c : c + 1])
 
 
 def test_corpus_write_load_round_trip_bitwise(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -176,6 +177,47 @@ def test_run_writes_checkpoints_reports_and_record(tmp_path):
     saved = json.loads((tmp_path / "run_record.json").read_text())
     assert saved["config_fingerprint"] == record["config_fingerprint"]
     assert saved["config"]["proj"]["epochs"] == 3
+
+
+def test_run_record_names_the_numeric_environment(tmp_path, monkeypatch):
+    # a rerun is bitwise only under the same numpy, BLAS and BLAS threads
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pipeline.run_experiment(tiny_config(out_dir=str(tmp_path), ablations={"no_generation": True}))
+    env = json.loads((tmp_path / "run_record.json").read_text())["environment"]
+    assert env == {"numpy": np.__version__, "blas": env["blas"], "blas_threads": "1"}
+    assert isinstance(env["blas"], str) and env["blas"]
+    reports = json.loads((tmp_path / "cell_x0_s0" / "reports.json").read_text())
+    assert "environment" not in reports
+
+
+def test_eval_checkpoint_holds_the_corpus_at_its_stored_precision(tmp_path):
+    # with few rows to score, the peak is the loaded model (its four flat
+    # buffers, zero pages but allocated) and the features once at float32:
+    # no file buffer or float64 copy beside them. Width 96 keeps the
+    # evaluation on one thread, so the peak is the same on every run
+    n_classes, per_class, d = 8, 400, 96
+    spec = pipeline.SyntheticSpec(
+        n_classes=n_classes, per_class=per_class, dim=d, seed=0, proto_rank=None
+    )
+    paths = pipeline.make_data(spec, tmp_path / "corpus")
+    model = proj.ProjectionModel(d, range(n_classes), proj.ProjHyperParams(), np.random.default_rng(0))
+    model_bytes = 4 * sum(group.data.nbytes for group in model.groups)
+    ckpt.save_projection(model, tmp_path / "projection.ckpt")
+    cfg = pipeline.ExperimentConfig(name="mem", files=pipeline.DataFiles(**paths))
+    features32 = 2 * n_classes * per_class * d * 4
+
+    def score():
+        return pipeline.eval_checkpoint(tmp_path / "projection.ckpt", cfg, x_shot=390, seed=0)
+
+    score()
+    tracemalloc.start()
+    try:
+        report = score()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["img2txt"]["n_queries"] == 20
+    assert peak <= model_bytes + 1.5 * features32
 
 
 def test_eval_checkpoint_matches_in_run_report(tmp_path):

@@ -110,10 +110,10 @@ def test_lean_embeddings_of_a_nan_weight_are_nan():
 
 
 def test_lean_forward_holds_few_temporaries():
-    # at its peak an op-by-op forward holds six (n, d) arrays besides the
-    # input, the lean one four: the projection, the (n, 2d) concat and one
-    # hidden buffer
-    n, d = 400, 256
+    # the forward runs BLOCK rows at a time into one output, so besides the
+    # output a call holds one block's activations, about seven (BLOCK, d)
+    # arrays gated, however many rows it embeds
+    n, d = 8 * util.BLOCK, 256
     model, _ = make_model(d=d)
     X = np.random.default_rng(7).normal(size=(n, d))
     model.embed_images(X)
@@ -123,7 +123,25 @@ def test_lean_forward_holds_few_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * n * d * 8
+    assert peak <= n * d * 8 + 8 * util.BLOCK * d * 8
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1500])
+@pytest.mark.parametrize("d", [16, 128])
+def test_blocked_embeddings_equal_the_whole_matrix_forward_bitwise(n, use_gate, d):
+    # a failure here names a BLAS whose product rows depend on the row
+    # count of the product; see the numeric environment in the CI summary
+    model = proj.ProjectionModel(
+        d, range(3), proj.ProjHyperParams(), stream(8, "init"), use_gate=use_gate
+    )
+    X = np.random.default_rng(n).normal(size=(n, d))
+    for projector, gate, embed in (
+        (model.projector_v, model.gate_v, model.embed_images),
+        (model.projector_t, model.gate_t, model.embed_texts),
+    ):
+        want = proj._tower_forward(X, projector, gate)[0]
+        assert embed(X).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +314,34 @@ def test_contrastive_needs_two_pairs():
     values, terms = proj._batch_losses(u, u.copy(), np.array([0]), model.head, hp)
     assert values["l3"] == 0.0
     assert not terms
+
+
+def test_contrastive_zero_row_gets_zero_unit_row_and_cotangent():
+    rng = np.random.default_rng(13)
+    u_v, u_t = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    u_v[2] = 0.0
+    value, back = proj._contrastive_term(u_v.copy(), u_t.copy(), 0.2, 1.0)
+    # the zero row's similarities are all 0 (its diagonal left out)
+    unit = np.vstack([u_v, u_t])
+    unit[np.arange(8) != 2] /= np.linalg.norm(unit[np.arange(8) != 2], axis=1, keepdims=True)
+    sims = unit @ unit.T / 0.2
+    pair = np.r_[4:8, 0:4]
+    np.fill_diagonal(sims, -np.inf)
+    log_p = sims[np.arange(8), pair] - np.log(np.exp(sims).sum(axis=1))
+    assert value == pytest.approx(-log_p.sum() / 4, abs=1e-12)
+    d_v, d_t = back()
+    assert np.isfinite(d_v).all() and np.isfinite(d_t).all()
+    assert not d_v[2].any()
+
+
+def test_stage2_trains_through_a_zero_embedding_row():
+    # at d=8 under no_gate this cell embeds a row as exactly zero in its
+    # first step, which once made the contrastive term divide by zero
+    corpus = data.synth_corpus(n_classes=4, per_class=8, dim=8, seed=3, noise_sigma=0.15)
+    split = data.split_xshot(corpus, 0, 3)
+    hp = proj.ProjHyperParams(batch=8, epochs=3, seed=3)
+    _, curve = proj.train_projection(split, corpus, None, hp, use_gate=False)
+    assert all(len(values) == 4 and np.isfinite(values).all() for values in curve.values())
 
 
 def test_contrastive_gradient_matches_finite_differences():
