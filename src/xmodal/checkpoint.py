@@ -240,7 +240,8 @@ def save_vaegan(model: VaeGanModel, path) -> None:
     if model.scaler.fitted:
         arrays["scaler/lo"] = model.scaler.lo
         arrays["scaler/span"] = model.scaler.span
-    meta = {"d_feat": model.d_feat, "d_attr": model.d_attr, "hp": vars(model.hp).copy()}
+    meta = {"d_feat": model.d_feat, "d_attr": model.d_attr, "hp": vars(model.hp).copy(),
+            "stage1_key": model.stage1_key}
     save_checkpoint(path, "vaegan", meta, arrays)
 
 
@@ -258,6 +259,7 @@ def load_vaegan(path) -> VaeGanModel:
         _read_into(f, path, base, entries, {**_param_arrays(model), **scaler})
     if scaler:
         model.scaler = FeatureScaler(lo=scaler["scaler/lo"], span=scaler["scaler/span"])
+    model.stage1_key = meta.get("stage1_key")
     return model
 
 

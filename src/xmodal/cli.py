@@ -1,18 +1,18 @@
 """Command-line entry points.
 
 Subcommands: make-data (write a synthetic corpus), run (full x-shot grid),
-synth (stage 1 plus pseudo-feature synthesis only), train-proj (stage 2
-only, on the pseudo corpora `synth` wrote), eval (score a saved projection
-checkpoint). run, synth and train-proj run the stage functions of
-`pipeline` over the same grid loop and write the same cell layout,
-`cell_x{x}_s{seed}/` under --out, with the grid's record at the root
-(`synth_record.json` for synth, so a later train-proj into the same root
-keeps it; `run_record.json` otherwise). They exit 0 only when every grid cell
-succeeded and 1 when any failed (the failure is recorded and the grid
-continues); a bad config, corpus or checkpoint exits 2 with a one-line
-error. Given both --preset and --config, the file's keys override the
-preset's, section by section. eval takes only the flags it reads, so
-argparse rejects the grid flags there (exit 2).
+synth (stage 1 only: train and save the generators), train-proj (stage 2
+only, on pseudo pairs from the generators `synth` saved; the two write
+run's files byte for byte), eval (score a saved projection checkpoint).
+run, synth and train-proj run the stage functions of `pipeline` over the
+same grid loop and write the same cell layout, `cell_x{x}_s{seed}/` under
+--out, with the grid's record at the root (`synth_record.json` for synth,
+so a later train-proj into the same root keeps it; `run_record.json`
+otherwise). They exit 0 only when every grid cell succeeded and 1 when any
+failed (the failure is recorded and the grid continues); a bad config,
+corpus or checkpoint exits 2 with a one-line error. Given both --preset and
+--config, the file's keys override the preset's, section by section. eval
+takes only the flags it reads; argparse rejects grid flags there (exit 2).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import sys
 from dataclasses import fields, replace
 from functools import partial
-from pathlib import Path
 
 from .errors import CheckpointError, ConfigError, IngestError
 from .pipeline import (
@@ -125,13 +124,11 @@ def cmd_run(args) -> int:
 def cmd_synth(args) -> int:
     config = _load_config(args)
     if config.out_dir is None:
-        raise ConfigError("synth needs --out for the checkpoints and pseudo corpus")
+        raise ConfigError("synth needs --out for the generator checkpoints")
     if config.ablations.no_generation:
         raise ConfigError("synth trains the generators; no_generation leaves it nothing to do")
     record = run_grid(config, synth_cell, record_name="synth_record.json")
-    return _print_grid(
-        record, lambda cell: f"pseudo corpus -> {Path(cell['pseudo']['images']).parent}"
-    )
+    return _print_grid(record, lambda cell: "saved " + ", ".join(cell["checkpoints"].values()))
 
 
 def cmd_train_proj(args) -> int:
@@ -185,15 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("synth", help="stage 1 only: train generators and write pseudo corpora")
+    p = sub.add_parser("synth", help="stage 1 only: train and save the generators")
     _add_grid(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-proj", help="stage 2 only: train the projection model")
     _add_grid(p)
-    p.add_argument(
-        "--pseudo", help="output root of `synth`; each cell reads its own cell_x{x}_s{seed}/pseudo"
-    )
+    p.add_argument("--pseudo", help="output root of `synth` (or `run`); each cell synthesises "
+                   "from its own cell_x{x}_s{seed}/gen_img.ckpt and gen_txt.ckpt there")
     p.set_defaults(func=cmd_train_proj)
 
     p = sub.add_parser("eval", help="evaluate a saved projection checkpoint")

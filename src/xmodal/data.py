@@ -231,18 +231,6 @@ def write_corpus(corpus: Corpus, out_dir) -> dict[str, str]:
     return paths
 
 
-def load_corpus_dir(dir_path, name: str | None = None) -> Corpus:
-    d = Path(dir_path)
-    return load_corpus(
-        d / CORPUS_FILES["images"],
-        d / CORPUS_FILES["texts"],
-        d / CORPUS_FILES["labels"],
-        d / CORPUS_FILES["attrs"],
-        d / CORPUS_FILES["attr_ids"],
-        name=name or d.name,
-    )
-
-
 @dataclass(frozen=True)
 class XShotSplit:
     """Index partition of a corpus for one (x_shot, seed) experiment cell."""

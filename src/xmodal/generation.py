@@ -283,6 +283,7 @@ class VaeGanModel(Module):
         # `groups`: the encoder and generator step together, the critic alone
         self.lay_out((self.encoder, self.generator), (self.critic,))
         self.scaler = FeatureScaler()
+        self.stage1_key: str | None = None  # set by `pipeline.stage1`, kept in checkpoints
 
     def posterior(self, v, attrs: AttrRows) -> tuple[np.ndarray, np.ndarray]:
         """(mu, exp(logvar / 2)) of the encoder at rows (v, a), the log-variance clipped."""

@@ -1,17 +1,17 @@
 """Experiment orchestration: config, the stages of a cell, the x-shot grid.
 
 Each stage of an (x_shot, seed) cell has one implementation that every entry
-point calls: `cell_split`, `stage1` (generators, both modalities at once when
-a second core is free, plus pseudo pairs) and
-`stage2` (projection, target/source/baseline mAP with both directions at
-once under the same rule, projection checkpoint and reports). Each stage
-fails the cell before its checkpoints are written if a trained parameter is
-NaN or Inf. `run_cell` chains them; `synth_cell` stops after stage 1 and writes
-the pseudo corpus; `train_proj_cell` runs stage 2 on the one `synth` wrote
-for the same cell. Cells live in `cell_x{x}_s{seed}/` under the output root.
-`run_grid` runs a cell function over the grid; cells fail independently, and
-the RunRecord keeps every report, curve, checkpoint path and error, and the
-fully resolved config.
+point calls: `cell_split`, `stage1` (both modality generators, at once when a
+second core is free, keyed by `stage1_key`), `pseudo_pairs` (synthesised from
+generators in memory) and `stage2` (projection, target/source/baseline mAP
+with both directions at once under the same rule, projection checkpoint and
+reports). Each stage fails the cell before its checkpoints are written if a
+trained parameter is NaN or Inf. `run_cell` chains them; `synth_cell` stops
+after stage 1; `train_proj_cell` does stage 2 as `run_cell` does, from the
+generators saved for the cell if their key is its own. Cells live in
+`cell_x{x}_s{seed}/` under the output root. `run_grid` runs a cell function
+over the grid; cells fail independently, and the RunRecord keeps every
+report, curve, checkpoint path and error, and the fully resolved config.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from .data import (
     XShotSplit,
     check_split_params,
     load_corpus,
-    load_corpus_dir,
     split_xshot,
     synth_corpus,
     write_corpus,
 )
-from .errors import ConfigError, DimensionMismatchError
+from .errors import CheckpointError, ConfigError, DimensionMismatchError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
 from .util import fingerprint, numeric_environment, require_finite_params, require_int_fields, write_json
@@ -232,7 +231,7 @@ def _report_json(result: dict, split, config: ExperimentConfig, trained: str | N
 
 
 def cell_dir(root, x_shot: int, seed: int) -> Path:
-    """Where a cell's checkpoints, pseudo corpus and reports live under a root."""
+    """Where a cell's checkpoints and reports live under a root."""
     return Path(root) / f"cell_x{x_shot}_s{seed}"
 
 
@@ -253,43 +252,72 @@ def cell_split(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig)
     )
 
 
-def stage1(corpus: Corpus, split: XShotSplit, config: ExperimentConfig, cell: dict):
-    """Train and save both modality generators, then synthesize the pseudo corpus.
+def stage1_key(corpus: Corpus, split: XShotSplit, config: ExperimentConfig) -> str:
+    """The key of the cell's generators: a hash of the split, the gen config at
+    the cell's seed, use_vae and the bytes of the rows stage 1 trains on (both
+    modalities' features and their attribute rows). No path enters it."""
+    idx = list(split.source_train) + list(split.target_train)
+    table, rows = corpus.attr_rows(idx)
+    digest = hashlib.sha256(table[rows])
+    for gather in (corpus.image_matrix, corpus.text_matrix):
+        digest.update(gather(idx))
+    gen = {**vars(config.gen), "seed": split.seed, "use_vae": not config.ablations.no_vae}
+    return fingerprint({"split": split.describe(), "gen": gen, "rows": digest.hexdigest()})
 
-    Returns (pseudo corpus, generation curves) and fills in the cell's
-    timings and checkpoint paths.
-    """
+
+def stage1(corpus: Corpus, split: XShotSplit, config: ExperimentConfig, cell: dict):
+    """Train, key and save both modality generators; returns (image, text).
+    Fills in the cell's generation curves, timing and checkpoint paths."""
+    key = stage1_key(corpus, split, config)
     t0 = time.perf_counter()
-    gen_hp = replace(config.gen, seed=split.seed)
     img_model, txt_model, curves = train_generation(
-        split, corpus, gen_hp, use_vae=not config.ablations.no_vae
+        split, corpus, replace(config.gen, seed=split.seed), use_vae=not config.ablations.no_vae
     )
     cell["timings"]["stage1"] = time.perf_counter() - t0
     require_finite_params(img_model, "stage 1 img")
     require_finite_params(txt_model, "stage 1 txt")
-    pseudo = synthesize_target_set(
-        (img_model, txt_model),
-        split.target_classes,
-        corpus.class_attrs,
-        config.gen_num,
-        seed=split.seed,
-    )
+    img_model.stage1_key = txt_model.stage1_key = key
     out_dir = _cell_out(config, split)
     if out_dir is not None:
         for name, model in (("gen_img", img_model), ("gen_txt", txt_model)):
             ckpt.save_vaegan(model, out_dir / f"{name}.ckpt")
             cell["checkpoints"][name] = str(out_dir / f"{name}.ckpt")
-    return pseudo, curves
+    cell["curves"]["generation"] = curves
+    return img_model, txt_model
+
+
+def _saved_pseudo_pairs(root, corpus: Corpus, split: XShotSplit, config: ExperimentConfig, cell):
+    """`pseudo_pairs` from the generators `stage1` saved for the cell under
+    root, which the cell's checkpoints then name, if their key is the cell's."""
+    key = stage1_key(corpus, split, config)
+    models = []
+    for name in ("gen_img", "gen_txt"):
+        path = cell_dir(root, split.x_shot, split.seed) / f"{name}.ckpt"
+        model = ckpt.load_vaegan(path)
+        if model.stage1_key != key:
+            raise CheckpointError(f"{path}: stage-1 key {model.stage1_key} is not this cell's {key}; "
+                                  "trained on another split, corpus, gen config or no_vae setting")
+        cell["checkpoints"][name] = str(path)
+        models.append(model)
+    return pseudo_pairs(models, corpus, split, config)
+
+
+def pseudo_pairs(models, corpus: Corpus, split: XShotSplit, config: ExperimentConfig) -> Corpus:
+    """gen_num pseudo pairs per target class from the (image, text) generators."""
+    return synthesize_target_set(
+        models, split.target_classes, corpus.class_attrs, config.gen_num, seed=split.seed
+    )
 
 
 def stage2(
     corpus: Corpus, split: XShotSplit, pseudo: Corpus | None, config: ExperimentConfig, cell: dict
-) -> dict:
+) -> None:
     """Train the projection on real and pseudo pairs, score it, save it and the reports.
 
     no_l1/no_l2/no_l3 zero alpha/beta/gamma and no_gate drops the gate. The
-    cell's stage-1 checkpoints must come out unchanged. Returns the
-    projection curves and fills in the cell's timings, checkpoints, reports.
+    checkpoints the cell already names must come out unchanged. Fills in the
+    cell's projection curve, timings, checkpoints and reports. The reports'
+    config has out_dir null, so they do not depend on where they are written.
     """
     abl = config.ablations
     stage1_sums = {name: _file_sha256(path) for name, path in cell["checkpoints"].items()}
@@ -302,7 +330,8 @@ def stage2(
         beta=0.0 if abl.no_l2 else config.proj.beta,
         gamma=0.0 if abl.no_l3 else config.proj.gamma,
     )
-    model, proj_curve = train_projection(split, corpus, pseudo, proj_hp, use_gate=not abl.no_gate)
+    model, curve = train_projection(split, corpus, pseudo, proj_hp, use_gate=not abl.no_gate)
+    cell["curves"]["projection"] = curve
     cell["timings"]["stage2"] = time.perf_counter() - t0
     require_finite_params(model, "stage 2 projection")
     fp = model.config_fingerprint = config.fingerprint()
@@ -330,51 +359,49 @@ def stage2(
         "baseline_target": _report_json(baseline, split, config, None),
     }
     if out_dir is not None:
-        write_json(out_dir / "reports.json", {"config": config.resolved(), **cell["reports"]})
-    return proj_curve
+        config_echo = {**config.resolved(), "out_dir": None}
+        write_json(out_dir / "reports.json", {"config": config_echo, **cell["reports"]})
 
 
 def _new_cell(x_shot: int, seed: int) -> dict:
-    return {"x_shot": x_shot, "seed": seed, "timings": {}, "checkpoints": {}}
+    curves = {"generation": None}
+    return {"x_shot": x_shot, "seed": seed, "timings": {}, "checkpoints": {}, "curves": curves}
 
 
 def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
     """One (x_shot, seed) grid cell: split, two training stages, evaluation."""
     cell = _new_cell(x_shot, seed)
     split = cell_split(corpus, x_shot, seed, config)
-    pseudo = gen_curves = None
+    pseudo = None
     if not config.ablations.no_generation:
-        pseudo, gen_curves = stage1(corpus, split, config, cell)
-    proj_curve = stage2(corpus, split, pseudo, config, cell)
-    cell["curves"] = {"generation": gen_curves, "projection": proj_curve}
+        # no name holds the generators, so they are freed before stage 2 trains
+        pseudo = pseudo_pairs(stage1(corpus, split, config, cell), corpus, split, config)
+    stage2(corpus, split, pseudo, config, cell)
     return cell
 
 
 def synth_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
-    """Stage 1 only: the cell's generators plus its pseudo corpus in `pseudo/`."""
+    """Stage 1 only: the cell's generator checkpoints and curves."""
     if config.out_dir is None:
-        raise ConfigError("synth_cell needs out_dir for the pseudo corpus")
+        raise ConfigError("synth_cell needs out_dir for the generator checkpoints")
     cell = _new_cell(x_shot, seed)
-    split = cell_split(corpus, x_shot, seed, config)
-    pseudo, gen_curves = stage1(corpus, split, config, cell)
-    out_dir = _cell_out(config, split)
-    cell["pseudo"] = write_corpus(pseudo, out_dir / "pseudo")
-    write_json(out_dir / "synth.json", {"pseudo": cell["pseudo"]})
-    cell["curves"] = {"generation": gen_curves}
+    stage1(corpus, cell_split(corpus, x_shot, seed, config), config, cell)
     return cell
 
 
 def train_proj_cell(
     corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig, pseudo_root
 ) -> dict:
-    """Stage 2 only, on the pseudo corpus `synth` wrote for this same cell
-    under pseudo_root (None trains on real pairs alone)."""
+    """Stage 2 only. With a pseudo_root, its pseudo pairs come, as in
+    `run_cell`, from the generators saved for the same cell under that root;
+    one whose `stage1_key` is not the cell's is refused with a CheckpointError
+    naming the file and both keys. None trains on real pairs alone."""
     cell = _new_cell(x_shot, seed)
     split = cell_split(corpus, x_shot, seed, config)
     pseudo = None
     if pseudo_root is not None:
-        pseudo = load_corpus_dir(cell_dir(pseudo_root, x_shot, seed) / "pseudo")
-    cell["curves"] = {"generation": None, "projection": stage2(corpus, split, pseudo, config, cell)}
+        pseudo = _saved_pseudo_pairs(pseudo_root, corpus, split, config, cell)
+    stage2(corpus, split, pseudo, config, cell)
     return cell
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 from .optim import adam_step, zero_grads
 from .util import BLOCK, require_finite, require_int_fields, run_pair, stream
 
@@ -382,36 +382,23 @@ def train_projection(
 ):
     """Stage-2 training on real source/shot instances plus any pseudo corpus.
 
-    A pseudo corpus must match the corpus width and hold only the split's
-    target classes, so one built for another split is rejected.
+    A pseudo corpus is taken as given: the pipeline synthesises it for this
+    split's target classes from the generators it has just trained, or from
+    saved ones whose `stage1_key` is the cell's (`pipeline.train_proj_cell`).
 
     The class set spans all corpus classes, so target columns exist even when
     no pseudo or shot data reaches them. Returns (model, loss curves) with
     curve index 0 logged before any update.
     """
     real_idx = list(split.source_train) + list(split.target_train)
-    V = [corpus.image_matrix(real_idx)] if real_idx else []
-    T = [corpus.text_matrix(real_idx)] if real_idx else []
-    labels = [corpus.labels(real_idx)] if real_idx else []
+    parts = [(corpus, real_idx)] if real_idx else []
     if pseudo is not None:
-        if pseudo.dim != corpus.dim:
-            raise DimensionMismatchError(
-                f"pseudo corpus dim {pseudo.dim} does not match corpus dim {corpus.dim}"
-            )
-        stray = np.setdiff1d(pseudo.labels(), split.target_classes)
-        if stray.size:
-            raise ConfigError(
-                f"pseudo corpus holds classes {stray.tolist()} that are not target "
-                f"classes {list(split.target_classes)} of this split"
-            )
-        V.append(pseudo.image_matrix())
-        T.append(pseudo.text_matrix())
-        labels.append(pseudo.labels())
-    if not V:
+        parts.append((pseudo, None))
+    if not parts:
         raise ConfigError("projection training set is empty")
-    V = np.vstack(V)
-    T = np.vstack(T)
-    labels = np.concatenate(labels)
+    V = np.vstack([c.image_matrix(rows) for c, rows in parts])
+    T = np.vstack([c.text_matrix(rows) for c, rows in parts])
+    labels = np.concatenate([c.labels(rows) for c, rows in parts])
 
     model = ProjectionModel(
         d=V.shape[1],

@@ -39,6 +39,18 @@ def test_vaegan_round_trip_bitwise(small_setup, tmp_path):
     assert back.d_z == img.d_z
 
 
+def test_vaegan_stage1_key_round_trips(small_setup, tmp_path, monkeypatch):
+    _, _, img, _, _ = small_setup
+    monkeypatch.setattr(img, "stage1_key", "0123456789abcdef")
+    ckpt.save_vaegan(img, tmp_path / "gen.ckpt")
+    assert ckpt.load_vaegan(tmp_path / "gen.ckpt").stage1_key == "0123456789abcdef"
+    # a checkpoint written before the key existed loads with none
+    meta, arrays = ckpt.load_checkpoint(tmp_path / "gen.ckpt")
+    del meta["stage1_key"]
+    ckpt.save_checkpoint(tmp_path / "old.ckpt", "vaegan", meta, arrays)
+    assert ckpt.load_vaegan(tmp_path / "old.ckpt").stage1_key is None
+
+
 def test_loads_draw_no_weights(small_setup, tmp_path, monkeypatch):
     # the model a load reads into starts from zeros: Xavier weights that the
     # read then overwrote took 0.16 s of a 0.20 s projection load at d=1024

@@ -183,8 +183,7 @@ def test_synth_corpus_equals_the_whole_matrix_formula(kwargs):
 
 def test_corpus_write_load_round_trip_bitwise(tmp_path):
     corpus = data.synth_corpus(n_classes=3, per_class=4, dim=8, seed=9)
-    data.write_corpus(corpus, tmp_path)
-    back = data.load_corpus_dir(tmp_path)
+    back = data.load_corpus(*data.write_corpus(corpus, tmp_path).values())
     assert len(back) == len(corpus)
     assert back.classes() == corpus.classes()
     assert np.array_equal(back.image_matrix(), corpus.image_matrix())
@@ -200,7 +199,7 @@ def test_load_rejects_attr_index_mismatch(tmp_path):
     with open(paths["attr_ids"], "w") as f:
         f.write("0\n1\n")  # one id short of the 3 attribute rows
     with pytest.raises(DimensionMismatchError):
-        data.load_corpus_dir(tmp_path)
+        data.load_corpus(*paths.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import json
+import shutil
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from xmodal import checkpoint as ckpt
 from xmodal import data, pipeline
 from xmodal import projection as proj
 from xmodal.cli import main as cli_main
-from xmodal.errors import ConfigError, DimensionMismatchError
+from xmodal.errors import CheckpointError, ConfigError
 
 warnings.filterwarnings("ignore", message="odd class count")
 
@@ -81,7 +82,7 @@ def test_preset_overrides_merge():
 def test_make_data_round_trip(tmp_path):
     spec = pipeline.SyntheticSpec(n_classes=3, per_class=4, dim=8)
     paths = pipeline.make_data(spec, tmp_path)
-    corpus = data.load_corpus_dir(tmp_path)
+    corpus = data.load_corpus(*paths.values())
     original = data.synth_corpus(
         n_classes=3, per_class=4, dim=8,
         modality_gap=spec.modality_gap, noise_sigma=spec.noise_sigma,
@@ -92,8 +93,8 @@ def test_make_data_round_trip(tmp_path):
 
 
 def test_make_data_two_instance_corpus(tmp_path):
-    pipeline.make_data(pipeline.SyntheticSpec(n_classes=2, per_class=1, dim=4), tmp_path)
-    corpus = data.load_corpus_dir(tmp_path)
+    paths = pipeline.make_data(pipeline.SyntheticSpec(n_classes=2, per_class=1, dim=4), tmp_path)
+    corpus = data.load_corpus(*paths.values())
     assert len(corpus) == 2
 
 
@@ -249,7 +250,7 @@ def test_cli_make_data_and_run(tmp_path, capsys):
          "--dim", "8", "--seed", "5"]
     )
     assert rc == 0
-    corpus = data.load_corpus_dir(out)
+    corpus = data.load_corpus(*json.loads(capsys.readouterr().out).values())
     assert len(corpus) == 32
 
     config_path = tmp_path / "config.json"
@@ -611,23 +612,71 @@ def _config_file(tmp_path, cfg):
     return path
 
 
-def test_pseudo_corpus_of_another_split_is_rejected():
-    cfg = pipeline.preset_config("synthetic", gen={"epochs": 1}, proj={"epochs": 1}, gen_num=2)
+@pytest.fixture(scope="module")
+def synth_root(tmp_path_factory):
+    """A `synth` root of tiny_config's one cell (x=0, seed 0)."""
+    root = tmp_path_factory.mktemp("synth")
+    assert pipeline.run_grid(tiny_config(out_dir=str(root)), pipeline.synth_cell)["failures"] == 0
+    return root
+
+
+def _other_feature_value(corpus, split):
+    """The corpus with one value of stage 1's first training row changed."""
+    images = corpus.image_matrix()
+    images[split.source_train[0], 3] += 0.5
+    return data.Corpus(images, corpus.text_matrix(), corpus.labels(), corpus.class_attrs)
+
+
+@pytest.mark.parametrize("other", ["split_seed", "x_shot", "no_vae", "gen_lr", "feature_value"])
+def test_train_proj_refuses_generators_of_another_stage_1(tmp_path, synth_root, other):
+    cfg = tiny_config()
     corpus = pipeline.load_config_corpus(cfg)
-    split0 = pipeline.cell_split(corpus, 0, 0, cfg)
-    split1 = pipeline.cell_split(corpus, 0, 1, cfg)
-    assert split0.target_classes == (0, 1, 2, 6)
-    assert split1.target_classes == (1, 2, 3, 4)
-    cell = {"timings": {}, "checkpoints": {}}
-    pseudo0, _ = pipeline.stage1(corpus, split0, cfg, cell)
-    with pytest.raises(ConfigError, match=r"classes \[0, 6\] that are not target classes"):
-        pipeline.stage2(corpus, split1, pseudo0, cfg, cell)
-    narrow = data.Corpus(
-        pseudo0.image_matrix()[:, :8], pseudo0.text_matrix()[:, :8], pseudo0.labels(),
-        {c: corpus.class_attrs[c][:, :8] for c in pseudo0.classes()},
+    root, x_shot, seed = synth_root, 0, 0
+    if other in ("split_seed", "x_shot"):
+        # the cell's files copied to where another cell looks for them
+        x_shot, seed = (0, 1) if other == "split_seed" else (1, 0)
+        root = tmp_path
+        shutil.copytree(pipeline.cell_dir(synth_root, 0, 0), pipeline.cell_dir(root, x_shot, seed))
+    elif other == "no_vae":
+        cfg = tiny_config(ablations={"no_vae": True})
+    elif other == "gen_lr":
+        cfg = tiny_config(gen={**asdict(cfg.gen), "lr": 2e-3})
+    else:
+        corpus = _other_feature_value(corpus, pipeline.cell_split(corpus, 0, 0, cfg))
+    path = pipeline.cell_dir(root, x_shot, seed) / "gen_img.ckpt"
+    saved = ckpt.load_vaegan(path).stage1_key
+    want = pipeline.stage1_key(corpus, pipeline.cell_split(corpus, x_shot, seed, cfg), cfg)
+    assert saved is not None and want != saved
+    with pytest.raises(CheckpointError) as refusal:
+        pipeline.train_proj_cell(corpus, x_shot, seed, cfg, root)
+    assert str(refusal.value) == (
+        f"{path}: stage-1 key {saved} is not this cell's {want}; "
+        "trained on another split, corpus, gen config or no_vae setting"
     )
-    with pytest.raises(DimensionMismatchError, match="pseudo corpus dim 8"):
-        pipeline.stage2(corpus, split0, narrow, cfg, cell)
+
+
+def test_train_proj_refuses_a_generator_with_no_stage_1_key(tmp_path, synth_root):
+    root = tmp_path / "copy"
+    shutil.copytree(synth_root, root)
+    path = pipeline.cell_dir(root, 0, 0) / "gen_txt.ckpt"
+    meta, arrays = ckpt.load_checkpoint(path)
+    del meta["stage1_key"]
+    ckpt.save_checkpoint(path, "vaegan", meta, arrays)
+    cfg = tiny_config()
+    with pytest.raises(CheckpointError, match=f"^{path}: stage-1 key None is not this cell's"):
+        pipeline.train_proj_cell(pipeline.load_config_corpus(cfg), 0, 0, cfg, root)
+
+
+def test_a_copied_synth_root_is_accepted(tmp_path, synth_root):
+    cfg = tiny_config()
+    corpus = pipeline.load_config_corpus(cfg)
+    shutil.copytree(synth_root, tmp_path / "moved")
+    moved = pipeline.train_proj_cell(corpus, 0, 0, cfg, tmp_path / "moved")
+    assert moved["checkpoints"] == {
+        name: str(pipeline.cell_dir(tmp_path / "moved", 0, 0) / f"{name}.ckpt")
+        for name in ("gen_img", "gen_txt")
+    }
+    assert moved["reports"] == pipeline.train_proj_cell(corpus, 0, 0, cfg, synth_root)["reports"]
 
 
 @pytest.mark.parametrize("stage, network", [
@@ -686,32 +735,53 @@ def test_non_finite_scaler_fails_the_cell_before_its_checkpoint(tmp_path, monkey
     assert not pipeline.cell_dir(tmp_path, 0, 0).exists()
 
 
-def test_synth_then_train_proj_fills_the_run_layout(tmp_path, capsys):
-    cfg = tiny_config(seeds=[0, 1])
-    config_path = _config_file(tmp_path, cfg)
-    out = tmp_path / "cells"
-    assert cli_main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
-    assert cli_main([
-        "train-proj", "--config", str(config_path), "--out", str(out), "--pseudo", str(out),
-    ]) == 0
-    assert "target Img2Txt" in capsys.readouterr().out
+CELL_FILES = ("reports.json", "projection.ckpt", "gen_img.ckpt", "gen_txt.ckpt")
 
-    corpus = pipeline.load_config_corpus(cfg)
-    targets = set()
+
+def _same_bytes(a, b, names=CELL_FILES):
+    return all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
+def _cells(root, record="run_record.json"):
+    return json.loads((root / record).read_text())["cells"]
+
+
+@pytest.mark.parametrize("concurrency", ["child", "worker"])
+def test_synth_then_train_proj_reproduces_run(tmp_path, request, concurrency):
+    # stage 1's text model in a forked child, or every second job on a thread
+    request.getfixturevalue(concurrency)
+    config_path = _config_file(tmp_path, tiny_config(seeds=[0, 1]))
+    split_run, run = tmp_path / "split", tmp_path / "run"
+    args = ["--config", str(config_path), "--out"]
+    assert cli_main(["synth", *args, str(split_run)]) == 0
+    assert cli_main(["train-proj", *args, str(split_run), "--pseudo", str(split_run)]) == 0
+    assert cli_main(["run", *args, str(run)]) == 0
+
     for seed in (0, 1):
-        cell_dir = out / f"cell_x0_s{seed}"
-        for name in ("gen_img.ckpt", "gen_txt.ckpt", "projection.ckpt", "reports.json"):
-            assert (cell_dir / name).is_file()
-        pseudo = data.load_corpus_dir(cell_dir / "pseudo")
-        split = pipeline.cell_split(corpus, 0, seed, cfg)
-        assert set(pseudo.classes()) == set(split.target_classes)
-        targets.add(split.target_classes)
-        # stage 2 trained on this cell's own pseudo corpus
-        want, _ = proj.train_projection(split, corpus, pseudo, replace(cfg.proj, seed=seed))
-        got = ckpt.load_projection(cell_dir / "projection.ckpt")
-        for (n1, p1), (n2, p2) in zip(want.named_params(), got.named_params()):
-            assert n1 == n2 and np.array_equal(p1.data, p2.data)
-    assert len(targets) == 2  # the seeds' target classes differ
+        cell = f"cell_x0_s{seed}"
+        assert _same_bytes(split_run / cell, run / cell)
+    cells = zip(_cells(split_run, "synth_record.json"), _cells(split_run), _cells(run))
+    for synth, trained, whole in cells:
+        assert synth["curves"]["generation"] == whole["curves"]["generation"]
+        assert trained["curves"]["projection"] == whole["curves"]["projection"]
+        # the record names the generators each cell used, under run's keys
+        assert trained["checkpoints"] == {
+            name: path.replace(str(run), str(split_run))
+            for name, path in whole["checkpoints"].items()
+        }
+
+
+def test_one_synth_root_serves_a_no_gate_train_proj(tmp_path):
+    config_path = _config_file(tmp_path, tiny_config())
+    synth, ablated, run = tmp_path / "synth", tmp_path / "no_gate", tmp_path / "run"
+    args = ["--config", str(config_path), "--out"]
+    assert cli_main(["synth", *args, str(synth)]) == 0
+    assert cli_main(["train-proj", *args, str(ablated), "--pseudo", str(synth), "--no-gate"]) == 0
+    assert cli_main(["run", *args, str(run), "--no-gate"]) == 0
+    cell = "cell_x0_s0"
+    assert _same_bytes(ablated / cell, run / cell, ("reports.json", "projection.ckpt"))
+    assert _same_bytes(synth / cell, run / cell, ("gen_img.ckpt", "gen_txt.ckpt"))
+    assert sorted(p.name for p in (ablated / cell).iterdir()) == ["projection.ckpt", "reports.json"]
 
 
 def test_synth_cell_without_out_dir_fails_before_stage_1(monkeypatch):
@@ -722,7 +792,7 @@ def test_synth_cell_without_out_dir_fails_before_stage_1(monkeypatch):
     record = pipeline.run_grid(tiny_config(), pipeline.synth_cell)
     assert record["failures"] == 1
     assert record["cells"][0]["error"] == (
-        "ConfigError: synth_cell needs out_dir for the pseudo corpus"
+        "ConfigError: synth_cell needs out_dir for the generator checkpoints"
     )
 
 
@@ -746,7 +816,7 @@ def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys):
     assert cli_main(["synth", "--config", str(config_path), "--out", str(out)]) == 1
     assert "[FAIL] x=99 seed=0" in capsys.readouterr().out
     assert not (out / "cell_x99_s0").exists()
-    assert (out / "cell_x0_s0" / "pseudo" / data.CORPUS_FILES["images"]).is_file()
+    assert sorted(p.name for p in (out / "cell_x0_s0").iterdir()) == ["gen_img.ckpt", "gen_txt.ckpt"]
     record = json.loads((out / "synth_record.json").read_text())
     assert record["failures"] == 1 and "smallest target class" in record["cells"][0]["error"]
 
