@@ -3,7 +3,8 @@
 Subcommands: make-data (write a synthetic corpus), run (full x-shot grid),
 synth (stage 1 only: train and save the generators), train-proj (stage 2
 only, on pseudo pairs from the generators `synth` saved; the two write
-run's files byte for byte), eval (score a saved projection checkpoint).
+run's files byte for byte; without --pseudo it is `run --no-generation`,
+files and config included), eval (score a saved projection checkpoint).
 run, synth and train-proj run the stage functions of `pipeline` over the
 same grid loop and write the same cell layout, `cell_x{x}_s{seed}/` under
 --out, with the grid's record at the root (`synth_record.json` for synth,
@@ -135,7 +136,10 @@ def cmd_train_proj(args) -> int:
     config = _load_config(args)
     if config.out_dir is None:
         raise ConfigError("train-proj needs --out for the checkpoint")
-    if args.pseudo is not None and config.ablations.no_generation:
+    if args.pseudo is None:
+        # real pairs only is the no_generation ablation, and its files say so
+        config = replace(config, ablations=replace(config.ablations, no_generation=True))
+    elif config.ablations.no_generation:
         raise ConfigError("--pseudo trains on generated pairs, which no_generation rules out")
     record = run_grid(config, partial(train_proj_cell, pseudo_root=args.pseudo))
     return _print_grid(record, _target_map)

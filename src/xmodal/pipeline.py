@@ -395,7 +395,10 @@ def train_proj_cell(
     """Stage 2 only. With a pseudo_root, its pseudo pairs come, as in
     `run_cell`, from the generators saved for the same cell under that root;
     one whose `stage1_key` is not the cell's is refused with a CheckpointError
-    naming the file and both keys. None trains on real pairs alone."""
+    naming the file and both keys. None trains on real pairs alone, which is
+    the no_generation ablation: the config must say so, as its files then do."""
+    if (pseudo_root is None) != config.ablations.no_generation:
+        raise ConfigError("train_proj_cell takes pseudo pairs exactly when no_generation is off")
     cell = _new_cell(x_shot, seed)
     split = cell_split(corpus, x_shot, seed, config)
     pseudo = None

@@ -19,10 +19,12 @@ then their backward passes and Adam updates, run through `util.run_pair`:
 the text tower on a worker thread from `util.CONCURRENT_MIN_WIDTH` on when a
 second core is free. The losses, their cotangents and the shared head's
 update run on the calling thread. The evaluation forward, `embed_*`, runs
-`_tower_forward` on row blocks into one (n, d) output, which with one
-block's activations, about seven (BLOCK, d) arrays, is all it holds. The
-curve probe, `dataset_losses`, is that forward plus the loss values; its
-contrastive term holds one (2n, 2n) matrix.
+`_tower_forward` on the near-equal row blocks of `util.block_count` into one
+(n, d) output, which with one block's activations, about seven (BLOCK, d)
+arrays, is all it holds; `retrieval.evaluate` calls it one block at a time,
+on rows it has just gathered. The curve probe, `dataset_losses`, is that
+forward on whole matrices plus the loss values; its contrastive term holds
+one (2n, 2n) matrix.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import BLOCK, require_finite, require_int_fields, run_pair, stream
+from .util import block_count, require_finite, require_int_fields, run_pair, stream
 
 
 @dataclass
@@ -119,12 +121,11 @@ class ProjectionModel(Module):
 
     def _embed(self, X, projector: Projector, gate: GateNet | None) -> np.ndarray:
         """One modality's embeddings at rows X (never written), gate None
-        under no_gate: `_tower_forward` on near-equal blocks of at most BLOCK
-        rows, never a few rows of a longer X, which a BLAS may give to a
-        kernel that rounds differently (gemv, a small-matrix kernel)."""
+        under no_gate: `_tower_forward` on the `util.block_count` near-equal
+        blocks of X."""
         X = ad.as_matrix(X)
         out = np.empty(X.shape)
-        k = -(-len(X) // BLOCK) or 1
+        k = block_count(len(X))
         for x, u in zip(np.array_split(X, k), np.array_split(out, k)):
             u[...] = _tower_forward(x, projector, gate)[0]
         return out

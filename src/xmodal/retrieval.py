@@ -2,25 +2,30 @@
 
 Relevance is class-label match; the whole gallery is ranked per query with
 ties broken by ascending gallery index, and AP sums precision at every
-relevant rank divided by the total relevant count. Queries are normalised,
-scored and ranked BLOCK rows at a time, so `mean_ap` holds the unit gallery
-and one block's unit queries, similarities and ranking temporaries besides
-its inputs. Each row is ranked by a value sort: where its values are all
+relevant rank divided by the total relevant count. `mean_ap` is the one
+ranking pass: it forms the gallery's unit rows in one array of its own, then
+normalises, scores and ranks one block of query rows at a time, so it holds
+the unit gallery and one block's unit queries, similarities and ranking
+temporaries. Each row is ranked by a value sort: where its values are all
 distinct, a relevant item's rank is the count of greater values, found by
 binary search in the sorted row. A row with a tie or a NaN is ranked by a
 stable argsort instead, which breaks the tie by gallery index. Both paths
 give the same APs bit for bit, and the value sort is three to four times
 cheaper than a stable argsort of every row.
 
-The two directions share nothing until their average, so `evaluate` uses a
-second core when one is free and the features are at least
-`util.CONCURRENT_MIN_WIDTH` wide: the image embeddings are computed on a
-worker thread while the text embeddings are computed on the calling thread,
-then Txt2Img is ranked on the worker while Img2Txt is ranked on the calling
-thread. numpy releases the GIL in BLAS calls, sorts and ufunc loops, so the
-threads overlap. The reports are bitwise those of a serial run, and errors
-surface in serial order (Img2Txt's first). Each thread holds its own rows,
-embeddings and one forward or ranking block at a time.
+`evaluate` streams each direction through `mean_ap` as `Embeddings` sets: it
+embeds the gallery one block at a time, each block gathered from the corpus
+just before its forward, into the unit gallery, then gathers, embeds and
+ranks one query block at a time. The blocks are those the whole-set forward
+uses, so the reports are those of embedding whole sets. The two directions
+share nothing until their average, so when one is free and the features are
+at least `util.CONCURRENT_MIN_WIDTH` wide, Txt2Img runs on a worker thread
+while Img2Txt runs on the calling thread. numpy releases the GIL in BLAS
+calls, sorts and ufunc loops, so the threads overlap. Each thread holds its
+direction's unit gallery and one block's gathered rows, forward activations
+and ranking temporaries; the relevance matrix, one bool per query and
+gallery pair, is shared. The reports are bitwise those of a serial run, and
+errors surface in serial order (Img2Txt's first).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, NonFiniteError
-from .util import BLOCK, run_pair, unit_rows
+from .util import BLOCK, block_count, run_pair, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -93,45 +98,115 @@ def average_precision(sims: np.ndarray, relevance: np.ndarray) -> np.ndarray:
         return terms.sum(axis=1) / relevance.sum(axis=1)
 
 
+class Embeddings:
+    """The embeddings `embed(gather(idx))` of one query or gallery set, made
+    one block at a time.
+
+    `idx` is cut into the `util.block_count` near-equal blocks that
+    `ProjectionModel._embed` cuts a whole matrix into, and each block's rows
+    are gathered just before its forward, so every row comes out of the
+    forward it would get in a whole-set call and no row of the set is held
+    past its block. `len` is the set's size. `mean_ap` takes over the arrays
+    `embed` returns and normalises them in place.
+    """
+
+    def __init__(self, embed, gather, idx):
+        self.embed = embed
+        self.gather = gather
+        self.idx = np.asarray(idx, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def blocks(self):
+        for part in np.array_split(self.idx, block_count(len(self.idx))):
+            yield self.embed(self.gather(part))
+
+
+def _blocks(X):
+    """X's float64 rows one block at a time, each an array of its own: an
+    `Embeddings` set's blocks, or copies of an array's BLOCK-row slices."""
+    if isinstance(X, Embeddings):
+        return (np.asarray(block, dtype=np.float64) for block in X.blocks())
+    return (X[i : i + BLOCK].copy() for i in range(0, len(X), BLOCK))
+
+
+def _unit_gallery(gallery, where: str):
+    """(the gallery's unit rows in one array of its own, the error they raise
+    or None). Each block is checked and normalised in place as it is made; a
+    non-finite value ends the pass, a zero row only the normalising."""
+    unit, error, start = None, None, 0
+    for block in _blocks(gallery):
+        if not np.isfinite(block).all():
+            return None, NonFiniteError(f"{where}: non-finite value in the gallery")
+        if error is None:
+            try:
+                unit_rows(block, out=block)
+            except ValueError as e:
+                error = e
+        if unit is None:
+            unit = np.empty((len(gallery), block.shape[1]))
+        unit[start : start + len(block)] = block
+        start += len(block)
+    return unit, error
+
+
 def mean_ap(
-    queries: np.ndarray, gallery: np.ndarray, relevance: np.ndarray,
-    direction: str = "", fingerprint: str = "",
+    queries, gallery, relevance: np.ndarray, direction: str = "", fingerprint: str = "",
 ) -> RetrievalReport:
     """Rank the full gallery per query by cosine similarity and average the APs.
 
-    `relevance` is a boolean (n_queries, n_gallery) matrix. Queries with no
-    relevant gallery item are excluded from the mean with a logged warning;
-    a non-finite query or gallery value raises NonFiniteError.
+    `queries` and `gallery` are (n, d) arrays, never written, or `Embeddings`
+    sets. The gallery's unit rows are formed first, in one array of its own;
+    then each query block is made, normalised in place, scored against them
+    and ranked. `relevance` is a boolean (n_queries, n_gallery) matrix.
+    Queries with no relevant gallery item are excluded from the mean with a
+    logged warning. A non-finite query or gallery value raises
+    NonFiniteError, and a zero row `unit_rows`' ValueError, in the order a
+    check of the whole sets gives: non-finite queries, non-finite gallery,
+    zero gallery row, every query skipped (ConfigError), zero query row.
     """
-    queries, gallery = (np.asarray(X, dtype=np.float64) for X in (queries, gallery))
-    if queries.size == 0 or gallery.size == 0:
+    queries, gallery = (
+        X if isinstance(X, Embeddings) else np.asarray(X, dtype=np.float64) for X in (queries, gallery)
+    )
+    n_q, n_g = len(queries), len(gallery)
+    if not n_q or not n_g or 0 in (np.size(X) for X in (queries, gallery) if isinstance(X, np.ndarray)):
         raise ConfigError("mean_ap needs non-empty queries and gallery")
     relevance = np.asarray(relevance, dtype=bool)
-    if relevance.shape != (queries.shape[0], gallery.shape[0]):
-        raise ConfigError(
-            f"relevance matrix shape {relevance.shape} does not match "
-            f"({queries.shape[0]}, {gallery.shape[0]})"
-        )
-    for name, X in (("queries", queries), ("gallery", gallery)):
-        if not np.isfinite(X).all():
-            raise NonFiniteError(f"{direction or 'mean_ap'}: non-finite value in the {name}")
-    unit_g = unit_rows(gallery)
-
+    if relevance.shape != (n_q, n_g):
+        raise ConfigError(f"relevance matrix shape {relevance.shape} does not match ({n_q}, {n_g})")
+    where = direction or "mean_ap"
     skipped = np.flatnonzero(~relevance.any(axis=1))
-    if skipped.size == queries.shape[0]:
-        raise ConfigError("every query was skipped; mAP undefined")
+    # every error but a non-finite query waits until all queries are checked
+    unit_g, failure = _unit_gallery(gallery, where)
+    if failure is None and skipped.size == n_q:
+        failure = ConfigError("every query was skipped; mAP undefined")
+    aps, zero_query, start = [], None, 0
+    for q in _blocks(queries):
+        rows = slice(start, start + len(q))
+        start = rows.stop
+        if not np.isfinite(q).all():
+            raise NonFiniteError(f"{where}: non-finite value in the queries")
+        if failure is None and zero_query is None:
+            try:
+                unit_rows(q, out=q)
+            except ValueError as e:
+                zero_query = e
+                continue
+            aps.append(average_precision(q @ unit_g.T, relevance[rows]))
+    if failure is not None:
+        raise failure
     if skipped.size:
         logger.warning("queries %s have no relevant gallery item; excluded from mAP", skipped.tolist())
-    aps = np.delete(np.concatenate([
-        average_precision(unit_rows(queries[i : i + BLOCK]) @ unit_g.T, relevance[i : i + BLOCK])
-        for i in range(0, queries.shape[0], BLOCK)
-    ]), skipped)
+    if zero_query is not None:
+        raise zero_query
+    aps = np.delete(np.concatenate(aps), skipped)
     return RetrievalReport(
         direction=direction,
         map_score=float(np.mean(aps)),
         per_query_ap=tuple(aps.tolist()),
-        n_queries=queries.shape[0],
-        n_gallery=gallery.shape[0],
+        n_queries=n_q,
+        n_gallery=n_g,
         skipped_queries=int(skipped.size),
         fingerprint=fingerprint,
     )
@@ -144,6 +219,12 @@ def evaluate(
 
     `model` must expose embed_images / embed_texts; Img2Txt ranks the text
     gallery for image queries, Txt2Img the reverse, relevance is same-class.
+    Each direction is one `mean_ap` pass over `Embeddings` sets: its unit
+    gallery, then one query block at a time. Img2Txt runs on the calling
+    thread and Txt2Img on the worker (`util.run_pair`), so each thread holds
+    one unit gallery and one block's forward and ranking temporaries; when
+    both directions fail, Img2Txt's error is the one raised, as in a serial
+    run.
     """
     if domain == "target":
         q_idx, g_idx = split.target_query, split.target_gallery
@@ -154,24 +235,18 @@ def evaluate(
     if not q_idx or not g_idx:
         raise ConfigError(f"{domain} query/gallery is empty")
 
-    q_labels = corpus.labels(q_idx)
-    g_labels = corpus.labels(g_idx)
-    rel = q_labels[:, None] == g_labels[None, :]
+    rel = corpus.labels(q_idx)[:, None] == corpus.labels(g_idx)[None, :]
+    images = (model.embed_images, corpus.image_matrix)
+    texts = (model.embed_texts, corpus.text_matrix)
 
-    def embed(fn, matrix):
-        return lambda: (fn(matrix(q_idx)), fn(matrix(g_idx)))
+    def direction(name, query_side, gallery_side):
+        return lambda: mean_ap(
+            Embeddings(*query_side, q_idx), Embeddings(*gallery_side, g_idx), rel,
+            direction=name, fingerprint=fingerprint,
+        )
 
-    # the image side on the worker; Img2Txt on the calling thread, so when
-    # both directions fail its error is the one raised, as in a serial run
-    (u_txt_q, u_txt_g), (u_img_q, u_img_g) = run_pair(
-        embed(model.embed_texts, corpus.text_matrix),
-        embed(model.embed_images, corpus.image_matrix),
-        corpus.dim,
-    )
     img2txt, txt2img = run_pair(
-        lambda: mean_ap(u_img_q, u_txt_g, rel, direction="Img2Txt", fingerprint=fingerprint),
-        lambda: mean_ap(u_txt_q, u_img_g, rel, direction="Txt2Img", fingerprint=fingerprint),
-        corpus.dim,
+        direction("Img2Txt", images, texts), direction("Txt2Img", texts, images), corpus.dim
     )
     return {
         "img2txt": img2txt,

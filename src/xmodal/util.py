@@ -77,12 +77,21 @@ def require_finite_params(model, where: str) -> None:
 BLOCK = 256  # rows the evaluation forward, mAP ranking and synthetic corpus take at once
 
 
-def unit_rows(X: np.ndarray) -> np.ndarray:
-    """X with each row divided by its Euclidean norm; a zero row raises ValueError."""
+def block_count(n: int) -> int:
+    """How many near-equal blocks of at most BLOCK rows the evaluation forward
+    cuts n rows into (one when n is 0). Near-equal, never a few rows of a
+    longer set, which a BLAS may give to a kernel that rounds differently
+    (gemv, a small-matrix kernel)."""
+    return -(-n // BLOCK) or 1
+
+
+def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """X with each row divided by its Euclidean norm, formed in `out` when
+    given (which may be X itself); a zero row raises ValueError first."""
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("cosine similarity is undefined for a zero vector")
-    return X / norms
+    return np.divide(X, norms, out=out)
 
 
 # the narrowest feature width at which `run_pair` runs its two jobs on two

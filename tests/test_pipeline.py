@@ -784,6 +784,32 @@ def test_one_synth_root_serves_a_no_gate_train_proj(tmp_path):
     assert sorted(p.name for p in (ablated / cell).iterdir()) == ["projection.ckpt", "reports.json"]
 
 
+def test_train_proj_without_pseudo_is_run_no_generation(tmp_path):
+    config_path = _config_file(tmp_path, tiny_config())
+    real_only, run = tmp_path / "real_only", tmp_path / "run"
+    args = ["--config", str(config_path), "--out"]
+    assert cli_main(["train-proj", *args, str(real_only)]) == 0
+    assert cli_main(["run", *args, str(run), "--no-generation"]) == 0
+    cell = "cell_x0_s0"
+    assert _same_bytes(real_only / cell, run / cell, ("reports.json", "projection.ckpt"))
+    reports = json.loads((real_only / cell / "reports.json").read_text())
+    assert reports["config"]["ablations"]["no_generation"] is True
+    records = [json.loads((root / "run_record.json").read_text()) for root in (real_only, run)]
+    assert records[0]["config"]["ablations"]["no_generation"] is True
+    assert records[0]["config_fingerprint"] == records[1]["config_fingerprint"]
+    assert reports["target"]["config_fingerprint"] == records[1]["config_fingerprint"]
+    assert records[1]["config_fingerprint"] != tiny_config().fingerprint()
+
+
+@pytest.mark.parametrize("pseudo", [False, True])
+def test_train_proj_cell_takes_pseudo_pairs_exactly_without_no_generation(tmp_path, pseudo):
+    cfg = tiny_config(ablations={"no_generation": pseudo})
+    with pytest.raises(ConfigError, match="exactly when no_generation is off"):
+        pipeline.train_proj_cell(
+            pipeline.load_config_corpus(cfg), 0, 0, cfg, tmp_path if pseudo else None
+        )
+
+
 def test_synth_cell_without_out_dir_fails_before_stage_1(monkeypatch):
     def train_generation(*args, **kwargs):
         raise AssertionError("stage 1 ran")

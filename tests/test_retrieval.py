@@ -317,13 +317,17 @@ def _reports(result):
 def test_concurrent_evaluation_equals_serial_bitwise(
     eval_setup, monkeypatch, worker, fine_switching, domain
 ):
+    # each direction is one pass on one thread, Img2Txt's on the calling
+    # thread and Txt2Img's on the worker: inside its mean_ap it embeds its
+    # gallery, then its query blocks
     corpus, split = eval_setup
     model = _model()
-    threads = {}
+    calls = {}  # thread -> [(the direction it is ranking, what it did)]
+    current = threading.local()
     real_mean_ap = ret.mean_ap
 
-    def seen(key):
-        threads.setdefault(key, set()).add(threading.get_ident())
+    def seen(what):
+        calls.setdefault(threading.get_ident(), []).append((getattr(current, "direction", None), what))
 
     def embedder(key, embed):
         def wrapped(X):
@@ -332,22 +336,27 @@ def test_concurrent_evaluation_equals_serial_bitwise(
         return wrapped
 
     def mean_ap(*args, **kwargs):
-        seen(kwargs["direction"])
-        return real_mean_ap(*args, **kwargs)
+        current.direction = kwargs["direction"]
+        seen("mean_ap")
+        try:
+            return real_mean_ap(*args, **kwargs)
+        finally:
+            current.direction = None
 
     monkeypatch.setattr(model, "embed_images", embedder("img", model.embed_images))
     monkeypatch.setattr(model, "embed_texts", embedder("txt", model.embed_texts))
     monkeypatch.setattr(ret, "mean_ap", mean_ap)
     concurrent = ret.evaluate(model, split, corpus, domain=domain, fingerprint="fp")
     main = threading.get_ident()
-    assert threads["txt"] == threads["Img2Txt"] == {main}
-    assert len(threads["img"]) == len(threads["Txt2Img"]) == 1
-    assert threads["img"] != {main} and threads["Txt2Img"] != {main}
+    img2txt = [("Img2Txt", "mean_ap"), ("Img2Txt", "txt"), ("Img2Txt", "img")]
+    txt2img = [("Txt2Img", "mean_ap"), ("Txt2Img", "img"), ("Txt2Img", "txt")]
+    assert calls.pop(main) == img2txt
+    assert list(calls.values()) == [txt2img]
 
     monkeypatch.setattr(util, "_spare_core", lambda: False)
-    threads.clear()
+    calls.clear()
     serial = ret.evaluate(model, split, corpus, domain=domain, fingerprint="fp")
-    assert set().union(*threads.values()) == {main}
+    assert calls == {main: img2txt + txt2img}
     assert _reports(concurrent) == _reports(serial)
 
 
@@ -368,16 +377,154 @@ def test_concurrent_evaluation_raises_img2txt_first(eval_setup, worker, fine_swi
 def test_concurrent_evaluation_error_leaves_no_thread(
     eval_setup, monkeypatch, worker, fine_switching, failing
 ):
+    # the failing direction raises in its query forward, after embedding its
+    # gallery: Img2Txt on the calling thread, Txt2Img on the worker
     corpus, split = eval_setup
-    real_mean_ap = ret.mean_ap
+    model = _model()
+    main = threading.get_ident()
+    error = KeyboardInterrupt if failing == "Img2Txt" else ValueError
+    name = "embed_images" if failing == "Img2Txt" else "embed_texts"
+    real = getattr(model, name)
 
-    def mean_ap(*args, **kwargs):
-        if kwargs["direction"] == failing:
-            raise KeyboardInterrupt if failing == "Img2Txt" else ValueError(failing)
-        return real_mean_ap(*args, **kwargs)
+    def embed(X):
+        if (threading.get_ident() == main) == (failing == "Img2Txt"):
+            raise error(failing)
+        return real(X)
 
-    monkeypatch.setattr(ret, "mean_ap", mean_ap)
+    monkeypatch.setattr(model, name, embed)
     before = threading.active_count()
-    with pytest.raises(KeyboardInterrupt if failing == "Img2Txt" else ValueError):
-        ret.evaluate(_model(), split, corpus)
+    with pytest.raises(error, match=failing):
+        ret.evaluate(model, split, corpus)
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# evaluate streams each direction: its unit gallery, then one query block at a time
+
+COUNTS = [1, util.BLOCK - 1, util.BLOCK, util.BLOCK + 1, 2 * util.BLOCK + 1]
+NAN_MARK, ZERO_MARK = 1e6, 2e6  # a row whose first feature is a mark embeds to NaN or zero
+
+
+def _stream_setup(n_queries, n_gallery, dim=12, seed=0):
+    """A corpus of n_queries query rows, then n_gallery gallery rows, and a
+    split whose target partition they are. Query classes cycle over 0..4 and
+    gallery classes over 0..3, so class 4 has no gallery item."""
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([np.arange(n_queries) % 5, np.arange(n_gallery) % 4])
+    n = len(labels)
+    corpus = data.Corpus(
+        rng.standard_normal((n, dim)).astype(np.float32),
+        rng.standard_normal((n, dim)).astype(np.float32),
+        labels,
+        {c: rng.standard_normal(dim) for c in range(5)},
+    )
+    queries, gallery = tuple(range(n_queries)), tuple(range(n_queries, n))
+    split = data.XShotSplit(0, seed, 0.5, 0.25, (), tuple(range(5)), (), (), (), (), queries, gallery)
+    return corpus, split
+
+
+def _whole_set_reference(model, split, corpus):
+    """evaluate's reports as whole-set embeddings scored by mean_ap on arrays."""
+    q_idx, g_idx = split.target_query, split.target_gallery
+    rel = corpus.labels(q_idx)[:, None] == corpus.labels(g_idx)[None, :]
+    sides = {
+        "img": (model.embed_images(corpus.image_matrix(q_idx)), model.embed_images(corpus.image_matrix(g_idx))),
+        "txt": (model.embed_texts(corpus.text_matrix(q_idx)), model.embed_texts(corpus.text_matrix(g_idx))),
+    }
+    img2txt = ret.mean_ap(sides["img"][0], sides["txt"][1], rel, direction="Img2Txt", fingerprint="fp")
+    txt2img = ret.mean_ap(sides["txt"][0], sides["img"][1], rel, direction="Txt2Img", fingerprint="fp")
+    return {"img2txt": img2txt, "txt2img": txt2img, "avg": (img2txt.map_score + txt2img.map_score) / 2.0}
+
+
+def _stream_model(kind, dim=12):
+    if kind == "raw":
+        return RawFeatures()
+    hp = ProjHyperParams()
+    return ProjectionModel(dim, range(5), hp, np.random.default_rng(3), use_gate=kind == "gated")
+
+
+@pytest.mark.parametrize("n_queries", COUNTS)
+@pytest.mark.parametrize("kind", ["gated", "no_gate", "raw"])
+def test_streamed_evaluation_equals_whole_set_mean_ap_bitwise(kind, n_queries, caplog):
+    model = _stream_model(kind)
+    for n_gallery in COUNTS:
+        corpus, split = _stream_setup(n_queries, n_gallery)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="xmodal.retrieval"):
+            streamed = ret.evaluate(model, split, corpus, fingerprint="fp")
+        warnings = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="xmodal.retrieval"):
+            whole = _whole_set_reference(model, split, corpus)
+        assert _reports(streamed) == _reports(whole)
+        assert warnings == [r.getMessage() for r in caplog.records]
+        # class 4 has no gallery item; with one gallery row only class 0 has one
+        skipped = sum(c != 0 if n_gallery == 1 else c == 4 for c in np.arange(n_queries) % 5)
+        assert streamed["img2txt"].skipped_queries == streamed["txt2img"].skipped_queries == skipped
+        assert len(warnings) == 2 * (skipped > 0)
+
+
+class MarkedFeatures(RawFeatures):
+    """RawFeatures whose rows marked in their first feature embed to NaN or zero."""
+
+    def _marked(self, X):
+        out = np.array(X, dtype=np.float64)
+        out[out[:, 0] == NAN_MARK] = np.nan
+        out[out[:, 0] == ZERO_MARK] = 0.0
+        return out
+
+    embed_images = embed_texts = _marked
+
+
+def _first_error(fn):
+    try:
+        fn()
+    except Exception as e:  # the error itself is compared
+        return type(e), str(e)
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize("marks", [
+    # (modality, "query" or "gallery", row within the set, mark)
+    [("img", "query", -1, NAN_MARK)],
+    [("txt", "gallery", -1, NAN_MARK)],
+    [("img", "gallery", 0, NAN_MARK)],
+    [("img", "query", -1, NAN_MARK), ("txt", "gallery", 0, NAN_MARK)],
+    [("img", "query", 0, ZERO_MARK), ("img", "query", -1, NAN_MARK)],
+    [("txt", "gallery", 0, ZERO_MARK), ("txt", "gallery", -1, NAN_MARK)],
+    [("txt", "gallery", -1, ZERO_MARK)],
+    [("img", "query", -1, ZERO_MARK)],
+    [("txt", "query", 0, ZERO_MARK), ("img", "gallery", -1, ZERO_MARK)],
+    [("img", "query", 0, ZERO_MARK), ("txt", "gallery", -1, ZERO_MARK)],
+], ids=lambda marks: "+".join(f"{m}-{side}{row}-{'nan' if v == NAN_MARK else 'zero'}"
+                              for m, side, row, v in marks))
+def test_streamed_evaluation_raises_the_whole_set_error(marks):
+    n = 2 * util.BLOCK + 1
+    corpus, split = _stream_setup(n, n)
+    features = {"img": corpus.image_matrix(), "txt": corpus.text_matrix()}
+    for modality, side, row, mark in marks:
+        features[modality][(split.target_query if side == "query" else split.target_gallery)[row], 0] = mark
+    corpus = data.Corpus(features["img"], features["txt"], corpus.labels(), corpus.class_attrs)
+    model = MarkedFeatures()
+    want = _first_error(lambda: _whole_set_reference(model, split, corpus))
+    assert _first_error(lambda: ret.evaluate(model, split, corpus, fingerprint="fp")) == want
+    assert want[0] in (NonFiniteError, ValueError)
+
+
+def test_streamed_evaluation_holds_one_unit_gallery_and_a_block(monkeypatch):
+    # a serial evaluation of 600 x 600 at d=256: besides one unit gallery,
+    # eight (BLOCK, d) and two (BLOCK, n_gallery) float64 arrays. Embedding
+    # whole sets and copying the gallery to normalise it took 9.8 MiB here,
+    # 2.3 MiB over this bound; streaming took 5.6 MiB
+    monkeypatch.setattr(util, "_spare_core", lambda: False)
+    n, d = 600, 256
+    corpus, split = _stream_setup(n, n, dim=d)
+    model = ProjectionModel(d, range(5), ProjHyperParams(), np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        ret.evaluate(model, split, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    f64 = 8
+    assert peak < f64 * (n * d + 8 * util.BLOCK * d + 2 * util.BLOCK * n)
