@@ -19,9 +19,9 @@ to an input cotangent array, so the reverse pass builds no graph.
 
 Networks derive from `Module`, which owns their parameter lists: a model's
 `named_params()` names each array `<part>.<layer>.W` or `<part>.<layer>.b`,
-sub-Modules in the order they were set and each part's `Linear` layers in
-name order. That name, after a `param/` prefix, is the array's checkpoint
-key.
+sub-Modules and `Linear` layers alike in the order they were set, the order
+in which `lay_out` draws the weights. That name, after a `param/` prefix, is
+the array's checkpoint key.
 
 Every array is float64.
 """
@@ -554,54 +554,43 @@ def xavier_uniform(rng: np.random.Generator, out: np.ndarray) -> None:
 
 class Linear:
     """Trainable affine layer: W (d_in, d_out) and b (1, d_out), unbound until
-    its network is laid out (`Module.lay_out`), which draws W from rng into its
-    view. With rng None the weights stay zeros: a layer to load a checkpoint into."""
+    its network is laid out (`Module.lay_out`), which draws W into its view."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None):
+    def __init__(self, d_in: int, d_out: int):
         self.W = Parameter.unbound((d_in, d_out))
         self.b = Parameter.unbound((1, d_out))
-        self.rng = rng
 
 
 class Module:
-    """Owner of a network's parameters, found by walking its attributes.
+    """Owner of a network's parameters, found by one walk of its attributes.
 
-    Sub-Modules come first, in the order they were set, their names prefixed
-    with the attribute's; then `Linear` layers in name order, each giving
+    Sub-Modules and `Linear` layers come in the order they were set, a
+    sub-Module's names prefixed with the attribute's and a layer giving
     `<layer>.W` and `<layer>.b`. Other attributes add nothing. A model lays
     out its parameters when it is built (`lay_out`): its `groups` hold one
     `ParamGroup` per network that Adam updates as a whole.
     """
 
-    def lay_out(self, *networks: tuple["Module", ...]) -> None:
+    def lay_out(self, rng: np.random.Generator | None, *networks: tuple["Module", ...]) -> None:
         """Set `groups`, one ParamGroup per network (a tuple of parts), then draw
-        each W into its view, layers in the order set: earlier releases' draw order."""
+        each W into its view from rng, layers in the order set. With rng None
+        the weights stay zeros: a model to load a checkpoint into."""
         self.groups = tuple(ParamGroup([p for part in net for p in part.params]) for net in networks)
-        for layer in self._layers():
-            if layer.rng is not None:
-                xavier_uniform(layer.rng, layer.W.data)
-            layer.rng = None
+        if rng is not None:
+            for _, layer in self._layers():
+                xavier_uniform(rng, layer.W.data)
 
-    def _layers(self):
-        for part in vars(self).values():
+    def _layers(self, prefix: str = ""):
+        """(name, layer) of every Linear, in the order the attributes were set."""
+        for name, part in vars(self).items():
             if isinstance(part, Module):
-                yield from part._layers()
+                yield from part._layers(f"{prefix}{name}.")
             elif isinstance(part, Linear):
-                yield part
+                yield prefix + name, part
 
     def named_params(self) -> list[tuple[str, Parameter]]:
-        attrs = vars(self)
-        out = [
-            (f"{name}.{sub}", p)
-            for name, part in attrs.items()
-            if isinstance(part, Module)
-            for sub, p in part.named_params()
-        ]
-        for name in sorted(attrs):
-            layer = attrs[name]
-            if isinstance(layer, Linear):
-                out += [(f"{name}.W", layer.W), (f"{name}.b", layer.b)]
-        return out
+        return [(f"{name}.{field}", getattr(layer, field))
+                for name, layer in self._layers() for field in ("W", "b")]
 
     @property
     def params(self) -> list[Parameter]:

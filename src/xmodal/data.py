@@ -24,7 +24,7 @@ from .errors import (
     MissingAttributeError,
     NonFiniteError,
 )
-from .util import BLOCK, stream, unit_rows
+from .util import row_blocks, stream, unit_rows
 
 EMB_MAGIC = b"FLEXEMB1"
 
@@ -248,6 +248,11 @@ class XShotSplit:
     target_query: tuple[int, ...]
     target_gallery: tuple[int, ...]
 
+    @property
+    def train_rows(self) -> tuple[int, ...]:
+        """The rows both stages train on: source_train, then target_train."""
+        return self.source_train + self.target_train
+
     def describe(self) -> dict:
         return {
             "x_shot": self.x_shot,
@@ -316,36 +321,21 @@ def split_xshot(
     by_class = corpus.indices_by_class()
     smallest_target = min(len(by_class[c]) for c in target_classes)
     if x > smallest_target:
-        raise ConfigError(
-            f"x_shot={x} exceeds the smallest target class size {smallest_target}"
-        )
+        raise ConfigError(f"x_shot={x} exceeds the smallest target class size {smallest_target}")
 
-    target_train: list[int] = []
-    target_query: list[int] = []
-    target_gallery: list[int] = []
-    for c in target_classes:
-        idxs = by_class[c]
-        shuffled = idxs[rng.permutation(len(idxs))]
-        shots = np.sort(shuffled[:x])
-        pool = np.sort(shuffled[x:])
-        n_q = int(query_fraction * len(pool))
-        target_train.extend(int(i) for i in shots)
-        target_query.extend(int(i) for i in pool[:n_q])
-        target_gallery.extend(int(i) for i in pool[n_q:])
-
-    source_train: list[int] = []
-    source_query: list[int] = []
-    source_gallery: list[int] = []
-    for c in source_classes:
-        idxs = by_class[c]
-        shuffled = idxs[rng.permutation(len(idxs))]
-        n_eval = int(source_eval_fraction * len(idxs))
-        pool = np.sort(shuffled[:n_eval])
-        train = np.sort(shuffled[n_eval:])
-        n_q = int(query_fraction * len(pool))
-        source_train.extend(int(i) for i in train)
-        source_query.extend(int(i) for i in pool[:n_q])
-        source_gallery.extend(int(i) for i in pool[n_q:])
+    # per class one shuffle, cut into a sorted head and a sorted rest: a target
+    # class's head is its x shots, a source class's its evaluation pool
+    parts: dict[str, list[int]] = {}
+    for domain, domain_classes in (("target", target_classes), ("source", source_classes)):
+        for c in domain_classes:
+            idxs = by_class[c]
+            shuffled = idxs[rng.permutation(len(idxs))]
+            n_head = x if domain == "target" else int(source_eval_fraction * len(idxs))
+            head, rest = np.sort(shuffled[:n_head]), np.sort(shuffled[n_head:])
+            train, pool = (head, rest) if domain == "target" else (rest, head)
+            n_q = int(query_fraction * len(pool))
+            for kind, rows in (("train", train), ("query", pool[:n_q]), ("gallery", pool[n_q:])):
+                parts.setdefault(f"{domain}_{kind}", []).extend(rows.tolist())
 
     return XShotSplit(
         x_shot=x,
@@ -354,12 +344,7 @@ def split_xshot(
         source_eval_fraction=source_eval_fraction,
         source_classes=source_classes,
         target_classes=target_classes,
-        source_train=tuple(sorted(source_train)),
-        source_query=tuple(sorted(source_query)),
-        source_gallery=tuple(sorted(source_gallery)),
-        target_train=tuple(sorted(target_train)),
-        target_query=tuple(sorted(target_query)),
-        target_gallery=tuple(sorted(target_gallery)),
+        **{name: tuple(sorted(rows)) for name, rows in parts.items()},
     )
 
 
@@ -379,9 +364,9 @@ def synth_corpus(
     vector. Image features are noisy copies of the prototype; text features
     additionally carry a fixed modality-offset direction scaled by
     modality_gap. Every feature row is then scaled to unit norm, as CLIP
-    features are, and stored as float32. A modality is built BLOCK rows at a
-    time, image noise drawn first; draws and row norms are bitwise those of
-    whole matrices. Deterministic in seed.
+    features are, and stored as float32. A modality is built one block of
+    `util.row_blocks` at a time, image noise drawn first; draws and row norms
+    are bitwise those of whole matrices. Deterministic in seed.
 
     proto_rank confines every prototype to a shared random subspace, which
     correlates classes the way pretrained class embeddings are correlated;
@@ -409,9 +394,8 @@ def synth_corpus(
     labels = np.repeat(np.arange(n_classes), per_class)
     features = [np.empty((len(labels), dim), dtype=np.float32) for _ in range(2)]
     for X, table in zip(features, (protos, protos + modality_gap * gap_dir)):
-        for i in range(0, len(X), BLOCK):
-            rows = labels[i : i + BLOCK]
-            eps = rng.standard_normal((len(rows), dim)) * noise_sigma
-            X[i : i + BLOCK] = unit_rows(table[rows] + eps)
+        for rows in row_blocks(len(X)):
+            eps = rng.standard_normal(X[rows].shape) * noise_sigma
+            X[rows] = unit_rows(table[labels[rows]] + eps)
     attrs = {c: protos[c].astype(np.float32).astype(np.float64) for c in range(n_classes)}
     return Corpus(*features, labels, attrs, name=name)

@@ -178,23 +178,23 @@ class Encoder(Module):
     """Three stacked affine layers (ReLU, ReLU, Sigmoid) plus mean/log-variance
     heads; `_encode` is its forward."""
 
-    def __init__(self, d_feat: int, d_attr: int, d_z: int, rng):
+    def __init__(self, d_feat: int, d_attr: int, d_z: int):
         w1, w2, w3 = (_scaled(w, d_feat) for w in ENCODER_WIDTHS_1024)
-        self.l1 = Linear(d_feat + d_attr, w1, rng)
-        self.l2 = Linear(w1, w2, rng)
-        self.l3 = Linear(w2, w3, rng)
-        self.mu_head = Linear(w3, d_z, rng)
-        self.logvar_head = Linear(w3, d_z, rng)
+        self.l1 = Linear(d_feat + d_attr, w1)
+        self.l2 = Linear(w1, w2)
+        self.l3 = Linear(w2, w3)
+        self.mu_head = Linear(w3, d_z)
+        self.logvar_head = Linear(w3, d_z)
 
 
 class Generator(Module):
     """Decoder/generator: (latent ++ attribute) -> hidden ReLU -> sigmoid
     feature; `_generate` is its forward."""
 
-    def __init__(self, d_feat: int, d_attr: int, d_z: int, rng):
+    def __init__(self, d_feat: int, d_attr: int, d_z: int):
         hidden = _scaled(GENERATOR_HIDDEN_1024, d_feat)
-        self.l1 = Linear(d_z + d_attr, hidden, rng)
-        self.l2 = Linear(hidden, d_feat, rng)
+        self.l1 = Linear(d_z + d_attr, hidden)
+        self.l2 = Linear(hidden, d_feat)
 
 
 class Critic(Module):
@@ -204,11 +204,11 @@ class Critic(Module):
     shared by the stage-1 steps, the penalty and the curve probe.
     """
 
-    def __init__(self, d_feat: int, d_attr: int, rng):
+    def __init__(self, d_feat: int, d_attr: int):
         hidden = d_feat + d_attr
         self.d_feat = d_feat
-        self.l1 = Linear(d_feat + d_attr, hidden, rng)
-        self.l2 = Linear(hidden, 1, rng)
+        self.l1 = Linear(d_feat + d_attr, hidden)
+        self.l2 = Linear(hidden, 1)
 
     def attr_branch(self, attrs: AttrRows) -> np.ndarray:
         """a @ W1_a + b1: the part of the hidden pre-activation the features do not touch."""
@@ -277,11 +277,11 @@ class VaeGanModel(Module):
         self.d_attr = d_attr
         self.hp = hp
         self.d_z = hp.latent_dim if hp.latent_dim is not None else default_latent_dim(d_feat)
-        self.encoder = Encoder(d_feat, d_attr, self.d_z, rng)
-        self.generator = Generator(d_feat, d_attr, self.d_z, rng)
-        self.critic = Critic(d_feat, d_attr, rng)
+        self.encoder = Encoder(d_feat, d_attr, self.d_z)
+        self.generator = Generator(d_feat, d_attr, self.d_z)
+        self.critic = Critic(d_feat, d_attr)
         # `groups`: the encoder and generator step together, the critic alone
-        self.lay_out((self.encoder, self.generator), (self.critic,))
+        self.lay_out(rng, (self.encoder, self.generator), (self.critic,))
         self.scaler = FeatureScaler()
         self.stage1_key: str | None = None  # set by `pipeline.stage1`, kept in checkpoints
 
@@ -533,7 +533,7 @@ def train_generation(
     killed; neither is left running. A child that dies without a result
     raises RuntimeError naming `stage 1 txt`.
     """
-    train_idx = list(split.source_train) + list(split.target_train)
+    train_idx = split.train_rows
     if not train_idx:
         raise ConfigError("generation training set is empty")
     attrs = AttrRows(*corpus.attr_rows(train_idx))

@@ -256,7 +256,7 @@ def stage1_key(corpus: Corpus, split: XShotSplit, config: ExperimentConfig) -> s
     """The key of the cell's generators: a hash of the split, the gen config at
     the cell's seed, use_vae and the bytes of the rows stage 1 trains on (both
     modalities' features and their attribute rows). No path enters it."""
-    idx = list(split.source_train) + list(split.target_train)
+    idx = split.train_rows
     table, rows = corpus.attr_rows(idx)
     digest = hashlib.sha256(table[rows])
     for gather in (corpus.image_matrix, corpus.text_matrix):

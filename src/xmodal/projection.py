@@ -19,7 +19,7 @@ then their backward passes and Adam updates, run through `util.run_pair`:
 the text tower on a worker thread from `util.CONCURRENT_MIN_WIDTH` on when a
 second core is free. The losses, their cotangents and the shared head's
 update run on the calling thread. The evaluation forward, `embed_*`, runs
-`_tower_forward` on the near-equal row blocks of `util.block_count` into one
+`_tower_forward` on the near-equal row blocks of `util.row_blocks` into one
 (n, d) output, which with one block's activations, about seven (BLOCK, d)
 arrays, is all it holds; `retrieval.evaluate` calls it one block at a time,
 on rows it has just gathered. The curve probe, `dataset_losses`, is that
@@ -39,7 +39,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import block_count, require_finite, require_int_fields, run_pair, stream
+from .util import require_finite, require_int_fields, row_blocks, run_pair, stream
 
 
 @dataclass
@@ -68,25 +68,25 @@ class ProjHyperParams:
 class Projector(Module):
     """Two affine layers with a ReLU between; keeps the feature width."""
 
-    def __init__(self, d: int, rng):
-        self.l1 = Linear(d, d, rng)
-        self.l2 = Linear(d, d, rng)
+    def __init__(self, d: int):
+        self.l1 = Linear(d, d)
+        self.l2 = Linear(d, d)
 
 
 class GateNet(Module):
     """Maps (original ++ projected) to per-dimension mixing coefficients in (0, 1)."""
 
-    def __init__(self, d: int, rng):
-        self.l1 = Linear(2 * d, d, rng)
-        self.l2 = Linear(d, d, rng)
+    def __init__(self, d: int):
+        self.l1 = Linear(2 * d, d)
+        self.l2 = Linear(d, d)
 
 
 class ClassifierHead(Module):
     """One affine layer from a common-space embedding to class logits, shared
     by both modalities."""
 
-    def __init__(self, d: int, n_classes: int, rng):
-        self.layer = Linear(d, n_classes, rng)
+    def __init__(self, d: int, n_classes: int):
+        self.layer = Linear(d, n_classes)
 
 
 class RawFeatures:
@@ -109,25 +109,23 @@ class ProjectionModel(Module):
         self.label_index = {c: i for i, c in enumerate(self.classes)}
         self.hp = hp
         self.use_gate = use_gate
-        self.projector_v = Projector(d, rng)
-        self.projector_t = Projector(d, rng)
-        self.gate_v, self.gate_t = (GateNet(d, rng), GateNet(d, rng)) if use_gate else (None, None)
-        self.head = ClassifierHead(d, len(self.classes), rng)
+        self.projector_v = Projector(d)
+        self.projector_t = Projector(d)
+        self.gate_v, self.gate_t = (GateNet(d), GateNet(d)) if use_gate else (None, None)
+        self.head = ClassifierHead(d, len(self.classes))
         # `groups`: each modality's tower (projector and any gate), then the head
         towers = ((self.projector_v, self.gate_v), (self.projector_t, self.gate_t))
-        self.lay_out(*(tuple(part for part in tower if part is not None) for tower in towers), (self.head,))
+        self.lay_out(rng, *(tuple(part for part in tower if part is not None) for tower in towers), (self.head,))
         # the fingerprint of the run config that trained the model, when known
         self.config_fingerprint: str | None = None
 
     def _embed(self, X, projector: Projector, gate: GateNet | None) -> np.ndarray:
         """One modality's embeddings at rows X (never written), gate None
-        under no_gate: `_tower_forward` on the `util.block_count` near-equal
-        blocks of X."""
+        under no_gate: `_tower_forward` on the blocks of `util.row_blocks`."""
         X = ad.as_matrix(X)
         out = np.empty(X.shape)
-        k = block_count(len(X))
-        for x, u in zip(np.array_split(X, k), np.array_split(out, k)):
-            u[...] = _tower_forward(x, projector, gate)[0]
+        for rows in row_blocks(len(X)):
+            out[rows] = _tower_forward(X[rows], projector, gate)[0]
         return out
 
     def embed_images(self, X: np.ndarray) -> np.ndarray:
@@ -391,7 +389,7 @@ def train_projection(
     no pseudo or shot data reaches them. Returns (model, loss curves) with
     curve index 0 logged before any update.
     """
-    real_idx = list(split.source_train) + list(split.target_train)
+    real_idx = split.train_rows
     parts = [(corpus, real_idx)] if real_idx else []
     if pseudo is not None:
         parts.append((pseudo, None))

@@ -16,8 +16,9 @@ cheaper than a stable argsort of every row.
 `evaluate` streams each direction through `mean_ap` as `Embeddings` sets: it
 embeds the gallery one block at a time, each block gathered from the corpus
 just before its forward, into the unit gallery, then gathers, embeds and
-ranks one query block at a time. The blocks are those the whole-set forward
-uses, so the reports are those of embedding whole sets. The two directions
+ranks one query block at a time. The blocks are those of `util.row_blocks`,
+the program's one row partition, which the whole-set forward uses too, so
+the reports are those of embedding whole sets. The two directions
 share nothing until their average, so when one is free and the features are
 at least `util.CONCURRENT_MIN_WIDTH` wide, Txt2Img runs on a worker thread
 while Img2Txt runs on the calling thread. numpy releases the GIL in BLAS
@@ -37,7 +38,7 @@ import numpy as np
 
 from .data import Corpus, XShotSplit
 from .errors import ConfigError, NonFiniteError
-from .util import BLOCK, block_count, run_pair, unit_rows
+from .util import row_blocks, run_pair, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -102,12 +103,12 @@ class Embeddings:
     """The embeddings `embed(gather(idx))` of one query or gallery set, made
     one block at a time.
 
-    `idx` is cut into the `util.block_count` near-equal blocks that
+    `idx` is cut into the near-equal blocks of `util.row_blocks`, which
     `ProjectionModel._embed` cuts a whole matrix into, and each block's rows
     are gathered just before its forward, so every row comes out of the
     forward it would get in a whole-set call and no row of the set is held
-    past its block. `len` is the set's size. `mean_ap` takes over the arrays
-    `embed` returns and normalises them in place.
+    past its block. `len` is the set's size. `mean_ap` takes over the float64
+    arrays `blocks` yields and normalises them in place.
     """
 
     def __init__(self, embed, gather, idx):
@@ -119,16 +120,17 @@ class Embeddings:
         return len(self.idx)
 
     def blocks(self):
-        for part in np.array_split(self.idx, block_count(len(self.idx))):
-            yield self.embed(self.gather(part))
+        for rows in row_blocks(len(self.idx)):
+            yield np.asarray(self.embed(self.gather(self.idx[rows])), dtype=np.float64)
 
 
-def _blocks(X):
-    """X's float64 rows one block at a time, each an array of its own: an
-    `Embeddings` set's blocks, or copies of an array's BLOCK-row slices."""
+def _as_set(X) -> Embeddings:
+    """X if it is an `Embeddings` set, else the set over the rows of array X,
+    each block a gathered copy: an empty set when X holds no element."""
     if isinstance(X, Embeddings):
-        return (np.asarray(block, dtype=np.float64) for block in X.blocks())
-    return (X[i : i + BLOCK].copy() for i in range(0, len(X), BLOCK))
+        return X
+    X = np.asarray(X, dtype=np.float64)
+    return Embeddings(np.asarray, X.__getitem__, range(len(X) if X.size else 0))
 
 
 def _unit_gallery(gallery, where: str):
@@ -136,7 +138,7 @@ def _unit_gallery(gallery, where: str):
     or None). Each block is checked and normalised in place as it is made; a
     non-finite value ends the pass, a zero row only the normalising."""
     unit, error, start = None, None, 0
-    for block in _blocks(gallery):
+    for block in gallery.blocks():
         if not np.isfinite(block).all():
             return None, NonFiniteError(f"{where}: non-finite value in the gallery")
         if error is None:
@@ -156,21 +158,19 @@ def mean_ap(
 ) -> RetrievalReport:
     """Rank the full gallery per query by cosine similarity and average the APs.
 
-    `queries` and `gallery` are (n, d) arrays, never written, or `Embeddings`
-    sets. The gallery's unit rows are formed first, in one array of its own;
-    then each query block is made, normalised in place, scored against them
-    and ranked. `relevance` is a boolean (n_queries, n_gallery) matrix.
+    `queries` and `gallery` are `Embeddings` sets, or (n, d) arrays, never
+    written, that enter as the sets over their own rows. The gallery's unit
+    rows are formed first, in one array of its own; then each query block is
+    made, normalised in place, scored against them and ranked. `relevance` is a boolean (n_queries, n_gallery) matrix.
     Queries with no relevant gallery item are excluded from the mean with a
     logged warning. A non-finite query or gallery value raises
     NonFiniteError, and a zero row `unit_rows`' ValueError, in the order a
     check of the whole sets gives: non-finite queries, non-finite gallery,
     zero gallery row, every query skipped (ConfigError), zero query row.
     """
-    queries, gallery = (
-        X if isinstance(X, Embeddings) else np.asarray(X, dtype=np.float64) for X in (queries, gallery)
-    )
+    queries, gallery = _as_set(queries), _as_set(gallery)
     n_q, n_g = len(queries), len(gallery)
-    if not n_q or not n_g or 0 in (np.size(X) for X in (queries, gallery) if isinstance(X, np.ndarray)):
+    if not n_q or not n_g:
         raise ConfigError("mean_ap needs non-empty queries and gallery")
     relevance = np.asarray(relevance, dtype=bool)
     if relevance.shape != (n_q, n_g):
@@ -182,7 +182,7 @@ def mean_ap(
     if failure is None and skipped.size == n_q:
         failure = ConfigError("every query was skipped; mAP undefined")
     aps, zero_query, start = [], None, 0
-    for q in _blocks(queries):
+    for q in queries.blocks():
         rows = slice(start, start + len(q))
         start = rows.stop
         if not np.isfinite(q).all():

@@ -77,12 +77,15 @@ def require_finite_params(model, where: str) -> None:
 BLOCK = 256  # rows the evaluation forward, mAP ranking and synthetic corpus take at once
 
 
-def block_count(n: int) -> int:
-    """How many near-equal blocks of at most BLOCK rows the evaluation forward
-    cuts n rows into (one when n is 0). Near-equal, never a few rows of a
-    longer set, which a BLAS may give to a kernel that rounds differently
-    (gemv, a small-matrix kernel)."""
-    return -(-n // BLOCK) or 1
+def row_blocks(n: int) -> list[slice]:
+    """The slices of n rows into near-equal blocks of at most BLOCK rows, the
+    first ones a row longer: np.array_split's, one empty block when n is 0.
+    Near-equal, never a few rows of a longer set, which a BLAS may give to a
+    kernel that rounds differently (gemv, a small-matrix kernel)."""
+    k = -(-n // BLOCK) or 1
+    size, extra = divmod(n, k)
+    starts = [i * size + min(i, extra) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
 
 
 def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

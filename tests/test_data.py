@@ -277,6 +277,39 @@ def test_odd_class_count_warns_and_splits_floor_ceil():
     assert len(split.target_classes) == 2
 
 
+SPLIT_PINS = {
+    0: {
+        "source_train": (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 24, 25, 26, 27, 30, 31),
+        "source_query": (0, 14, 28),
+        "source_gallery": (1, 15, 29),
+        "target_train": (),
+        "target_query": (16, 17, 18, 19, 32, 33, 34, 35),
+        "target_gallery": (20, 21, 22, 23, 36, 37, 38, 39),
+    },
+    2: {
+        "source_train": (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 24, 25, 26, 27, 30, 31),
+        "source_query": (0, 14, 28),
+        "source_gallery": (1, 15, 29),
+        "target_train": (17, 23, 35, 36),
+        "target_query": (16, 18, 19, 32, 33, 34),
+        "target_gallery": (20, 21, 22, 37, 38, 39),
+    },
+}
+
+
+@pytest.mark.parametrize("x", sorted(SPLIT_PINS))
+def test_split_partitions_pinned_by_value(x):
+    # five classes of eight rows, class c at rows 8c..8c+7: every partition
+    # of an odd class count is held to the values recorded when the target
+    # and source classes were cut by two loops
+    corpus = data.synth_corpus(n_classes=5, per_class=8, dim=4, seed=2)
+    with pytest.warns(UserWarning, match="odd class count"):
+        split = data.split_xshot(corpus, x=x, seed=4)
+    assert (split.source_classes, split.target_classes) == ((0, 1, 3), (2, 4))
+    assert {name: getattr(split, name) for name in SPLIT_PINS[x]} == SPLIT_PINS[x]
+    assert split.train_rows == split.source_train + split.target_train
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 

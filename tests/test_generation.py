@@ -237,8 +237,8 @@ def linear_critic(w):
     """
     w = np.asarray(w, dtype=float).reshape(-1, 1)
     d = w.shape[0]
-    critic = gen.Critic(d, d, stream(0, "linear"))
-    critic.lay_out((critic,))
+    critic = gen.Critic(d, d)
+    critic.lay_out(None, (critic,))
     critic.l1.W.data[...] = np.vstack([np.eye(d, 2 * d), np.zeros((d, 2 * d))])
     critic.l1.b.data[...] = 10.0
     critic.l2.W.data[...] = np.vstack([w, np.zeros((d, 1))])

@@ -5,6 +5,7 @@ step updates the parameters, so both are pinned here, and so is the flat
 layout of each network's arrays in its `ParamGroup`.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -13,11 +14,12 @@ import pytest
 from xmodal import autodiff as ad, checkpoint as ckpt
 from xmodal.generation import GenHyperParams, VaeGanModel
 from xmodal.projection import ProjectionModel, ProjHyperParams
+from xmodal.util import stream
 
 VAEGAN_NAMES = [
     "encoder.l1.W", "encoder.l1.b", "encoder.l2.W", "encoder.l2.b",
-    "encoder.l3.W", "encoder.l3.b", "encoder.logvar_head.W", "encoder.logvar_head.b",
-    "encoder.mu_head.W", "encoder.mu_head.b",
+    "encoder.l3.W", "encoder.l3.b", "encoder.mu_head.W", "encoder.mu_head.b",
+    "encoder.logvar_head.W", "encoder.logvar_head.b",
     "generator.l1.W", "generator.l1.b", "generator.l2.W", "generator.l2.b",
     "critic.l1.W", "critic.l1.b", "critic.l2.W", "critic.l2.b",
 ]
@@ -80,25 +82,25 @@ def test_other_attributes_add_no_names():
     assert names(p) == PROJECTION_NAMES
 
 
-def test_sub_modules_in_set_order_then_layers_in_name_order():
+def test_sub_modules_and_layers_in_set_order():
     class Part(ad.Module):
         def __init__(self):
-            self.z = ad.Linear(2, 2, None)
-            self.a = ad.Linear(2, 1, None)
+            self.z = ad.Linear(2, 2)
+            self.a = ad.Linear(2, 1)
 
     class Net(ad.Module):
         def __init__(self):
             self.width = 2
-            self.last = ad.Linear(2, 2, None)
+            self.last = ad.Linear(2, 2)
             self.second = Part()
             self.first = Part()
-            self.table = {"k": ad.Linear(2, 2, None)}
+            self.table = {"k": ad.Linear(2, 2)}
 
     net = Net()
     assert names(net) == [
-        "second.a.W", "second.a.b", "second.z.W", "second.z.b",
-        "first.a.W", "first.a.b", "first.z.W", "first.z.b",
         "last.W", "last.b",
+        "second.z.W", "second.z.b", "second.a.W", "second.a.b",
+        "first.z.W", "first.z.b", "first.a.W", "first.a.b",
     ]
     named = dict(net.named_params())
     assert named["first.z.W"] is net.first.z.W and named["last.b"] is net.last.b
@@ -201,3 +203,44 @@ def test_layers_are_drawn_in_the_order_they_were_set():
             limit = float(np.sqrt(6.0 / sum(W.shape)))
             assert W.tobytes() == ref.uniform(-limit, limit, W.shape).tobytes(), (part, name)
     assert rng.random() == ref.random()
+
+
+# the SHA-256 of each weight drawn from stream(0, "pin"), recorded when each
+# Linear held the rng until the draw; keyed by name, since a group's buffer
+# layout follows the name order
+WEIGHT_PINS = {
+    "vaegan": {
+        "critic.l1.W": "a7c7697349a965cc1346a6cd339a1e62913cdbd7a0a6603da9cfeee79739ef76",
+        "critic.l2.W": "9bb4cdfd4e7682e0dd8d88e66f662eb17b7caea14e70cd17a6c74a38d9f96b46",
+        "encoder.l1.W": "8993025f712517d5c9779441f3aed183d9060911beedc4b8bcbb9ec2cc73cca7",
+        "encoder.l2.W": "b393d42f5caff56e89bf15ad1bbb247aee88c975e0603c802e6f9bd6b080c708",
+        "encoder.l3.W": "61fce2306fa9133e6ec371dd77b3e5f2c6478b6e059e81f91ffc4952861935b6",
+        "encoder.logvar_head.W": "c0324e6522b3e78d8196a36929e321e357e8a4a8cb76f19ab900cba9b4ff7a52",
+        "encoder.mu_head.W": "0d5f3b8e5da9dbfdc6083168577180d3f08b6e00d2d2cd3957d59403a2900d43",
+        "generator.l1.W": "5129d0b9f3e701ede71d8f3601bd783d44983c348710ff077c5d8004f287922f",
+        "generator.l2.W": "ea629ccb0d218df81b619477679ca7be5b83893895d60f7878b572f8d4637a0f",
+    },
+    "projection": {
+        "gate_t.l1.W": "930b2735ed652a6071e10e9f9c4cde9821f43abd69a9cc228e03abd7940044f6",
+        "gate_t.l2.W": "d34146434721b8d106b770a5022350dce5b8d5d07d2ee70f6073f9d66c2f960d",
+        "gate_v.l1.W": "8bf4c5597db1b5fcf696bc1b8f7e7de723f53ae2c135771a48be5fee7023fc6c",
+        "gate_v.l2.W": "6fbdf051320d1846a4b46026a467d31c3a98176512e32030b26fada03c336a23",
+        "head.layer.W": "ee4bccdb4906a72332f142e9cdf7b3ec2134beb69c4d7e33adbf52819e7a0b55",
+        "projector_t.l1.W": "d4ead6b7e11236b999338b267b6cb7f7a7892f47b7f52cf38eb2b1303b4eef2f",
+        "projector_t.l2.W": "5185617259419003782312be397611a5ea2621d268ba4443afb7f17dfc0d34c0",
+        "projector_v.l1.W": "478407dd21903f6f6a30fd03074f7aa8b74ec556a9b4813959a37e38553e0827",
+        "projector_v.l2.W": "1ba2b9844fff07ff275222e29b5fee8ed5e80b0b41a9afd7ccf5ef81181c7211",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHT_PINS))
+def test_weights_drawn_from_a_fixed_stream_are_pinned(kind):
+    if kind == "vaegan":
+        model = VaeGanModel(6, 4, GenHyperParams(), stream(0, "pin"))
+    else:
+        model = ProjectionModel(5, range(3), ProjHyperParams(), stream(0, "pin"))
+    named = dict(model.named_params())
+    got = {name: hashlib.sha256(p.data.tobytes()).hexdigest() for name, p in named.items() if name.endswith(".W")}
+    assert got == WEIGHT_PINS[kind]
+    assert not any(p.data.any() for name, p in named.items() if name.endswith(".b"))

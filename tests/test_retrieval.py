@@ -124,7 +124,7 @@ def _blocks():
     one_column[4, 0] = np.nan
     yield "one-column", one_column, np.array([[True], [False]] * 3)
     yield "all-equal", np.full((4, 25), 0.5), rel((4, 25), 0.5)
-    cosines = rng.normal(size=(ret.BLOCK, 16)) @ rng.normal(size=(16, 700))
+    cosines = rng.normal(size=(util.BLOCK, 16)) @ rng.normal(size=(16, 700))
     yield "ranking-block", cosines, rel(cosines.shape, 0.05)
 
 
@@ -166,7 +166,7 @@ def test_mean_ap_matches_oracle_on_tie_heavy_blocks():
     # integer features give many exactly tied similarities; more than BLOCK
     # queries so the ranking runs over several blocks
     rng = np.random.default_rng(6)
-    n_q = 2 * ret.BLOCK + 37
+    n_q = 2 * util.BLOCK + 37
     queries = rng.integers(-1, 2, size=(n_q, 3)).astype(float)
     gallery = rng.integers(-1, 2, size=(40, 3)).astype(float)
     queries[~queries.any(axis=1), 0] = 1.0
@@ -402,6 +402,15 @@ def test_concurrent_evaluation_error_leaves_no_thread(
 # evaluate streams each direction: its unit gallery, then one query block at a time
 
 COUNTS = [1, util.BLOCK - 1, util.BLOCK, util.BLOCK + 1, 2 * util.BLOCK + 1]
+
+
+def test_row_blocks_are_the_array_split_layout():
+    # the program's one row partition: near-equal blocks of at most BLOCK
+    # rows, one empty block for no rows
+    for n in range(3 * util.BLOCK + 2):
+        k = max(1, -(-n // util.BLOCK))
+        want = [(int(p[0]), int(p[-1]) + 1) if p.size else (n, n) for p in np.array_split(np.arange(n), k)]
+        assert [(s.start, s.stop) for s in util.row_blocks(n)] == want, n
 NAN_MARK, ZERO_MARK = 1e6, 2e6  # a row whose first feature is a mark embeds to NaN or zero
 
 
