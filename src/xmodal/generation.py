@@ -541,8 +541,8 @@ def train_generation(
     feats = {"img": corpus.image_matrix(train_idx), "txt": corpus.text_matrix(train_idx)}
     width = min(X.shape[1] for X in feats.values())
     # the models are built here, on the calling thread, so their buffers do
-    # not stay behind in a worker's malloc arena for the later stages; a
-    # forked child builds its own, and only the trained model comes back
+    # not stay behind in a worker's malloc arena; a forked child builds its
+    # own. One fork decision: `run_pair` forks exactly when given a child name
     in_child = "txt" if forks(width) else None
     built = {m: _new_model(X, d_attr, hp, m) for m, X in feats.items() if m != in_child}
     stop = threading.Event()
@@ -552,7 +552,7 @@ def train_generation(
         return _train_single_modality(*model, attrs, hp, modality, use_vae, stop)
 
     (img, img_curve), (txt, txt_curve) = run_pair(
-        partial(train, "img"), partial(train, "txt"), width, stop, "stage 1 txt"
+        partial(train, "img"), partial(train, "txt"), width, stop, in_child and "stage 1 txt"
     )
     return img, txt, {"img": img_curve, "txt": txt_curve}
 

@@ -6,20 +6,22 @@ relevant rank divided by the total relevant count. `mean_ap` is the one
 ranking pass: it forms the gallery's unit rows in one array of its own, then
 normalises, scores and ranks one block of query rows at a time, so it holds
 the unit gallery and one block's unit queries, similarities and ranking
-temporaries. Each row is ranked by a value sort: where its values are all
-distinct, a relevant item's rank is the count of greater values, found by
-binary search in the sorted row. A row with a tie or a NaN is ranked by a
-stable argsort instead, which breaks the tie by gallery index. Both paths
-give the same APs bit for bit, and the value sort is three to four times
-cheaper than a stable argsort of every row.
+temporaries. It raises each fault where it meets it: every query skipped
+before any row is embedded, then block by block, gallery first, a non-finite
+value before a zero row. Each row is ranked by a value sort: where its
+values are all distinct, a relevant item's rank is the count of greater
+values, found by binary search in the sorted row. A row with a tie or a NaN
+is ranked by a stable argsort instead, which breaks the tie by gallery
+index. Both paths give the same APs bit for bit, and the value sort is three
+to four times cheaper than a stable argsort of every row.
 
 `evaluate` streams each direction through `mean_ap` as `Embeddings` sets: it
 embeds the gallery one block at a time, each block gathered from the corpus
 just before its forward, into the unit gallery, then gathers, embeds and
 ranks one query block at a time. The blocks are those of `util.row_blocks`,
 the program's one row partition, which the whole-set forward uses too, so
-the reports are those of embedding whole sets. The two directions
-share nothing until their average, so when one is free and the features are
+the reports are those of embedding whole sets. The two directions share
+nothing until their average, so when one is free and the features are
 at least `util.CONCURRENT_MIN_WIDTH` wide, Txt2Img runs on a worker thread
 while Img2Txt runs on the calling thread. numpy releases the GIL in BLAS
 calls, sorts and ufunc loops, so the threads overlap. Each thread holds its
@@ -100,15 +102,14 @@ def average_precision(sims: np.ndarray, relevance: np.ndarray) -> np.ndarray:
 
 
 class Embeddings:
-    """The embeddings `embed(gather(idx))` of one query or gallery set, made
-    one block at a time.
+    """The unit-row embeddings `embed(gather(idx))` of one query or gallery
+    set, made one block at a time.
 
     `idx` is cut into the near-equal blocks of `util.row_blocks`, which
     `ProjectionModel._embed` cuts a whole matrix into, and each block's rows
     are gathered just before its forward, so every row comes out of the
     forward it would get in a whole-set call and no row of the set is held
-    past its block. `len` is the set's size. `mean_ap` takes over the float64
-    arrays `blocks` yields and normalises them in place.
+    past its block. `len` is the set's size.
     """
 
     def __init__(self, embed, gather, idx):
@@ -119,9 +120,14 @@ class Embeddings:
     def __len__(self) -> int:
         return len(self.idx)
 
-    def blocks(self):
+    def unit_blocks(self, what: str, direction: str):
+        """(rows, float64 unit rows) per block, normalised in place as it is made:
+        a non-finite value raises NonFiniteError naming `what`, a zero row ValueError."""
         for rows in row_blocks(len(self.idx)):
-            yield np.asarray(self.embed(self.gather(self.idx[rows])), dtype=np.float64)
+            block = np.asarray(self.embed(self.gather(self.idx[rows])), dtype=np.float64)
+            if not np.isfinite(block).all():
+                raise NonFiniteError(f"{direction or 'mean_ap'}: non-finite value in the {what}")
+            yield rows, unit_rows(block, out=block)
 
 
 def _as_set(X) -> Embeddings:
@@ -133,40 +139,20 @@ def _as_set(X) -> Embeddings:
     return Embeddings(np.asarray, X.__getitem__, range(len(X) if X.size else 0))
 
 
-def _unit_gallery(gallery, where: str):
-    """(the gallery's unit rows in one array of its own, the error they raise
-    or None). Each block is checked and normalised in place as it is made; a
-    non-finite value ends the pass, a zero row only the normalising."""
-    unit, error, start = None, None, 0
-    for block in gallery.blocks():
-        if not np.isfinite(block).all():
-            return None, NonFiniteError(f"{where}: non-finite value in the gallery")
-        if error is None:
-            try:
-                unit_rows(block, out=block)
-            except ValueError as e:
-                error = e
-        if unit is None:
-            unit = np.empty((len(gallery), block.shape[1]))
-        unit[start : start + len(block)] = block
-        start += len(block)
-    return unit, error
-
-
 def mean_ap(
     queries, gallery, relevance: np.ndarray, direction: str = "", fingerprint: str = "",
 ) -> RetrievalReport:
     """Rank the full gallery per query by cosine similarity and average the APs.
 
     `queries` and `gallery` are `Embeddings` sets, or (n, d) arrays, never
-    written, that enter as the sets over their own rows. The gallery's unit
-    rows are formed first, in one array of its own; then each query block is
-    made, normalised in place, scored against them and ranked. `relevance` is a boolean (n_queries, n_gallery) matrix.
-    Queries with no relevant gallery item are excluded from the mean with a
-    logged warning. A non-finite query or gallery value raises
-    NonFiniteError, and a zero row `unit_rows`' ValueError, in the order a
-    check of the whole sets gives: non-finite queries, non-finite gallery,
-    zero gallery row, every query skipped (ConfigError), zero query row.
+    written, that enter as the sets over their own rows; `relevance` is a
+    boolean (n_queries, n_gallery) matrix. The gallery's unit rows are formed
+    first, in one array of its own; then each query block is made, normalised
+    in place, scored against them and ranked. Queries with no relevant item
+    are left out of the mean, named in a warning when a report is returned.
+    Faults raise where they are met: ConfigError when every query is skipped,
+    before any row is embedded; then, block by block, gallery before queries,
+    NonFiniteError for a non-finite value, then ValueError for a zero row.
     """
     queries, gallery = _as_set(queries), _as_set(gallery)
     n_q, n_g = len(queries), len(gallery)
@@ -175,31 +161,19 @@ def mean_ap(
     relevance = np.asarray(relevance, dtype=bool)
     if relevance.shape != (n_q, n_g):
         raise ConfigError(f"relevance matrix shape {relevance.shape} does not match ({n_q}, {n_g})")
-    where = direction or "mean_ap"
     skipped = np.flatnonzero(~relevance.any(axis=1))
-    # every error but a non-finite query waits until all queries are checked
-    unit_g, failure = _unit_gallery(gallery, where)
-    if failure is None and skipped.size == n_q:
-        failure = ConfigError("every query was skipped; mAP undefined")
-    aps, zero_query, start = [], None, 0
-    for q in queries.blocks():
-        rows = slice(start, start + len(q))
-        start = rows.stop
-        if not np.isfinite(q).all():
-            raise NonFiniteError(f"{where}: non-finite value in the queries")
-        if failure is None and zero_query is None:
-            try:
-                unit_rows(q, out=q)
-            except ValueError as e:
-                zero_query = e
-                continue
-            aps.append(average_precision(q @ unit_g.T, relevance[rows]))
-    if failure is not None:
-        raise failure
+    if skipped.size == n_q:
+        raise ConfigError("every query was skipped; mAP undefined")
+    unit_g, aps = None, []
+    for rows, block in gallery.unit_blocks("gallery", direction):
+        if unit_g is None:
+            unit_g = np.empty((n_g, block.shape[1]))
+        unit_g[rows] = block
+    del block  # else the last gallery block stays alive through the query pass
+    for rows, q in queries.unit_blocks("queries", direction):
+        aps.append(average_precision(q @ unit_g.T, relevance[rows]))
     if skipped.size:
         logger.warning("queries %s have no relevant gallery item; excluded from mAP", skipped.tolist())
-    if zero_query is not None:
-        raise zero_query
     aps = np.delete(np.concatenate(aps), skipped)
     return RetrievalReport(
         direction=direction,
@@ -219,12 +193,12 @@ def evaluate(
 
     `model` must expose embed_images / embed_texts; Img2Txt ranks the text
     gallery for image queries, Txt2Img the reverse, relevance is same-class.
-    Each direction is one `mean_ap` pass over `Embeddings` sets: its unit
-    gallery, then one query block at a time. Img2Txt runs on the calling
-    thread and Txt2Img on the worker (`util.run_pair`), so each thread holds
-    one unit gallery and one block's forward and ranking temporaries; when
-    both directions fail, Img2Txt's error is the one raised, as in a serial
-    run.
+    Each direction is one `mean_ap` pass over `Embeddings` sets, raising at
+    its first bad block and embedding nothing when every query is skipped.
+    Img2Txt runs on the calling thread and Txt2Img on the worker
+    (`util.run_pair`), each holding one unit gallery and one block's forward
+    and ranking temporaries; when both fail, Img2Txt's error is the one
+    raised, as in a serial run.
     """
     if domain == "target":
         q_idx, g_idx = split.target_query, split.target_gallery

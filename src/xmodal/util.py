@@ -151,15 +151,14 @@ def run_pair(first, second, width: int, stop: threading.Event | None = None,
              child: str | None = None):
     """(first(), second()), run at the same time when a second core is usable.
 
-    From `CONCURRENT_MIN_WIDTH` on, `second` runs on a worker thread (see
-    `thread_pair`). Below it, when `child` names `second`, a job whose value
-    pickles and is all this process needs of it, and `os.fork` exists, BLAS
-    is held to one thread and no other thread is alive, native ones included,
-    `second` runs in a forked child (see `fork_pair`). Otherwise the two run
-    one after the other. Errors surface in that serial order on every path:
-    first's before second's.
+    When `child` names `second`, `second` runs in a forked child (see
+    `fork_pair`): the caller decides, by one `forks(width)` call, and passes
+    `child` only when it held. Otherwise, from `CONCURRENT_MIN_WIDTH` on,
+    `second` runs on a worker thread (see `thread_pair`); below it the two
+    run one after the other. Errors surface in that serial order on every
+    path: first's before second's.
     """
-    if child is not None and forks(width):
+    if child is not None:
         return fork_pair(first, second, child)
     if _spare_core() and width >= CONCURRENT_MIN_WIDTH:
         return thread_pair(first, second, stop)
@@ -167,7 +166,8 @@ def run_pair(first, second, width: int, stop: threading.Event | None = None,
 
 
 def forks(width: int) -> bool:
-    """Whether `run_pair` runs a `child` job at `width` in a forked child."""
+    """Whether a job at `width` may run in `run_pair`'s forked `child`: below
+    `CONCURRENT_MIN_WIDTH`, with a second core, when `_can_fork` holds."""
     return width < CONCURRENT_MIN_WIDTH and _spare_core() and _can_fork()
 
 

@@ -778,19 +778,67 @@ def test_calling_thread_error_stops_the_worker_within_one_batch(worker, monkeypa
     assert len(after_raise) < hp.epochs
 
 
+def test_one_fork_decision_per_stage_1(child, monkeypatch, tmp_path):
+    # the text model trains in the child train_generation decided on, even
+    # when a second forks() call would read otherwise
+    corpus, split, hp = _tiny_cell(epochs=1)
+    callers = tmp_path / "callers"
+    real_eg_step = gen.eg_step
+
+    def eg_step(*args):
+        _record_caller(callers)
+        return real_eg_step(*args)
+
+    monkeypatch.setattr(gen, "eg_step", eg_step)
+    monkeypatch.setattr(gen, "forks", lambda width: True)
+    monkeypatch.setattr(util, "forks", lambda width: False)
+    gen.train_generation(split, corpus, hp)
+    pids = {line.split()[0] for line in callers.read_text().splitlines()}
+    assert len(pids) == 2 and str(os.getpid()) in pids
+
+
+def _stall_report(forked):
+    """Why the wait for the forked child's first batch may have run out: this
+    process's threads, and whether the child forked and still exists."""
+    names = [t.name for t in threading.enumerate()]
+    try:
+        tasks = len(os.listdir("/proc/self/task"))
+    except OSError:
+        tasks = "unknown"
+    if not forked:
+        child = "no child was forked"
+    else:
+        try:
+            with open(f"/proc/{forked[0]}/stat") as f:
+                child = f"child {forked[0]} exists in state {f.read().rsplit(')', 1)[1].split()[0]}"
+        except OSError:
+            child = f"child {forked[0]} no longer exists"
+    return (f"the child never started a batch: Python threads {names}, "
+            f"{tasks} threads in /proc/self/task, {child}")
+
+
 def test_calling_thread_error_kills_the_child(child, monkeypatch, tmp_path):
     # one batch per epoch: a child left running would go through all 40
     corpus, split, hp = _tiny_cell(epochs=40)
     hp = replace(hp, batch=64)
+    # else the text model trains after the image model and the wait below runs out
+    assert util.forks(corpus.dim)
     parent = os.getpid()
     batches = tmp_path / "batches"
-    real_critic_step, real_eg_step = gen.critic_step, gen.eg_step
+    real_critic_step, real_eg_step, real_fork = gen.critic_step, gen.eg_step, os.fork
+    forked = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
     def critic_step(*args):
         if os.getpid() == parent:
             deadline = time.monotonic() + 60
             while not batches.exists():
-                assert time.monotonic() < deadline, "the child never started a batch"
+                assert time.monotonic() < deadline, _stall_report(forked)
                 time.sleep(0.001)
             raise KeyboardInterrupt
         return real_critic_step(*args)
@@ -800,6 +848,7 @@ def test_calling_thread_error_kills_the_child(child, monkeypatch, tmp_path):
         time.sleep(0.02)  # a slow batch, so the kill lands mid-batch
         return real_eg_step(*args)
 
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(gen, "critic_step", critic_step)
     monkeypatch.setattr(gen, "eg_step", eg_step)
     with pytest.raises(KeyboardInterrupt):

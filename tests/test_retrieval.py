@@ -203,6 +203,44 @@ def test_mean_ap_rejects_when_every_query_is_skipped():
         ret.mean_ap(np.eye(2), np.eye(2), np.zeros((2, 2), dtype=bool))
 
 
+def test_mean_ap_embeds_nothing_when_every_query_is_skipped():
+    embedded = []
+
+    def embed(X):
+        embedded.append(len(X))
+        return X
+
+    # the gallery's zero row is never met: the skipped queries raise first
+    sets = [ret.Embeddings(embed, X.__getitem__, range(2)) for X in (np.eye(2), np.zeros((2, 2)))]
+    with pytest.raises(ConfigError, match="every query was skipped"):
+        ret.mean_ap(*sets, np.zeros((2, 2), dtype=bool))
+    assert embedded == []
+
+
+@pytest.mark.parametrize("query_marks, gallery_marks, error", [
+    # (row: value) marks on a 2 * BLOCK + 1 row set, whose rows 0 and -1 lie
+    # in its first and last block
+    ({0: np.nan}, {0: 0.0}, ValueError),
+    ({}, {0: 0.0, -1: np.nan}, ValueError),
+    ({0: 0.0, -1: np.nan}, {}, ValueError),
+    ({}, {0: 0.0, 1: np.nan}, NonFiniteError),
+], ids=["gallery-zero+query-nan", "gallery-zero-first+nan-last", "query-zero-first+nan-last",
+        "nan-before-zero-in-one-block"])
+def test_mean_ap_raises_the_first_fault_it_meets(query_marks, gallery_marks, error, caplog):
+    n = 2 * util.BLOCK + 1
+    rng = np.random.default_rng(8)
+    queries, gallery = rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+    for X, marks in ((queries, query_marks), (gallery, gallery_marks)):
+        for row, value in marks.items():
+            X[row] = value
+    rel = np.ones((n, n), dtype=bool)
+    rel[1] = False  # a skipped query is named only when a report is returned
+    with caplog.at_level("WARNING", logger=ret.__name__):
+        with pytest.raises(error, match="zero vector" if error is ValueError else "non-finite"):
+            ret.mean_ap(queries, gallery, rel, direction="Img2Txt")
+    assert caplog.records == []
+
+
 def test_mean_ap_rejects_empty_inputs():
     with pytest.raises(ConfigError):
         ret.mean_ap(np.zeros((0, 2)), np.ones((2, 2)), np.ones((0, 2), dtype=bool))
