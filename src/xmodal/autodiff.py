@@ -519,9 +519,9 @@ def linear(x, W, b):
     )
 
 
-def affine(x: np.ndarray, layer: "Linear") -> np.ndarray:
-    """The layer's affine map x @ W + b: x @ W, then the bias added in place."""
-    out = x @ layer.W.data
+def affine(x: np.ndarray, layer: "Linear", out: np.ndarray | None = None) -> np.ndarray:
+    """The layer's affine map x @ W + b: x @ W (into out, if given), then b added in place."""
+    out = np.matmul(x, layer.W.data, out=out)
     out += layer.b.data
     return out
 

@@ -49,7 +49,18 @@ def write_embedding_file(path, X: np.ndarray) -> None:
 
 
 def read_embedding_file(path) -> np.ndarray:
-    """The float32 matrix an embedding file holds, read straight into one array."""
+    """The float32 matrix an embedding file holds, read straight into one
+    array; NonFiniteError, naming the file, when it holds a NaN or Inf."""
+    return _require_finite_file(path, _read_embedding_payload(path))
+
+
+def _require_finite_file(path, X: np.ndarray) -> np.ndarray:
+    if not np.isfinite(X).all():
+        raise NonFiniteError(f"{path}: embedding file contains NaN or Inf")
+    return X
+
+
+def _read_embedding_payload(path) -> np.ndarray:
     with open(path, "rb") as f:
         head = f.read(16)
         if len(head) < 16 or head[:8] != EMB_MAGIC:
@@ -61,8 +72,6 @@ def read_embedding_file(path) -> np.ndarray:
         X = np.empty((n, d), dtype="<f4")
         f.seek(16)
         f.readinto(X)
-    if not np.isfinite(X).all():
-        raise NonFiniteError(f"{path}: embedding file contains NaN or Inf")
     return X
 
 
@@ -199,8 +208,9 @@ def load_corpus(
     attr_ids_path,
     name: str | None = None,
 ) -> Corpus:
-    images = read_embedding_file(image_path)
-    texts = read_embedding_file(text_path)
+    # one NaN/Inf scan of the features, in `Corpus`; a file is named when it fails
+    images = _read_embedding_payload(image_path)
+    texts = _read_embedding_payload(text_path)
     labels = _read_int_lines(labels_path, "label")
     attr_rows = read_embedding_file(attrs_path)
     attr_ids = _read_int_lines(attr_ids_path, "class id")
@@ -213,9 +223,12 @@ def load_corpus(
     if len(set(attr_ids)) != len(attr_ids):
         raise FileFormatError(f"{attr_ids_path}: duplicate class ids")
     class_attrs = {cid: attr_rows[i] for i, cid in enumerate(attr_ids)}
-    return Corpus(
-        images, texts, labels, class_attrs, name=name or Path(image_path).stem
-    )
+    try:
+        return Corpus(images, texts, labels, class_attrs, name=name or Path(image_path).stem)
+    except NonFiniteError:
+        _require_finite_file(image_path, images)
+        _require_finite_file(text_path, texts)
+        raise
 
 
 def write_corpus(corpus: Corpus, out_dir) -> dict[str, str]:

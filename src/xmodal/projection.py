@@ -18,10 +18,11 @@ Under no_gate the model has no gate networks. The two modality towers
 then their backward passes and Adam updates, run through `util.run_pair`:
 the text tower on a worker thread from `util.CONCURRENT_MIN_WIDTH` on when a
 second core is free. The losses, their cotangents and the shared head's
-update run on the calling thread. The evaluation forward, `embed_*`, runs
-`_tower_forward` on the near-equal row blocks of `util.row_blocks` into one
-(n, d) output, which with one block's activations, about seven (BLOCK, d)
-arrays, is all it holds; `retrieval.evaluate` calls it one block at a time,
+update run on the calling thread. `_tower_forward` is the one tower
+forward: `embed_*` runs its evaluation mode on the near-equal row blocks of
+`util.row_blocks`, each block's u written into its rows of one (n, d)
+output, so a block holds one (BLOCK, 2d) and one (BLOCK, d) buffer besides
+the logistic's temporary. `retrieval.evaluate` calls it one block at a time,
 on rows it has just gathered. The curve probe, `dataset_losses`, is that
 forward on whole matrices plus the loss values; its contrastive term holds
 one (2n, 2n) matrix.
@@ -125,7 +126,7 @@ class ProjectionModel(Module):
         X = ad.as_matrix(X)
         out = np.empty(X.shape)
         for rows in row_blocks(len(X)):
-            out[rows] = _tower_forward(X[rows], projector, gate)[0]
+            _tower_forward(X[rows], projector, gate, out[rows])
         return out
 
     def embed_images(self, X: np.ndarray) -> np.ndarray:
@@ -139,23 +140,38 @@ class ProjectionModel(Module):
 # the stage-2 step: each tower's forward and backward pass, and the losses
 
 
-def _tower_forward(x: np.ndarray, projector: Projector, gate: GateNet | None):
-    """One modality's embeddings u at rows x and the activations its backward
-    pass reads; gate is None under no_gate."""
-    r1 = ad.relu_inplace(ad.affine(x, projector.l1))
-    f = ad.affine(r1, projector.l2)
+def _tower_forward(x: np.ndarray, projector: Projector, gate: GateNet | None,
+                   out: np.ndarray | None = None):
+    """One modality's embeddings u at rows x (never written) and the
+    activations `_tower_backward` reads; gate is None under no_gate.
+
+    Gated, x is cast into the left half of one (rows, 2d) buffer and the
+    projector output f is written into its right half, so the buffer is the
+    gate's input [x, f] and x and f are views of it. Training (out None)
+    returns u in an array of its own. Evaluation gives the (rows, d) `out`:
+    no backward pass follows, so the gate's hidden layer and (1 − g)·x reuse
+    the projector's hidden buffer, g and u are formed in out, and the
+    activations returned are None. Both modes do the same float operations.
+    """
     if gate is None:
-        return f, (x, r1)
-    joint = np.concatenate([x, f], axis=1)
-    r3 = ad.relu_inplace(ad.affine(joint, gate.l1))
-    g = ad.affine(r3, gate.l2)
+        r1 = ad.relu_inplace(ad.affine(x, projector.l1))
+        f = ad.affine(r1, projector.l2, out=out)
+        return f, (x, r1) if out is None else None
+    d = x.shape[1]
+    joint = np.empty((len(x), 2 * d))
+    joint[:, :d] = x
+    x, f = joint[:, :d], joint[:, d:]
+    r1 = ad.relu_inplace(ad.affine(x, projector.l1))
+    ad.affine(r1, projector.l2, out=f)
+    r3 = ad.relu_inplace(ad.affine(joint, gate.l1, out=None if out is None else r1))
+    g = ad.affine(r3, gate.l2, out=out)
     ad.logistic(g, out=g)
-    # u = g * f + (1 - g) * x, formed in f's buffer; joint keeps f
-    rest = np.subtract(1.0, g)
+    # u = g * f + (1 - g) * x; joint keeps f
+    rest = np.subtract(1.0, g, out=None if out is None else r3)
     rest *= x
-    f *= g
-    f += rest
-    return f, (x, r1, joint, r3, g)
+    u = np.multiply(g, f, out=out)
+    u += rest
+    return u, (x, r1, joint, r3, g) if out is None else None
 
 
 def _tower_backward(du: np.ndarray, projector: Projector, gate: GateNet | None, saved) -> None:
@@ -263,14 +279,14 @@ def _contrastive_term(u_v, u_t, tau: float, weight: float):
     """
     n = u_v.shape[0]
     m = 2 * n
-    unit = np.concatenate([u_v, u_t], axis=0)
+    unit = np.vstack([u_v, u_t])
     norms = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
     norms[norms == 0.0] = np.inf  # dividing by inf zeroes the row and its cotangent
     unit /= norms
     sims = unit @ unit.T
     sims /= tau
     rows = np.arange(m)
-    pair = np.concatenate([np.arange(n) + n, np.arange(n)])
+    pair = (rows + n) % m
     positives = sims[rows, pair].reshape(m, 1)
     np.fill_diagonal(sims, -np.inf)
     shift = sims.max(axis=1, keepdims=True)
@@ -397,7 +413,7 @@ def train_projection(
         raise ConfigError("projection training set is empty")
     V = np.vstack([c.image_matrix(rows) for c, rows in parts])
     T = np.vstack([c.text_matrix(rows) for c, rows in parts])
-    labels = np.concatenate([c.labels(rows) for c, rows in parts])
+    labels = np.hstack([c.labels(rows) for c, rows in parts])
 
     model = ProjectionModel(
         d=V.shape[1],

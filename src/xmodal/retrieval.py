@@ -25,10 +25,11 @@ nothing until their average, so when one is free and the features are
 at least `util.CONCURRENT_MIN_WIDTH` wide, Txt2Img runs on a worker thread
 while Img2Txt runs on the calling thread. numpy releases the GIL in BLAS
 calls, sorts and ufunc loops, so the threads overlap. Each thread holds its
-direction's unit gallery and one block's gathered rows, forward activations
-and ranking temporaries; the relevance matrix, one bool per query and
-gallery pair, is shared. The reports are bitwise those of a serial run, and
-errors surface in serial order (Img2Txt's first).
+direction's unit gallery and one block's gathered rows, forward buffers,
+relevance and ranking temporaries: a query block's relevance is formed from
+the labels as it is ranked (`LabelRelevance`), so nothing grows as queries
+times gallery. The reports are bitwise those of a serial run, and errors
+surface in serial order (Img2Txt's first).
 """
 
 from __future__ import annotations
@@ -139,14 +140,33 @@ def _as_set(X) -> Embeddings:
     return Embeddings(np.asarray, X.__getitem__, range(len(X) if X.size else 0))
 
 
+class LabelRelevance:
+    """Same-label relevance of queries to gallery items, formed one query
+    block at a time: the parts of a bool matrix that `mean_ap` reads."""
+
+    def __init__(self, query_labels, gallery_labels):
+        self.query_labels = np.asarray(query_labels)
+        self.gallery_labels = np.asarray(gallery_labels)
+        self.shape = (len(self.query_labels), len(self.gallery_labels))
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.query_labels[rows, None] == self.gallery_labels[None, :]
+
+    def any(self, axis: int) -> np.ndarray:
+        """The matrix's any(axis=1), the one reduction `mean_ap` makes: the
+        queries whose label some gallery item has."""
+        return np.isin(self.query_labels, self.gallery_labels)
+
+
 def mean_ap(
-    queries, gallery, relevance: np.ndarray, direction: str = "", fingerprint: str = "",
+    queries, gallery, relevance, direction: str = "", fingerprint: str = "",
 ) -> RetrievalReport:
     """Rank the full gallery per query by cosine similarity and average the APs.
 
     `queries` and `gallery` are `Embeddings` sets, or (n, d) arrays, never
     written, that enter as the sets over their own rows; `relevance` is a
-    boolean (n_queries, n_gallery) matrix. The gallery's unit rows are formed
+    boolean (n_queries, n_gallery) matrix or a `LabelRelevance`, whose
+    blocks are formed as they are ranked. The gallery's unit rows are formed
     first, in one array of its own; then each query block is made, normalised
     in place, scored against them and ranked. Queries with no relevant item
     are left out of the mean, named in a warning when a report is returned.
@@ -158,7 +178,8 @@ def mean_ap(
     n_q, n_g = len(queries), len(gallery)
     if not n_q or not n_g:
         raise ConfigError("mean_ap needs non-empty queries and gallery")
-    relevance = np.asarray(relevance, dtype=bool)
+    if not isinstance(relevance, LabelRelevance):
+        relevance = np.asarray(relevance, dtype=bool)
     if relevance.shape != (n_q, n_g):
         raise ConfigError(f"relevance matrix shape {relevance.shape} does not match ({n_q}, {n_g})")
     skipped = np.flatnonzero(~relevance.any(axis=1))
@@ -209,7 +230,7 @@ def evaluate(
     if not q_idx or not g_idx:
         raise ConfigError(f"{domain} query/gallery is empty")
 
-    rel = corpus.labels(q_idx)[:, None] == corpus.labels(g_idx)[None, :]
+    rel = LabelRelevance(corpus.labels(q_idx), corpus.labels(g_idx))
     images = (model.embed_images, corpus.image_matrix)
     texts = (model.embed_texts, corpus.text_matrix)
 

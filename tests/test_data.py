@@ -202,6 +202,27 @@ def test_load_rejects_attr_index_mismatch(tmp_path):
         data.load_corpus(*paths.values())
 
 
+@pytest.mark.parametrize("which", ["images", "texts"])
+def test_load_scans_each_feature_once_and_names_a_nonfinite_file(tmp_path, monkeypatch, which):
+    corpus = data.synth_corpus(n_classes=3, per_class=4, dim=8, seed=2)
+    paths = data.write_corpus(corpus, tmp_path)
+    scanned = []
+    real = np.isfinite
+
+    def isfinite(x, *args, **kwargs):
+        scanned.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", isfinite)
+    data.load_corpus(*paths.values())
+    assert scanned.count((len(corpus), corpus.dim)) == 2  # the image and the text matrix
+    X = (corpus.image_matrix() if which == "images" else corpus.text_matrix()).copy()
+    X[5, 3] = np.inf
+    data.write_embedding_file(paths[which], X)
+    with pytest.raises(NonFiniteError, match=f"{paths[which]}: embedding file contains NaN or Inf"):
+        data.load_corpus(*paths.values())
+
+
 # ---------------------------------------------------------------------------
 # splits
 

@@ -144,6 +144,28 @@ def test_blocked_embeddings_equal_the_whole_matrix_forward_bitwise(n, use_gate, 
         assert embed(X).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("use_gate", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embeddings_are_the_training_forward_into_the_output_bitwise(use_gate, dtype):
+    # one forward, two modes: embed_* writes each block's u into its output
+    # rows, training returns u with the activations; neither writes x
+    d = 24
+    model = proj.ProjectionModel(
+        d, range(3), proj.ProjHyperParams(), stream(9, "init"), use_gate=use_gate
+    )
+    for n in (1, util.BLOCK - 1, util.BLOCK, util.BLOCK + 1, 2 * util.BLOCK + 1):
+        X = np.random.default_rng(n).normal(size=(n, d)).astype(dtype)
+        before = X.tobytes()
+        for projector, gate, embed in (
+            (model.projector_v, model.gate_v, model.embed_images),
+            (model.projector_t, model.gate_t, model.embed_texts),
+        ):
+            want = proj._tower_forward(X, projector, gate)[0]
+            got = embed(X)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert X.tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # classification loss
 

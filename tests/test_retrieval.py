@@ -179,6 +179,34 @@ def test_mean_ap_matches_oracle_on_tie_heavy_blocks():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("n_q", [4, 2 * util.BLOCK + 5])
+def test_label_relevance_ranks_as_its_bool_matrix(n_q, caplog):
+    # each query block's relevance formed from the labels, the skipped
+    # queries from label membership: the matrix's report and warning
+    rng = np.random.default_rng(11)
+    queries, gallery = rng.normal(size=(n_q, 4)), rng.normal(size=(9, 4))
+    q_labels, g_labels = np.arange(n_q) % 4, np.arange(9) % 3  # class 3 has no gallery item
+    reports, warnings = [], []
+    for rel in (q_labels[:, None] == g_labels[None, :], ret.LabelRelevance(q_labels, g_labels)):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger=ret.__name__):
+            reports.append(ret.mean_ap(queries, gallery, rel, direction="Img2Txt").to_json())
+        warnings.append([r.getMessage() for r in caplog.records])
+    assert reports[0] == reports[1] and reports[0]["skipped_queries"] == len(range(3, n_q, 4))
+    assert warnings[0] == warnings[1] and len(warnings[0]) == 1
+
+
+def test_label_relevance_raises_as_its_bool_matrix():
+    queries, gallery = np.eye(2), np.eye(2)
+    for q_labels, g_labels in (([0, 1, 2], [0, 1]), ([0, 1], [2, 3])):
+        errors = []
+        for rel in (np.equal.outer(q_labels, g_labels), ret.LabelRelevance(q_labels, g_labels)):
+            with pytest.raises(ConfigError) as e:
+                ret.mean_ap(queries, gallery, rel)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+
+
 def test_mean_ap_all_same_class_is_one():
     rng = np.random.default_rng(4)
     items = rng.normal(size=(6, 3))
@@ -559,10 +587,15 @@ def test_streamed_evaluation_raises_the_whole_set_error(marks):
 
 
 def test_streamed_evaluation_holds_one_unit_gallery_and_a_block(monkeypatch):
-    # a serial evaluation of 600 x 600 at d=256: besides one unit gallery,
-    # eight (BLOCK, d) and two (BLOCK, n_gallery) float64 arrays. Embedding
-    # whole sets and copying the gallery to normalise it took 9.8 MiB here,
-    # 2.3 MiB over this bound; streaming took 5.6 MiB
+    # a serial evaluation of 600 x 600 at d=256 peaks while it ranks a query
+    # block of b rows: one unit gallery, the block's unit queries, its bool
+    # relevance, its similarities with their sort and precision terms (three
+    # (b, n_gallery) float64 arrays), and 256 KiB for index arrays and loop
+    # temporaries. A block's gated forward (its rows, output, joint buffer,
+    # hidden buffer and the logistic's temporary) stays below that. It took
+    # 4.54 MiB against this bound's 4.67 MiB. Keeping the last gallery block
+    # through the query pass took 4.94 MiB, the training forward per block
+    # 5.25 MiB, and that forward with the whole relevance matrix 5.58 MiB
     monkeypatch.setattr(util, "_spare_core", lambda: False)
     n, d = 600, 256
     corpus, split = _stream_setup(n, n, dim=d)
@@ -573,5 +606,5 @@ def test_streamed_evaluation_holds_one_unit_gallery_and_a_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    f64 = 8
-    assert peak < f64 * (n * d + 8 * util.BLOCK * d + 2 * util.BLOCK * n)
+    f64, b = 8, max(r.stop - r.start for r in util.row_blocks(n))
+    assert peak < f64 * (n * d + b * d + 3 * b * n) + b * n + 2**18
