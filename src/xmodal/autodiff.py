@@ -4,9 +4,10 @@ autodiff engine that the program no longer calls.
 The models use `Parameter` (a value with its gradient array), `ParamGroup`
 (one network's four flat buffers: the values and gradients, which a
 Parameter's arrays are views into, and the Adam moments), `Linear`, `Module`
-and the array helpers `as_matrix`, `affine`, `add_affine_grads`,
-`relu_inplace`, `slope_mask`, `logistic` and `xavier_uniform`; `generation`
-and `projection` compute every gradient in closed form from them.
+(whose `arrays()` a checkpoint save, its load and the finite check walk) and
+the array helpers `as_matrix`, `affine`, `add_affine_grads`, `relu_inplace`,
+`slope_mask`, `logistic` and `xavier_uniform`; `generation` and
+`projection` compute every gradient in closed form from them.
 
 The engine (`Tensor`, `Tape`, the ops, `backward`, `grad`, `no_grad`)
 remains only because the benchmark's tracer, `bench/tracer.py`, patches it
@@ -20,8 +21,8 @@ to an input cotangent array, so the reverse pass builds no graph.
 Networks derive from `Module`, which owns their parameter lists: a model's
 `named_params()` names each array `<part>.<layer>.W` or `<part>.<layer>.b`,
 sub-Modules and `Linear` layers alike in the order they were set, the order
-in which `lay_out` draws the weights. That name, after a `param/` prefix, is
-the array's checkpoint key.
+in which `lay_out` draws the weights. That name after `param/` is the array's
+key in `arrays()`, to which a model may add others (a generator's scaler).
 
 Every array is float64.
 """
@@ -595,6 +596,11 @@ class Module:
     @property
     def params(self) -> list[Parameter]:
         return [p for _, p in self.named_params()]
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every array a checkpoint holds by its key: each parameter's value
+        as `param/<name>`. A load reads into them in place."""
+        return {f"param/{name}": p.data for name, p in self.named_params()}
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 Layout: 8-byte magic, u32 container version, u32 header length, JSON header,
 then the raw little-endian array payload, arrays in sorted-name order. A
-model's checkpoint holds what a load uses: its parameters, byte-exact, a
-generator's feature scaler and the meta its loader reads. It holds no
-optimizer state, so a loaded model starts with zero Adam moments and step
-count 0. A save streams each array from its own buffer. A load validates the
-header against the file and the model, and the kind of each meta value it
-reads, then reads each array once into place: every array entry, key and
+model's checkpoint holds `model.arrays()`, byte-exact (its parameters and a
+generator's two scaler arrays), and the meta its load reads, but no optimizer
+state: a loaded model starts with zero Adam moments and step count 0. Every
+kind has one save, `_save_model`, and one load, `_load_model`, which the
+table `_KINDS` drives. A save streams each array from its own buffer. A load
+checks the header against the file and the model, and the kind of each meta
+value it reads, then reads each array once into place: every entry, key and
 shape is checked before the first payload byte is read, so a failed load
 leaves no partial model. Entries it does not read, such as the Adam moments
 of older files, are checked and skipped. The model a load reads into is built
-without random draws: its weights start as zeros.
+without random draws: zero weights and the identity scaler.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .generation import FeatureScaler, GenHyperParams, VaeGanModel
+from .generation import GenHyperParams, VaeGanModel
 from .projection import ProjHyperParams, ProjectionModel
 from .util import is_int
 
@@ -230,63 +231,47 @@ def load_checkpoint(path, expect_kind: str | None = None) -> tuple[dict, dict[st
     return meta, arrays
 
 
-def _param_arrays(model) -> dict[str, np.ndarray]:
-    """The model's parameter buffers under their checkpoint names."""
-    return {f"param/{name}": p.data for name, p in model.named_params()}
+# per kind: the model class, the meta keys it is built from, its hp class,
+# the hp keys earlier builds wrote and a load drops, the attribute after hp
+_KINDS = {
+    "vaegan": (VaeGanModel, ("d_feat", "d_attr"), GenHyperParams, (), "stage1_key"),
+    "projection": (ProjectionModel, ("d", "classes", "use_gate"), ProjHyperParams,
+                   ("contrast_includes_self",), "config_fingerprint"),
+}
+
+
+def _save_model(model, kind: str, path) -> None:
+    """Save `model.arrays()` under a meta of its build keys, hp and attribute."""
+    _, keys, _, _, attr = _KINDS[kind]
+    meta = {**{k: getattr(model, k) for k in keys}, "hp": vars(model.hp), attr: getattr(model, attr)}
+    save_checkpoint(path, kind, meta, model.arrays())
+
+
+def _load_model(path, kind: str):
+    """The `kind` model built from the checked meta, its arrays read in place;
+    a file without the attribute loads with None."""
+    cls, keys, hp_cls, retired, attr = _KINDS[kind]
+    with open(path, "rb") as f:
+        meta, entries, base = _read_header(f, path, kind)
+        _require_meta(meta, keys, path)
+        hp = _hyperparams(hp_cls, meta["hp"], path, retired)
+        model = cls(**{k: meta[k] for k in keys}, hp=hp, rng=None)
+        _read_into(f, path, base, entries, model.arrays())
+    setattr(model, attr, meta.get(attr))
+    return model
 
 
 def save_vaegan(model: VaeGanModel, path) -> None:
-    arrays = _param_arrays(model)
-    if model.scaler.fitted:
-        arrays["scaler/lo"] = model.scaler.lo
-        arrays["scaler/span"] = model.scaler.span
-    meta = {"d_feat": model.d_feat, "d_attr": model.d_attr, "hp": vars(model.hp).copy(),
-            "stage1_key": model.stage1_key}
-    save_checkpoint(path, "vaegan", meta, arrays)
+    _save_model(model, "vaegan", path)
 
 
 def load_vaegan(path) -> VaeGanModel:
-    with open(path, "rb") as f:
-        meta, entries, base = _read_header(f, path, "vaegan")
-        _require_meta(meta, ("d_feat", "d_attr"), path)
-        hp = _hyperparams(GenHyperParams, meta["hp"], path)
-        model = VaeGanModel(meta["d_feat"], meta["d_attr"], hp, None)
-        scaler = {}
-        if "scaler/lo" in entries or "scaler/span" in entries:
-            _require(entries, ("scaler/lo", "scaler/span"), path, "payload")
-            for key in ("scaler/lo", "scaler/span"):
-                scaler[key] = np.empty((1, model.d_feat), entries[key]["dtype"])
-        _read_into(f, path, base, entries, {**_param_arrays(model), **scaler})
-    if scaler:
-        model.scaler = FeatureScaler(lo=scaler["scaler/lo"], span=scaler["scaler/span"])
-    model.stage1_key = meta.get("stage1_key")
-    return model
+    return _load_model(path, "vaegan")
 
 
 def save_projection(model: ProjectionModel, path) -> None:
-    meta = {
-        "d": model.d,
-        "classes": list(model.classes),
-        "use_gate": model.use_gate,
-        "hp": vars(model.hp).copy(),
-        "config_fingerprint": model.config_fingerprint,
-    }
-    save_checkpoint(path, "projection", meta, _param_arrays(model))
+    _save_model(model, "projection", path)
 
 
 def load_projection(path) -> ProjectionModel:
-    with open(path, "rb") as f:
-        meta, entries, base = _read_header(f, path, "projection")
-        _require_meta(meta, ("d", "classes", "use_gate"), path)
-        # earlier builds wrote this switch; it only shaped training
-        hp = _hyperparams(ProjHyperParams, meta["hp"], path, retired=("contrast_includes_self",))
-        model = ProjectionModel(
-            d=meta["d"],
-            classes=meta["classes"],
-            hp=hp,
-            rng=None,
-            use_gate=meta["use_gate"],
-        )
-        _read_into(f, path, base, entries, _param_arrays(model))
-    model.config_fingerprint = meta.get("config_fingerprint")
-    return model
+    return _load_model(path, "projection")

@@ -241,31 +241,24 @@ class Critic(Module):
 
 
 class FeatureScaler:
-    """Per-dimension min-max map to [0, 1]; identity until fitted."""
+    """Per-dimension min-max map to [0, 1]: (X - lo) / span with (1, d) arrays
+    lo and span. Both are always held: lo 0 and span 1 (the identity) until
+    `fit` replaces them, which a checkpoint load then overwrites in place."""
 
-    def __init__(self, lo: np.ndarray | None = None, span: np.ndarray | None = None):
-        self.lo = lo
-        self.span = span
-
-    @property
-    def fitted(self) -> bool:
-        return self.lo is not None
+    def __init__(self, d: int):
+        self.lo = np.zeros((1, d))
+        self.span = np.ones((1, d))
 
     def fit(self, X: np.ndarray) -> "FeatureScaler":
-        lo = X.min(axis=0, keepdims=True)
-        span = X.max(axis=0, keepdims=True) - lo
-        span = np.where(span > 0, span, 1.0)
-        self.lo, self.span = lo, span
+        self.lo = X.min(axis=0, keepdims=True)
+        span = X.max(axis=0, keepdims=True) - self.lo
+        self.span = np.where(span > 0, span, 1.0)
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            return X
         return (X - self.lo) / self.span
 
     def inverse(self, X: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            return X
         return X * self.span + self.lo
 
 
@@ -282,8 +275,12 @@ class VaeGanModel(Module):
         self.critic = Critic(d_feat, d_attr)
         # `groups`: the encoder and generator step together, the critic alone
         self.lay_out(rng, (self.encoder, self.generator), (self.critic,))
-        self.scaler = FeatureScaler()
+        self.scaler = FeatureScaler(d_feat)
         self.stage1_key: str | None = None  # set by `pipeline.stage1`, kept in checkpoints
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """`Module.arrays` and the scaler's, `scaler/lo` and `scaler/span`."""
+        return {**super().arrays(), "scaler/lo": self.scaler.lo, "scaler/span": self.scaler.span}
 
     def posterior(self, v, attrs: AttrRows) -> tuple[np.ndarray, np.ndarray]:
         """(mu, exp(logvar / 2)) of the encoder at rows (v, a), the log-variance clipped."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -38,7 +39,7 @@ from .projection import ProjHyperParams, RawFeatures, train_projection
 from .util import fingerprint, numeric_environment, require_finite_params, require_int_fields, write_json
 
 ARTIFACT_VERSION = "0.1.0"
-_HASH_CHUNK = 1 << 20  # bytes per read when hashing a stage-1 checkpoint
+_HASH_CHUNK = 1 << 20  # bytes per read when hashing a corpus file or stage-1 checkpoint
 
 
 @dataclass
@@ -109,9 +110,17 @@ class ExperimentConfig:
         return out
 
     def fingerprint(self) -> str:
+        """A hash of the resolved config less out_dir, with each corpus file's
+        SHA-256 in place of its path: the same bytes anywhere hash alike."""
         resolved = self.resolved()
         resolved.pop("out_dir")
+        if self.files is not None:
+            resolved["files"] = self._file_digests
         return fingerprint(resolved)
+
+    @cached_property
+    def _file_digests(self) -> dict[str, str]:  # read once per config object
+        return {name: _file_sha256(path) for name, path in asdict(self.files).items()}
 
 
 def _build_section(cls, payload: dict, path: str):

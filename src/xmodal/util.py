@@ -60,18 +60,12 @@ def require_finite(loss: float, phase: str, epoch: int, step: int) -> None:
 
 
 def require_finite_params(model, where: str) -> None:
-    """Fail a diverged model before it is saved: raise NonFiniteError naming
-    its first parameter array, or array of its fitted feature scaler, that
-    holds a NaN or Inf. One pass per network; a failure is then named."""
-    if not all(np.isfinite(group.data).all() for group in model.groups):
-        for name, p in model.named_params():
-            if not np.isfinite(p.data).all():
-                raise NonFiniteError(f"{where}: parameter {name} holds a non-finite value")
-    scaler = getattr(model, "scaler", None)
-    if scaler is not None and scaler.fitted:
-        for name in ("lo", "span"):
-            if not np.isfinite(getattr(scaler, name)).all():
-                raise NonFiniteError(f"{where}: scaler {name} holds a non-finite value")
+    """Fail a diverged model before it is saved: raise NonFiniteError naming,
+    by its checkpoint key, the first of `model.arrays()` (its parameters, then
+    a generator's scaler) that holds a NaN or Inf."""
+    for key, arr in model.arrays().items():
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{where}: {key} holds a non-finite value")
 
 
 BLOCK = 256  # rows the evaluation forward, mAP ranking and synthetic corpus take at once

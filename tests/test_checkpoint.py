@@ -299,6 +299,45 @@ def test_scaler_without_its_lo_names_it(small_setup, tmp_path):
         ckpt.load_vaegan(path)
 
 
+def test_generator_without_a_scaler_is_refused(small_setup, tmp_path):
+    # every generator has a scaler, fitted or the identity, so a file that
+    # holds neither array is not one the program wrote
+    _, _, img, _, _ = small_setup
+    path = tmp_path / "gen.ckpt"
+    ckpt.save_vaegan(img, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    del arrays["scaler/lo"], arrays["scaler/span"]
+    _rewrite(path, "vaegan", meta, arrays)
+    with pytest.raises(CheckpointError, match="payload lacks 'scaler/lo'"):
+        ckpt.load_vaegan(path)
+
+
+def test_unfitted_generator_round_trips_with_the_identity_scaler(tmp_path):
+    model = gen.VaeGanModel(6, 3, gen.GenHyperParams(), stream(4, "init"))
+    ckpt.save_vaegan(model, tmp_path / "gen.ckpt")
+    back = ckpt.load_vaegan(tmp_path / "gen.ckpt")
+    want = model.arrays()
+    got = back.arrays()
+    assert list(got) == list(want)
+    assert all(got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes() for k in want)
+    X = np.random.default_rng(4).normal(size=(5, 6))
+    X[0, 0] = -0.0
+    assert back.scaler.transform(X).tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["vaegan", "projection"])
+def test_save_load_save_is_byte_identical(small_setup, tmp_path, kind):
+    _, _, img, _, model = small_setup
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    back = _save(kind, img, model, first)(first)
+    _save(kind, back, back, second)
+    assert second.read_bytes() == first.read_bytes()
+    # the meta in its one order: the build keys, hp, then the attribute
+    keys = {"vaegan": ["d_feat", "d_attr", "hp", "stage1_key"],
+            "projection": ["d", "classes", "use_gate", "hp", "config_fingerprint"]}[kind]
+    assert list(_header(first)[1]["meta"]) == keys
+
+
 def _save(kind, img, model, path):
     """Save the `kind` model of the setup at path; returns the matching load."""
     if kind == "vaegan":
@@ -649,7 +688,6 @@ def test_save_streams_and_load_holds_about_one_model(tmp_path):
     # parameters, gradients and moments) plus at most one array in flight
     model = proj.ProjectionModel(128, range(5), proj.ProjHyperParams(), np.random.default_rng(0))
     vaegan = gen.VaeGanModel(128, 64, gen.GenHyperParams(), stream(0, "init"))
-    vaegan.scaler = gen.FeatureScaler(lo=np.zeros((1, 128)), span=np.ones((1, 128)))
     for m, save, load in (
         (model, ckpt.save_projection, ckpt.load_projection),
         (vaegan, ckpt.save_vaegan, ckpt.load_vaegan),

@@ -3,6 +3,7 @@ import shutil
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +231,49 @@ def test_eval_checkpoint_matches_in_run_report(tmp_path):
     )
     assert abs(report["avg"] - cell["reports"]["target"]["avg"]) < 1e-12
     assert report["img2txt"]["map"] == cell["reports"]["target"]["img2txt"]["map"]
+
+
+def _files_config(paths):
+    return tiny_config(synthetic=None, files=paths)
+
+
+def test_fingerprint_hashes_the_corpus_bytes_not_their_paths(tmp_path, monkeypatch):
+    # the same corpus from two directories gives one fingerprint and the same
+    # report bytes; a one-byte change to the labels gives another fingerprint
+    spec = pipeline.SyntheticSpec(**asdict(tiny_config().synthetic))
+    paths = pipeline.make_data(spec, tmp_path / "a")
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    moved = {name: path.replace(str(tmp_path / "a"), str(tmp_path / "b")) for name, path in paths.items()}
+    model = proj.ProjectionModel(spec.dim, range(spec.n_classes), proj.ProjHyperParams(), np.random.default_rng(0))
+    ckpt.save_projection(model, tmp_path / "projection.ckpt")
+    reports = []
+    for files in (paths, moved):
+        config = _files_config(files)
+        report = pipeline.eval_checkpoint(tmp_path / "projection.ckpt", config, x_shot=1, seed=0)
+        reports.append(json.dumps(report, sort_keys=True).encode())
+        assert config.resolved()["files"] == files  # the echo keeps where it read
+    assert reports[0] == reports[1]
+    fingerprint = json.loads(reports[0])["config_fingerprint"]
+    assert _files_config(moved).fingerprint() == fingerprint
+
+    labels = Path(moved["labels"])
+    blob = bytearray(labels.read_bytes())
+    blob[0] = ord("1") if blob[0] != ord("1") else ord("2")
+    labels.write_bytes(blob)
+    assert _files_config(moved).fingerprint() != fingerprint
+
+    # a config reads its files once, however often it is fingerprinted
+    calls = []
+    real = pipeline._file_sha256
+    monkeypatch.setattr(pipeline, "_file_sha256", lambda path: calls.append(path) or real(path))
+    config = _files_config(paths)
+    assert config.fingerprint() == config.fingerprint() == fingerprint
+    assert sorted(calls) == sorted(paths.values())
+
+
+def test_synthetic_fingerprint_is_unchanged_by_the_file_digests():
+    # pinned at the build before files were hashed by content
+    assert tiny_config().fingerprint() == "2aead70e8225e4ee"
 
 
 def test_source_validation_report_present():
@@ -710,7 +754,7 @@ def test_non_finite_parameter_fails_the_cell_before_its_checkpoint(
     record = pipeline.run_experiment(tiny_config(out_dir=str(tmp_path)))
     assert record["failures"] == 1
     assert record["cells"][0]["error"] == (
-        f"NonFiniteError: {stage}: parameter {network} holds a non-finite value"
+        f"NonFiniteError: {stage}: param/{network} holds a non-finite value"
     )
     cell = pipeline.cell_dir(tmp_path, 0, 0)
     written = {p.name for p in cell.iterdir()} if cell.exists() else set()
@@ -730,7 +774,7 @@ def test_non_finite_scaler_fails_the_cell_before_its_checkpoint(tmp_path, monkey
     record = pipeline.run_experiment(tiny_config(out_dir=str(tmp_path)))
     assert record["failures"] == 1
     assert record["cells"][0]["error"] == (
-        f"NonFiniteError: stage 1 txt: scaler {array} holds a non-finite value"
+        f"NonFiniteError: stage 1 txt: scaler/{array} holds a non-finite value"
     )
     assert not pipeline.cell_dir(tmp_path, 0, 0).exists()
 
