@@ -135,8 +135,10 @@ def _check_entry(entry, base: int, size: int, path) -> None:
     """Raise CheckpointError unless `entry` describes an array inside the file."""
     _require(entry, ("name", "dtype", "shape", "offset", "nbytes"), path, "array entry")
     name, shape, offset, nbytes = entry["name"], entry["shape"], entry["offset"], entry["nbytes"]
-    if entry["dtype"] not in _DTYPES:
-        raise CheckpointError(f"{path}: unsupported array dtype {entry['dtype']!r} for {name!r}")
+    if not isinstance(name, str):
+        raise CheckpointError(f"{path}: checkpoint array {name!r}: its name must be a string")
+    if not (isinstance(entry["dtype"], str) and entry["dtype"] in _DTYPES):
+        raise CheckpointError(f"{path}: checkpoint array {name!r} has unsupported dtype {entry['dtype']!r}")
     if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
         raise CheckpointError(
             f"{path}: checkpoint array {name!r} has shape {shape!r}; "

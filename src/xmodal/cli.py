@@ -3,8 +3,7 @@
 Subcommands: make-data (write a synthetic corpus), run (full x-shot grid),
 synth (stage 1 only: train and save the generators), train-proj (stage 2
 only, on pseudo pairs from the generators `synth` saved; the two write
-run's files byte for byte; without --pseudo it is `run --no-generation`,
-files and config included), eval (score a saved projection checkpoint).
+run's files byte for byte), eval (score a saved projection checkpoint).
 run, synth and train-proj run the stage functions of `pipeline` over the
 same grid loop and write the same cell layout, `cell_x{x}_s{seed}/` under
 --out, with the grid's record at the root (`synth_record.json` for synth,
@@ -136,10 +135,7 @@ def cmd_train_proj(args) -> int:
     config = _load_config(args)
     if config.out_dir is None:
         raise ConfigError("train-proj needs --out for the checkpoint")
-    if args.pseudo is None:
-        # real pairs only is the no_generation ablation, and its files say so
-        config = replace(config, ablations=replace(config.ablations, no_generation=True))
-    elif config.ablations.no_generation:
+    if config.ablations.no_generation:
         raise ConfigError("--pseudo trains on generated pairs, which no_generation rules out")
     record = run_grid(config, partial(train_proj_cell, pseudo_root=args.pseudo))
     return _print_grid(record, _target_map)
@@ -192,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-proj", help="stage 2 only: train the projection model")
     _add_grid(p)
-    p.add_argument("--pseudo", help="output root of `synth` (or `run`); each cell synthesises "
-                   "from its own cell_x{x}_s{seed}/gen_img.ckpt and gen_txt.ckpt there")
+    p.add_argument("--pseudo", required=True, help="output root of `synth` (or `run`); each cell "
+                   "synthesises from its own cell_x{x}_s{seed}/gen_img.ckpt and gen_txt.ckpt there")
     p.set_defaults(func=cmd_train_proj)
 
     p = sub.add_parser("eval", help="evaluate a saved projection checkpoint")

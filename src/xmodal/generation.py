@@ -72,7 +72,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import forks, require_finite, require_int_fields, run_pair, stream
+from .util import forks, require_field_types, require_finite, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -108,7 +108,7 @@ class GenHyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ConfigError(f"latent_dim must be at least 1, got {self.latent_dim}")
         if self.lambda_gp < 0:

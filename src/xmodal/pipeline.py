@@ -36,7 +36,7 @@ from .data import (
 from .errors import CheckpointError, ConfigError, DimensionMismatchError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
-from .util import fingerprint, numeric_environment, require_finite_params, require_int_fields, write_json
+from .util import fingerprint, numeric_environment, require_field_types, require_finite_params, write_json
 
 ARTIFACT_VERSION = "0.1.0"
 _HASH_CHUNK = 1 << 20  # bytes per read when hashing a corpus file or stage-1 checkpoint
@@ -53,7 +53,7 @@ class SyntheticSpec:
     seed: int = 2024
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
 
 
 @dataclass
@@ -64,6 +64,9 @@ class DataFiles:
     attrs: str
     attr_ids: str
 
+    def __post_init__(self):
+        require_field_types(self)
+
 
 @dataclass
 class AblationFlags:
@@ -73,6 +76,9 @@ class AblationFlags:
     no_l1: bool = False
     no_l2: bool = False
     no_l3: bool = False
+
+    def __post_init__(self):
+        require_field_types(self)
 
 
 @dataclass
@@ -91,7 +97,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if self.synthetic is None and self.files is None:
             raise ConfigError("config needs either a synthetic spec or corpus files")
         if self.synthetic is not None and self.files is not None:
@@ -401,19 +407,15 @@ def synth_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig)
 def train_proj_cell(
     corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig, pseudo_root
 ) -> dict:
-    """Stage 2 only. With a pseudo_root, its pseudo pairs come, as in
-    `run_cell`, from the generators saved for the same cell under that root;
-    one whose `stage1_key` is not the cell's is refused with a CheckpointError
-    naming the file and both keys. None trains on real pairs alone, which is
-    the no_generation ablation: the config must say so, as its files then do."""
-    if (pseudo_root is None) != config.ablations.no_generation:
-        raise ConfigError("train_proj_cell takes pseudo pairs exactly when no_generation is off")
+    """Stage 2 only, on pseudo pairs from the generators saved for the same
+    cell under pseudo_root, as `run_cell` has them; one whose `stage1_key` is
+    not the cell's is refused with a CheckpointError naming the file and both
+    keys. A no_generation config, real pairs alone, is `run_cell`'s: refused."""
+    if config.ablations.no_generation:
+        raise ConfigError("train_proj_cell trains on generated pairs, which no_generation rules out")
     cell = _new_cell(x_shot, seed)
     split = cell_split(corpus, x_shot, seed, config)
-    pseudo = None
-    if pseudo_root is not None:
-        pseudo = _saved_pseudo_pairs(pseudo_root, corpus, split, config, cell)
-    stage2(corpus, split, pseudo, config, cell)
+    stage2(corpus, split, _saved_pseudo_pairs(pseudo_root, corpus, split, config, cell), config, cell)
     return cell
 
 

@@ -10,7 +10,9 @@ space; the three terms are weighted by alpha/beta/gamma.
 `projection_step` computes the losses and their gradients in closed form.
 The gate's direct partials are ∂u/∂g = f − x, ∂u/∂f = g and ∂u/∂x = 1 − g;
 the contrastive term is NT-Xent, whose gradient with respect to the cosine
-matrix is (P − Y)/(τn) with P the masked softmax and Y the positives. The
+matrix is (P − Y)/(τn) with P the masked softmax and Y the positives. NT-Xent
+is a softmax cross-entropy over the scaled cosine matrix, so L1 and L3 share
+one, `_xent`, for the loss and its (softmax − one-hot) cotangent. The
 tests check its gradients against central finite differences of the curve
 probe and pin a grid cell's results by value (`tests/test_golden.py`).
 Under no_gate the model has no gate networks. The two modality towers
@@ -40,7 +42,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import require_finite, require_int_fields, row_blocks, run_pair, stream
+from .util import require_field_types, require_finite, row_blocks, run_pair, stream
 
 
 @dataclass
@@ -55,7 +57,7 @@ class ProjHyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if min(self.alpha, self.beta, self.gamma) < 0:
@@ -205,15 +207,24 @@ def _tower_backward(du: np.ndarray, projector: Projector, gate: GateNet | None, 
     ad.add_affine_grads(projector.l1, x, dh)
 
 
-def _log_prob_sum(u: np.ndarray, head: ClassifierHead, labels: np.ndarray):
-    """Σ_rows log softmax(logits)[label] at embeddings u, with the softmax
-    numerators and their row sums, which the cotangent reads."""
-    logits = ad.affine(u, head.layer)
+def _xent(logits: np.ndarray, targets: np.ndarray):
+    """Σ_rows log softmax(logits)[target], and the function of k forming, in
+    logits' own buffer, k·(softmax − one-hot), which it returns. A −inf logit
+    drops out of its row's maximum, sum and cotangent: its exp is +0.0."""
+    rows = np.arange(len(targets))
+    picked = logits[rows, targets].reshape(-1, 1)
     shift = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - shift)
+    logits -= shift
+    e = np.exp(logits, out=logits)
     s = e.sum(axis=1, keepdims=True)
-    lp = logits[np.arange(len(labels)), labels].reshape(-1, 1) - (shift + np.log(s))
-    return lp.sum(), e, s
+    log_p = picked - (shift + np.log(s))
+
+    def cotangent(k: float) -> np.ndarray:
+        np.multiply(e, k / s, out=e)
+        e[rows, targets] -= k
+        return e
+
+    return log_p.sum(), cotangent
 
 
 def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
@@ -222,26 +233,15 @@ def _ce_term(u_v, u_t, labels, head: ClassifierHead, weight: float):
     cotangents at (u_v, u_t); that function also adds the head's gradients to
     its .grad."""
     n = len(labels)
-    sum_v, e_v, s_v = _log_prob_sum(u_v, head, labels)
-    sum_t, e_t, s_t = _log_prob_sum(u_t, head, labels)
+    sum_v, back_v = _xent(ad.affine(u_v, head.layer), labels)
+    sum_t, back_t = _xent(ad.affine(u_t, head.layer), labels)
 
-    def cotangents():
-        k = weight / n
-        rows = np.arange(n)
-        # each modality's logit cotangent: k times the softmax, less k at the label
-        for e, s in ((e_v, s_v), (e_t, s_t)):
-            e *= k / s
-            e[rows, labels] -= k
-        W = head.layer.W
-        dW = u_t.T @ e_t
-        dW += u_v.T @ e_v
-        W.grad += dW
-        db = e_t.sum(axis=0, keepdims=True)
-        db += e_v.sum(axis=0, keepdims=True)
-        head.layer.b.grad += db
-        return e_v @ W.data.T, e_t @ W.data.T
+    def cotangent(u, back):
+        g = back(weight / n)
+        ad.add_affine_grads(head.layer, u, g)
+        return g @ head.layer.W.data.T
 
-    return -(sum_v + sum_t) / n, cotangents
+    return -(sum_v + sum_t) / n, lambda: (cotangent(u_v, back_v), cotangent(u_t, back_t))
 
 
 def _consistency_term(u_v, u_t, weight: float):
@@ -268,9 +268,10 @@ def _contrastive_term(u_v, u_t, tau: float, weight: float):
     embedding from the other modality, and the denominator runs over every
     other embedding, the anchor itself left out (NT-Xent, arXiv:2002.05709).
     Cosine similarities are scaled by 1/tau; the sum of anchor terms is
-    divided by n. The diagonal is set to -inf, which leaves it out of the row
-    maxima and, through the shift and exp(-inf) = +0.0, out of the row sums
-    (a non-finite similarity makes the loss NaN). The gradient with respect
+    divided by n. It is a softmax cross-entropy over the scaled cosine matrix,
+    so it runs through `_xent`, as L1 does, with the diagonal set to -inf,
+    which drops it out of its row (a non-finite similarity makes the loss
+    NaN), and the pair column as the target. The gradient with respect
     to the cosine matrix is G = (k/τ)(P − Y), with P the masked softmax, Y
     the positives and k the weight over n. The unit rows' cotangent is
     (G + Gᵀ) û, and the normalisation's Jacobian maps it to
@@ -285,29 +286,19 @@ def _contrastive_term(u_v, u_t, tau: float, weight: float):
     unit /= norms
     sims = unit @ unit.T
     sims /= tau
-    rows = np.arange(m)
-    pair = (rows + n) % m
-    positives = sims[rows, pair].reshape(m, 1)
     np.fill_diagonal(sims, -np.inf)
-    shift = sims.max(axis=1, keepdims=True)
-    sims -= shift
-    ex = np.exp(sims, out=sims)
-    denom = ex.sum(axis=1, keepdims=True)
-    log_p = positives - (shift + np.log(denom))
+    log_p, back = _xent(sims, (np.arange(m) + n) % m)
 
     def cotangents():
-        k = weight / n
-        # the cosine matrix's cotangent, in ex's buffer
-        g = ex
-        g *= k / denom
-        g[rows, pair] -= k
+        # the cosine matrix's cotangent, in sims' buffer
+        g = back(weight / n)
         g /= tau
         d_unit = (g + g.T) @ unit
         d_unit -= unit * (unit * d_unit).sum(axis=1, keepdims=True)
         d_unit /= norms
         return d_unit[:n], d_unit[n:]
 
-    return -log_p.sum() / n, cotangents
+    return -log_p / n, cotangents
 
 
 def _batch_losses(u_v, u_t, label_cols, head: ClassifierHead, hp: ProjHyperParams):

@@ -1,5 +1,5 @@
 """Shared helpers: named deterministic RNG streams, config fingerprints, the
-integer check of config fields, the training guards, row blocks and unit
+type check of config fields, the training guards, row blocks and unit
 rows, the numeric environment and the runners that put two jobs on two cores."""
 
 from __future__ import annotations
@@ -35,18 +35,32 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def require_int_fields(obj) -> None:
-    """Raise ConfigError naming the first field of dataclass `obj` annotated
-    `int`, `int | None` or `list[int]` (read as the postponed annotation
-    string) that holds anything else, such as a bool or the float 2.0."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# what a config field of each annotation, read as the postponed annotation
+# string, must hold: (description, check)
+_FIELD_TYPES = {
+    "int": ("an integer", is_int),
+    "int | None": ("an integer", lambda v: v is None or is_int(v)),
+    "list[int]": ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v))),
+    "float": ("a finite number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
+def require_field_types(obj) -> None:
+    """Raise ConfigError naming the first field of dataclass `obj` whose value
+    its `_FIELD_TYPES` annotation rules out, such as a bool or the float 2.0
+    in an integer field; a field of another annotation is not checked."""
     for f in fields(obj):
+        what, ok = _FIELD_TYPES.get(f.type, (None, None))
         value = getattr(obj, f.name)
-        if f.type == "list[int]":
-            if not isinstance(value, (list, tuple)) or not all(is_int(v) for v in value):
-                raise ConfigError(f"{f.name} must be a list of integers, got {value!r}")
-        elif f.type == "int" or (f.type == "int | None" and value is not None):
-            if not is_int(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
 
 
 def require_finite(loss: float, phase: str, epoch: int, step: int) -> None:

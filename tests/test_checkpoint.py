@@ -361,7 +361,8 @@ def test_unknown_hyperparameter_key_names_it(small_setup, tmp_path, kind):
 
 @pytest.mark.parametrize(
     "kind, key, value",
-    [("vaegan", "latent_dim", 0), ("projection", "tau", 0.0), ("vaegan", "batch", 4.5)],
+    [("vaegan", "latent_dim", 0), ("projection", "tau", 0.0), ("vaegan", "batch", 4.5),
+     ("projection", "tau", "x")],
 )
 def test_out_of_range_hyperparameter_names_it(small_setup, tmp_path, kind, key, value):
     _, _, img, _, model = small_setup
@@ -524,12 +525,12 @@ def test_projection_hp_with_the_removed_contrast_switch_loads_and_evaluates_the_
     assert pipeline.eval_checkpoint(old, config, x_shot=0, seed=3) == want
 
 
-def _edit_entry(path, name, **changes):
-    """Rewrite one array entry of a checkpoint's header, payload unchanged."""
+def _edit_entry(path, entry, **changes):
+    """Rewrite the header entry of array `entry` of a checkpoint, payload unchanged."""
     raw = path.read_bytes()
     header_len = int.from_bytes(raw[12:16], "little")
     header = json.loads(raw[16 : 16 + header_len])
-    next(e for e in header["arrays"] if e["name"] == name).update(changes)
+    next(e for e in header["arrays"] if e["name"] == entry).update(changes)
     blob = json.dumps(header).encode("utf8")
     path.write_bytes(raw[:12] + len(blob).to_bytes(4, "little") + blob + raw[16 + header_len :])
 
@@ -548,8 +549,11 @@ def _square_param(path):
         ({"shape": [8.0, 8]}, "has shape [8.0, 8]"),
         ({"nbytes": 504}, "holds 504 bytes, but float64 of shape (8, 8) needs 512"),
         ({"offset": 10**9}, "truncated checkpoint payload"),
+        ({"dtype": ["float64"]}, "has unsupported dtype ['float64']"),
+        ({"name": ["x"]}, "its name must be a string"),
     ],
-    ids=["negative-offset", "float-offset", "negative-dim", "float-dim", "short-nbytes", "past-end"],
+    ids=["negative-offset", "float-offset", "negative-dim", "float-dim", "short-nbytes", "past-end",
+         "list-dtype", "list-name"],
 )
 def test_malformed_array_entry_names_it(small_setup, tmp_path, changes, message):
     # a negative offset used to load header bytes as weights; the others
@@ -559,8 +563,9 @@ def test_malformed_array_entry_names_it(small_setup, tmp_path, changes, message)
     ckpt.save_projection(model, path)
     name = _square_param(path)
     _edit_entry(path, name, **changes)
+    shown = changes.get("name", name)
     for load in (ckpt.load_projection, ckpt.load_checkpoint):
-        with pytest.raises(CheckpointError, match=re.escape(f"array '{name}'") + ".*" + re.escape(message)):
+        with pytest.raises(CheckpointError, match=re.escape(f"array {shown!r}") + ".*" + re.escape(message)):
             load(path)
 
 

@@ -472,7 +472,31 @@ def test_integer_field_rejects_a_non_integer_naming_it(section, key, value):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("gen", "batch", 4.5), ("synthetic", "per_class", 8.5), (None, "seeds", [0.5]), (None, "x_shots", [True])],
+    [
+        ("ablations", "no_gate", "false"),
+        ("gen", "lr", True),
+        ("gen", "lr", "fast"),
+        ("proj", "tau", float("inf")),
+        ("files", "images", 0),
+        (None, "query_fraction", "half"),
+    ],
+    ids=str,
+)
+def test_typed_field_rejects_a_wrong_type_naming_it(section, key, value):
+    # these trained without the gate, trained at lr 1.0, died with a
+    # TypeError traceback, or read the process's stdin as the image file
+    if section == "files":
+        payload = _payload_with(None, "files", {**dict.fromkeys(data.CORPUS_FILES, "f"), key: value})
+    else:
+        payload = _payload_with(section, key, value)
+    with pytest.raises(ConfigError, match=rf"^{key} must be "):
+        pipeline.config_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("gen", "batch", 4.5), ("synthetic", "per_class", 8.5), (None, "seeds", [0.5]), (None, "x_shots", [True]),
+     ("gen", "lr", "fast")],
     ids=str,
 )
 def test_cli_non_integer_config_value_exits_2_naming_it(tmp_path, capsys, section, key, value):
@@ -828,30 +852,20 @@ def test_one_synth_root_serves_a_no_gate_train_proj(tmp_path):
     assert sorted(p.name for p in (ablated / cell).iterdir()) == ["projection.ckpt", "reports.json"]
 
 
-def test_train_proj_without_pseudo_is_run_no_generation(tmp_path):
+def test_train_proj_without_pseudo_exits_2(tmp_path, capsys):
+    # real pairs alone are `run --no-generation`; train-proj has no second way
     config_path = _config_file(tmp_path, tiny_config())
-    real_only, run = tmp_path / "real_only", tmp_path / "run"
-    args = ["--config", str(config_path), "--out"]
-    assert cli_main(["train-proj", *args, str(real_only)]) == 0
-    assert cli_main(["run", *args, str(run), "--no-generation"]) == 0
-    cell = "cell_x0_s0"
-    assert _same_bytes(real_only / cell, run / cell, ("reports.json", "projection.ckpt"))
-    reports = json.loads((real_only / cell / "reports.json").read_text())
-    assert reports["config"]["ablations"]["no_generation"] is True
-    records = [json.loads((root / "run_record.json").read_text()) for root in (real_only, run)]
-    assert records[0]["config"]["ablations"]["no_generation"] is True
-    assert records[0]["config_fingerprint"] == records[1]["config_fingerprint"]
-    assert reports["target"]["config_fingerprint"] == records[1]["config_fingerprint"]
-    assert records[1]["config_fingerprint"] != tiny_config().fingerprint()
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["train-proj", "--config", str(config_path), "--out", str(tmp_path / "p")])
+    assert exit_info.value.code == 2
+    assert "--pseudo" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
 
 
-@pytest.mark.parametrize("pseudo", [False, True])
-def test_train_proj_cell_takes_pseudo_pairs_exactly_without_no_generation(tmp_path, pseudo):
-    cfg = tiny_config(ablations={"no_generation": pseudo})
-    with pytest.raises(ConfigError, match="exactly when no_generation is off"):
-        pipeline.train_proj_cell(
-            pipeline.load_config_corpus(cfg), 0, 0, cfg, tmp_path if pseudo else None
-        )
+def test_train_proj_cell_refuses_no_generation(tmp_path):
+    cfg = tiny_config(ablations={"no_generation": True})
+    with pytest.raises(ConfigError, match="no_generation rules out"):
+        pipeline.train_proj_cell(pipeline.load_config_corpus(cfg), 0, 0, cfg, tmp_path)
 
 
 def test_synth_cell_without_out_dir_fails_before_stage_1(monkeypatch):
@@ -891,10 +905,11 @@ def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys):
     assert record["failures"] == 1 and "smallest target class" in record["cells"][0]["error"]
 
 
-def test_train_proj_applies_loss_ablations(tmp_path):
+def test_train_proj_applies_loss_ablations(tmp_path, synth_root):
     config_path = _config_file(tmp_path, tiny_config())
     out = tmp_path / "proj"
-    assert cli_main(["train-proj", "--config", str(config_path), "--out", str(out), "--no-l1"]) == 0
+    argv = ["--config", str(config_path), "--out", str(out), "--pseudo", str(synth_root), "--no-l1"]
+    assert cli_main(["train-proj", *argv]) == 0
     meta, _ = ckpt.load_checkpoint(out / "cell_x0_s0" / "projection.ckpt")
     assert meta["hp"]["alpha"] == 0.0
     assert meta["hp"]["beta"] == 1.0

@@ -225,6 +225,29 @@ def test_ce_nonnegative():
         assert ce(u_v, u_t, labels, model.head) >= 0.0
 
 
+def test_xent_drops_minus_inf_logits_out_of_their_row():
+    # the shared softmax cross-entropy of L1 and L3: a -inf logit leaves the
+    # log-softmax over the row's finite columns and gets a zero cotangent
+    rng = np.random.default_rng(12)
+    logits = rng.normal(size=(3, 5))
+    logits[0, [1, 3]] = -np.inf
+    logits[2, 4] = -np.inf
+    targets = np.array([2, 0, 1])
+    want_sum, want_grad = 0.0, np.zeros_like(logits)
+    for i, t in enumerate(targets):
+        cols = np.flatnonzero(np.isfinite(logits[i]))
+        p = np.exp(logits[i, cols]) / np.exp(logits[i, cols]).sum()
+        want_sum += np.log(p[list(cols).index(t)])
+        want_grad[i, cols] = 0.3 * p
+        want_grad[i, t] -= 0.3
+    log_p, cotangent = proj._xent(logits, targets)
+    assert log_p == pytest.approx(want_sum, abs=1e-12)
+    grad = cotangent(0.3)
+    assert grad is logits
+    assert np.allclose(grad, want_grad, atol=1e-14, rtol=0)
+    assert not grad[0, [1, 3]].any() and not grad[2, 4].any()
+
+
 # ---------------------------------------------------------------------------
 # consistency loss
 
