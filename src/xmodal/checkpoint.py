@@ -8,11 +8,12 @@ state: a loaded model starts with zero Adam moments and step count 0. Every
 kind has one save, `_save_model`, and one load, `_load_model`, which the
 table `_KINDS` drives. A save streams each array from its own buffer. A load
 checks the header against the file and the model, and the kind of each meta
-value it reads, then reads each array once into place: every entry, key and
-shape is checked before the first payload byte is read, so a failed load
-leaves no partial model. Entries it does not read, such as the Adam moments
-of older files, are checked and skipped. The model a load reads into is built
-without random draws: zero weights and the identity scaler.
+value it reads (`stage1_key` and `config_fingerprint` a string or null),
+then reads each array once into place: every entry, key and shape is checked
+before the first payload byte is read, so a failed load leaves no partial
+model. Entries it does not read, such as the Adam moments of older files,
+are checked and skipped. The model a load reads into is built without
+random draws: zero weights and the identity scaler.
 """
 
 from __future__ import annotations
@@ -251,15 +252,18 @@ def _save_model(model, kind: str, path) -> None:
 
 def _load_model(path, kind: str):
     """The `kind` model built from the checked meta, its arrays read in place;
-    a file without the attribute loads with None."""
+    the attribute is a string or null, and None from a file without it."""
     cls, keys, hp_cls, retired, attr = _KINDS[kind]
     with open(path, "rb") as f:
         meta, entries, base = _read_header(f, path, kind)
         _require_meta(meta, keys, path)
         hp = _hyperparams(hp_cls, meta["hp"], path, retired)
+        value = meta.get(attr)
+        if not (value is None or isinstance(value, str)):
+            raise CheckpointError(f"{path}: checkpoint meta {attr!r} is {value!r}; it must be a string or null")
         model = cls(**{k: meta[k] for k in keys}, hp=hp, rng=None)
         _read_into(f, path, base, entries, model.arrays())
-    setattr(model, attr, meta.get(attr))
+    setattr(model, attr, value)
     return model
 
 

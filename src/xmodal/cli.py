@@ -10,9 +10,10 @@ same grid loop and write the same cell layout, `cell_x{x}_s{seed}/` under
 so a later train-proj into the same root keeps it; `run_record.json`
 otherwise). They exit 0 only when every grid cell succeeded and 1 when any
 failed (the failure is recorded and the grid continues); a bad config,
-corpus or checkpoint exits 2 with a one-line error. Given both --preset and
---config, the file's keys override the preset's, section by section. eval
-takes only the flags it reads; argparse rejects grid flags there (exit 2).
+corpus or checkpoint, or any OSError (such as a directory given as a file),
+exits 2 with a one-line error. Given both --preset and --config, the file's
+keys override the preset's, section by section. eval takes only the flags
+it reads; argparse rejects grid flags there (exit 2).
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestError, CheckpointError, FileNotFoundError) as e:
+    except (ConfigError, IngestError, CheckpointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

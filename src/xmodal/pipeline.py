@@ -352,9 +352,9 @@ def stage2(
     fp = model.config_fingerprint = config.fingerprint()
 
     t0 = time.perf_counter()
-    target = retrieval.evaluate(model, split, corpus, domain="target", fingerprint=fp)
-    source = retrieval.evaluate(model, split, corpus, domain="source", fingerprint=fp)
-    baseline = retrieval.evaluate(RawFeatures(), split, corpus, domain="target", fingerprint=fp)
+    target = retrieval.evaluate(model, split, corpus, domain="target")
+    source = retrieval.evaluate(model, split, corpus, domain="source")
+    baseline = retrieval.evaluate(RawFeatures(), split, corpus, domain="target")
     cell["timings"]["evaluate"] = time.perf_counter() - t0
 
     out_dir = _cell_out(config, split)
@@ -479,5 +479,5 @@ def eval_checkpoint(
             f"{checkpoint_path}: projection width {model.d} does not match corpus dim {corpus.dim}"
         )
     split = cell_split(corpus, x_shot, seed, config)
-    result = retrieval.evaluate(model, split, corpus, domain=domain, fingerprint=config.fingerprint())
+    result = retrieval.evaluate(model, split, corpus, domain=domain)
     return _report_json(result, split, config, model.config_fingerprint)

@@ -27,9 +27,9 @@ while Img2Txt runs on the calling thread. numpy releases the GIL in BLAS
 calls, sorts and ufunc loops, so the threads overlap. Each thread holds its
 direction's unit gallery and one block's gathered rows, forward buffers,
 relevance and ranking temporaries: a query block's relevance is formed from
-the labels as it is ranked (`LabelRelevance`), so nothing grows as queries
-times gallery. The reports are bitwise those of a serial run, and errors
-surface in serial order (Img2Txt's first).
+the two label arrays as it is ranked, so nothing grows as queries times
+gallery. The reports are bitwise those of a serial run, and errors surface
+in serial order (Img2Txt's first).
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RetrievalReport:
+    """One direction's mAP, its scored queries' APs, the set sizes and the
+    skipped count; the report holding it gives the config fingerprint."""
+
     direction: str
     map_score: float
     per_query_ap: tuple[float, ...]
     n_queries: int
     n_gallery: int
     skipped_queries: int = 0
-    fingerprint: str = ""
 
     def to_json(self) -> dict:
         return {
@@ -64,7 +66,6 @@ class RetrievalReport:
             "n_queries": self.n_queries,
             "n_gallery": self.n_gallery,
             "skipped_queries": self.skipped_queries,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -131,58 +132,28 @@ class Embeddings:
             yield rows, unit_rows(block, out=block)
 
 
-def _as_set(X) -> Embeddings:
-    """X if it is an `Embeddings` set, else the set over the rows of array X,
-    each block a gathered copy: an empty set when X holds no element."""
-    if isinstance(X, Embeddings):
-        return X
-    X = np.asarray(X, dtype=np.float64)
-    return Embeddings(np.asarray, X.__getitem__, range(len(X) if X.size else 0))
-
-
-class LabelRelevance:
-    """Same-label relevance of queries to gallery items, formed one query
-    block at a time: the parts of a bool matrix that `mean_ap` reads."""
-
-    def __init__(self, query_labels, gallery_labels):
-        self.query_labels = np.asarray(query_labels)
-        self.gallery_labels = np.asarray(gallery_labels)
-        self.shape = (len(self.query_labels), len(self.gallery_labels))
-
-    def __getitem__(self, rows) -> np.ndarray:
-        return self.query_labels[rows, None] == self.gallery_labels[None, :]
-
-    def any(self, axis: int) -> np.ndarray:
-        """The matrix's any(axis=1), the one reduction `mean_ap` makes: the
-        queries whose label some gallery item has."""
-        return np.isin(self.query_labels, self.gallery_labels)
-
-
-def mean_ap(
-    queries, gallery, relevance, direction: str = "", fingerprint: str = "",
-) -> RetrievalReport:
+def mean_ap(queries, gallery, query_labels, gallery_labels, direction: str = "") -> RetrievalReport:
     """Rank the full gallery per query by cosine similarity and average the APs.
 
-    `queries` and `gallery` are `Embeddings` sets, or (n, d) arrays, never
-    written, that enter as the sets over their own rows; `relevance` is a
-    boolean (n_queries, n_gallery) matrix or a `LabelRelevance`, whose
-    blocks are formed as they are ranked. The gallery's unit rows are formed
-    first, in one array of its own; then each query block is made, normalised
-    in place, scored against them and ranked. Queries with no relevant item
-    are left out of the mean, named in a warning when a report is returned.
-    Faults raise where they are met: ConfigError when every query is skipped,
-    before any row is embedded; then, block by block, gallery before queries,
+    `queries` and `gallery` are `Embeddings` sets; `query_labels` and
+    `gallery_labels` hold one class label per item of each, and an item is
+    relevant to a query when their labels match. The gallery's unit rows are
+    formed first, in one array of its own; then each query block is made,
+    normalised in place, scored against them and ranked against its block of
+    same-label relevance. Queries whose label no gallery item has are left
+    out of the mean, named in a warning when a report is returned. Faults
+    raise where they are met: ConfigError for an empty set, for a label array
+    that does not fit its set and when every query is skipped, all before any
+    row is embedded; then, block by block, gallery before queries,
     NonFiniteError for a non-finite value, then ValueError for a zero row.
     """
-    queries, gallery = _as_set(queries), _as_set(gallery)
     n_q, n_g = len(queries), len(gallery)
     if not n_q or not n_g:
         raise ConfigError("mean_ap needs non-empty queries and gallery")
-    if not isinstance(relevance, LabelRelevance):
-        relevance = np.asarray(relevance, dtype=bool)
-    if relevance.shape != (n_q, n_g):
-        raise ConfigError(f"relevance matrix shape {relevance.shape} does not match ({n_q}, {n_g})")
-    skipped = np.flatnonzero(~relevance.any(axis=1))
+    query_labels, gallery_labels = np.asarray(query_labels), np.asarray(gallery_labels)
+    if query_labels.shape != (n_q,) or gallery_labels.shape != (n_g,):
+        raise ConfigError(f"label shapes {query_labels.shape}, {gallery_labels.shape} do not fit ({n_q}, {n_g})")
+    skipped = np.flatnonzero(~np.isin(query_labels, gallery_labels))
     if skipped.size == n_q:
         raise ConfigError("every query was skipped; mAP undefined")
     unit_g, aps = None, []
@@ -192,7 +163,7 @@ def mean_ap(
         unit_g[rows] = block
     del block  # else the last gallery block stays alive through the query pass
     for rows, q in queries.unit_blocks("queries", direction):
-        aps.append(average_precision(q @ unit_g.T, relevance[rows]))
+        aps.append(average_precision(q @ unit_g.T, query_labels[rows, None] == gallery_labels))
     if skipped.size:
         logger.warning("queries %s have no relevant gallery item; excluded from mAP", skipped.tolist())
     aps = np.delete(np.concatenate(aps), skipped)
@@ -203,19 +174,17 @@ def mean_ap(
         n_queries=n_q,
         n_gallery=n_g,
         skipped_queries=int(skipped.size),
-        fingerprint=fingerprint,
     )
 
 
-def evaluate(
-    model, split: XShotSplit, corpus: Corpus, domain: str = "target", fingerprint: str = ""
-) -> dict:
+def evaluate(model, split: XShotSplit, corpus: Corpus, domain: str = "target") -> dict:
     """Img2Txt and Txt2Img mAP over a domain's query/gallery partition.
 
     `model` must expose embed_images / embed_texts; Img2Txt ranks the text
     gallery for image queries, Txt2Img the reverse, relevance is same-class.
-    Each direction is one `mean_ap` pass over `Embeddings` sets, raising at
-    its first bad block and embedding nothing when every query is skipped.
+    Each direction is one `mean_ap` pass over `Embeddings` sets and the
+    partition's class labels, raising at its first bad block and embedding
+    nothing when every query is skipped.
     Img2Txt runs on the calling thread and Txt2Img on the worker
     (`util.run_pair`), each holding one unit gallery and one block's forward
     and ranking temporaries; when both fail, Img2Txt's error is the one
@@ -230,14 +199,13 @@ def evaluate(
     if not q_idx or not g_idx:
         raise ConfigError(f"{domain} query/gallery is empty")
 
-    rel = LabelRelevance(corpus.labels(q_idx), corpus.labels(g_idx))
+    labels = corpus.labels(q_idx), corpus.labels(g_idx)
     images = (model.embed_images, corpus.image_matrix)
     texts = (model.embed_texts, corpus.text_matrix)
 
     def direction(name, query_side, gallery_side):
         return lambda: mean_ap(
-            Embeddings(*query_side, q_idx), Embeddings(*gallery_side, g_idx), rel,
-            direction=name, fingerprint=fingerprint,
+            Embeddings(*query_side, q_idx), Embeddings(*gallery_side, g_idx), *labels, direction=name
         )
 
     img2txt, txt2img = run_pair(

@@ -224,6 +224,25 @@ def test_meta_value_of_the_wrong_kind_names_it(small_setup, tmp_path, kind, key,
         load(path)
 
 
+@pytest.mark.parametrize("value", [5, ["x"], "0123456789abcdef", None])
+@pytest.mark.parametrize("kind, key", [("vaegan", "stage1_key"), ("projection", "config_fingerprint")])
+def test_meta_attribute_is_a_string_or_null(small_setup, tmp_path, kind, key, value):
+    # a number or list used to load: eval reported it as the training run's
+    # fingerprint, and a generator's was refused only by a key mismatch
+    _, _, img, _, model = small_setup
+    path = tmp_path / f"{kind}.ckpt"
+    load = _save(kind, img, model, path)
+    meta, arrays = ckpt.load_checkpoint(path)
+    meta[key] = value
+    _rewrite(path, kind, meta, arrays)
+    if value is None or isinstance(value, str):
+        assert getattr(load(path), key) == value
+        return
+    message = f"{kind}.ckpt: checkpoint meta '{key}' is {value!r}; it must be a string or null"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load(path)
+
+
 def test_cli_eval_meta_value_of_the_wrong_kind_exits_2(tmp_path, capsys):
     path = _untrained_projection(tmp_path)
     meta, arrays = ckpt.load_checkpoint(path)

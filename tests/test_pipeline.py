@@ -181,6 +181,16 @@ def test_run_writes_checkpoints_reports_and_record(tmp_path):
     assert saved["config"]["proj"]["epochs"] == 3
 
 
+def test_each_direction_of_a_report_gives_no_fingerprint_of_its_own(tmp_path):
+    # the report states its config_fingerprint once, beside its directions
+    pipeline.run_experiment(tiny_config(out_dir=str(tmp_path), ablations={"no_generation": True}))
+    reports = json.loads((tmp_path / "cell_x0_s0" / "reports.json").read_text())
+    keys = {"direction", "map", "per_query_ap", "n_queries", "n_gallery", "skipped_queries"}
+    for name in ("target", "source", "baseline_target"):
+        assert "config_fingerprint" in reports[name]
+        assert set(reports[name]["img2txt"]) == set(reports[name]["txt2img"]) == keys
+
+
 def test_run_record_names_the_numeric_environment(tmp_path, monkeypatch):
     # a rerun is bitwise only under the same numpy, BLAS and BLAS threads
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -593,6 +603,28 @@ def test_cli_corrupt_corpus_exits_with_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad magic" in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("corpus-path-is-a-directory", "Is a directory"), ("out-is-a-file", "File exists"),
+])
+def test_cli_os_error_exits_2_with_one_line(tmp_path, capsys, case, message):
+    # each used to print a traceback (IsADirectoryError, FileExistsError) and exit 1
+    out = tmp_path / "corpus"
+    assert cli_main(["make-data", "--out", str(out), "--classes", "4", "--per-class", "8",
+                     "--dim", "8", "--seed", "5"]) == 0
+    files = {k: str(out / v) for k, v in data.CORPUS_FILES.items()
+             if k in ("images", "texts", "labels", "attrs", "attr_ids")}
+    if case == "corpus-path-is-a-directory":
+        files["images"] = str(out)
+    else:
+        (tmp_path / "run").write_text("")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"name": "os-error", "files": files, "x_shots": [0], "seeds": [0]}))
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
 
 def test_cli_corrupt_checkpoint_exits_with_error(tmp_path, capsys):

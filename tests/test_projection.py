@@ -106,7 +106,8 @@ def test_lean_embeddings_of_a_nan_weight_are_nan():
     u = model.embed_images(X)
     assert np.isnan(u).all()
     with pytest.raises(NonFiniteError, match="non-finite value in the queries"):
-        ret.mean_ap(u, X, np.ones((10, 10), dtype=bool))
+        sets = (ret.Embeddings(np.asarray, A.__getitem__, range(10)) for A in (u, X))
+        ret.mean_ap(*sets, np.zeros(10), np.zeros(10))
 
 
 def test_lean_forward_holds_few_temporaries():

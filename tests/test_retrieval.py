@@ -36,6 +36,13 @@ def stable_argsort_aps(sims, relevance):
         return (precision * hits).sum(axis=1) / hits.sum(axis=1)
 
 
+def as_set(X):
+    """The `Embeddings` set over the rows of array X, each block a gathered
+    copy: an empty set when X holds no row."""
+    X = np.asarray(X, dtype=np.float64)
+    return ret.Embeddings(np.asarray, X.__getitem__, range(len(X)))
+
+
 def oracle_aps(queries, gallery, rel):
     """Per-query AP from numpy cosines, ranked by (-sim, gallery index)."""
     qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
@@ -140,12 +147,12 @@ def test_average_precision_equals_the_stable_argsort_formula_bytewise(sims, rele
 def test_mean_ap_averages_per_query():
     queries = np.array([[1.0, 0.0], [0.0, 1.0]])
     gallery = np.array([[1.0, 0.0], [0.9, 0.1], [1.0, 1.0]])
-    # query 0: relevant items 0,1 rank 1st and 2nd -> AP 1.0
-    # query 1: sole relevant item 1 ranks behind item 2 -> AP 0.5
-    rel = np.array([[True, True, False], [False, True, False]])
-    report = ret.mean_ap(queries, gallery, rel)
-    assert report.per_query_ap == (1.0, 0.5)
-    assert report.map_score == 0.75
+    # query 0 ranks items 0, 1, 2; its class-0 items 0 and 2 rank 1st and
+    # 3rd -> AP (1 + 2/3) / 2. Query 1 ranks items 2, 1, 0; its class-1 item
+    # 1 ranks 2nd -> AP 1/2
+    report = ret.mean_ap(as_set(queries), as_set(gallery), [0, 1], [0, 1, 0])
+    assert report.per_query_ap == pytest.approx((5 / 6, 1 / 2), abs=1e-15)
+    assert report.map_score == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_mean_ap_matches_hand_computed_fixture():
@@ -155,7 +162,7 @@ def test_mean_ap_matches_hand_computed_fixture():
     labels_q = np.array([0, 1, 0])
     labels_g = np.array([0, 1, 1, 0, 0])
     rel = labels_q[:, None] == labels_g[None, :]
-    report = ret.mean_ap(queries, gallery, rel)
+    report = ret.mean_ap(as_set(queries), as_set(gallery), labels_q, labels_g)
 
     aps = oracle_aps(queries, gallery, rel)
     assert report.map_score == pytest.approx(float(np.mean(aps)), abs=1e-12)
@@ -171,64 +178,59 @@ def test_mean_ap_matches_oracle_on_tie_heavy_blocks():
     gallery = rng.integers(-1, 2, size=(40, 3)).astype(float)
     queries[~queries.any(axis=1), 0] = 1.0
     gallery[~gallery.any(axis=1), 0] = 1.0
-    rel = rng.integers(0, 4, size=(n_q, 40)) == 0
-    rel[:, 7] = True
-    report = ret.mean_ap(queries, gallery, rel)
+    q_labels, g_labels = rng.integers(0, 4, size=n_q), rng.integers(0, 4, size=40)
+    g_labels[:4] = range(4)  # every query has a relevant item
+    report = ret.mean_ap(as_set(queries), as_set(gallery), q_labels, g_labels)
     assert len(report.per_query_ap) == n_q
+    rel = q_labels[:, None] == g_labels
     worst = max(abs(a - b) for a, b in zip(report.per_query_ap, oracle_aps(queries, gallery, rel)))
     assert worst <= 1e-12
-
-
-@pytest.mark.parametrize("n_q", [4, 2 * util.BLOCK + 5])
-def test_label_relevance_ranks_as_its_bool_matrix(n_q, caplog):
-    # each query block's relevance formed from the labels, the skipped
-    # queries from label membership: the matrix's report and warning
-    rng = np.random.default_rng(11)
-    queries, gallery = rng.normal(size=(n_q, 4)), rng.normal(size=(9, 4))
-    q_labels, g_labels = np.arange(n_q) % 4, np.arange(9) % 3  # class 3 has no gallery item
-    reports, warnings = [], []
-    for rel in (q_labels[:, None] == g_labels[None, :], ret.LabelRelevance(q_labels, g_labels)):
-        caplog.clear()
-        with caplog.at_level("WARNING", logger=ret.__name__):
-            reports.append(ret.mean_ap(queries, gallery, rel, direction="Img2Txt").to_json())
-        warnings.append([r.getMessage() for r in caplog.records])
-    assert reports[0] == reports[1] and reports[0]["skipped_queries"] == len(range(3, n_q, 4))
-    assert warnings[0] == warnings[1] and len(warnings[0]) == 1
-
-
-def test_label_relevance_raises_as_its_bool_matrix():
-    queries, gallery = np.eye(2), np.eye(2)
-    for q_labels, g_labels in (([0, 1, 2], [0, 1]), ([0, 1], [2, 3])):
-        errors = []
-        for rel in (np.equal.outer(q_labels, g_labels), ret.LabelRelevance(q_labels, g_labels)):
-            with pytest.raises(ConfigError) as e:
-                ret.mean_ap(queries, gallery, rel)
-            errors.append(str(e.value))
-        assert errors[0] == errors[1]
 
 
 def test_mean_ap_all_same_class_is_one():
     rng = np.random.default_rng(4)
     items = rng.normal(size=(6, 3))
-    rel = np.ones((6, 6), dtype=bool)
-    report = ret.mean_ap(items, items, rel)
+    report = ret.mean_ap(as_set(items), as_set(items), np.zeros(6), np.zeros(6))
     assert report.map_score == 1.0
 
 
 def test_mean_ap_skips_queries_without_relevant_items(caplog):
-    queries = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    gallery = np.array([[1.0, 0.0], [0.5, 0.5]])
-    rel = np.array([[True, True], [False, False], [False, False]])
-    with caplog.at_level("WARNING", logger=ret.__name__):
-        report = ret.mean_ap(queries, gallery, rel)
-    assert report.skipped_queries == 2
-    assert len(report.per_query_ap) == 1
-    assert len(caplog.records) == 1 and "[1, 2]" in caplog.records[0].getMessage()
+    # query classes cycle over 0..2 and gallery classes over 0 and 3, so the
+    # queries of classes 1 and 2 are skipped, in one block and in several
+    rng = np.random.default_rng(11)
+    for n_q in (3, 2 * util.BLOCK + 5):
+        queries, gallery = rng.normal(size=(n_q, 4)), rng.normal(size=(9, 4))
+        q_labels, g_labels = np.arange(n_q) % 3, np.arange(9) % 2 * 3
+        skipped = [i for i in range(n_q) if i % 3]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger=ret.__name__):
+            report = ret.mean_ap(as_set(queries), as_set(gallery), q_labels, g_labels)
+        assert report.skipped_queries == len(skipped)
+        kept = q_labels == 0
+        want = oracle_aps(queries[kept], gallery, (q_labels[:, None] == g_labels)[kept])
+        assert report.per_query_ap == pytest.approx(want, abs=1e-12)
+        assert len(caplog.records) == 1 and str(skipped) in caplog.records[0].getMessage()
 
 
 def test_mean_ap_rejects_when_every_query_is_skipped():
     with pytest.raises(ConfigError, match="every query was skipped"):
-        ret.mean_ap(np.eye(2), np.eye(2), np.zeros((2, 2), dtype=bool))
+        ret.mean_ap(as_set(np.eye(2)), as_set(np.eye(2)), [0, 1], [2, 3])
+
+
+@pytest.mark.parametrize("q_labels, g_labels", [
+    ([0, 1, 2], [0, 1]), ([0], [0, 1]), ([0, 1], [0, 1, 1]), ([[0], [1]], [0, 1]), (0, [0, 1]),
+], ids=["long-queries", "short-queries", "long-gallery", "2-d", "scalar"])
+def test_mean_ap_rejects_labels_that_do_not_fit_the_sets(q_labels, g_labels):
+    embedded = []
+
+    def embed(X):
+        embedded.append(len(X))
+        return X
+
+    sets = [ret.Embeddings(embed, np.eye(2).__getitem__, range(2)) for _ in range(2)]
+    with pytest.raises(ConfigError, match="do not fit"):
+        ret.mean_ap(*sets, q_labels, g_labels)
+    assert embedded == []
 
 
 def test_mean_ap_embeds_nothing_when_every_query_is_skipped():
@@ -241,7 +243,7 @@ def test_mean_ap_embeds_nothing_when_every_query_is_skipped():
     # the gallery's zero row is never met: the skipped queries raise first
     sets = [ret.Embeddings(embed, X.__getitem__, range(2)) for X in (np.eye(2), np.zeros((2, 2)))]
     with pytest.raises(ConfigError, match="every query was skipped"):
-        ret.mean_ap(*sets, np.zeros((2, 2), dtype=bool))
+        ret.mean_ap(*sets, [0, 1], [2, 2])
     assert embedded == []
 
 
@@ -261,22 +263,24 @@ def test_mean_ap_raises_the_first_fault_it_meets(query_marks, gallery_marks, err
     for X, marks in ((queries, query_marks), (gallery, gallery_marks)):
         for row, value in marks.items():
             X[row] = value
-    rel = np.ones((n, n), dtype=bool)
-    rel[1] = False  # a skipped query is named only when a report is returned
+    # query 1's class has no gallery item; a skipped query is named only
+    # when a report is returned
+    q_labels = np.zeros(n)
+    q_labels[1] = 1
     with caplog.at_level("WARNING", logger=ret.__name__):
         with pytest.raises(error, match="zero vector" if error is ValueError else "non-finite"):
-            ret.mean_ap(queries, gallery, rel, direction="Img2Txt")
+            ret.mean_ap(as_set(queries), as_set(gallery), q_labels, np.zeros(n), direction="Img2Txt")
     assert caplog.records == []
 
 
 def test_mean_ap_rejects_empty_inputs():
     with pytest.raises(ConfigError):
-        ret.mean_ap(np.zeros((0, 2)), np.ones((2, 2)), np.ones((0, 2), dtype=bool))
+        ret.mean_ap(as_set(np.zeros((0, 2))), as_set(np.ones((2, 2))), [], [0, 0])
 
 
 def test_cosine_zero_vector_is_error():
     with pytest.raises(ValueError, match="zero vector"):
-        ret.mean_ap(np.array([[0.0, 0.0]]), np.eye(2), np.ones((1, 2), dtype=bool))
+        ret.mean_ap(as_set([[0.0, 0.0]]), as_set(np.eye(2)), [0], [0, 0])
 
 
 @pytest.mark.parametrize("bad", ["queries", "gallery"])
@@ -285,17 +289,17 @@ def test_mean_ap_rejects_non_finite_embeddings(bad):
     nan_rows = np.array([[np.nan, 1.0], [1.0, 0.0]])
     queries, gallery = (nan_rows, np.eye(2)) if bad == "queries" else (np.eye(2), nan_rows)
     with pytest.raises(NonFiniteError, match=f"Img2Txt: non-finite value in the {bad}"):
-        ret.mean_ap(queries, gallery, np.eye(2, dtype=bool), direction="Img2Txt")
+        ret.mean_ap(as_set(queries), as_set(gallery), [0, 1], [0, 1], direction="Img2Txt")
 
 
 def test_mean_ap_scale_invariance():
     rng = np.random.default_rng(5)
     queries = rng.normal(size=(4, 6))
     gallery = rng.normal(size=(7, 6))
-    rel = rng.integers(0, 2, size=(4, 7)).astype(bool)
-    rel[:, 0] = True
-    a = ret.mean_ap(queries, gallery, rel)
-    b = ret.mean_ap(3.7 * queries, 0.2 * gallery, rel)
+    q_labels, g_labels = rng.integers(0, 3, size=4), rng.integers(0, 3, size=7)
+    g_labels[:3] = range(3)  # every query has a relevant item
+    a = ret.mean_ap(as_set(queries), as_set(gallery), q_labels, g_labels)
+    b = ret.mean_ap(as_set(3.7 * queries), as_set(0.2 * gallery), q_labels, g_labels)
     assert a.map_score == b.map_score
     assert a.per_query_ap == b.per_query_ap
 
@@ -304,10 +308,10 @@ def test_mean_ap_holds_one_block_of_similarities():
     # the whole 2000 x 8000 cosine matrix takes 122 MiB, one BLOCK of its rows 16 MiB
     rng = np.random.default_rng(6)
     queries, gallery = rng.normal(size=(2000, 64)), rng.normal(size=(8000, 64))
-    rel = rng.integers(0, 10, size=2000)[:, None] == rng.integers(0, 10, size=8000)[None, :]
+    q_labels, g_labels = rng.integers(0, 10, size=2000), rng.integers(0, 10, size=8000)
     tracemalloc.start()
     try:
-        ret.mean_ap(queries, gallery, rel)
+        ret.mean_ap(as_set(queries), as_set(gallery), q_labels, g_labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -412,7 +416,7 @@ def test_concurrent_evaluation_equals_serial_bitwise(
     monkeypatch.setattr(model, "embed_images", embedder("img", model.embed_images))
     monkeypatch.setattr(model, "embed_texts", embedder("txt", model.embed_texts))
     monkeypatch.setattr(ret, "mean_ap", mean_ap)
-    concurrent = ret.evaluate(model, split, corpus, domain=domain, fingerprint="fp")
+    concurrent = ret.evaluate(model, split, corpus, domain=domain)
     main = threading.get_ident()
     img2txt = [("Img2Txt", "mean_ap"), ("Img2Txt", "txt"), ("Img2Txt", "img")]
     txt2img = [("Txt2Img", "mean_ap"), ("Txt2Img", "img"), ("Txt2Img", "txt")]
@@ -421,7 +425,7 @@ def test_concurrent_evaluation_equals_serial_bitwise(
 
     monkeypatch.setattr(util, "_spare_core", lambda: False)
     calls.clear()
-    serial = ret.evaluate(model, split, corpus, domain=domain, fingerprint="fp")
+    serial = ret.evaluate(model, split, corpus, domain=domain)
     assert calls == {main: img2txt + txt2img}
     assert _reports(concurrent) == _reports(serial)
 
@@ -501,13 +505,13 @@ def _stream_setup(n_queries, n_gallery, dim=12, seed=0):
 def _whole_set_reference(model, split, corpus):
     """evaluate's reports as whole-set embeddings scored by mean_ap on arrays."""
     q_idx, g_idx = split.target_query, split.target_gallery
-    rel = corpus.labels(q_idx)[:, None] == corpus.labels(g_idx)[None, :]
+    labels = corpus.labels(q_idx), corpus.labels(g_idx)
     sides = {
         "img": (model.embed_images(corpus.image_matrix(q_idx)), model.embed_images(corpus.image_matrix(g_idx))),
         "txt": (model.embed_texts(corpus.text_matrix(q_idx)), model.embed_texts(corpus.text_matrix(g_idx))),
     }
-    img2txt = ret.mean_ap(sides["img"][0], sides["txt"][1], rel, direction="Img2Txt", fingerprint="fp")
-    txt2img = ret.mean_ap(sides["txt"][0], sides["img"][1], rel, direction="Txt2Img", fingerprint="fp")
+    img2txt = ret.mean_ap(as_set(sides["img"][0]), as_set(sides["txt"][1]), *labels, direction="Img2Txt")
+    txt2img = ret.mean_ap(as_set(sides["txt"][0]), as_set(sides["img"][1]), *labels, direction="Txt2Img")
     return {"img2txt": img2txt, "txt2img": txt2img, "avg": (img2txt.map_score + txt2img.map_score) / 2.0}
 
 
@@ -526,7 +530,7 @@ def test_streamed_evaluation_equals_whole_set_mean_ap_bitwise(kind, n_queries, c
         corpus, split = _stream_setup(n_queries, n_gallery)
         caplog.clear()
         with caplog.at_level("WARNING", logger="xmodal.retrieval"):
-            streamed = ret.evaluate(model, split, corpus, fingerprint="fp")
+            streamed = ret.evaluate(model, split, corpus)
         warnings = [r.getMessage() for r in caplog.records]
         caplog.clear()
         with caplog.at_level("WARNING", logger="xmodal.retrieval"):
@@ -582,7 +586,7 @@ def test_streamed_evaluation_raises_the_whole_set_error(marks):
     corpus = data.Corpus(features["img"], features["txt"], corpus.labels(), corpus.class_attrs)
     model = MarkedFeatures()
     want = _first_error(lambda: _whole_set_reference(model, split, corpus))
-    assert _first_error(lambda: ret.evaluate(model, split, corpus, fingerprint="fp")) == want
+    assert _first_error(lambda: ret.evaluate(model, split, corpus)) == want
     assert want[0] in (NonFiniteError, ValueError)
 
 
