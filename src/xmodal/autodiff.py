@@ -42,9 +42,9 @@ def default_dtype():
     return np.float64
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce scalar / 1-D / 2-D input to a 2-D float64 array."""
-    arr = np.asarray(data, dtype=np.float64)
+def as_matrix(data, dtype=np.float64) -> np.ndarray:
+    """Coerce scalar / 1-D / 2-D input to a 2-D array of `dtype`, float64 by default."""
+    arr = np.asarray(data, dtype=dtype)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -384,17 +384,20 @@ def leaky_relu(a, slope: float = 0.2):
     return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
-def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def logistic(d: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow: e = exp(-|d|) lies in [0, 1].
 
     Where d >= 0, e is exp(-d) and 1 / (1 + e) is the usual form; elsewhere e
     is exp(d) and e / (1 + e) is the same value without exp(-d) overflowing.
-    The numerator and the result are formed in `out`, which may be d itself:
-    max(e, d >= 0) is 1 where d >= 0 and e elsewhere (NaN where d is NaN).
+    The numerator and the result are formed in `out`, which may be d itself,
+    and the denominator 1 + e in `scratch` when given (a spent buffer of d's
+    shape): max(e, d >= 0) is 1 where d >= 0 and e elsewhere (NaN where d is
+    NaN).
     """
     pos = d >= 0
     e = np.exp(np.negative(np.abs(d, out=out), out=out), out=out)
-    den = 1.0 + e
+    den = np.add(1.0, e, out=scratch)
     np.maximum(e, pos, out=e)
     return np.divide(e, den, out=e)
 

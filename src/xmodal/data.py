@@ -106,6 +106,11 @@ def _rows(X: np.ndarray, idx) -> np.ndarray:
     return X if idx is None else X[np.asarray(idx, dtype=np.int64)]
 
 
+def _feature_rows(X: np.ndarray, idx, stored: bool) -> np.ndarray:
+    rows = _rows(X, idx)
+    return rows if stored else rows.astype(np.float64, copy=False)
+
+
 def _features(x) -> np.ndarray:
     x = np.asarray(x)
     return _frozen(x, np.float32 if x.dtype == np.float32 else np.float64)
@@ -119,7 +124,8 @@ class Corpus:
     held as float64, so a pseudo corpus is never rounded; attributes are
     float64, labels int64. Arrays are read-only; one given at its held dtype
     is kept, not copied. Gathers go through image_matrix/text_matrix/
-    attr_matrix/labels; a feature gather returns exact float64 rows.
+    attr_matrix/labels; a feature gather returns exact float64 rows, or
+    the rows at their held dtype when `stored`.
     """
 
     def __init__(self, images, texts, labels, class_attrs, name: str = "corpus"):
@@ -182,11 +188,11 @@ class Corpus:
     def indices_by_class(self) -> dict[int, np.ndarray]:
         return {c: np.flatnonzero(self._labels == c) for c in self.classes()}
 
-    def image_matrix(self, idx=None) -> np.ndarray:
-        return _rows(self._images, idx).astype(np.float64, copy=False)
+    def image_matrix(self, idx=None, stored: bool = False) -> np.ndarray:
+        return _feature_rows(self._images, idx, stored)
 
-    def text_matrix(self, idx=None) -> np.ndarray:
-        return _rows(self._texts, idx).astype(np.float64, copy=False)
+    def text_matrix(self, idx=None, stored: bool = False) -> np.ndarray:
+        return _feature_rows(self._texts, idx, stored)
 
     def attr_matrix(self, idx=None) -> np.ndarray:
         return self._attrs[_rows(self._attr_rows, idx)]

@@ -575,7 +575,8 @@ def _dataset_metrics(model, X, attrs: AttrRows, hp, rng, use_vae) -> dict[str, f
     n = X.shape[0]
     critic = model.critic
     if use_vae:
-        kl, recon, v_bar, _ = _vae_forward(model, X, attrs, rng)
+        # the backward pass's cache is dropped here, not held through the probe
+        kl, recon, v_bar = _vae_forward(model, X, attrs, rng)[:3]
     else:
         kl = recon = 0.0
     vae = kl + recon

@@ -23,9 +23,12 @@ second core is free. The losses, their cotangents and the shared head's
 update run on the calling thread. `_tower_forward` is the one tower
 forward: `embed_*` runs its evaluation mode on the near-equal row blocks of
 `util.row_blocks`, each block's u written into its rows of one (n, d)
-output, so a block holds one (BLOCK, 2d) and one (BLOCK, d) buffer besides
-the logistic's temporary. `retrieval.evaluate` calls it one block at a time,
-on rows it has just gathered. The curve probe, `dataset_losses`, is that
+output, so a block holds one (BLOCK, 2d) and one (BLOCK, d) float64 buffer
+and bool masks: float32 rows are cast straight into the first, and the
+logistic's denominator is formed in the second. `retrieval.evaluate` calls
+it one block at a time on each evaluation thread, on rows it has just
+gathered at their stored dtype, so a thread's forward holds those rows,
+its output and the two buffers. The curve probe, `dataset_losses`, is that
 forward on whole matrices plus the loss values; its contrastive term holds
 one (2n, 2n) matrix.
 """
@@ -124,8 +127,10 @@ class ProjectionModel(Module):
 
     def _embed(self, X, projector: Projector, gate: GateNet | None) -> np.ndarray:
         """One modality's embeddings at rows X (never written), gate None
-        under no_gate: `_tower_forward` on the blocks of `util.row_blocks`."""
-        X = ad.as_matrix(X)
+        under no_gate: `_tower_forward` on the blocks of `util.row_blocks`.
+        float32 rows stay float32 here; the forward casts each block."""
+        X = np.asarray(X)
+        X = ad.as_matrix(X, np.float32 if X.dtype == np.float32 else np.float64)
         out = np.empty(X.shape)
         for rows in row_blocks(len(X)):
             _tower_forward(X[rows], projector, gate, out[rows])
@@ -147,12 +152,14 @@ def _tower_forward(x: np.ndarray, projector: Projector, gate: GateNet | None,
     """One modality's embeddings u at rows x (never written) and the
     activations `_tower_backward` reads; gate is None under no_gate.
 
-    Gated, x is cast into the left half of one (rows, 2d) buffer and the
-    projector output f is written into its right half, so the buffer is the
-    gate's input [x, f] and x and f are views of it. Training (out None)
-    returns u in an array of its own. Evaluation gives the (rows, d) `out`:
-    no backward pass follows, so the gate's hidden layer and (1 − g)·x reuse
-    the projector's hidden buffer, g and u are formed in out, and the
+    x may be float32 (gathered corpus rows) or float64. Gated, x is cast
+    into the left half of one (rows, 2d) float64 buffer and the projector
+    output f is written into its right half, so the buffer is the gate's
+    input [x, f] and x and f are views of it; ungated, the first product
+    casts it. Training (out None) returns u in an array of its own.
+    Evaluation gives the (rows, d) `out`: no backward pass follows, so the
+    gate's hidden layer, the logistic's denominator and (1 − g)·x reuse the
+    projector's hidden buffer, g and u are formed in out, and the
     activations returned are None. Both modes do the same float operations.
     """
     if gate is None:
@@ -167,7 +174,7 @@ def _tower_forward(x: np.ndarray, projector: Projector, gate: GateNet | None,
     ad.affine(r1, projector.l2, out=f)
     r3 = ad.relu_inplace(ad.affine(joint, gate.l1, out=None if out is None else r1))
     g = ad.affine(r3, gate.l2, out=out)
-    ad.logistic(g, out=g)
+    ad.logistic(g, out=g, scratch=None if out is None else r3)
     # u = g * f + (1 - g) * x; joint keeps f
     rest = np.subtract(1.0, g, out=None if out is None else r3)
     rest *= x

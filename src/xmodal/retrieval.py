@@ -5,15 +5,16 @@ ties broken by ascending gallery index, and AP sums precision at every
 relevant rank divided by the total relevant count. `mean_ap` is the one
 ranking pass: it forms the gallery's unit rows in one array of its own, then
 normalises, scores and ranks one block of query rows at a time, so it holds
-the unit gallery and one block's unit queries, similarities and ranking
-temporaries. It raises each fault where it meets it: every query skipped
-before any row is embedded, then block by block, gallery first, a non-finite
-value before a zero row. Each row is ranked by a value sort: where its
-values are all distinct, a relevant item's rank is the count of greater
-values, found by binary search in the sorted row. A row with a tie or a NaN
-is ranked by a stable argsort instead, which breaks the tie by gallery
-index. Both paths give the same APs bit for bit, and the value sort is three
-to four times cheaper than a stable argsort of every row.
+the unit gallery and one block: the block's unit queries until their
+similarities are formed, then the similarities, their sort buffer and the
+block's relevance. It raises each fault where it meets it: every query
+skipped before any row is embedded, then block by block, gallery first, a
+non-finite value before a zero row. Each row is ranked by a value sort:
+where its values are all distinct, a relevant item's rank is the count of
+greater values, found by binary search in the sorted row. A row with a tie
+or a NaN is ranked by a stable argsort instead, which breaks the tie by
+gallery index. Both paths give the same APs bit for bit, and the value sort
+is three to four times cheaper than a stable argsort of every row.
 
 `evaluate` streams each direction through `mean_ap` as `Embeddings` sets: it
 embeds the gallery one block at a time, each block gathered from the corpus
@@ -25,17 +26,21 @@ nothing until their average, so when one is free and the features are
 at least `util.CONCURRENT_MIN_WIDTH` wide, Txt2Img runs on a worker thread
 while Img2Txt runs on the calling thread. numpy releases the GIL in BLAS
 calls, sorts and ufunc loops, so the threads overlap. Each thread holds its
-direction's unit gallery and one block's gathered rows, forward buffers,
-relevance and ranking temporaries: a query block's relevance is formed from
-the two label arrays as it is ranked, so nothing grows as queries times
-gallery. The reports are bitwise those of a serial run, and errors surface
-in serial order (Img2Txt's first).
+direction's unit gallery and one block's working set, never two blocks:
+while a block is embedded, its rows gathered at their stored dtype (float32
+as files store them) and the forward's output, joint and hidden buffers;
+while it is ranked, its similarities, their sort buffer and its relevance,
+formed from the two label arrays as it is ranked, so nothing grows as
+queries times gallery. Each block is released before the next one is
+gathered. The reports are bitwise those of a serial run, and errors
+surface in serial order (Img2Txt's first).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,18 +87,22 @@ def average_precision(sims: np.ndarray, relevance: np.ndarray) -> np.ndarray:
     A row with a repeated value (+0.0 and -0.0 included) or a NaN is ranked
     by a stable argsort of its negated values instead. The two give the same
     (queries, gallery) block of precision-at-relevant-rank terms, so each AP
-    is the same row sum over the same block on either path.
+    is the same row sum over the same block on either path. Each row's terms
+    are formed in that row of the float64 sort buffer once the row is
+    ranked, so the block holds sims, its sorted copy and the relevance.
     """
     sims = np.asarray(sims)
     relevance = np.asarray(relevance, dtype=bool)
     m = sims.shape[1]
-    ranked = np.sort(sims, axis=1)
-    distinct = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-    terms = np.zeros(sims.shape)
+    # the sort buffer, C-ordered float64 so it can take the terms
+    terms = np.ascontiguousarray(np.sort(sims, axis=1), dtype=np.float64)
+    distinct = (terms[:, 1:] > terms[:, :-1]).all(axis=1)
     for i in np.flatnonzero(distinct):
-        pos = m - np.searchsorted(ranked[i], sims[i, relevance[i]], side="right")
+        row = terms[i]
+        pos = m - np.searchsorted(row, sims[i, relevance[i]], side="right")
         pos.sort()
-        terms[i, pos] = np.arange(1, pos.size + 1) / (pos + 1)
+        row[:] = 0.0
+        row[pos] = np.arange(1, pos.size + 1) / (pos + 1)
     tied = np.flatnonzero(~distinct)
     if tied.size:
         order = np.argsort(-sims[tied], axis=1, kind="stable")
@@ -123,13 +132,19 @@ class Embeddings:
         return len(self.idx)
 
     def unit_blocks(self, what: str, direction: str):
-        """(rows, float64 unit rows) per block, normalised in place as it is made:
-        a non-finite value raises NonFiniteError naming `what`, a zero row ValueError."""
+        """(rows, float64 unit rows) per block, made when the next block is
+        asked for and then held by the caller alone, so a caller that drops
+        a block drops all of it before the next one is gathered."""
         for rows in row_blocks(len(self.idx)):
-            block = np.asarray(self.embed(self.gather(self.idx[rows])), dtype=np.float64)
-            if not np.isfinite(block).all():
-                raise NonFiniteError(f"{direction or 'mean_ap'}: non-finite value in the {what}")
-            yield rows, unit_rows(block, out=block)
+            yield rows, self._unit_block(rows, what, direction)
+
+    def _unit_block(self, rows: slice, what: str, direction: str) -> np.ndarray:
+        """The unit rows of one block, normalised in place: a non-finite value
+        raises NonFiniteError naming `what`, a zero row ValueError."""
+        block = np.asarray(self.embed(self.gather(self.idx[rows])), dtype=np.float64)
+        if not np.isfinite(block).all():
+            raise NonFiniteError(f"{direction or 'mean_ap'}: non-finite value in the {what}")
+        return unit_rows(block, out=block)
 
 
 def mean_ap(queries, gallery, query_labels, gallery_labels, direction: str = "") -> RetrievalReport:
@@ -139,13 +154,14 @@ def mean_ap(queries, gallery, query_labels, gallery_labels, direction: str = "")
     `gallery_labels` hold one class label per item of each, and an item is
     relevant to a query when their labels match. The gallery's unit rows are
     formed first, in one array of its own; then each query block is made,
-    normalised in place, scored against them and ranked against its block of
-    same-label relevance. Queries whose label no gallery item has are left
-    out of the mean, named in a warning when a report is returned. Faults
-    raise where they are met: ConfigError for an empty set, for a label array
-    that does not fit its set and when every query is skipped, all before any
-    row is embedded; then, block by block, gallery before queries,
-    NonFiniteError for a non-finite value, then ValueError for a zero row.
+    normalised in place, scored against them, released, and its similarities
+    ranked against its block of same-label relevance. Queries whose label no
+    gallery item has are left out of the mean, named in a warning when a
+    report is returned. Faults raise where they are met: ConfigError for an
+    empty set, for a label array that does not fit its set and when every
+    query is skipped, all before any row is embedded; then, block by block,
+    gallery before queries, NonFiniteError for a non-finite value, then
+    ValueError for a zero row.
     """
     n_q, n_g = len(queries), len(gallery)
     if not n_q or not n_g:
@@ -156,14 +172,19 @@ def mean_ap(queries, gallery, query_labels, gallery_labels, direction: str = "")
     skipped = np.flatnonzero(~np.isin(query_labels, gallery_labels))
     if skipped.size == n_q:
         raise ConfigError("every query was skipped; mAP undefined")
+    # no block outlives its use: a query block's unit rows go once its
+    # similarities are formed, and those once ranked, before the next gather
     unit_g, aps = None, []
     for rows, block in gallery.unit_blocks("gallery", direction):
         if unit_g is None:
             unit_g = np.empty((n_g, block.shape[1]))
         unit_g[rows] = block
-    del block  # else the last gallery block stays alive through the query pass
+        del block
     for rows, q in queries.unit_blocks("queries", direction):
-        aps.append(average_precision(q @ unit_g.T, query_labels[rows, None] == gallery_labels))
+        sims = q @ unit_g.T
+        del q
+        aps.append(average_precision(sims, query_labels[rows, None] == gallery_labels))
+        del sims
     if skipped.size:
         logger.warning("queries %s have no relevant gallery item; excluded from mAP", skipped.tolist())
     aps = np.delete(np.concatenate(aps), skipped)
@@ -185,10 +206,11 @@ def evaluate(model, split: XShotSplit, corpus: Corpus, domain: str = "target") -
     Each direction is one `mean_ap` pass over `Embeddings` sets and the
     partition's class labels, raising at its first bad block and embedding
     nothing when every query is skipped.
+    Rows are gathered at their stored dtype; the model's forward casts them.
     Img2Txt runs on the calling thread and Txt2Img on the worker
     (`util.run_pair`), each holding one unit gallery and one block's forward
-    and ranking temporaries; when both fail, Img2Txt's error is the one
-    raised, as in a serial run.
+    buffers or its ranking temporaries, never two blocks; when both fail,
+    Img2Txt's error is the one raised, as in a serial run.
     """
     if domain == "target":
         q_idx, g_idx = split.target_query, split.target_gallery
@@ -200,8 +222,9 @@ def evaluate(model, split: XShotSplit, corpus: Corpus, domain: str = "target") -
         raise ConfigError(f"{domain} query/gallery is empty")
 
     labels = corpus.labels(q_idx), corpus.labels(g_idx)
-    images = (model.embed_images, corpus.image_matrix)
-    texts = (model.embed_texts, corpus.text_matrix)
+    # rows gathered at their stored dtype: the forward casts them
+    images = (model.embed_images, partial(corpus.image_matrix, stored=True))
+    texts = (model.embed_texts, partial(corpus.text_matrix, stored=True))
 
     def direction(name, query_side, gallery_side):
         return lambda: mean_ap(

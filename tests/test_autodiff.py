@@ -122,6 +122,17 @@ def test_logistic_equals_the_masked_copy_formula_bytewise(into):
         assert given.tobytes() == d.tobytes()
 
 
+def test_logistic_with_a_scratch_buffer_equals_logistic_without_bytewise():
+    # evaluation forms the denominator in a spent hidden buffer
+    rng = np.random.default_rng(5)
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 800.0, -800.0, 745.2, -745.2]
+    d = np.concatenate([special, rng.normal(scale=8.0, size=300)]).reshape(-1, 3)
+    want = ad.logistic(d.copy())
+    given, scratch = d.copy(), np.full_like(d, np.nan)
+    got = ad.logistic(given, out=given, scratch=scratch)
+    assert got is given and got.tobytes() == want.tobytes()
+
+
 def test_relu_and_sigmoid_point_values():
     assert ad.relu(ad.Tensor([[-3.0]])).item() == 0.0
     assert ad.relu(ad.Tensor([[2.5]])).item() == 2.5

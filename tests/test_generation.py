@@ -570,6 +570,21 @@ def test_stage1_steps_hold_few_temporaries_at_width_512():
     assert eg <= 28.5 * mb
 
 
+def test_curve_probe_holds_no_backward_cache():
+    # the probe runs over every training row, four batches here, so its
+    # reconstruction forward is the largest thing it forms. At d=128 over
+    # 512 rows it peaked at 14.0 (n, d) float64 arrays; binding the backward
+    # pass's cache as well (the encoder's and the decoder's activations, the
+    # draws and the residual) held 20.7
+    hp = gen.GenHyperParams(seed=2)
+    n, d = 4 * hp.batch, 128
+    model = gen.VaeGanModel(d, d, hp, stream(2, "init"))
+    rng = np.random.default_rng(3)
+    X, a = rng.uniform(size=(n, d)), gen.AttrRows.each(rng.normal(size=(n, d)))
+    probe = _step_peak(gen._dataset_metrics, model, X, a, hp, stream(4, "probe"), True)
+    assert probe <= 16 * n * d * 8
+
+
 def test_no_vae_losses_drop_reconstruction_path():
     model, hp = small_model(d=6, seed=41)
     v, a = fixture_batch(d=6, n=4, seed=42)

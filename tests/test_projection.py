@@ -113,20 +113,24 @@ def test_lean_embeddings_of_a_nan_weight_are_nan():
 def test_lean_forward_holds_few_temporaries():
     # the forward runs BLOCK rows at a time into one output, so besides the
     # output a call holds one block's buffers, however many rows it embeds:
-    # the (BLOCK, 2d) gate input, the (BLOCK, d) hidden buffer and the
-    # logistic's temporaries, under five (BLOCK, d) arrays gated, where the
-    # training forward, which keeps its activations, holds over seven
+    # the (BLOCK, 2d) gate input, which float32 rows are cast straight into,
+    # the (BLOCK, d) hidden buffer, which also takes the logistic's
+    # denominator, and bool masks: 3.38 (BLOCK, d) float64 arrays gated. The
+    # denominator in an array of its own took 4.26, and a float64 copy of
+    # float32 rows made before the blocks 12.26; the training forward,
+    # which keeps its activations, holds over seven
     n, d = 8 * util.BLOCK, 256
     model, _ = make_model(d=d)
-    X = np.random.default_rng(7).normal(size=(n, d))
-    model.embed_images(X)
-    tracemalloc.start()
-    try:
+    for dtype in (np.float64, np.float32):
+        X = np.random.default_rng(7).normal(size=(n, d)).astype(dtype)
         model.embed_images(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= n * d * 8 + 5 * util.BLOCK * d * 8
+        tracemalloc.start()
+        try:
+            model.embed_images(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * d * 8 + 3.75 * util.BLOCK * d * 8, dtype
 
 
 @pytest.mark.parametrize("use_gate", [True, False])
@@ -167,6 +171,20 @@ def test_embeddings_are_the_training_forward_into_the_output_bitwise(use_gate, d
             got = embed(X)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             assert X.tobytes() == before
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+def test_embeddings_of_float32_rows_equal_those_of_their_float64_cast_bytewise(use_gate):
+    # evaluation gathers corpus rows at their stored float32 and the forward
+    # casts each block (gated, into the left half of its joint buffer), so
+    # the embeddings must be those of the exactly cast float64 rows
+    d = 128
+    model = proj.ProjectionModel(
+        d, range(3), proj.ProjHyperParams(), stream(10, "init"), use_gate=use_gate
+    )
+    X = np.random.default_rng(11).normal(size=(2 * util.BLOCK + 1, d)).astype(np.float32)
+    for embed in (model.embed_images, model.embed_texts):
+        assert embed(X).tobytes() == embed(X.astype(np.float64)).tobytes()
 
 
 # ---------------------------------------------------------------------------

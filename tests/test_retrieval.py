@@ -117,6 +117,7 @@ def _blocks():
     yield "rounded", np.round(rng.normal(size=(40, 300)), 1), rel((40, 300))
     yield "integer-valued", rng.integers(-3, 4, size=(30, 50)).astype(float), rel((30, 50), 0.4)
     yield "integer-dtype", rng.integers(-3, 4, size=(30, 50)), rel((30, 50), 0.4)
+    yield "float32", rng.normal(size=(40, 300)).astype(np.float32), rel((40, 300))
     signed_zeros = rng.normal(size=(6, 40))
     signed_zeros[:, 3], signed_zeros[:, 17] = 0.0, -0.0
     signed_zeros[1, 17] = 0.0
@@ -592,14 +593,17 @@ def test_streamed_evaluation_raises_the_whole_set_error(marks):
 
 def test_streamed_evaluation_holds_one_unit_gallery_and_a_block(monkeypatch):
     # a serial evaluation of 600 x 600 at d=256 peaks while it ranks a query
-    # block of b rows: one unit gallery, the block's unit queries, its bool
-    # relevance, its similarities with their sort and precision terms (three
-    # (b, n_gallery) float64 arrays), and 256 KiB for index arrays and loop
-    # temporaries. A block's gated forward (its rows, output, joint buffer,
-    # hidden buffer and the logistic's temporary) stays below that. It took
-    # 4.54 MiB against this bound's 4.67 MiB. Keeping the last gallery block
-    # through the query pass took 4.94 MiB, the training forward per block
-    # 5.25 MiB, and that forward with the whole relevance matrix 5.58 MiB
+    # block of b rows: one unit gallery, the block's similarities and their
+    # sort buffer, which takes the precision terms (two (b, n_gallery)
+    # float64 arrays), its bool relevance and the sort's bool comparison,
+    # and 256 KiB for index arrays and loop temporaries. Nothing of the
+    # previous block is held, and a block's gated forward (its float32 rows,
+    # output, joint buffer and hidden buffer) stays below that. It took
+    # 3.41 MiB against this bound's 3.48 MiB. Holding the block's unit
+    # queries, a fresh precision block and the previous block took 4.54 MiB,
+    # keeping the last gallery block through the query pass too 4.94 MiB,
+    # the training forward per block 5.25 MiB, and that forward with the
+    # whole relevance matrix 5.58 MiB
     monkeypatch.setattr(util, "_spare_core", lambda: False)
     n, d = 600, 256
     corpus, split = _stream_setup(n, n, dim=d)
@@ -611,4 +615,4 @@ def test_streamed_evaluation_holds_one_unit_gallery_and_a_block(monkeypatch):
     finally:
         tracemalloc.stop()
     f64, b = 8, max(r.stop - r.start for r in util.row_blocks(n))
-    assert peak < f64 * (n * d + b * d + 3 * b * n) + b * n + 2**18
+    assert peak < f64 * (n * d + 2 * b * n) + 2 * b * n + 2**18
