@@ -6,8 +6,9 @@ The models use `Parameter` (a value with its gradient array), `ParamGroup`
 Parameter's arrays are views into, and the Adam moments), `Linear`, `Module`
 (whose `arrays()` a checkpoint save, its load and the finite check walk) and
 the array helpers `as_matrix`, `affine`, `add_affine_grads`, `relu_inplace`,
-`slope_mask`, `logistic` and `xavier_uniform`; `generation` and
-`projection` compute every gradient in closed form from them.
+`slope_mask`, `slope_masks`, `leaky_relu_inplace`, `logistic` and
+`xavier_uniform`; `generation` and `projection` compute every gradient in
+closed form from them.
 
 The engine (`Tensor`, `Tape`, the ops, `backward`, `grad`, `no_grad`)
 remains only because the benchmark's tracer, `bench/tracer.py`, patches it
@@ -368,12 +369,15 @@ def relu(a):
     return _node(a.data * mask, (a,), (lambda g: g * mask,))
 
 
-def slope_mask(pre: np.ndarray, slope: float) -> np.ndarray:
+def slope_mask(pre: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
     """LeakyReLU's derivative at `pre`: 1 where pre > 0, else `slope` (NaN
-    included), in pre's dtype. The slope lies in (0, 1), so it is
-    max(pre > 0, slope)."""
-    mask = (pre > 0).astype(pre.dtype)
-    return np.maximum(mask, slope, out=mask)
+    included), formed in `out` when given, else in a new array of pre's
+    dtype. The slope lies in (0, 1), so it is max(pre > 0, slope)."""
+    if out is None:
+        out = np.empty(pre.shape, pre.dtype)
+    # a bool array cast into out: faster than a comparison into a float out
+    np.copyto(out, pre > 0)
+    return np.maximum(out, slope, out=out)
 
 
 def leaky_relu(a, slope: float = 0.2):
@@ -542,8 +546,34 @@ def relu_inplace(x: np.ndarray) -> np.ndarray:
     return np.multiply(x, x > 0, out=x)
 
 
-# elements per pass of a blocked walk (a draw, an Adam step): a block stays in cache
+# elements per pass of a blocked walk (a draw, an Adam step, a slope mask):
+# a block stays in cache
 BLOCK = 32768
+
+
+def slope_masks(sign: np.ndarray, slope: float):
+    """`slope_mask` over the rows of a 2-D array, one chunk at a time.
+
+    Yields (rows, mask) per chunk of at most BLOCK elements (one row when a
+    row is wider), each mask formed in one float64 scratch block that the
+    next chunk overwrites, so the caller may overwrite sign[rows] once it
+    holds the mask. `sign` may be the pre-activation, the LeakyReLU's
+    activation or the bool (pre > 0): all three are > 0 at the same places,
+    NaN at none of them.
+    """
+    n, width = sign.shape
+    step = BLOCK // width or 1
+    scratch = np.empty((min(step, n), width))
+    for start in range(0, n, step):
+        chunk = sign[start : start + step]
+        yield slice(start, start + step), slope_mask(chunk, slope, scratch[: len(chunk)])
+
+
+def leaky_relu_inplace(x: np.ndarray, slope: float) -> np.ndarray:
+    """LeakyReLU: x times its slope mask, formed in x one chunk at a time."""
+    for rows, mask in slope_masks(x, slope):
+        x[rows] *= mask
+    return x
 
 
 def xavier_uniform(rng: np.random.Generator, out: np.ndarray) -> None:

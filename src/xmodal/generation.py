@@ -27,6 +27,18 @@ pre-activation is e·(v W1_v) + (1 − e)·(ṽ W1_v) + a_pre. The critic step a
 the curve probe form it from the feature products their scores already
 took, and `penalty_terms` takes that pre-activation, not v̂.
 
+A critic step holds one batch's working set. Its feature product P of the
+real, fake and reconstructed rows serves every critic evaluation: the
+penalty's interpolate pre-activations are formed from it first, then P takes
+the score pre-activation, the activation and the cotangent in place, and it
+is released before the penalty. No slope mask is formed as a whole matrix:
+`autodiff.slope_masks` forms it per row chunk of at most `autodiff.BLOCK`
+elements in one scratch block, from the pre-activation, from the activation
+(whose sign is the pre-activation's) or from the bool pre > 0 that
+`penalty_terms` keeps for its second use. At d = d_attr = 512 on a 256-row
+batch a critic step peaks at about 17 MiB of temporaries and an E/G step at
+16 MiB; at d = d_attr = 1024, 42 and 35 MiB (tracemalloc).
+
 Every attribute row is one of a few class vectors, so stage 1 holds the
 attributes as an `AttrRows`: the class table and each row's index into it.
 The attribute halves of the encoder's and the generator's first layers and
@@ -224,20 +236,33 @@ class Critic(Module):
         """Closed form of d(sum of scores)/dv at the feature rows v whose
         hidden pre-activation is pre.
 
-        Returns (M, K, gin): the slope mask, K = M ⊙ w2ᵀ (the score's
-        gradient w.r.t. the hidden pre-activation, formed in pre) and
-        gin = K @ W1_vᵀ.
+        Returns (positive, K, gin): the bool pre > 0, from which the slope
+        mask M is formed again, K = M ⊙ w2ᵀ (the score's gradient w.r.t.
+        the hidden pre-activation, formed in pre one mask chunk at a time)
+        and gin = K @ W1_vᵀ.
         """
-        M = ad.slope_mask(pre, LEAKY_SLOPE)
-        K = np.multiply(M, self.l2.W.data.T, out=pre)
-        return M, K, K @ self.l1.W.data[: self.d_feat].T
+        positive = pre > 0
+        K = self.score_cotangent(pre, self.l2.W.data.T)
+        return positive, K, K @ self.l1.W.data[: self.d_feat].T
 
-    def scores(self, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The scores at the rows whose hidden pre-activation is pre, and the
-        slope mask M; pre becomes the hidden activation."""
-        M = ad.slope_mask(pre, LEAKY_SLOPE)
-        pre *= M
-        return ad.affine(pre, self.l2), M
+    def scores(self, pre: np.ndarray) -> np.ndarray:
+        """The scores at the rows whose hidden pre-activation is pre; pre
+        becomes the hidden activation h, whose sign is pre's, so the slope
+        mask can be formed again from h."""
+        return ad.affine(ad.leaky_relu_inplace(pre, LEAKY_SLOPE), self.l2)
+
+    def score_cotangent(self, x: np.ndarray, w2_row: np.ndarray, weights=None) -> np.ndarray:
+        """M ⊙ w2_row, times `weights` (one per row) when given, formed in x
+        one mask chunk at a time: x is a hidden pre-activation or the
+        activation, which share a sign, and M the slope mask at that sign;
+        w2_row is w2ᵀ, scaled as the caller needs."""
+        for rows, M in ad.slope_masks(x, LEAKY_SLOPE):
+            if weights is None:
+                np.multiply(M, w2_row, out=x[rows])
+            else:
+                M *= w2_row
+                np.multiply(M, weights[rows], out=x[rows])
+        return x
 
 
 class FeatureScaler:
@@ -303,8 +328,13 @@ def penalty_terms(critic: Critic, pre: np.ndarray, n: int, grads: bool = True):
     Returns (value, dW1_v, dw2), the gradients None when `grads` is off.
     A row whose input gradient is exactly zero has no norm derivative and
     contributes a zero gradient.
+
+    Besides pre, which takes K = M ⊙ w2ᵀ and then G W1_v ⊙ M, it holds the
+    bool pre > 0 (one byte per element), gin, which takes G, the (d, H)
+    gradient dW1_v and one mask chunk: the slope mask M is formed chunk by
+    chunk from the bool at each of its two uses, never as a whole array.
     """
-    M, K, gin = critic.input_gradient(pre)
+    positive, K, gin = critic.input_gradient(pre)
     norms = np.sqrt((gin * gin).sum(axis=1, keepdims=True))
     value = float(np.square(norms - 1.0).sum() / n)
     if not grads:
@@ -315,7 +345,8 @@ def penalty_terms(critic: Critic, pre: np.ndarray, n: int, grads: bool = True):
     dW1_v = G.T @ K
     # K is spent: it takes G @ W1_v, then that times M
     GW = np.matmul(G, critic.l1.W.data[: critic.d_feat], out=K)
-    GW *= M
+    for rows, M in ad.slope_masks(positive, LEAKY_SLOPE):
+        GW[rows] *= M
     return value, dW1_v, GW.sum(axis=0, keepdims=True).T
 
 
@@ -373,42 +404,59 @@ def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, r
     batch. Draws from rng in this order: noise, reparameterisation, then one
     eps per path (none when lambda_gp is 0, which skips the penalty).
     Returns the loss value.
+
+    It holds one batch's working set. For the k + 1 paths of n rows (real,
+    fake, reconstructed) and the critic's hidden width H: the (k + 1)n feature
+    rows; their first-layer product P, (k + 1)n × H, which becomes the
+    score pass's pre-activation, activation and cotangent in turn; the
+    penalty's interpolate pre-activations, kn × H, formed from P before
+    the score pass; and one slope-mask chunk (see `autodiff.slope_masks`).
+    The rows go once their weight gradient is formed and P before the
+    penalty, so `penalty_terms` holds only its own arrays.
     """
-    n = real.shape[0]
-    noise = rng.standard_normal((n, model.d_z))
-    others = [_generate(model.generator, noise, attrs)[2]]
+    n, d = real.shape
+    k = 1 if posterior is None else 2
+    critic = model.critic
+    w2 = critic.l2.W.data
+    # real, fake and reconstructed rows, one path block of n rows each
+    rows = np.empty(((k + 1) * n, d))
+    rows[:n] = real
+    rows[n : 2 * n] = _generate(model.generator, rng.standard_normal((n, model.d_z)), attrs)[2]
     if posterior is not None:
         mu, std = posterior
-        z = mu + std * rng.standard_normal(mu.shape)
-        others.append(_generate(model.generator, z, attrs)[2])
-    k = len(others)
-    rows = np.vstack([real] + others)
-    del others
-    critic = model.critic
-    d = critic.d_feat
-    w2 = critic.l2.W.data
+        rows[2 * n :] = _generate(model.generator, mu + std * rng.standard_normal(mu.shape), attrs)[2]
     # the feature products and the attribute branch serve all 2k + 1 critic
     # evaluations: the penalty's interpolates mix them
     P = rows @ critic.l1.W.data[:d]
+    paths = P.reshape(k + 1, n, -1)
     a_pre = critic.attr_branch(attrs)
+    if hp.lambda_gp:
+        # the interpolate e·real + (1 − e)·other has the pre-activation
+        # e·P_real + (1 − e)·P_other + a_pre, formed before P is overwritten
+        interp = np.empty((k, n, P.shape[1]))
+        for i, out in enumerate(interp):
+            e = rng.uniform(size=(n, 1))
+            np.multiply(e, paths[0], out=out)
+            out += (1.0 - e) * paths[i + 1]
+            out += a_pre
+    # P becomes the score pre-activation, then the activation h
+    paths += a_pre
+    del a_pre
+    ad.leaky_relu_inplace(P, LEAKY_SLOPE)
 
     # score gaps: D(real) once, weighted -k/n per row; each other path +1/n
-    pre = (P.reshape(k + 1, n, -1) + a_pre).reshape(P.shape)
-    M = ad.slope_mask(pre, LEAKY_SLOPE)
-    w = np.full((rows.shape[0], 1), 1.0 / n)
+    w = np.full((len(P), 1), 1.0 / n)
     w[:n] = -k / n
-    pre *= M
-    dW2 = pre.T @ w
-    del pre
-    # M becomes dpre = w ⊙ (M ⊙ w2ᵀ)
-    dpre = M
-    dpre *= w2.T
-    dpre *= w
-    critic.l1.W.grad[:d] += rows.T @ dpre
+    dW2 = P.T @ w
+    # the activation in P becomes dpre = w ⊙ (M ⊙ w2ᵀ)
+    critic.score_cotangent(P, w2.T, w)
+    critic.l1.W.grad[:d] += rows.T @ P
     del rows
-    critic.l1.W.grad[d:] += attrs.t_matmul(dpre.reshape(k + 1, n, -1).sum(axis=0))
-    critic.l1.b.grad += dpre.sum(axis=0, keepdims=True)
-    del dpre, M
+    critic.l1.b.grad += P.sum(axis=0, keepdims=True)
+    by_row = paths.sum(axis=0)
+    del P, paths
+    critic.l1.W.grad[d:] += attrs.t_matmul(by_row)
+    del by_row
     # Σ w·D = (hᵀ w)·w2 + b2·Σ w, and the weights sum to zero
     loss = float((dW2 * w2).sum())
     # b2's gradient is Σ w = 0
@@ -416,18 +464,9 @@ def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, r
     if not hp.lambda_gp:
         return loss
 
-    # the interpolate e·real + (1 − e)·other has the pre-activation
-    # e·P_real + (1 − e)·P_other + a_pre
-    blocks = P.reshape(k + 1, n, -1)
-    pre = np.empty((k, n, blocks.shape[2]))
-    for other, out in zip(blocks[1:], pre):
-        e = rng.uniform(size=(n, 1))
-        np.multiply(e, blocks[0], out=out)
-        out += (1.0 - e) * other
-        out += a_pre
-    del P, blocks
-    gp, dW1_v, dw2 = penalty_terms(critic, pre.reshape(k * n, -1), n)
-    critic.l1.W.grad[:d] += hp.lambda_gp * dW1_v
+    gp, dW1_v, dw2 = penalty_terms(critic, interp.reshape(k * n, -1), n)
+    dW1_v *= hp.lambda_gp
+    critic.l1.W.grad[:d] += dW1_v
     critic.l2.W.grad += hp.lambda_gp * dw2
     return loss + hp.lambda_gp * gp
 
@@ -467,7 +506,7 @@ def eg_step(v, a: AttrRows, model: VaeGanModel, hp: GenHyperParams, rng, use_vae
 
     # the attribute branch is shared by all three critic evaluations
     a_pre = critic.attr_branch(a)
-    d_real = critic.scores(critic.hidden(v, a_pre))[0].mean()
+    d_real = critic.scores(critic.hidden(v, a_pre)).mean()
     # a fake score's cotangent is -1/n per row, applied to w2 before the
     # product with W1_vᵀ
     w2_scaled = -(1.0 / n) * critic.l2.W.data.T
@@ -475,9 +514,9 @@ def eg_step(v, a: AttrRows, model: VaeGanModel, hp: GenHyperParams, rng, use_vae
 
     def gan_term(fake):
         """(d_real - E D(fake), d(-E D(fake))/d fake)."""
-        score, M = critic.scores(critic.hidden(fake, a_pre))
-        M *= w2_scaled
-        return d_real - score.mean(), M @ W1_v.T
+        h = critic.hidden(fake, a_pre)
+        score = critic.scores(h)
+        return d_real - score.mean(), critic.score_cotangent(h, w2_scaled) @ W1_v.T
 
     fwd = _generate(gen, noise, a)
     gan1, g = gan_term(fwd[2])
@@ -539,13 +578,16 @@ def train_generation(
     width = min(X.shape[1] for X in feats.values())
     # the models are built here, on the calling thread, so their buffers do
     # not stay behind in a worker's malloc arena; a forked child builds its
-    # own. One fork decision: `run_pair` forks exactly when given a child name
+    # own, so only its raw features are kept past this point. One fork
+    # decision: `run_pair` forks exactly when given a child name
     in_child = "txt" if forks(width) else None
-    built = {m: _new_model(X, d_attr, hp, m) for m, X in feats.items() if m != in_child}
+    make = {m: partial(_new_model, X, d_attr, hp, m) for m, X in feats.items()}
+    del feats
+    built = {m: make.pop(m)() for m in ("img", "txt") if m != in_child}
     stop = threading.Event()
 
     def train(modality):
-        model = built.get(modality) or _new_model(feats[modality], d_attr, hp, modality)
+        model = built.get(modality) or make[modality]()
         return _train_single_modality(*model, attrs, hp, modality, use_vae, stop)
 
     (img, img_curve), (txt, txt_curve) = run_pair(
@@ -584,11 +626,11 @@ def _dataset_metrics(model, X, attrs: AttrRows, hp, rng, use_vae) -> dict[str, f
     W1_v = critic.l1.W.data[: critic.d_feat]
     a_pre = critic.attr_branch(attrs)
     P_real = X @ W1_v
-    d_real = critic.scores(P_real + a_pre)[0].mean()
+    d_real = critic.scores(P_real + a_pre).mean()
 
     def wgan_term(fake):
         P = fake @ W1_v
-        gap = d_real - critic.scores(P + a_pre)[0].mean()
+        gap = d_real - critic.scores(P + a_pre).mean()
         if not hp.lambda_gp:
             return gap, gap
         eps = rng.uniform(size=(n, 1))

@@ -89,22 +89,24 @@ def average_precision(sims: np.ndarray, relevance: np.ndarray) -> np.ndarray:
     (queries, gallery) block of precision-at-relevant-rank terms, so each AP
     is the same row sum over the same block on either path. Each row's terms
     are formed in that row of the float64 sort buffer once the row is
-    ranked, so the block holds sims, its sorted copy and the relevance.
+    ranked, so the block holds sims, its sorted copy and the relevance; a
+    row's distinctness is checked in the row loop, one row at a time.
     """
     sims = np.asarray(sims)
     relevance = np.asarray(relevance, dtype=bool)
     m = sims.shape[1]
     # the sort buffer, C-ordered float64 so it can take the terms
     terms = np.ascontiguousarray(np.sort(sims, axis=1), dtype=np.float64)
-    distinct = (terms[:, 1:] > terms[:, :-1]).all(axis=1)
-    for i in np.flatnonzero(distinct):
-        row = terms[i]
+    tied = []
+    for i, row in enumerate(terms):
+        if not (row[1:] > row[:-1]).all():
+            tied.append(i)
+            continue
         pos = m - np.searchsorted(row, sims[i, relevance[i]], side="right")
         pos.sort()
         row[:] = 0.0
         row[pos] = np.arange(1, pos.size + 1) / (pos + 1)
-    tied = np.flatnonzero(~distinct)
-    if tied.size:
+    if tied:
         order = np.argsort(-sims[tied], axis=1, kind="stable")
         hits = np.take_along_axis(relevance[tied], order, axis=1).astype(np.float64)
         terms[tied] = np.cumsum(hits, axis=1) / np.arange(1, m + 1) * hits

@@ -169,6 +169,34 @@ def test_slope_mask_matches_the_lookup_form_byte_for_byte(slope):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("width", [9, 1000, ad.BLOCK + 3])
+def test_chunked_slope_masks_equal_the_whole_mask_byte_for_byte(width):
+    # rows spanning several chunks, the last one short, with ±0, NaN, ±inf
+    # and subnormal entries; the masks formed from the pre-activation, from
+    # the LeakyReLU's activation and from the bool (pre > 0) are one mask
+    rows = 3 if width > ad.BLOCK else 3 * (ad.BLOCK // width) + 5
+    rng = np.random.default_rng(4)
+    pre = rng.normal(size=(rows, width))
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-310, -1e-310]
+    picks = rng.integers(0, pre.size, size=4 * len(specials))
+    pre.reshape(-1)[picks] = np.tile(specials, 4)
+    pre[-1, : len(specials)] = specials
+    want = ad.slope_mask(pre, 0.2)
+    with np.errstate(invalid="ignore"):
+        h = pre * want
+    for sign in (pre, h, pre > 0):
+        chunks = [(r, m.copy()) for r, m in ad.slope_masks(sign, 0.2)]
+        assert len(chunks) > 1
+        assert all(m.size <= max(ad.BLOCK, width) for _, m in chunks)
+        assert [r.start for r, _ in chunks] == list(range(0, rows, len(chunks[0][1])))
+        got = np.vstack([m for _, m in chunks])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    x = pre.copy()
+    with np.errstate(invalid="ignore"):
+        assert ad.leaky_relu_inplace(x, 0.2) is x
+    assert x.tobytes() == h.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(

@@ -595,15 +595,16 @@ def test_streamed_evaluation_holds_one_unit_gallery_and_a_block(monkeypatch):
     # a serial evaluation of 600 x 600 at d=256 peaks while it ranks a query
     # block of b rows: one unit gallery, the block's similarities and their
     # sort buffer, which takes the precision terms (two (b, n_gallery)
-    # float64 arrays), its bool relevance and the sort's bool comparison,
-    # and 256 KiB for index arrays and loop temporaries. Nothing of the
-    # previous block is held, and a block's gated forward (its float32 rows,
-    # output, joint buffer and hidden buffer) stays below that. It took
-    # 3.41 MiB against this bound's 3.48 MiB. Holding the block's unit
-    # queries, a fresh precision block and the previous block took 4.54 MiB,
-    # keeping the last gallery block through the query pass too 4.94 MiB,
-    # the training forward per block 5.25 MiB, and that forward with the
-    # whole relevance matrix 5.58 MiB
+    # float64 arrays), its bool relevance, and 256 KiB for index arrays and
+    # loop temporaries; each row's distinctness is checked on its own.
+    # Nothing of the previous block is held, and a block's gated forward
+    # (its float32 rows, output, joint buffer and hidden buffer) stays below
+    # that. It took 3.24 MiB against this bound's 3.37 MiB. Checking every
+    # row's distinctness at once, a (b, n_gallery - 1) bool comparison, took
+    # 3.41 MiB; holding the block's unit queries, a fresh precision block
+    # and the previous block 4.54 MiB, keeping the last gallery block through
+    # the query pass too 4.94 MiB, the training forward per block 5.25 MiB,
+    # and that forward with the whole relevance matrix 5.58 MiB
     monkeypatch.setattr(util, "_spare_core", lambda: False)
     n, d = 600, 256
     corpus, split = _stream_setup(n, n, dim=d)
@@ -615,4 +616,4 @@ def test_streamed_evaluation_holds_one_unit_gallery_and_a_block(monkeypatch):
     finally:
         tracemalloc.stop()
     f64, b = 8, max(r.stop - r.start for r in util.row_blocks(n))
-    assert peak < f64 * (n * d + 2 * b * n) + 2 * b * n + 2**18
+    assert peak < f64 * (n * d + 2 * b * n) + b * n + 2**18
