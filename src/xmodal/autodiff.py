@@ -183,7 +183,11 @@ class ParamGroup(list):
     zero, and `adam_m` and `adam_v` hold the Adam moments in the same layout;
     `step_count` counts its Adam steps. np.zeros pages cost no RSS until
     written: a model that is only loaded and run pays nothing for its
-    gradients and moments. A pickle holds each buffer once."""
+    gradients and moments. Two networks that never hold a gradient at the
+    same time may lay their gradients over one buffer (`bind_grad`), as a
+    training stage-1 generator does: at d=1024 its buffers take 276 MiB, not
+    308. A pickle holds each buffer once, a bound gradient as a buffer of
+    its own."""
 
     def __init__(self, params):
         super().__init__(params)
@@ -191,6 +195,12 @@ class ParamGroup(list):
         size = sum(map(math.prod, self.shapes))
         self.data, self.grad, self.adam_m, self.adam_v = (np.zeros(size) for _ in range(4))
         self.step_count = 0
+        self.__setstate__(vars(self))
+
+    def bind_grad(self, buf: np.ndarray) -> None:
+        """Lay the gradient, and each member's .grad view, over buf's first
+        elements. buf must be a zeroed flat float64 buffer at least as long."""
+        self.grad = buf[: self.data.size]
         self.__setstate__(vars(self))
 
     def __setstate__(self, state):

@@ -35,9 +35,15 @@ is released before the penalty. No slope mask is formed as a whole matrix:
 `autodiff.slope_masks` forms it per row chunk of at most `autodiff.BLOCK`
 elements in one scratch block, from the pre-activation, from the activation
 (whose sign is the pre-activation's) or from the bool pre > 0 that
-`penalty_terms` keeps for its second use. At d = d_attr = 512 on a 256-row
+`penalty_terms` keeps for its second use. The rows' weight gradient is
+formed in the critic's gradient itself. At d = d_attr = 512 on a 256-row
 batch a critic step peaks at about 17 MiB of temporaries and an E/G step at
-16 MiB; at d = d_attr = 1024, 42 and 35 MiB (tracemalloc).
+16 MiB; at d = d_attr = 1024, 34 and 35 MiB (tracemalloc).
+
+A model that trains holds one gradient buffer for its two networks, laid
+out by `_new_model`, which every training path builds its model with: at
+d = d_attr = 1024 its values, gradients and Adam moments take 276 MiB, not
+308. The two stage-1 threads train different models.
 
 Every attribute row is one of a few class vectors, so stage 1 holds the
 attributes as an `AttrRows`: the class table and each row's index into it.
@@ -394,7 +400,11 @@ def _vae_forward(model: VaeGanModel, v: np.ndarray, attrs: AttrRows, rng):
 
 
 def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, rng, posterior) -> float:
-    """Add the gradients of the loss the critic minimizes to the critic's .grad.
+    """Form the gradients of the loss the critic minimizes in the critic's .grad.
+
+    The critic's gradient must be zero on entry, as `zero_grads` and
+    `adam_step` leave it: the step sets the W1_v block to the score part's
+    gradient and adds the rest, the penalty's W1_v gradient included.
 
     The loss is Σ_paths [E D(other) − E D(real) + λ·GP(real, other)] over the
     fake path and, unless `posterior` is None, the reconstruction path: −gan1
@@ -411,8 +421,9 @@ def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, r
     score pass's pre-activation, activation and cotangent in turn; the
     penalty's interpolate pre-activations, kn × H, formed from P before
     the score pass; and one slope-mask chunk (see `autodiff.slope_masks`).
-    The rows go once their weight gradient is formed and P before the
-    penalty, so `penalty_terms` holds only its own arrays.
+    The rows' weight gradient is formed straight into the W1_v block, the
+    rows go once it is, and P before the penalty, so `penalty_terms` holds
+    only its own arrays.
     """
     n, d = real.shape
     k = 1 if posterior is None else 2
@@ -450,7 +461,7 @@ def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, r
     dW2 = P.T @ w
     # the activation in P becomes dpre = w ⊙ (M ⊙ w2ᵀ)
     critic.score_cotangent(P, w2.T, w)
-    critic.l1.W.grad[:d] += rows.T @ P
+    np.matmul(rows.T, P, out=critic.l1.W.grad[:d])
     del rows
     critic.l1.b.grad += P.sum(axis=0, keepdims=True)
     by_row = paths.sum(axis=0)
@@ -598,8 +609,17 @@ def train_generation(
 
 def _new_model(feats, d_attr, hp, modality):
     """An untrained model of one modality with its scaler fitted to feats, and
-    the scaled features."""
+    the scaled features.
+
+    Its critic and encoder/generator step in turn, each from `zero_grads` of
+    its own gradient to an `adam_step` that zeroes it again, and neither step
+    writes the other's gradient, so the smaller network's gradient is laid
+    over the larger one's buffer (`ParamGroup.bind_grad`): at d = d_attr =
+    1024 the model's buffers take 276 MiB, not 308.
+    """
     model = VaeGanModel(feats.shape[1], d_attr, hp, stream(hp.seed, modality, "init"))
+    small, large = sorted(model.groups, key=lambda group: group.grad.size)
+    small.bind_grad(large.grad)
     model.scaler.fit(feats)
     return model, model.scaler.transform(feats)
 

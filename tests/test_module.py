@@ -162,6 +162,15 @@ def test_a_model_lays_out_one_group_per_network():
         assert not any(g.grad.any() or g.adam_m.any() or g.adam_v.any() for g in model.groups)
 
 
+def test_a_group_lays_its_gradient_over_the_first_elements_of_a_buffer():
+    model = vaegan()
+    small, large = sorted(model.groups, key=lambda group: group.grad.size)
+    small.bind_grad(large.grad)
+    assert_laid_out(model, "vaegan")
+    assert small.grad.ctypes.data == large.grad.ctypes.data
+    assert small.grad.size == small.data.size < large.grad.size
+
+
 @pytest.mark.parametrize("kind", ["vaegan", "projection"])
 def test_a_loaded_model_reads_into_its_groups(kind, tmp_path):
     model = trained(kind)
