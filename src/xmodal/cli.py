@@ -1,19 +1,17 @@
 """Command-line entry points.
 
-Subcommands: make-data (write a synthetic corpus), run (full x-shot grid),
-synth (stage 1 only: train and save the generators), train-proj (stage 2
-only, on pseudo pairs from the generators `synth` saved; the two write
-run's files byte for byte), eval (score a saved projection checkpoint).
-run, synth and train-proj run the stage functions of `pipeline` over the
-same grid loop and write the same cell layout, `cell_x{x}_s{seed}/` under
---out, with the grid's record at the root (`synth_record.json` for synth,
-so a later train-proj into the same root keeps it; `run_record.json`
-otherwise). They exit 0 only when every grid cell succeeded and 1 when any
-failed (the failure is recorded and the grid continues); a bad config,
-corpus or checkpoint, or any OSError (such as a directory given as a file),
-exits 2 with a one-line error. Given both --preset and --config, the file's
-keys override the preset's, section by section. eval takes only the flags
-it reads; argparse rejects grid flags there (exit 2).
+Subcommands: make-data (write a synthetic corpus), run (the x-shot grid of
+`pipeline.run_experiment`; with --pseudo each cell takes stage 1 from the
+generators an earlier run saved for it, so ablations that leave stage 1 as
+it is reuse one run's generators), eval (score a saved projection
+checkpoint). run writes one `cell_x{x}_s{seed}/` per cell under --out and
+`run_record.json` at the root. It exits 0 only when every grid cell
+succeeded and 1 when any failed (the failure is recorded and the grid
+continues); a bad config, corpus, checkpoint or --pseudo root, or any
+OSError (such as a directory given as a file), exits 2 with a one-line
+error. Given both --preset and --config, the file's keys override the
+preset's, section by section. eval takes only the flags it reads; argparse
+rejects grid flags there (exit 2).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
-from functools import partial
 
 from .errors import CheckpointError, ConfigError, IngestError
 from .pipeline import (
@@ -34,9 +31,6 @@ from .pipeline import (
     make_data,
     preset_config,
     run_experiment,
-    run_grid,
-    synth_cell,
-    train_proj_cell,
 )
 from .util import read_json, write_json
 
@@ -75,15 +69,6 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_grid(parser: argparse.ArgumentParser) -> None:
-    _add_config(parser)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--x-shot", type=int, action="append", help="x-shot value (repeatable)")
-    parser.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
-    for flag in ABLATIONS:
-        parser.add_argument(f"--{flag.replace('_', '-')}", action="store_true")
-
-
 def cmd_make_data(args) -> int:
     spec = SyntheticSpec(
         n_classes=args.classes,
@@ -99,47 +84,18 @@ def cmd_make_data(args) -> int:
     return 0
 
 
-def _print_grid(record: dict, describe) -> int:
+def cmd_run(args) -> int:
     """One line per cell; exit code 1 when any cell failed."""
+    record = run_experiment(_load_config(args), args.pseudo)
     for cell in record["cells"]:
         tag = f"x={cell['x_shot']} seed={cell['seed']}"
         if "error" in cell:
             print(f"[FAIL] {tag}: {cell['error']}")
-        else:
-            print(f"[ ok ] {tag}: {describe(cell)}")
+            continue
+        target = cell["reports"]["target"]
+        print(f"[ ok ] {tag}: target Img2Txt {target['img2txt']['map']:.4f} "
+              f"Txt2Img {target['txt2img']['map']:.4f} Avg {target['avg']:.4f}")
     return 1 if record["failures"] else 0
-
-
-def _target_map(cell: dict) -> str:
-    target = cell["reports"]["target"]
-    return (
-        f"target Img2Txt {target['img2txt']['map']:.4f} "
-        f"Txt2Img {target['txt2img']['map']:.4f} Avg {target['avg']:.4f}"
-    )
-
-
-def cmd_run(args) -> int:
-    return _print_grid(run_experiment(_load_config(args)), _target_map)
-
-
-def cmd_synth(args) -> int:
-    config = _load_config(args)
-    if config.out_dir is None:
-        raise ConfigError("synth needs --out for the generator checkpoints")
-    if config.ablations.no_generation:
-        raise ConfigError("synth trains the generators; no_generation leaves it nothing to do")
-    record = run_grid(config, synth_cell, record_name="synth_record.json")
-    return _print_grid(record, lambda cell: "saved " + ", ".join(cell["checkpoints"].values()))
-
-
-def cmd_train_proj(args) -> int:
-    config = _load_config(args)
-    if config.out_dir is None:
-        raise ConfigError("train-proj needs --out for the checkpoint")
-    if config.ablations.no_generation:
-        raise ConfigError("--pseudo trains on generated pairs, which no_generation rules out")
-    record = run_grid(config, partial(train_proj_cell, pseudo_root=args.pseudo))
-    return _print_grid(record, _target_map)
 
 
 def cmd_eval(args) -> int:
@@ -180,18 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_data)
 
     p = sub.add_parser("run", help="full two-stage grid over x-shots and seeds")
-    _add_grid(p)
+    _add_config(p)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--x-shot", type=int, action="append", help="x-shot value (repeatable)")
+    p.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
+    for flag in ABLATIONS:
+        p.add_argument(f"--{flag.replace('_', '-')}", action="store_true")
+    p.add_argument("--pseudo", help="output root of an earlier `run`; each cell synthesises from "
+                   "its own cell_x{x}_s{seed}/gen_img.ckpt and gen_txt.ckpt there")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("synth", help="stage 1 only: train and save the generators")
-    _add_grid(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train-proj", help="stage 2 only: train the projection model")
-    _add_grid(p)
-    p.add_argument("--pseudo", required=True, help="output root of `synth` (or `run`); each cell "
-                   "synthesises from its own cell_x{x}_s{seed}/gen_img.ckpt and gen_txt.ckpt there")
-    p.set_defaults(func=cmd_train_proj)
 
     p = sub.add_parser("eval", help="evaluate a saved projection checkpoint")
     _add_config(p)

@@ -6,12 +6,12 @@ second core is free, keyed by `stage1_key`), `pseudo_pairs` (synthesised from
 generators in memory) and `stage2` (projection, target/source/baseline mAP
 with both directions at once under the same rule, projection checkpoint and
 reports). Each stage fails the cell before its checkpoints are written if a
-trained parameter is NaN or Inf. `run_cell` chains them; `synth_cell` stops
-after stage 1; `train_proj_cell` does stage 2 as `run_cell` does, from the
-generators saved for the cell if their key is its own. Cells live in
-`cell_x{x}_s{seed}/` under the output root. `run_grid` runs a cell function
-over the grid; cells fail independently, and the RunRecord keeps every
-report, curve, checkpoint path and error, and the fully resolved config.
+trained parameter is NaN or Inf. `run_cell` chains them, or given a
+pseudo_root takes stage 1 from the generators saved for the cell there if
+their key is its own. Cells live in `cell_x{x}_s{seed}/` under the output
+root. `run_experiment` runs `run_cell` over the grid; cells fail
+independently, and the RunRecord keeps every report, curve, checkpoint path
+and error, and the fully resolved config.
 """
 
 from __future__ import annotations
@@ -383,49 +383,44 @@ def _new_cell(x_shot: int, seed: int) -> dict:
     return {"x_shot": x_shot, "seed": seed, "timings": {}, "checkpoints": {}, "curves": curves}
 
 
-def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
-    """One (x_shot, seed) grid cell: split, two training stages, evaluation."""
+def _check_pseudo_root(config: ExperimentConfig, pseudo_root) -> None:
+    """Refuse a pseudo_root that no cell can take stage 1 from."""
+    if pseudo_root is None:
+        return
+    if config.ablations.no_generation:
+        raise ConfigError("a pseudo root supplies generated pairs, which no_generation rules out")
+    if not Path(pseudo_root).is_dir():
+        raise ConfigError(f"pseudo root {pseudo_root} is not a directory")
+
+
+def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig, pseudo_root=None) -> dict:
+    """One (x_shot, seed) grid cell: split, two training stages, evaluation.
+
+    Given pseudo_root, stage 1 is the generators saved for the same cell
+    there, as `run_cell` writes them; one whose `stage1_key` is not the
+    cell's is refused with a CheckpointError naming the file and both keys.
+    """
+    _check_pseudo_root(config, pseudo_root)
     cell = _new_cell(x_shot, seed)
     split = cell_split(corpus, x_shot, seed, config)
     pseudo = None
-    if not config.ablations.no_generation:
+    if pseudo_root is not None:
+        pseudo = _saved_pseudo_pairs(pseudo_root, corpus, split, config, cell)
+    elif not config.ablations.no_generation:
         # no name holds the generators, so they are freed before stage 2 trains
         pseudo = pseudo_pairs(stage1(corpus, split, config, cell), corpus, split, config)
     stage2(corpus, split, pseudo, config, cell)
     return cell
 
 
-def synth_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig) -> dict:
-    """Stage 1 only: the cell's generator checkpoints and curves."""
-    if config.out_dir is None:
-        raise ConfigError("synth_cell needs out_dir for the generator checkpoints")
-    cell = _new_cell(x_shot, seed)
-    stage1(corpus, cell_split(corpus, x_shot, seed, config), config, cell)
-    return cell
-
-
-def train_proj_cell(
-    corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig, pseudo_root
-) -> dict:
-    """Stage 2 only, on pseudo pairs from the generators saved for the same
-    cell under pseudo_root, as `run_cell` has them; one whose `stage1_key` is
-    not the cell's is refused with a CheckpointError naming the file and both
-    keys. A no_generation config, real pairs alone, is `run_cell`'s: refused."""
-    if config.ablations.no_generation:
-        raise ConfigError("train_proj_cell trains on generated pairs, which no_generation rules out")
-    cell = _new_cell(x_shot, seed)
-    split = cell_split(corpus, x_shot, seed, config)
-    stage2(corpus, split, _saved_pseudo_pairs(pseudo_root, corpus, split, config, cell), config, cell)
-    return cell
-
-
-def run_grid(config: ExperimentConfig, cell_fn, record_name: str = "run_record.json") -> dict:
-    """Every (x_shot, seed) cell of the config through cell_fn(corpus, x_shot,
-    seed, config); cells fail independently.
+def run_experiment(config: ExperimentConfig, pseudo_root=None) -> dict:
+    """Every (x_shot, seed) cell of the config through `run_cell`; cells fail
+    independently. A bad pseudo_root is refused before the corpus is loaded.
 
     Returns the RunRecord dict, with the `util.numeric_environment`; with an
-    out_dir it is also written to `record_name` beside the cell directories.
+    out_dir it is also written to `run_record.json` beside the cell directories.
     """
+    _check_pseudo_root(config, pseudo_root)
     corpus = load_config_corpus(config)
     record = {
         "artifact_version": ARTIFACT_VERSION,
@@ -439,7 +434,7 @@ def run_grid(config: ExperimentConfig, cell_fn, record_name: str = "run_record.j
     for x_shot in config.x_shots:
         for seed in config.seeds:
             try:
-                cell = cell_fn(corpus, x_shot, seed, config)
+                cell = run_cell(corpus, x_shot, seed, config, pseudo_root)
             except Exception as e:  # cell errors are recorded, the grid continues
                 cell = {"x_shot": x_shot, "seed": seed, "error": f"{type(e).__name__}: {e}"}
                 record["failures"] += 1
@@ -447,13 +442,8 @@ def run_grid(config: ExperimentConfig, cell_fn, record_name: str = "run_record.j
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / record_name, record)
+        write_json(out / "run_record.json", record)
     return record
-
-
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Full two-stage (x_shot, seed) grid; see run_grid."""
-    return run_grid(config, run_cell)
 
 
 def make_data(spec: SyntheticSpec, out_dir, name: str = "synthetic") -> dict[str, str]:

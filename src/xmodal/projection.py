@@ -397,7 +397,8 @@ def train_projection(
 
     A pseudo corpus is taken as given: the pipeline synthesises it for this
     split's target classes from the generators it has just trained, or from
-    saved ones whose `stage1_key` is the cell's (`pipeline.train_proj_cell`).
+    saved ones whose `stage1_key` is the cell's (`pipeline.run_cell` given a
+    pseudo_root).
 
     The class set spans all corpus classes, so target columns exist even when
     no pseudo or shot data reaches them. Returns (model, loss curves) with

@@ -3,6 +3,7 @@ import shutil
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -701,7 +702,7 @@ def test_cli_eval_non_finite_projection_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# stage commands: synth, then train-proj on its output
+# stage 1 from an earlier run's generators: run_cell(pseudo_root=), run --pseudo
 
 
 def _config_file(tmp_path, cfg):
@@ -713,10 +714,10 @@ def _config_file(tmp_path, cfg):
 
 
 @pytest.fixture(scope="module")
-def synth_root(tmp_path_factory):
-    """A `synth` root of tiny_config's one cell (x=0, seed 0)."""
-    root = tmp_path_factory.mktemp("synth")
-    assert pipeline.run_grid(tiny_config(out_dir=str(root)), pipeline.synth_cell)["failures"] == 0
+def pseudo_root(tmp_path_factory):
+    """A run root of tiny_config's one cell (x=0, seed 0)."""
+    root = tmp_path_factory.mktemp("run")
+    assert pipeline.run_experiment(tiny_config(out_dir=str(root)))["failures"] == 0
     return root
 
 
@@ -728,15 +729,15 @@ def _other_feature_value(corpus, split):
 
 
 @pytest.mark.parametrize("other", ["split_seed", "x_shot", "no_vae", "gen_lr", "feature_value"])
-def test_train_proj_refuses_generators_of_another_stage_1(tmp_path, synth_root, other):
+def test_train_proj_refuses_generators_of_another_stage_1(tmp_path, pseudo_root, other):
     cfg = tiny_config()
     corpus = pipeline.load_config_corpus(cfg)
-    root, x_shot, seed = synth_root, 0, 0
+    root, x_shot, seed = pseudo_root, 0, 0
     if other in ("split_seed", "x_shot"):
         # the cell's files copied to where another cell looks for them
         x_shot, seed = (0, 1) if other == "split_seed" else (1, 0)
         root = tmp_path
-        shutil.copytree(pipeline.cell_dir(synth_root, 0, 0), pipeline.cell_dir(root, x_shot, seed))
+        shutil.copytree(pipeline.cell_dir(pseudo_root, 0, 0), pipeline.cell_dir(root, x_shot, seed))
     elif other == "no_vae":
         cfg = tiny_config(ablations={"no_vae": True})
     elif other == "gen_lr":
@@ -748,35 +749,35 @@ def test_train_proj_refuses_generators_of_another_stage_1(tmp_path, synth_root, 
     want = pipeline.stage1_key(corpus, pipeline.cell_split(corpus, x_shot, seed, cfg), cfg)
     assert saved is not None and want != saved
     with pytest.raises(CheckpointError) as refusal:
-        pipeline.train_proj_cell(corpus, x_shot, seed, cfg, root)
+        pipeline.run_cell(corpus, x_shot, seed, cfg, pseudo_root=root)
     assert str(refusal.value) == (
         f"{path}: stage-1 key {saved} is not this cell's {want}; "
         "trained on another split, corpus, gen config or no_vae setting"
     )
 
 
-def test_train_proj_refuses_a_generator_with_no_stage_1_key(tmp_path, synth_root):
+def test_train_proj_refuses_a_generator_with_no_stage_1_key(tmp_path, pseudo_root):
     root = tmp_path / "copy"
-    shutil.copytree(synth_root, root)
+    shutil.copytree(pseudo_root, root)
     path = pipeline.cell_dir(root, 0, 0) / "gen_txt.ckpt"
     meta, arrays = ckpt.load_checkpoint(path)
     del meta["stage1_key"]
     ckpt.save_checkpoint(path, "vaegan", meta, arrays)
     cfg = tiny_config()
     with pytest.raises(CheckpointError, match=f"^{path}: stage-1 key None is not this cell's"):
-        pipeline.train_proj_cell(pipeline.load_config_corpus(cfg), 0, 0, cfg, root)
+        pipeline.run_cell(pipeline.load_config_corpus(cfg), 0, 0, cfg, pseudo_root=root)
 
 
-def test_a_copied_synth_root_is_accepted(tmp_path, synth_root):
+def test_a_copied_synth_root_is_accepted(tmp_path, pseudo_root):
     cfg = tiny_config()
     corpus = pipeline.load_config_corpus(cfg)
-    shutil.copytree(synth_root, tmp_path / "moved")
-    moved = pipeline.train_proj_cell(corpus, 0, 0, cfg, tmp_path / "moved")
+    shutil.copytree(pseudo_root, tmp_path / "moved")
+    moved = pipeline.run_cell(corpus, 0, 0, cfg, pseudo_root=tmp_path / "moved")
     assert moved["checkpoints"] == {
         name: str(pipeline.cell_dir(tmp_path / "moved", 0, 0) / f"{name}.ckpt")
         for name in ("gen_img", "gen_txt")
     }
-    assert moved["reports"] == pipeline.train_proj_cell(corpus, 0, 0, cfg, synth_root)["reports"]
+    assert moved["reports"] == pipeline.run_cell(corpus, 0, 0, cfg, pseudo_root=pseudo_root)["reports"]
 
 
 @pytest.mark.parametrize("stage, network", [
@@ -835,15 +836,15 @@ def test_non_finite_scaler_fails_the_cell_before_its_checkpoint(tmp_path, monkey
     assert not pipeline.cell_dir(tmp_path, 0, 0).exists()
 
 
-CELL_FILES = ("reports.json", "projection.ckpt", "gen_img.ckpt", "gen_txt.ckpt")
+STAGE2_FILES = ("reports.json", "projection.ckpt")
 
 
-def _same_bytes(a, b, names=CELL_FILES):
+def _same_bytes(a, b, names):
     return all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
 
 
-def _cells(root, record="run_record.json"):
-    return json.loads((root / record).read_text())["cells"]
+def _cells(root):
+    return json.loads((root / "run_record.json").read_text())["cells"]
 
 
 @pytest.mark.parametrize("concurrency", ["child", "worker"])
@@ -851,110 +852,112 @@ def test_synth_then_train_proj_reproduces_run(tmp_path, request, concurrency):
     # stage 1's text model in a forked child, or every second job on a thread
     request.getfixturevalue(concurrency)
     config_path = _config_file(tmp_path, tiny_config(seeds=[0, 1]))
-    split_run, run = tmp_path / "split", tmp_path / "run"
+    run, split_run = tmp_path / "run", tmp_path / "split"
     args = ["--config", str(config_path), "--out"]
-    assert cli_main(["synth", *args, str(split_run)]) == 0
-    assert cli_main(["train-proj", *args, str(split_run), "--pseudo", str(split_run)]) == 0
     assert cli_main(["run", *args, str(run)]) == 0
+    assert cli_main(["run", *args, str(split_run), "--pseudo", str(run)]) == 0
 
     for seed in (0, 1):
         cell = f"cell_x0_s{seed}"
-        assert _same_bytes(split_run / cell, run / cell)
-    cells = zip(_cells(split_run, "synth_record.json"), _cells(split_run), _cells(run))
-    for synth, trained, whole in cells:
-        assert synth["curves"]["generation"] == whole["curves"]["generation"]
-        assert trained["curves"]["projection"] == whole["curves"]["projection"]
-        # the record names the generators each cell used, under run's keys
+        assert _same_bytes(split_run / cell, run / cell, STAGE2_FILES)
+        assert sorted(p.name for p in (split_run / cell).iterdir()) == ["projection.ckpt", "reports.json"]
+    for trained, whole in zip(_cells(split_run), _cells(run)):
+        assert trained["curves"] == {**whole["curves"], "generation": None}
+        # the record names the generators each cell used: the earlier run's
         assert trained["checkpoints"] == {
-            name: path.replace(str(run), str(split_run))
-            for name, path in whole["checkpoints"].items()
+            **whole["checkpoints"],
+            "projection": whole["checkpoints"]["projection"].replace(str(run), str(split_run)),
         }
 
 
-def test_one_synth_root_serves_a_no_gate_train_proj(tmp_path):
+def test_one_synth_root_serves_a_no_gate_train_proj(tmp_path, pseudo_root):
     config_path = _config_file(tmp_path, tiny_config())
-    synth, ablated, run = tmp_path / "synth", tmp_path / "no_gate", tmp_path / "run"
+    ablated, run = tmp_path / "no_gate", tmp_path / "run"
     args = ["--config", str(config_path), "--out"]
-    assert cli_main(["synth", *args, str(synth)]) == 0
-    assert cli_main(["train-proj", *args, str(ablated), "--pseudo", str(synth), "--no-gate"]) == 0
+    assert cli_main(["run", *args, str(ablated), "--pseudo", str(pseudo_root), "--no-gate"]) == 0
     assert cli_main(["run", *args, str(run), "--no-gate"]) == 0
     cell = "cell_x0_s0"
-    assert _same_bytes(ablated / cell, run / cell, ("reports.json", "projection.ckpt"))
-    assert _same_bytes(synth / cell, run / cell, ("gen_img.ckpt", "gen_txt.ckpt"))
+    assert _same_bytes(ablated / cell, run / cell, STAGE2_FILES)
+    assert _same_bytes(pseudo_root / cell, run / cell, ("gen_img.ckpt", "gen_txt.ckpt"))
+    assert not _same_bytes(pseudo_root / cell, run / cell, ("projection.ckpt",))
     assert sorted(p.name for p in (ablated / cell).iterdir()) == ["projection.ckpt", "reports.json"]
 
 
-def test_train_proj_without_pseudo_exits_2(tmp_path, capsys):
-    # real pairs alone are `run --no-generation`; train-proj has no second way
-    config_path = _config_file(tmp_path, tiny_config())
-    with pytest.raises(SystemExit) as exit_info:
-        cli_main(["train-proj", "--config", str(config_path), "--out", str(tmp_path / "p")])
-    assert exit_info.value.code == 2
-    assert "--pseudo" in capsys.readouterr().err
-    assert not (tmp_path / "p").exists()
+def _fail_on_corpus_load(monkeypatch):
+    def load_config_corpus(config):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(pipeline, "load_config_corpus", load_config_corpus)
 
 
-def test_train_proj_cell_refuses_no_generation(tmp_path):
+def test_train_proj_cell_refuses_no_generation(tmp_path, monkeypatch):
     cfg = tiny_config(ablations={"no_generation": True})
-    with pytest.raises(ConfigError, match="no_generation rules out"):
-        pipeline.train_proj_cell(pipeline.load_config_corpus(cfg), 0, 0, cfg, tmp_path)
+    corpus = pipeline.load_config_corpus(cfg)
+    _fail_on_corpus_load(monkeypatch)
+    for refused in (partial(pipeline.run_experiment, cfg), partial(pipeline.run_cell, corpus, 0, 0, cfg)):
+        with pytest.raises(ConfigError, match="no_generation rules out"):
+            refused(pseudo_root=tmp_path)
 
 
-def test_synth_cell_without_out_dir_fails_before_stage_1(monkeypatch):
-    def train_generation(*args, **kwargs):
-        raise AssertionError("stage 1 ran")
-
-    monkeypatch.setattr(pipeline, "train_generation", train_generation)
-    record = pipeline.run_grid(tiny_config(), pipeline.synth_cell)
-    assert record["failures"] == 1
-    assert record["cells"][0]["error"] == (
-        "ConfigError: synth_cell needs out_dir for the generator checkpoints"
-    )
-
-
-def test_train_proj_keeps_the_synth_record(tmp_path):
+@pytest.mark.parametrize("not_a_dir", ["missing", "file"])
+def test_run_with_a_pseudo_root_that_is_not_a_directory_exits_2(
+    tmp_path, capsys, monkeypatch, not_a_dir
+):
+    _fail_on_corpus_load(monkeypatch)
     config_path = _config_file(tmp_path, tiny_config())
-    out = tmp_path / "cells"
-    assert cli_main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
-    assert cli_main([
-        "train-proj", "--config", str(config_path), "--out", str(out), "--pseudo", str(out),
-    ]) == 0
-    synth = json.loads((out / "synth_record.json").read_text())
-    trained = json.loads((out / "run_record.json").read_text())
-    curves = synth["cells"][0]["curves"]["generation"]
-    assert set(curves) == {"img", "txt"} and len(curves["img"]["total"]) == 4
-    assert "reports" in trained["cells"][0]
+    pseudo = tmp_path / not_a_dir
+    if not_a_dir == "file":
+        pseudo.write_text("")
+    rc = cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                   "--pseudo", str(pseudo)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: pseudo root {pseudo} is not a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
-def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys):
+def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys, pseudo_root):
     config_path = _config_file(tmp_path, tiny_config(x_shots=[99, 0]))
-    out = tmp_path / "synth"
-    assert cli_main(["synth", "--config", str(config_path), "--out", str(out)]) == 1
+    out = tmp_path / "proj"
+    argv = ["--config", str(config_path), "--out", str(out), "--pseudo", str(pseudo_root)]
+    assert cli_main(["run", *argv]) == 1
     assert "[FAIL] x=99 seed=0" in capsys.readouterr().out
     assert not (out / "cell_x99_s0").exists()
-    assert sorted(p.name for p in (out / "cell_x0_s0").iterdir()) == ["gen_img.ckpt", "gen_txt.ckpt"]
-    record = json.loads((out / "synth_record.json").read_text())
+    assert sorted(p.name for p in (out / "cell_x0_s0").iterdir()) == ["projection.ckpt", "reports.json"]
+    record = json.loads((out / "run_record.json").read_text())
     assert record["failures"] == 1 and "smallest target class" in record["cells"][0]["error"]
 
 
-def test_train_proj_applies_loss_ablations(tmp_path, synth_root):
+def test_train_proj_applies_loss_ablations(tmp_path, pseudo_root):
     config_path = _config_file(tmp_path, tiny_config())
     out = tmp_path / "proj"
-    argv = ["--config", str(config_path), "--out", str(out), "--pseudo", str(synth_root), "--no-l1"]
-    assert cli_main(["train-proj", *argv]) == 0
+    argv = ["--config", str(config_path), "--out", str(out), "--pseudo", str(pseudo_root), "--no-l1"]
+    assert cli_main(["run", *argv]) == 0
     meta, _ = ckpt.load_checkpoint(out / "cell_x0_s0" / "projection.ckpt")
     assert meta["hp"]["alpha"] == 0.0
     assert meta["hp"]["beta"] == 1.0
 
 
-@pytest.mark.parametrize("command", [["synth"], ["train-proj", "--pseudo", "p"]])
-def test_stage_commands_reject_no_generation(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", [["run", "--pseudo", "<root>"], ["run", "--pseudo", "p"]])
+def test_stage_commands_reject_no_generation(tmp_path, capsys, pseudo_root, command):
+    # a root of generators, or a path that holds none: no_generation is refused first
+    command = [str(pseudo_root) if arg == "<root>" else arg for arg in command]
     config_path = _config_file(tmp_path, tiny_config())
     rc = cli_main([*command, "--config", str(config_path), "--out", str(tmp_path / "s"),
                    "--no-generation"])
     assert rc == 2
     assert "no_generation" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_the_parser_offers_make_data_run_and_eval(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["--help"])
+    assert exit_info.value.code == 0
+    assert "{make-data,run,eval}" in capsys.readouterr().out
+    for gone in ("synth", "train-proj"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([gone, "--preset", "synthetic"])
+        assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("flag", [["--x-shot", "5"], ["--seed", "1"], ["--out", "x"], ["--no-gate"]])
