@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Subcommands: make-data (write a synthetic corpus), run (the x-shot grid of
+Subcommands: make-data (write to --out the corpus of a config's `synthetic`
+section, or of `SyntheticSpec()` given no config), run (the x-shot grid of
 `pipeline.run_experiment`; with --pseudo each cell takes stage 1 from the
 generators an earlier run saved for it, so ablations that leave stage 1 as
 it is reuse one run's generators), eval (score a saved projection
@@ -70,15 +71,11 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_make_data(args) -> int:
-    spec = SyntheticSpec(
-        n_classes=args.classes,
-        per_class=args.per_class,
-        dim=args.dim,
-        modality_gap=args.gap,
-        noise_sigma=args.noise,
-        proto_rank=args.proto_rank,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec()
+    if args.config is not None or args.preset is not None:
+        spec = _load_config(args).synthetic
+        if spec is None:
+            raise ConfigError("make-data writes a config's synthetic section, and this config has none")
     paths = make_data(spec, args.out)
     print(json.dumps(paths, indent=2))
     return 0
@@ -110,11 +107,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def rank_or_none(text: str) -> int | None:
-    """`--proto-rank`: an integer, or `none` for `proto_rank=None`."""
-    return None if text == "none" else int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmodal",
@@ -122,17 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    spec = SyntheticSpec()
-    p = sub.add_parser("make-data", help="write a synthetic corpus in the binary embedding format")
-    p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=spec.n_classes)
-    p.add_argument("--per-class", type=int, default=spec.per_class)
-    p.add_argument("--dim", type=int, default=spec.dim)
-    p.add_argument("--gap", type=float, default=spec.modality_gap)
-    p.add_argument("--noise", type=float, default=spec.noise_sigma)
-    p.add_argument("--proto-rank", type=rank_or_none, default=spec.proto_rank,
-                   help="an integer, or `none` for isotropic class prototypes")
-    p.add_argument("--seed", type=int, default=spec.seed)
+    p = sub.add_parser("make-data", help="write a config's synthetic corpus in the binary embedding format")
+    _add_config(p)
+    p.add_argument("--out", required=True, help="corpus directory")
     p.set_defaults(func=cmd_make_data)
 
     p = sub.add_parser("run", help="full two-stage grid over x-shots and seeds")

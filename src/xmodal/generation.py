@@ -68,13 +68,14 @@ The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time when a second core is free (see
 `util.CONCURRENT_MIN_WIDTH`). Below 128 features `train_generation` trains the
 text model in a forked child when BLAS is held to one thread and no other
-thread is alive; the child builds it and sends back the trained model and its
-curve. At d=64 the interpreter holds the GIL for most of a step, so a thread
-would overlap little, while the child takes stage 1 of a desk cell from about
-1.05 s to 0.6 s. From 128 on `train_generation` trains the text model on a
-worker thread: numpy releases the GIL inside BLAS calls and ufunc loops, so
-the threads overlap, and a thread does not pay the copy-on-write page faults
-that a fork of a large process does.
+thread is alive; the child inherits it, built on the calling thread, and
+sends back the trained model and its curve. At d=64 the interpreter holds the
+GIL for most of a step, so a thread would overlap little, while the child
+takes stage 1 of a desk cell from about 1.05 s to 0.6 s. From 128 on
+`train_generation` trains the text model on a worker thread: numpy releases
+the GIL inside BLAS calls and ufunc loops, so the threads overlap, and a
+thread does not pay the copy-on-write page faults that a fork of a large
+process does.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import forks, require_field_types, require_finite, run_pair, stream
+from .util import require_field_types, require_finite, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -573,8 +574,8 @@ def train_generation(
     while the image model trains on the calling thread: in a forked child when
     the features are narrower than `util.CONCURRENT_MIN_WIDTH` (128), BLAS is
     held to one thread and no other thread is alive, on a worker thread from
-    that width on (see `util.run_pair`); the child builds the text model and
-    sends back the trained one. The results are bitwise those of training one after the other.
+    that width on (see `util.run_pair`); a child trains the text model built
+    here and sends back the trained one. The results are bitwise those of training one after the other.
     Errors surface in that order too: the image model's first. If the calling
     thread raises, a worker thread stops within one batch and a child is
     killed; neither is left running. A child that dies without a result
@@ -588,21 +589,16 @@ def train_generation(
     feats = {"img": corpus.image_matrix(train_idx), "txt": corpus.text_matrix(train_idx)}
     width = min(X.shape[1] for X in feats.values())
     # the models are built here, on the calling thread, so their buffers do
-    # not stay behind in a worker's malloc arena; a forked child builds its
-    # own, so only its raw features are kept past this point. One fork
-    # decision: `run_pair` forks exactly when given a child name
-    in_child = "txt" if forks(width) else None
-    make = {m: partial(_new_model, X, d_attr, hp, m) for m, X in feats.items()}
+    # not stay behind in a worker's malloc arena; a forked child inherits its own
+    built = {m: _new_model(X, d_attr, hp, m) for m, X in feats.items()}
     del feats
-    built = {m: make.pop(m)() for m in ("img", "txt") if m != in_child}
     stop = threading.Event()
 
     def train(modality):
-        model = built.get(modality) or make[modality]()
-        return _train_single_modality(*model, attrs, hp, modality, use_vae, stop)
+        return _train_single_modality(*built[modality], attrs, hp, modality, use_vae, stop)
 
     (img, img_curve), (txt, txt_curve) = run_pair(
-        partial(train, "img"), partial(train, "txt"), width, stop, in_child and "stage 1 txt"
+        partial(train, "img"), partial(train, "txt"), width, stop, "stage 1 txt"
     )
     return img, txt, {"img": img_curve, "txt": txt_curve}
 

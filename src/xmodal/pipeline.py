@@ -384,13 +384,16 @@ def _new_cell(x_shot: int, seed: int) -> dict:
 
 
 def _check_pseudo_root(config: ExperimentConfig, pseudo_root) -> None:
-    """Refuse a pseudo_root that no cell can take stage 1 from."""
+    """Refuse a pseudo_root that no cell can take stage 1 from, or that is the
+    out_dir, whose run record would overwrite the one holding its stage-1 curves."""
     if pseudo_root is None:
         return
     if config.ablations.no_generation:
         raise ConfigError("a pseudo root supplies generated pairs, which no_generation rules out")
     if not Path(pseudo_root).is_dir():
         raise ConfigError(f"pseudo root {pseudo_root} is not a directory")
+    if config.out_dir is not None and Path(config.out_dir).resolve() == Path(pseudo_root).resolve():
+        raise ConfigError(f"out dir {config.out_dir} is the pseudo root; write the run elsewhere")
 
 
 def run_cell(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig, pseudo_root=None) -> dict:

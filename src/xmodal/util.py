@@ -159,24 +159,18 @@ def run_pair(first, second, width: int, stop: threading.Event | None = None,
              child: str | None = None):
     """(first(), second()), run at the same time when a second core is usable.
 
-    When `child` names `second`, `second` runs in a forked child (see
-    `fork_pair`): the caller decides, by one `forks(width)` call, and passes
-    `child` only when it held. Otherwise, from `CONCURRENT_MIN_WIDTH` on,
-    `second` runs on a worker thread (see `thread_pair`); below it the two
-    run one after the other. Errors surface in that serial order on every
+    From `CONCURRENT_MIN_WIDTH` on, `second` runs on a worker thread (see
+    `thread_pair`). Below it, `second` runs in a forked child (see
+    `fork_pair`) when `child` names it and `_can_fork` holds; otherwise the
+    two run one after the other. Errors surface in that serial order on every
     path: first's before second's.
     """
-    if child is not None:
-        return fork_pair(first, second, child)
-    if _spare_core() and width >= CONCURRENT_MIN_WIDTH:
-        return thread_pair(first, second, stop)
+    if _spare_core():
+        if width >= CONCURRENT_MIN_WIDTH:
+            return thread_pair(first, second, stop)
+        if child is not None and _can_fork():
+            return fork_pair(first, second, child)
     return first(), second()
-
-
-def forks(width: int) -> bool:
-    """Whether a job at `width` may run in `run_pair`'s forked `child`: below
-    `CONCURRENT_MIN_WIDTH`, with a second core, when `_can_fork` holds."""
-    return width < CONCURRENT_MIN_WIDTH and _spare_core() and _can_fork()
 
 
 def thread_pair(first, second, stop: threading.Event | None = None):

@@ -22,9 +22,10 @@ def worker(monkeypatch):
 
 @pytest.fixture
 def child(monkeypatch):
-    """Train stage 1's text model in a forked child whatever the core count
-    (the tests' features are narrower than `util.CONCURRENT_MIN_WIDTH`), then
-    check that no child process is left, running or unreaped.
+    """Let `util.run_pair` fork whatever the core count, so stage 1's text
+    model, built on the calling thread, trains in a forked child (the tests'
+    features are narrower than `util.CONCURRENT_MIN_WIDTH`); then check that
+    no child process is left, running or unreaped.
 
     BLAS counts as held to one thread, and threads alive when the test
     starts, such as a BLAS pool, do not count against the fork; any thread

@@ -814,35 +814,6 @@ def test_forked_training_equals_training_in_turn(child, monkeypatch, tmp_path, u
     _check_concurrent_equals_in_turn(monkeypatch, tmp_path, use_vae)
 
 
-def test_the_forked_text_model_is_built_in_the_child_only(child, monkeypatch, tmp_path):
-    corpus, split, hp = _tiny_cell()
-    builds = tmp_path / "builds"
-    real_new_model = gen._new_model
-
-    def new_model(feats, d_attr, hp, modality):
-        with open(builds, "a") as f:
-            f.write(f"{os.getpid()} {modality}\n")
-        return real_new_model(feats, d_attr, hp, modality)
-
-    monkeypatch.setattr(gen, "_new_model", new_model)
-    forked = gen.train_generation(split, corpus, hp)
-    parent = str(os.getpid())
-    built = [line.split() for line in builds.read_text().splitlines()]
-    assert [m for pid, m in built if pid == parent] == ["img"]
-    assert [m for pid, m in built if pid != parent] == ["txt"]
-
-    monkeypatch.setattr(util, "_spare_core", lambda: False)
-    serial = gen.train_generation(split, corpus, hp)
-    assert forked[2] == serial[2]
-    for got, want in zip(forked[:2], serial[:2]):
-        assert [g.step_count for g in got.groups] == [g.step_count for g in want.groups]
-        for a, b in zip(got.groups, want.groups):
-            for field in ("data", "grad", "adam_m", "adam_v"):
-                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
-        assert got.scaler.lo.tobytes() == want.scaler.lo.tobytes()
-        assert got.scaler.span.tobytes() == want.scaler.span.tobytes()
-
-
 def _check_nan_raised_in_serial_order(monkeypatch, poisoned):
     corpus, split, hp = _tiny_cell()
     init_states = {m: stream(hp.seed, m, "init").bit_generator.state for m in poisoned}
@@ -907,19 +878,23 @@ def test_calling_thread_error_stops_the_worker_within_one_batch(worker, monkeypa
 
 
 def test_one_fork_decision_per_stage_1(child, monkeypatch, tmp_path):
-    # the text model trains in the child train_generation decided on, even
-    # when a second forks() call would read otherwise
+    # the text model trains in exactly one child, even when a second
+    # _can_fork() call would read otherwise
     corpus, split, hp = _tiny_cell(epochs=1)
     callers = tmp_path / "callers"
     real_eg_step = gen.eg_step
+    reads = []
 
     def eg_step(*args):
         _record_caller(callers)
         return real_eg_step(*args)
 
+    def can_fork():
+        reads.append(1)
+        return len(reads) == 1
+
     monkeypatch.setattr(gen, "eg_step", eg_step)
-    monkeypatch.setattr(gen, "forks", lambda width: True)
-    monkeypatch.setattr(util, "forks", lambda width: False)
+    monkeypatch.setattr(util, "_can_fork", can_fork)
     gen.train_generation(split, corpus, hp)
     pids = {line.split()[0] for line in callers.read_text().splitlines()}
     assert len(pids) == 2 and str(os.getpid()) in pids
@@ -950,7 +925,7 @@ def test_calling_thread_error_kills_the_child(child, monkeypatch, tmp_path):
     corpus, split, hp = _tiny_cell(epochs=40)
     hp = replace(hp, batch=64)
     # else the text model trains after the image model and the wait below runs out
-    assert util.forks(corpus.dim)
+    assert util._can_fork()
     parent = os.getpid()
     batches = tmp_path / "batches"
     real_critic_step, real_eg_step, real_fork = gen.critic_step, gen.eg_step, os.fork

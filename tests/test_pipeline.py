@@ -1,8 +1,9 @@
 import json
+import re
 import shutil
 import tracemalloc
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -107,19 +108,69 @@ def test_cli_make_data_defaults_are_the_synthetic_spec(tmp_path, capsys):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
+def _spec_config(tmp_path, **synthetic):
+    """A config file holding only a synthetic section of these fields."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"synthetic": synthetic}))
+    return path
+
+
 def test_cli_make_data_proto_rank_none_is_isotropic(tmp_path, capsys):
-    assert cli_main(["make-data", "--out", str(tmp_path / "cli"), "--proto-rank", "none"]) == 0
+    config_path = _spec_config(tmp_path, proto_rank=None)
+    assert cli_main(["make-data", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 0
     pipeline.make_data(replace(pipeline.SyntheticSpec(), proto_rank=None), tmp_path / "lib")
     for name in data.CORPUS_FILES.values():
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
-@pytest.mark.parametrize("rank", ["None", "2.5", "four"])
-def test_cli_make_data_rejects_a_proto_rank_that_is_not_an_integer_or_none(tmp_path, rank):
-    with pytest.raises(SystemExit) as exit_info:
-        cli_main(["make-data", "--out", str(tmp_path / "cli"), "--proto-rank", rank])
-    assert exit_info.value.code == 2
+@pytest.mark.parametrize("rank", ["none", 2.5, "four"])
+def test_cli_make_data_rejects_a_proto_rank_that_is_not_an_integer_or_none(tmp_path, capsys, rank):
+    config_path = _spec_config(tmp_path, proto_rank=rank)
+    assert cli_main(["make-data", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 2
+    assert capsys.readouterr().err == f"error: proto_rank must be an integer, got {rank!r}\n"
     assert not (tmp_path / "cli").exists()
+
+
+def test_cli_make_data_writes_the_corpus_run_builds(tmp_path, capsys):
+    synthetic = {"n_classes": 5, "per_class": 7, "dim": 12, "modality_gap": 1.5,
+                 "noise_sigma": 0.2, "proto_rank": 2, "seed": 9}
+    assert all(getattr(pipeline.SyntheticSpec(), k) != v for k, v in synthetic.items())
+    assert set(synthetic) == {f.name for f in fields(pipeline.SyntheticSpec)}
+    config_path = _spec_config(tmp_path, **synthetic)
+    assert cli_main(["make-data", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 0
+    written = data.load_corpus(*json.loads(capsys.readouterr().out).values())
+    built = pipeline.load_config_corpus(pipeline.config_from_dict({"synthetic": synthetic}))
+    for got, want in [
+        (written.image_matrix(stored=True), built.image_matrix(stored=True)),
+        (written.text_matrix(stored=True), built.text_matrix(stored=True)),
+        (written.labels(), built.labels()),
+        (written.attr_rows()[0], built.attr_rows()[0]),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert written.classes() == built.classes()
+
+
+@pytest.mark.parametrize("source", ["files-config", "wikipedia-preset"])
+def test_cli_make_data_without_a_synthetic_section_exits_2(tmp_path, capsys, source):
+    if source == "files-config":
+        files = {key: str(tmp_path / name) for key, name in data.CORPUS_FILES.items()}
+        (tmp_path / "files.json").write_text(json.dumps({"files": files}))
+        flags = ["--config", str(tmp_path / "files.json")]
+    else:
+        flags = ["--preset", "wikipedia"]
+    assert cli_main(["make-data", *flags, "--out", str(tmp_path / "cli")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "synthetic" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "cli").exists()
+
+
+def test_cli_make_data_takes_only_config_preset_and_out(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["make-data", "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"-h", "--help", "--config", "--preset", "--out"}
 
 
 def test_make_data_byte_identical_across_runs(tmp_path):
@@ -300,10 +351,8 @@ def test_source_validation_report_present():
 
 def test_cli_make_data_and_run(tmp_path, capsys):
     out = tmp_path / "corpus"
-    rc = cli_main(
-        ["make-data", "--out", str(out), "--classes", "4", "--per-class", "8",
-         "--dim", "8", "--seed", "5"]
-    )
+    config_path = _spec_config(tmp_path, n_classes=4, per_class=8, dim=8, seed=5)
+    rc = cli_main(["make-data", "--config", str(config_path), "--out", str(out)])
     assert rc == 0
     corpus = data.load_corpus(*json.loads(capsys.readouterr().out).values())
     assert len(corpus) == 32
@@ -569,8 +618,7 @@ def test_cli_config_naming_a_removed_switch_exits_2(tmp_path, capsys, section, k
 def test_cli_preset_with_config_file_overrides_the_preset(tmp_path, capsys):
     # a real-data preset needs corpus files, which only a config file can name
     corpus = tmp_path / "corpus"
-    assert cli_main(["make-data", "--out", str(corpus), "--classes", "4", "--per-class", "8",
-                     "--dim", "8", "--seed", "5"]) == 0
+    pipeline.make_data(pipeline.SyntheticSpec(n_classes=4, per_class=8, dim=8, seed=5), corpus)
     files = {key: str(corpus / name) for key, name in data.CORPUS_FILES.items()}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"files": files, "gen": {"epochs": 1}, "proj": {"epochs": 1}}))
@@ -587,8 +635,7 @@ def test_cli_preset_with_config_file_overrides_the_preset(tmp_path, capsys):
 
 def test_cli_corrupt_corpus_exits_with_error(tmp_path, capsys):
     out = tmp_path / "corpus"
-    assert cli_main(["make-data", "--out", str(out), "--classes", "4", "--per-class", "8",
-                     "--dim", "8", "--seed", "5"]) == 0
+    pipeline.make_data(pipeline.SyntheticSpec(n_classes=4, per_class=8, dim=8, seed=5), out)
     images = out / data.CORPUS_FILES["images"]
     images.write_bytes(b"NOTEMBED" + images.read_bytes()[8:])
     config_path = tmp_path / "config.json"
@@ -612,8 +659,7 @@ def test_cli_corrupt_corpus_exits_with_error(tmp_path, capsys):
 def test_cli_os_error_exits_2_with_one_line(tmp_path, capsys, case, message):
     # each used to print a traceback (IsADirectoryError, FileExistsError) and exit 1
     out = tmp_path / "corpus"
-    assert cli_main(["make-data", "--out", str(out), "--classes", "4", "--per-class", "8",
-                     "--dim", "8", "--seed", "5"]) == 0
+    pipeline.make_data(pipeline.SyntheticSpec(n_classes=4, per_class=8, dim=8, seed=5), out)
     files = {k: str(out / v) for k, v in data.CORPUS_FILES.items()
              if k in ("images", "texts", "labels", "attrs", "attr_ids")}
     if case == "corpus-path-is-a-directory":
@@ -913,6 +959,23 @@ def test_run_with_a_pseudo_root_that_is_not_a_directory_exits_2(
     assert rc == 2
     assert capsys.readouterr().err == f"error: pseudo root {pseudo} is not a directory\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_run_refuses_its_own_out_as_the_pseudo_root(tmp_path, capsys, monkeypatch, pseudo_root, spelling):
+    # writing there would replace the run record that holds the only copy of
+    # the root's stage-1 curves with one whose curves.generation is null
+    root = tmp_path / "run"
+    shutil.copytree(pseudo_root, root)
+    before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    _fail_on_corpus_load(monkeypatch)
+    out = root if spelling == "same" else tmp_path / "elsewhere" / ".." / "run"
+    (tmp_path / "elsewhere").mkdir()
+    config_path = _config_file(tmp_path, tiny_config())
+    rc = cli_main(["run", "--config", str(config_path), "--out", str(out), "--pseudo", str(root)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: out dir {out} is the pseudo root; write the run elsewhere\n"
+    assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
 def test_synth_failing_cell_exits_1_and_writes_the_rest(tmp_path, capsys, pseudo_root):
