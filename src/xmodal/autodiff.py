@@ -25,7 +25,8 @@ sub-Modules and `Linear` layers alike in the order they were set, the order
 in which `lay_out` draws the weights. That name after `param/` is the array's
 key in `arrays()`, to which a model may add others (a generator's scaler).
 
-Every array is float64.
+A model's arrays are of the dtype its width gives (`util.model_dtype`):
+float32 from 512 features on, float64 below. The engine's arrays are float64.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .errors import ConfigError, ContractError, ShapeError
 
 
 def default_dtype():
-    """The dtype of every array: float64."""
+    """The dtype of the engine's arrays: float64. A model's dtype follows its
+    width (`util.model_dtype`)."""
     return np.float64
 
 
@@ -178,28 +180,29 @@ class Parameter(Tensor):
 
 
 class ParamGroup(list):
-    """One network's Parameters over four flat float64 buffers: `data` and
+    """One network's Parameters over four flat buffers of `dtype`: `data` and
     `grad` hold the members' arrays of those names as views, in order, from
     zero, and `adam_m` and `adam_v` hold the Adam moments in the same layout;
     `step_count` counts its Adam steps. np.zeros pages cost no RSS until
     written: a model that is only loaded and run pays nothing for its
     gradients and moments. Two networks that never hold a gradient at the
     same time may lay their gradients over one buffer (`bind_grad`), as a
-    training stage-1 generator does: at d=1024 its buffers take 276 MiB, not
-    308. A pickle holds each buffer once, a bound gradient as a buffer of
-    its own."""
+    training stage-1 generator does: at d=1024 its float32 buffers take 138
+    MiB, not 154. A pickle holds each buffer once, a bound gradient as a
+    buffer of its own."""
 
-    def __init__(self, params):
+    def __init__(self, params, dtype=np.float64):
         super().__init__(params)
         self.shapes = [p.data.shape for p in self]
         size = sum(map(math.prod, self.shapes))
-        self.data, self.grad, self.adam_m, self.adam_v = (np.zeros(size) for _ in range(4))
+        self.data, self.grad, self.adam_m, self.adam_v = (np.zeros(size, dtype) for _ in range(4))
         self.step_count = 0
         self.__setstate__(vars(self))
 
     def bind_grad(self, buf: np.ndarray) -> None:
         """Lay the gradient, and each member's .grad view, over buf's first
-        elements. buf must be a zeroed flat float64 buffer at least as long."""
+        elements. buf must be a zeroed flat buffer of the group's dtype, at
+        least as long."""
         self.grad = buf[: self.data.size]
         self.__setstate__(vars(self))
 
@@ -561,11 +564,11 @@ def relu_inplace(x: np.ndarray) -> np.ndarray:
 BLOCK = 32768
 
 
-def slope_masks(sign: np.ndarray, slope: float):
+def slope_masks(sign: np.ndarray, slope: float, dtype=np.float64):
     """`slope_mask` over the rows of a 2-D array, one chunk at a time.
 
     Yields (rows, mask) per chunk of at most BLOCK elements (one row when a
-    row is wider), each mask formed in one float64 scratch block that the
+    row is wider), each mask formed in one scratch block of `dtype` that the
     next chunk overwrites, so the caller may overwrite sign[rows] once it
     holds the mask. `sign` may be the pre-activation, the LeakyReLU's
     activation or the bool (pre > 0): all three are > 0 at the same places,
@@ -573,7 +576,7 @@ def slope_masks(sign: np.ndarray, slope: float):
     """
     n, width = sign.shape
     step = BLOCK // width or 1
-    scratch = np.empty((min(step, n), width))
+    scratch = np.empty((min(step, n), width), dtype)
     for start in range(0, n, step):
         chunk = sign[start : start + step]
         yield slice(start, start + step), slope_mask(chunk, slope, scratch[: len(chunk)])
@@ -581,19 +584,25 @@ def slope_masks(sign: np.ndarray, slope: float):
 
 def leaky_relu_inplace(x: np.ndarray, slope: float) -> np.ndarray:
     """LeakyReLU: x times its slope mask, formed in x one chunk at a time."""
-    for rows, mask in slope_masks(x, slope):
+    for rows, mask in slope_masks(x, slope, x.dtype):
         x[rows] *= mask
     return x
 
 
 def xavier_uniform(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill out (d_in, d_out) with rng.uniform(-l, l)'s bits, l = √(6 / (d_in + d_out))."""
+    """Fill out (d_in, d_out) with rng.uniform(-l, l)'s float64 bits, l =
+    √(6 / (d_in + d_out)), each block cast once into a float32 out: the
+    stream is the same at either dtype."""
     limit = float(np.sqrt(6.0 / sum(out.shape)))
     flat = out.reshape(-1)
+    scratch = None if out.dtype == np.float64 else np.empty(min(flat.size, BLOCK))
     for start in range(0, flat.size, BLOCK):
-        block = rng.random(out=flat[start : start + BLOCK])
+        dest = flat[start : start + BLOCK]
+        block = rng.random(out=dest if scratch is None else scratch[: dest.size])
         block *= limit - -limit
         block += -limit
+        if block is not dest:
+            dest[...] = block
 
 
 class Linear:
@@ -615,11 +624,13 @@ class Module:
     `ParamGroup` per network that Adam updates as a whole.
     """
 
-    def lay_out(self, rng: np.random.Generator | None, *networks: tuple["Module", ...]) -> None:
-        """Set `groups`, one ParamGroup per network (a tuple of parts), then draw
-        each W into its view from rng, layers in the order set. With rng None
-        the weights stay zeros: a model to load a checkpoint into."""
-        self.groups = tuple(ParamGroup([p for part in net for p in part.params]) for net in networks)
+    def lay_out(self, rng: np.random.Generator | None, *networks: tuple["Module", ...],
+                dtype=np.float64) -> None:
+        """Set `groups`, one ParamGroup of `dtype` per network (a tuple of
+        parts), then draw each W into its view from rng, layers in the order
+        set. With rng None the weights stay zeros: a model to load a
+        checkpoint into."""
+        self.groups = tuple(ParamGroup([p for part in net for p in part.params], dtype) for net in networks)
         if rng is not None:
             for _, layer in self._layers():
                 xavier_uniform(rng, layer.W.data)

@@ -2,9 +2,11 @@
 
 Layout: 8-byte magic, u32 container version, u32 header length, JSON header,
 then the raw little-endian array payload, arrays in sorted-name order. A
-model's checkpoint holds `model.arrays()`, byte-exact (its parameters and a
-generator's two scaler arrays), and the meta its load reads, but no optimizer
-state: a loaded model starts with zero Adam moments and step count 0. Every
+model's checkpoint holds `model.arrays()`, byte-exact at the model's dtype
+(its parameters and a generator's two scaler arrays: `<f4` from 512
+features on, `<f8` below, see `util.model_dtype`), and the meta its load
+reads, but no optimizer state: a loaded model starts with zero Adam moments
+and step count 0. Every
 kind has one save, `_save_model`, and one load, `_load_model`, which the
 table `_KINDS` drives. A save streams each array from its own buffer. A load
 checks the header against the file and the model, and the kind of each meta

@@ -30,7 +30,7 @@ from .pipeline import (
     config_from_dict,
     eval_checkpoint,
     make_data,
-    preset_config,
+    preset_payload,
     run_experiment,
 )
 from .util import read_json, write_json
@@ -38,7 +38,8 @@ from .util import read_json, write_json
 ABLATIONS = tuple(f.name for f in fields(AblationFlags))
 
 
-def _load_config(args) -> ExperimentConfig:
+def _config_payload(args) -> dict:
+    """The payload of --config over --preset, with --out, --x-shot and --seed set."""
     if args.config is None and args.preset is None:
         raise ConfigError("provide --config or --preset")
     try:
@@ -54,8 +55,11 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "seed", None):
         payload["seeds"] = args.seed
     # given both, the file's sections update the preset's key by key
-    config = preset_config(args.preset, **payload) if args.preset else config_from_dict(payload)
+    return preset_payload(args.preset, **payload) if args.preset else payload
 
+
+def _load_config(args) -> ExperimentConfig:
+    config = config_from_dict(_config_payload(args))
     ablations = config.ablations
     for flag in ABLATIONS:
         if getattr(args, flag, False):
@@ -73,9 +77,11 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
 def cmd_make_data(args) -> int:
     spec = SyntheticSpec()
     if args.config is not None or args.preset is not None:
-        spec = _load_config(args).synthetic
-        if spec is None:
-            raise ConfigError("make-data writes a config's synthetic section, and this config has none")
+        payload = _config_payload(args)
+        # checked before the config is built, which refuses one naming no corpus
+        if payload.get("synthetic") is None:
+            raise ConfigError("make-data writes a config's synthetic corpus, and this config has no synthetic section")
+        spec = config_from_dict(payload).synthetic
     paths = make_data(spec, args.out)
     print(json.dumps(paths, indent=2))
     return 0

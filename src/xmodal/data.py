@@ -120,8 +120,9 @@ class Corpus:
     """Paired features as columns: an image matrix, a text matrix and a label
     vector, one row per pair, plus the per-class attribute map.
 
-    Features given as float32 (as files store them) stay float32, others are
-    held as float64, so a pseudo corpus is never rounded; attributes are
+    Features given as float32 (as files store them, and as a float32
+    model synthesises them) stay float32, others are held as float64, so a
+    pseudo corpus is never rounded; attributes are
     float64, labels int64. Arrays are read-only; one given at its held dtype
     is kept, not copied. Gathers go through image_matrix/text_matrix/
     attr_matrix/labels; a feature gather returns exact float64 rows, or

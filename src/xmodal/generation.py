@@ -37,13 +37,22 @@ elements in one scratch block, from the pre-activation, from the activation
 (whose sign is the pre-activation's) or from the bool pre > 0 that
 `penalty_terms` keeps for its second use. The rows' weight gradient is
 formed in the critic's gradient itself. At d = d_attr = 512 on a 256-row
-batch a critic step peaks at about 17 MiB of temporaries and an E/G step at
-16 MiB; at d = d_attr = 1024, 34 and 35 MiB (tracemalloc).
+batch, in float32, a critic step peaks at about 8.5 MiB of temporaries and
+an E/G step at 8 MiB; at d = d_attr = 1024, 17 and 18 MiB (tracemalloc),
+half their float64 peaks.
+
+A model computes in the dtype its feature width gives (`util.model_dtype`):
+float32 from 512 features on, float64 below. Its parameters, gradients, Adam
+moments and scaler, its scaled training rows and attribute table, its step
+buffers and its synthesized features are of that dtype. Every draw (Xavier,
+noise, reparameterisation, `eps`) is a float64 draw from the same stream,
+cast once where it is drawn, so a stream serves the same draws at either
+dtype.
 
 A model that trains holds one gradient buffer for its two networks, laid
 out by `_new_model`, which every training path builds its model with: at
-d = d_attr = 1024 its values, gradients and Adam moments take 276 MiB, not
-308. The two stage-1 threads train different models.
+d = d_attr = 1024 its float32 values, gradients and Adam moments take 138
+MiB, not 154. The two stage-1 threads train different models.
 
 Every attribute row is one of a few class vectors, so stage 1 holds the
 attributes as an `AttrRows`: the class table and each row's index into it.
@@ -58,11 +67,12 @@ backpropagated through the generator (affine, ReLU, affine, sigmoid). On the
 reconstruction path the analytic KL and reconstruction gradients join it,
 and the sum flows through the reparameterisation z = mu + exp(logvar/2)·eps,
 the log-variance clip and the encoder. The stage-1 steps, the posterior and
-the curve probe take float64 arrays and share one numpy forward, the
-log-variance clip included, and one critic forward, `Critic.scores`. The
-tests check each step's gradients against central finite differences of the
-loss it returns or of the curve probe, `_dataset_metrics`, and pin a grid
-cell's results by value (`tests/test_golden.py`).
+the curve probe take arrays of the model's dtype and share one numpy
+forward, the log-variance clip included, and one critic forward,
+`Critic.scores`. The tests check each step's gradients against central
+finite differences of the loss it returns or of the curve probe,
+`_dataset_metrics`, and pin a grid cell's results by value
+(`tests/test_golden.py`).
 
 The two modalities share no parameters, RNG streams or buffers, so they may
 train at the same time when a second core is free (see
@@ -91,7 +101,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import require_field_types, require_finite, run_pair, stream
+from .util import model_dtype, require_field_types, require_finite, run_pair, stream
 
 # reference layer widths at the 1024-d feature scale; other dims scale
 # proportionally so the desk-size synthetic preset stays cheap
@@ -108,6 +118,16 @@ LEAKY_SLOPE = 0.2
 
 def _scaled(ref: int, d: int) -> int:
     return max(2, round(ref * d / 1024))
+
+
+def _normal(rng, shape, dtype) -> np.ndarray:
+    """rng's float64 standard normal draws of shape, cast once to dtype."""
+    return rng.standard_normal(shape).astype(dtype, copy=False)
+
+
+def _uniform(rng, shape, dtype) -> np.ndarray:
+    """rng's float64 uniform [0, 1) draws of shape, cast once to dtype."""
+    return rng.uniform(size=shape).astype(dtype, copy=False)
 
 
 def default_latent_dim(d: int) -> int:
@@ -144,8 +164,9 @@ class AttrRows:
     """Attribute rows held by class: row i is table[rows[i]].
 
     `affine` and `t_matmul` form a @ W + b and aᵀ G on the table's rows. The
-    table keeps only the classes the rows use, so it has at most n rows. A
-    plain matrix takes `each`, one class per row.
+    table keeps only the classes the rows use, so it has at most n rows, of
+    the dtype it is given, which is the model's. A plain matrix takes
+    `each`, one class per row.
     """
 
     def __init__(self, table: np.ndarray, rows):
@@ -165,7 +186,7 @@ class AttrRows:
     @cached_property
     def _members(self) -> np.ndarray:
         # 1 where row i is of class c: _members @ G sums G's rows per class
-        return (np.arange(len(self.table))[:, None] == self.rows).astype(np.float64)
+        return (np.arange(len(self.table))[:, None] == self.rows).astype(self.table.dtype)
 
     def affine(self, W: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ W + b, as (table @ W + b)[rows]."""
@@ -263,7 +284,7 @@ class Critic(Module):
         one mask chunk at a time: x is a hidden pre-activation or the
         activation, which share a sign, and M the slope mask at that sign;
         w2_row is w2ᵀ, scaled as the caller needs."""
-        for rows, M in ad.slope_masks(x, LEAKY_SLOPE):
+        for rows, M in ad.slope_masks(x, LEAKY_SLOPE, x.dtype):
             if weights is None:
                 np.multiply(M, w2_row, out=x[rows])
             else:
@@ -274,12 +295,13 @@ class Critic(Module):
 
 class FeatureScaler:
     """Per-dimension min-max map to [0, 1]: (X - lo) / span with (1, d) arrays
-    lo and span. Both are always held: lo 0 and span 1 (the identity) until
-    `fit` replaces them, which a checkpoint load then overwrites in place."""
+    lo and span of the model's dtype, which `fit` takes X in. Both are always
+    held: lo 0 and span 1 (the identity) until `fit` replaces them, which a
+    checkpoint load then overwrites in place."""
 
-    def __init__(self, d: int):
-        self.lo = np.zeros((1, d))
-        self.span = np.ones((1, d))
+    def __init__(self, d: int, dtype):
+        self.lo = np.zeros((1, d), dtype)
+        self.span = np.ones((1, d), dtype)
 
     def fit(self, X: np.ndarray) -> "FeatureScaler":
         self.lo = X.min(axis=0, keepdims=True)
@@ -295,19 +317,21 @@ class FeatureScaler:
 
 
 class VaeGanModel(Module):
-    """Encoder, generator, and critic for one modality plus the feature scaler."""
+    """Encoder, generator, and critic for one modality plus the feature
+    scaler, all of the dtype the feature width gives (`util.model_dtype`)."""
 
     def __init__(self, d_feat: int, d_attr: int, hp: GenHyperParams, rng):
         self.d_feat = d_feat
         self.d_attr = d_attr
         self.hp = hp
+        self.dtype = model_dtype(d_feat)
         self.d_z = hp.latent_dim if hp.latent_dim is not None else default_latent_dim(d_feat)
         self.encoder = Encoder(d_feat, d_attr, self.d_z)
         self.generator = Generator(d_feat, d_attr, self.d_z)
         self.critic = Critic(d_feat, d_attr)
         # `groups`: the encoder and generator step together, the critic alone
-        self.lay_out(rng, (self.encoder, self.generator), (self.critic,))
-        self.scaler = FeatureScaler(d_feat)
+        self.lay_out(rng, (self.encoder, self.generator), (self.critic,), dtype=self.dtype)
+        self.scaler = FeatureScaler(d_feat, self.dtype)
         self.stage1_key: str | None = None  # set by `pipeline.stage1`, kept in checkpoints
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -320,8 +344,9 @@ class VaeGanModel(Module):
         return mu, np.exp(logvar * 0.5)
 
     def synthesize(self, attrs: AttrRows, rng) -> np.ndarray:
-        """Feature-space pseudo samples, one per attribute row."""
-        noise = rng.standard_normal((len(attrs), self.d_z))
+        """Feature-space pseudo samples of the model's dtype, one per
+        attribute row; attrs' table is of that dtype too."""
+        noise = _normal(rng, (len(attrs), self.d_z), self.dtype)
         return self.scaler.inverse(_generate(self.generator, noise, attrs)[2])
 
 
@@ -352,7 +377,7 @@ def penalty_terms(critic: Critic, pre: np.ndarray, n: int, grads: bool = True):
     dW1_v = G.T @ K
     # K is spent: it takes G @ W1_v, then that times M
     GW = np.matmul(G, critic.l1.W.data[: critic.d_feat], out=K)
-    for rows, M in ad.slope_masks(positive, LEAKY_SLOPE):
+    for rows, M in ad.slope_masks(positive, LEAKY_SLOPE, GW.dtype):
         GW[rows] *= M
     return value, dW1_v, GW.sum(axis=0, keepdims=True).T
 
@@ -386,7 +411,7 @@ def _vae_forward(model: VaeGanModel, v: np.ndarray, attrs: AttrRows, rng):
     """
     hs, mu, logvar, keep = _encode(model.encoder, v, attrs)
     std = np.exp(logvar * 0.5)
-    eps = rng.standard_normal(mu.shape)
+    eps = _normal(rng, mu.shape, model.dtype)
     z = mu + std * eps
     dec = _generate(model.generator, z, attrs)
     del z
@@ -431,12 +456,12 @@ def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, r
     critic = model.critic
     w2 = critic.l2.W.data
     # real, fake and reconstructed rows, one path block of n rows each
-    rows = np.empty(((k + 1) * n, d))
+    rows = np.empty(((k + 1) * n, d), model.dtype)
     rows[:n] = real
-    rows[n : 2 * n] = _generate(model.generator, rng.standard_normal((n, model.d_z)), attrs)[2]
+    rows[n : 2 * n] = _generate(model.generator, _normal(rng, (n, model.d_z), model.dtype), attrs)[2]
     if posterior is not None:
         mu, std = posterior
-        rows[2 * n :] = _generate(model.generator, mu + std * rng.standard_normal(mu.shape), attrs)[2]
+        rows[2 * n :] = _generate(model.generator, mu + std * _normal(rng, mu.shape, model.dtype), attrs)[2]
     # the feature products and the attribute branch serve all 2k + 1 critic
     # evaluations: the penalty's interpolates mix them
     P = rows @ critic.l1.W.data[:d]
@@ -445,9 +470,9 @@ def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, r
     if hp.lambda_gp:
         # the interpolate e·real + (1 − e)·other has the pre-activation
         # e·P_real + (1 − e)·P_other + a_pre, formed before P is overwritten
-        interp = np.empty((k, n, P.shape[1]))
+        interp = np.empty((k, n, P.shape[1]), model.dtype)
         for i, out in enumerate(interp):
-            e = rng.uniform(size=(n, 1))
+            e = _uniform(rng, (n, 1), model.dtype)
             np.multiply(e, paths[0], out=out)
             out += (1.0 - e) * paths[i + 1]
             out += a_pre
@@ -457,7 +482,7 @@ def critic_step(real, attrs: AttrRows, model: VaeGanModel, hp: GenHyperParams, r
     ad.leaky_relu_inplace(P, LEAKY_SLOPE)
 
     # score gaps: D(real) once, weighted -k/n per row; each other path +1/n
-    w = np.full((len(P), 1), 1.0 / n)
+    w = np.full((len(P), 1), 1.0 / n, model.dtype)
     w[:n] = -k / n
     dW2 = P.T @ w
     # the activation in P becomes dpre = w ⊙ (M ⊙ w2ᵀ)
@@ -512,7 +537,7 @@ def eg_step(v, a: AttrRows, model: VaeGanModel, hp: GenHyperParams, rng, use_vae
     enc, gen, critic = model.encoder, model.generator, model.critic
     if use_vae:
         kl, recon, v_bar, cache = _vae_forward(model, v, a, rng)
-    noise = rng.standard_normal((n, model.d_z))
+    noise = _normal(rng, (n, model.d_z), model.dtype)
     if hp.lambda_gp:
         rng.uniform(size=(n, 2 if use_vae else 1))
 
@@ -584,9 +609,12 @@ def train_generation(
     train_idx = split.train_rows
     if not train_idx:
         raise ConfigError("generation training set is empty")
-    attrs = AttrRows(*corpus.attr_rows(train_idx))
+    table, rows = corpus.attr_rows(train_idx)
+    attrs = AttrRows(table.astype(model_dtype(corpus.dim), copy=False), rows)
     d_attr = attrs.table.shape[1]
-    feats = {"img": corpus.image_matrix(train_idx), "txt": corpus.text_matrix(train_idx)}
+    # gathered at their stored dtype: `_new_model` casts them to the model's
+    feats = {"img": corpus.image_matrix(train_idx, stored=True),
+             "txt": corpus.text_matrix(train_idx, stored=True)}
     width = min(X.shape[1] for X in feats.values())
     # the models are built here, on the calling thread, so their buffers do
     # not stay behind in a worker's malloc arena; a forked child inherits its own
@@ -605,17 +633,18 @@ def train_generation(
 
 def _new_model(feats, d_attr, hp, modality):
     """An untrained model of one modality with its scaler fitted to feats, and
-    the scaled features.
+    the scaled features, both cast to the model's dtype first.
 
     Its critic and encoder/generator step in turn, each from `zero_grads` of
     its own gradient to an `adam_step` that zeroes it again, and neither step
     writes the other's gradient, so the smaller network's gradient is laid
     over the larger one's buffer (`ParamGroup.bind_grad`): at d = d_attr =
-    1024 the model's buffers take 276 MiB, not 308.
+    1024 the model's float32 buffers take 138 MiB, not 154.
     """
     model = VaeGanModel(feats.shape[1], d_attr, hp, stream(hp.seed, modality, "init"))
     small, large = sorted(model.groups, key=lambda group: group.grad.size)
     small.bind_grad(large.grad)
+    feats = feats.astype(model.dtype, copy=False)
     model.scaler.fit(feats)
     return model, model.scaler.transform(feats)
 
@@ -638,7 +667,7 @@ def _dataset_metrics(model, X, attrs: AttrRows, hp, rng, use_vae) -> dict[str, f
     else:
         kl = recon = 0.0
     vae = kl + recon
-    v_tilde = _generate(model.generator, rng.standard_normal((n, model.d_z)), attrs)[2]
+    v_tilde = _generate(model.generator, _normal(rng, (n, model.d_z), model.dtype), attrs)[2]
     W1_v = critic.l1.W.data[: critic.d_feat]
     a_pre = critic.attr_branch(attrs)
     P_real = X @ W1_v
@@ -649,7 +678,7 @@ def _dataset_metrics(model, X, attrs: AttrRows, hp, rng, use_vae) -> dict[str, f
         gap = d_real - critic.scores(P + a_pre).mean()
         if not hp.lambda_gp:
             return gap, gap
-        eps = rng.uniform(size=(n, 1))
+        eps = _uniform(rng, (n, 1), model.dtype)
         # the interpolates' pre-activation, as `critic_step` forms it
         pre = eps * P_real + (1.0 - eps) * P + a_pre
         return gap - penalty_terms(critic, pre, n, grads=False)[0] * hp.lambda_gp, gap
@@ -714,7 +743,7 @@ def synthesize_target_set(
     """gen_num pseudo image/text pairs per target class, labeled with that class.
 
     Image and text features come from their own generators with independent
-    noise but the same class attribute per pair.
+    noise but the same class attribute per pair, at the generators' dtype.
     """
     if gen_num <= 0:
         raise ConfigError(f"gen_num must be positive, got {gen_num}")
@@ -729,7 +758,8 @@ def synthesize_target_set(
     images, texts, labels = [], [], []
     for c in classes:
         # gen_num rows of one class: the table is the class's attribute vector
-        rows = AttrRows(np.reshape(class_attrs[c], (1, -1)), np.zeros(gen_num, np.int64))
+        table = np.reshape(class_attrs[c], (1, -1)).astype(img_model.dtype)
+        rows = AttrRows(table, np.zeros(gen_num, np.int64))
         images.append(img_model.synthesize(rows, rng_img))
         texts.append(txt_model.synthesize(rows, rng_txt))
         labels.extend([c] * gen_num)

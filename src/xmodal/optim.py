@@ -15,9 +15,10 @@ def adam_step(params: ParamGroup, lr: float) -> None:
     """One Adam update of a network from its accumulated gradient.
 
     The group holds one step count for the bias correction. Its buffers are
-    walked in blocks of `BLOCK` elements, in place, with one scratch block:
-    the spent gradient holds the denominator, and is zeroed afterwards. The
-    float operations are the textbook ones, in order:
+    walked in blocks of `BLOCK` elements, in place, with one scratch block
+    of their dtype (float32 or float64, see `util.model_dtype`): the spent
+    gradient holds the denominator, and is zeroed afterwards. The float
+    operations are the textbook ones, in order, at that dtype:
     m = β1·m + (1−β1)·g, v = β2·v + (1−β2)·g², then
     θ −= lr·(m / (1−β1ᵗ)) / (√(v / (1−β2ᵗ)) + ε).
     """
@@ -27,7 +28,7 @@ def adam_step(params: ParamGroup, lr: float) -> None:
     t = params.step_count
     correct1, correct2 = 1.0 - BETA1**t, 1.0 - BETA2**t
     size = params.data.size
-    scratch = np.empty(min(size, BLOCK))
+    scratch = np.empty(min(size, BLOCK), params.data.dtype)
     for start in range(0, size, BLOCK):
         theta, g, m, v = (
             buf[start : start + BLOCK] for buf in (params.data, params.grad, params.adam_m, params.adam_v)

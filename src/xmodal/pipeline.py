@@ -36,7 +36,14 @@ from .data import (
 from .errors import CheckpointError, ConfigError, DimensionMismatchError
 from .generation import GenHyperParams, synthesize_target_set, train_generation
 from .projection import ProjHyperParams, RawFeatures, train_projection
-from .util import fingerprint, numeric_environment, require_field_types, require_finite_params, write_json
+from .util import (
+    fingerprint,
+    model_dtype,
+    numeric_environment,
+    require_field_types,
+    require_finite_params,
+    write_json,
+)
 
 ARTIFACT_VERSION = "0.1.0"
 _HASH_CHUNK = 1 << 20  # bytes per read when hashing a corpus file or stage-1 checkpoint
@@ -200,7 +207,9 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def preset_config(name: str, **overrides) -> ExperimentConfig:
+def preset_payload(name: str, **overrides) -> dict:
+    """The preset's config payload, each override section updating the
+    preset's key by key; `preset_config` builds it."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     payload = {k: (dict(v) if isinstance(v, dict) else v) for k, v in PRESETS[name].items()}
@@ -209,7 +218,11 @@ def preset_config(name: str, **overrides) -> ExperimentConfig:
             payload[key].update(value)
         else:
             payload[key] = value
-    return config_from_dict(payload)
+    return payload
+
+
+def preset_config(name: str, **overrides) -> ExperimentConfig:
+    return config_from_dict(preset_payload(name, **overrides))
 
 
 def load_config_corpus(config: ExperimentConfig) -> Corpus:
@@ -269,14 +282,19 @@ def cell_split(corpus: Corpus, x_shot: int, seed: int, config: ExperimentConfig)
 
 def stage1_key(corpus: Corpus, split: XShotSplit, config: ExperimentConfig) -> str:
     """The key of the cell's generators: a hash of the split, the gen config at
-    the cell's seed, use_vae and the bytes of the rows stage 1 trains on (both
-    modalities' features and their attribute rows). No path enters it."""
+    the cell's seed, use_vae, the model dtype when it is not float64 (a
+    float64 key is the one earlier builds wrote) and the bytes of the rows
+    stage 1 trains on (both modalities' features and their attribute rows).
+    No path enters it."""
     idx = split.train_rows
     table, rows = corpus.attr_rows(idx)
     digest = hashlib.sha256(table[rows])
     for gather in (corpus.image_matrix, corpus.text_matrix):
         digest.update(gather(idx))
     gen = {**vars(config.gen), "seed": split.seed, "use_vae": not config.ablations.no_vae}
+    dtype = model_dtype(corpus.dim).name
+    if dtype != "float64":
+        gen["dtype"] = dtype
     return fingerprint({"split": split.describe(), "gen": gen, "rows": digest.hexdigest()})
 
 
@@ -420,8 +438,9 @@ def run_experiment(config: ExperimentConfig, pseudo_root=None) -> dict:
     """Every (x_shot, seed) cell of the config through `run_cell`; cells fail
     independently. A bad pseudo_root is refused before the corpus is loaded.
 
-    Returns the RunRecord dict, with the `util.numeric_environment`; with an
-    out_dir it is also written to `run_record.json` beside the cell directories.
+    Returns the RunRecord dict, with the `util.numeric_environment` and the
+    models' dtype (`util.model_dtype` of the corpus width); with an out_dir
+    it is also written to `run_record.json` beside the cell directories.
     """
     _check_pseudo_root(config, pseudo_root)
     corpus = load_config_corpus(config)
@@ -429,7 +448,8 @@ def run_experiment(config: ExperimentConfig, pseudo_root=None) -> dict:
         "artifact_version": ARTIFACT_VERSION,
         "config": config.resolved(),
         "config_fingerprint": config.fingerprint(),
-        "corpus": {"name": corpus.name, "instances": len(corpus), "dim": corpus.dim},
+        "corpus": {"name": corpus.name, "instances": len(corpus), "dim": corpus.dim,
+                   "model_dtype": model_dtype(corpus.dim).name},
         "environment": numeric_environment(),
         "cells": [],
         "failures": 0,

@@ -23,14 +23,21 @@ second core is free. The losses, their cotangents and the shared head's
 update run on the calling thread. `_tower_forward` is the one tower
 forward: `embed_*` runs its evaluation mode on the near-equal row blocks of
 `util.row_blocks`, each block's u written into its rows of one (n, d)
-output, so a block holds one (BLOCK, 2d) and one (BLOCK, d) float64 buffer
-and bool masks: float32 rows are cast straight into the first, and the
-logistic's denominator is formed in the second. `retrieval.evaluate` calls
+output, so a block holds one (BLOCK, 2d) and one (BLOCK, d) buffer of the
+model's dtype and bool masks: rows are cast straight into the first, and
+the logistic's denominator is formed in the second. `retrieval.evaluate` calls
 it one block at a time on each evaluation thread, on rows it has just
 gathered at their stored dtype, so a thread's forward holds those rows,
 its output and the two buffers. The curve probe, `dataset_losses`, is that
 forward on whole matrices plus the loss values; its contrastive term holds
 one (2n, 2n) matrix.
+
+A model computes in the dtype its width gives (`util.model_dtype`): float32
+from 512 features on, float64 below. Its parameters, gradients and Adam
+moments, the training matrices V and T, the step's arrays and the
+evaluation forward's buffers and output are of that dtype; its Xavier draws
+are float64 draws cast once. Ranking casts the embeddings to float64
+(`retrieval.Embeddings`).
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .autodiff import Linear, Module
 from .data import Corpus, XShotSplit
 from .errors import ConfigError
 from .optim import adam_step, zero_grads
-from .util import require_field_types, require_finite, row_blocks, run_pair, stream
+from .util import model_dtype, require_field_types, require_finite, row_blocks, run_pair, stream
 
 
 @dataclass
@@ -107,10 +114,11 @@ class RawFeatures:
 
 class ProjectionModel(Module):
     """Both projectors, both gates (None under no_gate), and the shared
-    classifier head."""
+    classifier head, all of the dtype the width gives (`util.model_dtype`)."""
 
     def __init__(self, d: int, classes, hp: ProjHyperParams, rng, use_gate: bool = True):
         self.d = d
+        self.dtype = model_dtype(d)
         self.classes = tuple(sorted(int(c) for c in classes))
         self.label_index = {c: i for i, c in enumerate(self.classes)}
         self.hp = hp
@@ -121,17 +129,19 @@ class ProjectionModel(Module):
         self.head = ClassifierHead(d, len(self.classes))
         # `groups`: each modality's tower (projector and any gate), then the head
         towers = ((self.projector_v, self.gate_v), (self.projector_t, self.gate_t))
-        self.lay_out(rng, *(tuple(part for part in tower if part is not None) for tower in towers), (self.head,))
+        self.lay_out(rng, *(tuple(part for part in tower if part is not None) for tower in towers), (self.head,),
+                     dtype=self.dtype)
         # the fingerprint of the run config that trained the model, when known
         self.config_fingerprint: str | None = None
 
     def _embed(self, X, projector: Projector, gate: GateNet | None) -> np.ndarray:
-        """One modality's embeddings at rows X (never written), gate None
-        under no_gate: `_tower_forward` on the blocks of `util.row_blocks`.
-        float32 rows stay float32 here; the forward casts each block."""
+        """One modality's embeddings at rows X (never written), of the
+        model's dtype, gate None under no_gate: `_tower_forward` on the
+        blocks of `util.row_blocks`. float32 rows stay float32 here; the
+        forward casts each block."""
         X = np.asarray(X)
         X = ad.as_matrix(X, np.float32 if X.dtype == np.float32 else np.float64)
-        out = np.empty(X.shape)
+        out = np.empty(X.shape, self.dtype)
         for rows in row_blocks(len(X)):
             _tower_forward(X[rows], projector, gate, out[rows])
         return out
@@ -152,22 +162,25 @@ def _tower_forward(x: np.ndarray, projector: Projector, gate: GateNet | None,
     """One modality's embeddings u at rows x (never written) and the
     activations `_tower_backward` reads; gate is None under no_gate.
 
-    x may be float32 (gathered corpus rows) or float64. Gated, x is cast
-    into the left half of one (rows, 2d) float64 buffer and the projector
-    output f is written into its right half, so the buffer is the gate's
-    input [x, f] and x and f are views of it; ungated, the first product
-    casts it. Training (out None) returns u in an array of its own.
+    x may be float32 (gathered corpus rows) or float64; the arrays formed are
+    of the model's dtype. Gated, x is cast into the left half of one
+    (rows, 2d) buffer and the projector output f is written into its right
+    half, so the buffer is the gate's input [x, f] and x and f are views of
+    it; ungated, x is cast first. Training (out None) returns u in an array
+    of its own.
     Evaluation gives the (rows, d) `out`: no backward pass follows, so the
     gate's hidden layer, the logistic's denominator and (1 − g)·x reuse the
     projector's hidden buffer, g and u are formed in out, and the
     activations returned are None. Both modes do the same float operations.
     """
+    dtype = projector.l1.W.data.dtype
     if gate is None:
+        x = x.astype(dtype, copy=False)
         r1 = ad.relu_inplace(ad.affine(x, projector.l1))
         f = ad.affine(r1, projector.l2, out=out)
         return f, (x, r1) if out is None else None
     d = x.shape[1]
-    joint = np.empty((len(x), 2 * d))
+    joint = np.empty((len(x), 2 * d), dtype)
     joint[:, :d] = x
     x, f = joint[:, :d], joint[:, d:]
     r1 = ad.relu_inplace(ad.affine(x, projector.l1))
@@ -342,7 +355,7 @@ def _embedding_cotangents(terms):
 def projection_step(model: ProjectionModel, v, t, label_cols, hp: ProjHyperParams,
                     epoch: int = 1, step: int = 1) -> dict[str, float]:
     """One Adam step of every parameter on `_batch_losses`' total at the
-    float64 batch (v, t); returns the loss values.
+    batch (v, t) of the model's dtype; returns the loss values.
 
     Gradients are zeroed first. The two modality towers run their forwards,
     then their backward passes and Adam updates, through `util.run_pair`:
@@ -410,8 +423,10 @@ def train_projection(
         parts.append((pseudo, None))
     if not parts:
         raise ConfigError("projection training set is empty")
-    V = np.vstack([c.image_matrix(rows) for c, rows in parts])
-    T = np.vstack([c.text_matrix(rows) for c, rows in parts])
+    # gathered at their stored dtype, then cast to the model's
+    dtype = model_dtype(corpus.dim)
+    V = np.vstack([c.image_matrix(rows, stored=True) for c, rows in parts]).astype(dtype, copy=False)
+    T = np.vstack([c.text_matrix(rows, stored=True) for c, rows in parts]).astype(dtype, copy=False)
     labels = np.hstack([c.labels(rows) for c, rows in parts])
 
     model = ProjectionModel(

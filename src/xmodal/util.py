@@ -1,6 +1,7 @@
 """Shared helpers: named deterministic RNG streams, config fingerprints, the
 type check of config fields, the training guards, row blocks and unit
-rows, the numeric environment and the runners that put two jobs on two cores."""
+rows, the model dtype by width, the numeric environment and the runners that
+put two jobs on two cores."""
 
 from __future__ import annotations
 
@@ -117,6 +118,22 @@ def unit_rows(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 CONCURRENT_MIN_WIDTH = 128
 
 
+# the narrowest feature width at which a model computes in float32: its
+# parameters, gradients, Adam moments and scaler, its training rows, draws
+# and step buffers, and the evaluation forward. Below it every array is
+# float64. With one OpenBLAS thread on an AVX-512 x86 core and B=256, a
+# critic step plus Adam took 90-106 ms in float64 and 47-58 ms in float32 at
+# d=512, and 336 and 188 ms at d=1024; a model's buffers take half the
+# memory. Ranking stays float64 at every width
+SINGLE_MIN_WIDTH = 512
+
+
+def model_dtype(d: int) -> np.dtype:
+    """The dtype of a model d features wide: float32 from `SINGLE_MIN_WIDTH`
+    on, float64 below."""
+    return np.dtype(np.float32 if d >= SINGLE_MIN_WIDTH else np.float64)
+
+
 def _spare_core() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
@@ -136,13 +153,15 @@ def _blas_threads() -> str | None:
 
 
 def numeric_environment() -> dict:
-    """numpy's version, BLAS build and BLAS threads: what a bitwise rerun needs."""
+    """numpy's version, BLAS build and BLAS threads, and the width from which
+    models compute in float32 (`model_dtype`): what a bitwise rerun needs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):  # a numpy without config dicts
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "blas_threads": _blas_threads()}
+    return {"numpy": np.__version__, "blas": blas, "blas_threads": _blas_threads(),
+            "float32_from_width": SINGLE_MIN_WIDTH}
 
 
 def _can_fork() -> bool:

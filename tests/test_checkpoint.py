@@ -9,7 +9,7 @@ import pytest
 
 from xmodal import autodiff as ad
 from xmodal import checkpoint as ckpt
-from xmodal import data, generation as gen, pipeline, projection as proj, retrieval as ret
+from xmodal import data, generation as gen, pipeline, projection as proj, retrieval as ret, util
 from xmodal.cli import main as cli_main
 from xmodal.errors import CheckpointError
 from xmodal.util import stream
@@ -652,6 +652,28 @@ def test_float32_array_loads_into_a_float64_model(small_setup, tmp_path):
     back = dict(ckpt.load_projection(path).named_params())[name.removeprefix("param/")]
     assert back.data.dtype == np.float64
     assert np.array_equal(back.data, arrays[name].astype(np.float64))
+
+
+@pytest.mark.parametrize("kind", ["vaegan", "projection"])
+def test_a_float64_checkpoint_loads_into_a_float32_model_cast(small_setup, tmp_path, monkeypatch, kind):
+    # a checkpoint of a wide model written before wide models computed in
+    # float32: every array, scaler included, is cast once into the model
+    _, _, img, _, model = small_setup
+    saved, save, load = {
+        "vaegan": (img, ckpt.save_vaegan, ckpt.load_vaegan),
+        "projection": (model, ckpt.save_projection, ckpt.load_projection),
+    }[kind]
+    path = tmp_path / f"{kind}.ckpt"
+    save(saved, path)
+    monkeypatch.setattr(util, "SINGLE_MIN_WIDTH", 8)
+    back = load(path)
+    assert back.dtype == np.float32
+    want = saved.arrays()
+    got = back.arrays()
+    assert got.keys() == want.keys()
+    for key, arr in want.items():
+        assert arr.dtype == np.float64 and got[key].dtype == np.float32
+        assert got[key].tobytes() == arr.astype(np.float32).tobytes(), key
 
 
 class _FullDisk:

@@ -556,11 +556,14 @@ def _step_peak(step, *args):
 
 
 def _stage1_step_peaks(d):
-    """(critic step, E/G step) tracemalloc peaks at d = d_attr on a 256-row batch."""
+    """(critic step, E/G step) tracemalloc peaks at d = d_attr on a 256-row
+    batch of the model's dtype, float32 at these widths."""
     hp = gen.GenHyperParams(seed=2)
     model = gen.VaeGanModel(d, d, hp, stream(2, "init"))
+    assert model.dtype == np.float32
     rng = np.random.default_rng(3)
-    v, a = rng.uniform(size=(256, d)), gen.AttrRows.each(rng.normal(size=(256, d)))
+    v = rng.uniform(size=(256, d)).astype(np.float32)
+    a = gen.AttrRows.each(rng.normal(size=(256, d)).astype(np.float32))
     posterior = model.posterior(v, a)
     critic = _step_peak(gen.critic_step, v, a, model, hp, stream(4, "noise"), posterior)
     eg = _step_peak(gen.eg_step, v, a, model, hp, stream(4, "noise"), True)
@@ -571,11 +574,11 @@ def _critic_step_bound(d, n=256):
     # one batch's working set, H = 2d wide: the 3n feature rows, their
     # (3n, H) first-layer product, which the score pass overwrites in turn,
     # and the penalty's (2n, H) interpolates; while those are formed, the
-    # (n, H) attribute branch and one (n, H) path term. float64, plus 512
+    # (n, H) attribute branch and one (n, H) path term. float32, plus 512
     # KiB for a mask chunk and the rest. The rows' (d, H) weight gradient
     # is formed in the critic's gradient, not beside it
     H = 2 * d
-    return 8 * (3 * n * d + 3 * n * H + 2 * n * H + 2 * n * H) + 2**19
+    return 4 * (3 * n * d + 3 * n * H + 2 * n * H + 2 * n * H) + 2**19
 
 
 def _eg_step_bound(d, n=256):
@@ -594,28 +597,30 @@ def _eg_step_bound(d, n=256):
     generator = n * (held + hidden + d + d + hidden + hidden) + d * hidden
     # dz, dmu, dlogvar and the first layer's cotangent
     encoder = n * (held + 3 * d_z + w1 + w1) + d * w1
-    return 8 * max(generator, encoder) + 2**19
+    # float32, plus 512 KiB for a mask chunk and the rest
+    return 4 * max(generator, encoder) + 2**19
 
 
 def test_stage1_steps_hold_few_temporaries_at_width_512():
-    # wide_cell's shapes: d = d_attr = 512 and a 256-row batch; the critic's
-    # first weight alone is 8 MiB. An op-by-op E/G step peaked at 57 MB and
-    # the critic step at 60 MB. The critic step took 17.07 MiB against this
-    # bound's 17.5 MiB; with whole-matrix slope masks and a second (3n, H)
-    # pre-activation it took 24.75 MiB. The E/G step took 16.04 MiB against
-    # its bound's 16.53 MiB.
+    # wide_cell's shapes: d = d_attr = 512 and a 256-row batch, in float32;
+    # the critic's first weight alone is 4 MiB. An op-by-op float64 E/G step
+    # peaked at 57 MB and the critic step at 60 MB. The critic step took
+    # 8.54 MiB against this bound's 9.0 MiB, the E/G step 8.06 MiB against
+    # 8.52 MiB; in float64 they took 17.07 and 16.04 MiB. Given float64
+    # inputs, which upcast the float32 step's products, the E/G step took
+    # 16.89 MiB.
     critic, eg = _stage1_step_peaks(512)
     assert critic <= _critic_step_bound(512)
     assert eg <= _eg_step_bound(512)
 
 
 def test_critic_step_holds_one_batch_working_set_at_width_1024():
-    # the paper's width: the critic step took 34.07 MiB against this
-    # bound's 34.5 MiB. Adding the rows' weight gradient into the critic's
-    # gradient from a (d, H) temporary took 42.03 MiB; keeping the feature
-    # product alive through the penalty as well, by a loop variable that
-    # viewed it, took 58.54 MiB. The E/G step took 35.27 MiB against its
-    # bound's 35.75 MiB.
+    # the paper's width, in float32: the critic step took 17.04 MiB against
+    # this bound's 17.5 MiB, the E/G step 17.70 MiB against 18.13 MiB. In
+    # float64 they took 34.07 and 35.27 MiB; there, adding the rows' weight
+    # gradient into the critic's gradient from a (d, H) temporary took 42.03
+    # MiB, and keeping the feature product alive through the penalty as
+    # well, by a loop variable that viewed it, 58.54 MiB.
     critic, eg = _stage1_step_peaks(1024)
     assert critic <= _critic_step_bound(1024)
     assert eg <= _eg_step_bound(1024)

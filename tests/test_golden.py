@@ -6,10 +6,17 @@ at d=64, where stage 1 trains the text model in a forked child or serially.
 The desk_no_gate cell is the same cell under the no_gate ablation, whose
 projection model has no gate networks. The wide cell is shaped like its
 wide_cell: d=512, where both stages run the text side on a worker thread
-when a second core is free. All run at seed 7 with their epochs cut. Every
-report mAP and every curve value must match `golden_cells.json` to a
-relative 1e-9, not bit for bit: a BLAS built for another CPU may round a
-product otherwise.
+when a second core is free and the models compute in float32. All run at
+seed 7 with their epochs cut. Every report mAP and every curve value must
+match `golden_cells.json` to a relative 1e-9 in the float64 cells, not bit
+for bit: a BLAS built for another CPU may round a product otherwise. In
+float32 such roundings are larger and training carries them on, so the
+wide cell has a tolerance of its own, 1e-4. On one AVX-512 host its values
+under OpenBLAS's Haswell, Zen, Sandybridge and Nehalem kernels differed from
+those of its native SkylakeX kernel by up to 3.0e-5, 3.0e-5, 4.5e-5 and
+4.4e-5 (a target mAP; curves by at most 1.3e-6), while the float64 cells
+matched bit for bit. The same cell run in float64 misses it: its source
+mAP differs by 5.2e-4, a critic gap by 2.1e-4.
 
 The values are pinned by value: finite differences and exact oracles check
 the steps' gradients, and this file holds the results the steps gave when a
@@ -24,15 +31,17 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from xmodal import pipeline
+from xmodal import pipeline, util
 from xmodal.generation import GenHyperParams
 from xmodal.pipeline import ExperimentConfig, SyntheticSpec
 from xmodal.projection import ProjHyperParams
 
 GOLDEN = Path(__file__).with_name("golden_cells.json")
 REL = 1e-9
+REL_FLOAT32 = 1e-4
 
 
 def desk_cell() -> ExperimentConfig:
@@ -91,7 +100,8 @@ def test_cell_matches_its_pinned_results(name):
     got = flatten(results(name))
     want = flatten(json.loads(GOLDEN.read_text())[name])
     assert got.keys() == want.keys()
-    off = {k: (got[k], want[k]) for k in want if not math.isclose(got[k], want[k], rel_tol=REL)}
+    rel = REL if util.model_dtype(CELLS[name]().synthetic.dim) == np.float64 else REL_FLOAT32
+    off = {k: (got[k], want[k]) for k in want if not math.isclose(got[k], want[k], rel_tol=rel)}
     assert not off, f"{len(off)} of {len(want)} values moved: {off}"
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from xmodal import checkpoint as ckpt
-from xmodal import data, pipeline
+from xmodal import data, pipeline, util
 from xmodal import projection as proj
 from xmodal.cli import main as cli_main
 from xmodal.errors import CheckpointError, ConfigError
@@ -161,7 +161,7 @@ def test_cli_make_data_without_a_synthetic_section_exits_2(tmp_path, capsys, sou
         flags = ["--preset", "wikipedia"]
     assert cli_main(["make-data", *flags, "--out", str(tmp_path / "cli")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "synthetic" in err and len(err.splitlines()) == 1
+    assert err == "error: make-data writes a config's synthetic corpus, and this config has no synthetic section\n"
     assert not (tmp_path / "cli").exists()
 
 
@@ -248,10 +248,33 @@ def test_run_record_names_the_numeric_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     pipeline.run_experiment(tiny_config(out_dir=str(tmp_path), ablations={"no_generation": True}))
     env = json.loads((tmp_path / "run_record.json").read_text())["environment"]
-    assert env == {"numpy": np.__version__, "blas": env["blas"], "blas_threads": "1"}
+    assert env == {"numpy": np.__version__, "blas": env["blas"], "blas_threads": "1",
+                   "float32_from_width": 512}
     assert isinstance(env["blas"], str) and env["blas"]
     reports = json.loads((tmp_path / "cell_x0_s0" / "reports.json").read_text())
     assert "environment" not in reports
+
+
+@pytest.mark.parametrize("single_min_width, dtype", [(17, "float64"), (16, "float32")])
+def test_run_record_names_the_precision_its_models_computed_in(tmp_path, monkeypatch, single_min_width, dtype):
+    # tiny_config's corpus is 16 wide: float32 from that width on
+    monkeypatch.setattr(util, "SINGLE_MIN_WIDTH", single_min_width)
+    record = pipeline.run_experiment(tiny_config(out_dir=str(tmp_path)))
+    assert record["failures"] == 0
+    written = json.loads((tmp_path / "run_record.json").read_text())
+    assert written["environment"]["float32_from_width"] == single_min_width
+    assert written["corpus"]["model_dtype"] == dtype
+
+
+def test_a_wide_cell_checkpoints_hold_only_float32_arrays(tmp_path):
+    # from 512 features on the models compute in float32 and are saved as
+    # they are held, scaler included
+    cfg = tiny_config(out_dir=str(tmp_path), synthetic={"n_classes": 4, "per_class": 8, "dim": 512, "seed": 3},
+                      gen={"batch": 16, "epochs": 1}, proj={"batch": 16, "epochs": 1})
+    assert pipeline.run_experiment(cfg)["failures"] == 0
+    for name in ("gen_img", "gen_txt", "projection"):
+        arrays = ckpt.load_checkpoint(pipeline.cell_dir(tmp_path, 0, 0) / f"{name}.ckpt")[1]
+        assert {a.dtype.str for a in arrays.values()} == {"<f4"}, name
 
 
 def test_eval_checkpoint_holds_the_corpus_at_its_stored_precision(tmp_path):
@@ -812,6 +835,23 @@ def test_train_proj_refuses_a_generator_with_no_stage_1_key(tmp_path, pseudo_roo
     cfg = tiny_config()
     with pytest.raises(CheckpointError, match=f"^{path}: stage-1 key None is not this cell's"):
         pipeline.run_cell(pipeline.load_config_corpus(cfg), 0, 0, cfg, pseudo_root=root)
+
+
+def test_run_pseudo_refuses_generators_trained_at_another_precision(pseudo_root, monkeypatch):
+    # pseudo_root's 16-wide generators trained in float64, under a float64
+    # key that this build computes as earlier builds did. With float32 from
+    # 16 features on, the cell's key names float32 and the saved one is refused
+    cfg = tiny_config()
+    corpus = pipeline.load_config_corpus(cfg)
+    split = pipeline.cell_split(corpus, 0, 0, cfg)
+    path = pipeline.cell_dir(pseudo_root, 0, 0) / "gen_img.ckpt"
+    saved = ckpt.load_vaegan(path).stage1_key
+    assert pipeline.stage1_key(corpus, split, cfg) == saved
+    monkeypatch.setattr(util, "SINGLE_MIN_WIDTH", 16)
+    want = pipeline.stage1_key(corpus, split, cfg)
+    assert want != saved
+    with pytest.raises(CheckpointError, match=f"^{path}: stage-1 key {saved} is not this cell's {want}"):
+        pipeline.run_cell(corpus, 0, 0, cfg, pseudo_root=pseudo_root)
 
 
 def test_a_copied_synth_root_is_accepted(tmp_path, pseudo_root):

@@ -687,10 +687,13 @@ def test_calling_thread_error_leaves_no_thread(proj_corpus, monkeypatch, worker,
 
 
 def test_concurrent_step_holds_few_temporaries_at_width_512(worker, fine_switching):
-    # wide_cell's stage-2 shapes: d=512, a 256-row batch. An op-by-op step
-    # peaked at 73 MiB; both towers' steps at once hold about 28 MiB
+    # wide_cell's stage-2 shapes: d=512, a 256-row float32 batch. An op-by-op
+    # float64 step peaked at 73 MiB, and both towers' float64 steps at once
+    # held about 28 MiB; in float32 they hold 14.0 MiB
     d, n = 512, 256
     hp = proj.ProjHyperParams()
     model = proj.ProjectionModel(d, range(8), hp, stream(2, "init"))
+    assert model.dtype == np.float32
     v, t, labels = _batch(d, n, 8, np.random.default_rng(3))
-    assert _warm_peak(lambda: proj.projection_step(model, v, t, labels, hp)) <= 36 * (1 << 20)
+    v, t = v.astype(np.float32), t.astype(np.float32)
+    assert _warm_peak(lambda: proj.projection_step(model, v, t, labels, hp)) <= 18 * (1 << 20)
